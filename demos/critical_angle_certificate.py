@@ -3,8 +3,9 @@
 The certificate machine: pick N transverse sine modes on a strip of length L
 hugging the shell, evaluate the quadratic form minus eps_tau^2 in closed
 form, and tune (omega, L) so the n-independent bound of the gap is exactly
-zero.  Maximizing that angle over L gives omega_star: below it, at least N
-eigenvalues sit in the spectral gap.
+zero.  Maximizing that angle over L gives omega_star, attained at L_star (both
+in closed form): below omega_star, at least N eigenvalues sit in the spectral
+gap.
 """
 
 import numpy as np
@@ -28,15 +29,13 @@ for length in (5.0, 10.0, 15.0, 21.15, 30.0, 60.0):
 print("(negative entries mean: this L certifies nothing)")
 print()
 
-print("critical angle, closed form vs numeric maximization:")
-print("  tau    N   omega_star (closed)      omega_star (maximized)   L_star")
+print("critical angle and optimal strip length, both in closed form:")
+print("  tau    N   omega_star               L_star")
 for t in (-0.5, -1.0, -3.0):
     for n_modes in (1, 2):
-        closed = critical_angle_closed(t, n_modes)
         p = PhysParams(tau=t, m=m, omega=0.01)
-        w_num, l_num = critical_angle_maximize(p, n_modes)
-        print("  %-5g  %d   %.16e   %.16e   %.6f"
-              % (t, n_modes, closed, w_num, l_num))
+        w_star, l_star = critical_angle_maximize(p, n_modes)
+        print("  %-5g  %d   %.16e   %.6f" % (t, n_modes, w_star, l_star))
 print()
 
 w_star = critical_angle_closed(tau, 1)

@@ -4,7 +4,7 @@ supported on a broken line (infinite wedge of half-angle omega).
 Layout:
     model        parameters, Pauli algebra, transmission matrices
     spin_orbit   angular secular problem on the two arcs
-    special      modified Bessel integrals and deficiency elements
+    special      modified Bessel functions and deficiency elements
     aux1d        transverse 1-D comparison problem on a finite width
     variational  test-function certificates, critical angle, Weyl sequences
     fem          P1 discretization of the quadratic form, gap-state counting

@@ -28,9 +28,9 @@ from .fem.solve import _build_from_opts, _resolve_mesh_opts
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
 from .spin_orbit import NoRootFound, principal_eigenvalue, spectrum_in_window
-from .variational import (OptimizeError, critical_angle_closed,
-                          critical_angle_maximize, energy_breakdown,
-                          test_function_family, weyl_norm_sq, weyl_residual)
+from .variational import (critical_angle_closed, critical_angle_maximize,
+                          energy_breakdown, test_function_family,
+                          weyl_norm_sq, weyl_residual)
 
 __all__ = ["main", "run", "RunConfig", "load_config", "parse_angle"]
 
@@ -334,14 +334,14 @@ def _handle_weyl(cfg: RunConfig) -> str:
 def _handle_deficiency(cfg: RunConfig) -> str:
     o = cfg.options
     p = _params(o)
-    lam = principal_eigenvalue(p).lam
-    vp = deficiency_element(p, +1, o["r"], o["theta"])
-    vm = deficiency_element(p, -1, o["r"], o["theta"])
+    root = principal_eigenvalue(p)
+    vp = deficiency_element(p, +1, o["r"], o["theta"], root=root)
+    vm = deficiency_element(p, -1, o["r"], o["theta"], root=root)
     def _c(v):
         return [[float(v[0].real), float(v[0].imag)],
                 [float(v[1].real), float(v[1].imag)]]
     return _json_artifact(cfg, {
-        "lambda_star": lam,
+        "lambda_star": root.lam,
         "plus": _c(vp),
         "minus": _c(vm),
     })
@@ -435,7 +435,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (NoRootFound, OptimizeError, FemSolveError, BracketError) as exc:
+    except (NoRootFound, FemSolveError, BracketError) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, MeshError, ValueError) as exc:

@@ -1,14 +1,8 @@
 r"""Modified Bessel functions of the second kind and deficiency elements.
 
-K_nu is evaluated directly from the integral representation
-
-    K_nu(x) = \int_0^\infty e^{-x cosh t} cosh(nu t) dt ,   x > 0,
-
-by adaptive Simpson quadrature on a truncated interval.  The truncation point
-t_max is chosen from x cosh(t) - nu t > 40, which bounds the discarded tail by
-e^{-40} relative to the integrand scale.  No asymptotic fast path: call
-volumes here are small and the single quadrature route keeps the accuracy
-budget uniform (1e-10 relative over the used order/argument ranges).
+K_nu comes from ``scipy.special.kv`` (the AMOS routines; Amos 1986, ACM TOMS
+644).  It is imported on first use so that ``import diracwedge`` does not
+load ``scipy.special``.
 
 The deficiency elements combine K_{lambda -/+ 1/2} radially with the angular
 eigenfunction phi_lambda of the spin-orbit operator:
@@ -29,78 +23,23 @@ from .spin_orbit import SpinOrbitRoot, angular_profile, principal_eigenvalue
 __all__ = ["bessel_k", "deficiency_element"]
 
 _NU_MAX = 5.0
-_TAIL_EXPONENT = 40.0
-_MAX_DEPTH = 48
-
-
-def _k_integrand(nu: float, x: float):
-    def f(t: float) -> float:
-        return math.exp(-x * math.cosh(t)) * math.cosh(nu * t)
-    return f
-
-
-def _truncation_point(nu: float, x: float) -> float:
-    t = 1.0
-    while x * math.cosh(t) - nu * t <= _TAIL_EXPONENT:
-        t += 0.5
-        if t > 500.0:  # unreachable for x > 0 in double range
-            break
-    return t
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson with the standard 1/15 Richardson acceptance test."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        x0, x2, f0, f1, f2, s, eps, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if abs(left + right - s) <= 15.0 * eps or depth >= _MAX_DEPTH:
-            total += left + right + (left + right - s) / 15.0
-        else:
-            stack.append((x0, xm, f0, flm, f1, left, 0.5 * eps, depth + 1))
-            stack.append((xm, x2, f1, frm, f2, right, 0.5 * eps, depth + 1))
-    return total
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """K_nu(x) for real order, by quadrature of the cosh representation.
+    """K_nu(x) for real order |nu| <= 5 and x > 0.
 
-    K_{-nu} = K_nu is enforced through |nu|.  Supported range |nu| <= 5,
-    x > 0; relative accuracy 1e-10 on the ranges the package uses
-    (|nu| <= 1.5, 1e-4 <= x <= 30) and close to that elsewhere.
+    Relative accuracy 1e-10 on the ranges the package uses (|nu| <= 1.5,
+    1e-4 <= x <= 30); the tests check this against mpmath.
     """
+    from scipy.special import kv
+
     x = float(x)
     nu = abs(float(nu))
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x}")
     if nu > _NU_MAX:
         raise ValueError(f"order out of supported range, |nu|={nu} > {_NU_MAX}")
-    f = _k_integrand(nu, x)
-    t_max = _truncation_point(nu, x)
-    # Coarse pass fixes the magnitude; the adaptive tolerance is relative to
-    # it (a pure absolute 1e-12 is meaningless across ~30 orders of
-    # magnitude of K values).
-    coarse = 0.0
-    n0 = 64
-    for i in range(n0 + 1):
-        t = t_max * i / n0
-        wgt = 1.0 if i in (0, n0) else (4.0 if i % 2 else 2.0)
-        coarse += wgt * f(t)
-    coarse *= t_max / (3.0 * n0)
-    tol = max(1e-12 * coarse, 5e-324)
-    return _adaptive_simpson(f, 0.0, t_max, tol)
+    return float(kv(nu, x))
 
 
 def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,

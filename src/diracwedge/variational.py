@@ -19,9 +19,10 @@ edge times the squared norm) and the working upper estimate "bound gap":
 
 The angle that zeroes this bracket, maximized over the strip length L, is the
 critical angle omega_star below which the family certifies at least N
-eigenvalues in the spectral gap.  omega_star also has a closed form through
-the polynomials F, G, H and the unique positive solution x_star of a
-quadratic; both routes are implemented and cross-checked in the tests.
+eigenvalues in the spectral gap.  Both omega_star and the maximizing length
+L_star have closed forms through the polynomials F, G, H and the unique
+positive solution x_star of a quadratic (m^2 L_star^2 H = F + x_star); the
+tests check them against a numeric maximization of omega(L).
 
 The module also evaluates the two explicit sequences that pin down the
 essential spectrum: a Weyl sequence of cut-off plane waves deep inside the
@@ -70,7 +71,8 @@ _TAU_GUARD = 1e-9
 
 
 class OptimizeError(RuntimeError):
-    """The critical-angle maximization failed to bracket a maximum."""
+    """Kept for compatibility: no routine raises it since omega_star and
+    L_star are computed in closed form."""
 
 
 def _require_attractive(tau: float) -> None:
@@ -274,14 +276,21 @@ def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
     return math.atan(num / den)
 
 
-def critical_angle_closed(tau: float, N: int) -> float:
-    """Closed-form critical angle omega_star(tau, N), mass-independent."""
+def _x_star(tau: float, N: int) -> tuple[float, float, float, float]:
+    """(F, G, H, x_star): the polynomials of the critical-angle closed form
+    and the positive root x_star of its quadratic, with m^2 L_star^2 H =
+    F + x_star at the maximizing strip length."""
     _require_attractive(tau)
     if N < 1 or int(N) != N:
         raise ParameterError(f"N must be a positive integer, got {N}")
     f, g, h = _fgh(tau, int(N))
     a0 = N * N * math.pi ** 2 * h + 0.5 * f
-    x_star = a0 + math.sqrt(a0 * (a0 + 4.0 * f))
+    return f, g, h, a0 + math.sqrt(a0 * (a0 + 4.0 * f))
+
+
+def critical_angle_closed(tau: float, N: int) -> float:
+    """Closed-form critical angle omega_star(tau, N), mass-independent."""
+    f, g, h, x_star = _x_star(tau, N)
     tan_w = (x_star * h ** 1.5
              / (g * (2.0 * N * N * math.pi ** 2 * h + f + x_star)
                 * math.sqrt(f + x_star)))
@@ -289,63 +298,10 @@ def critical_angle_closed(tau: float, N: int) -> float:
 
 
 def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
-    """Maximize omega(L) over L > 0 numerically; returns (omega_star, L_star).
-
-    Golden section on the unimodal stretch right of the numerator root,
-    followed by a few Newton steps on the centered-difference derivative to
-    pin L_star beyond golden-section resolution.
-    """
-    _require_attractive(p.tau)
-    if N < 1 or int(N) != N:
-        raise ParameterError(f"N must be a positive integer, got {N}")
-    f_pol, _, h_pol = _fgh(p.tau, int(N))
-    l_min = math.sqrt(f_pol / h_pol) / p.m
-
-    def val(length: float) -> float:
-        return angle_for_length(p.tau, p.m, length, int(N))
-
-    # Expanding scan for a bracket around the maximum.
-    ls = [l_min * (1.0 + 1e-9)]
-    while len(ls) < 400:
-        ls.append(ls[-1] * 1.2)
-        if len(ls) >= 3 and val(ls[-2]) > val(ls[-1]) and val(ls[-2]) >= val(ls[-3]):
-            break
-    else:
-        raise OptimizeError(
-            f"no interior maximum of omega(L) bracketed on "
-            f"[{ls[0]:.6g}, {ls[-1]:.6g}] for tau={p.tau}, N={N}"
-        )
-    a, c = ls[-3], ls[-1]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    b = c - invphi * (c - a)
-    d_ = a + invphi * (c - a)
-    fb, fd = val(b), val(d_)
-    while c - a > 1e-11 * c:
-        if fb >= fd:
-            c, d_, fd = d_, b, fb
-            b = c - invphi * (c - a)
-            fb = val(b)
-        else:
-            a, b, fb = b, d_, fd
-            d_ = a + invphi * (c - a)
-            fd = val(d_)
-    l_star = 0.5 * (a + c)
-
-    hstep = 1e-5 * l_star
-    for _ in range(8):
-        f_p = (val(l_star + hstep) - val(l_star - hstep)) / (2.0 * hstep)
-        f_pp = (val(l_star + hstep) - 2.0 * val(l_star)
-                + val(l_star - hstep)) / hstep ** 2
-        if f_pp >= 0.0:
-            break
-        step = f_p / f_pp
-        if not math.isfinite(step) or abs(step) > 0.1 * l_star:
-            break
-        l_star -= step
-        if abs(step) < 1e-12 * l_star:
-            break
-    return val(l_star), l_star
+    """(omega_star, L_star): the maximum of omega(L) over L > 0 and the
+    strip length that attains it, both in closed form."""
+    f, _, h, x_star = _x_star(p.tau, N)
+    return critical_angle_closed(p.tau, N), math.sqrt((f + x_star) / h) / p.m
 
 
 def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdown]:
@@ -481,7 +437,6 @@ def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
 class SingularSeqReport:
     identity_quadratic: float     # residual of z (M_l^2 + I) = -(8 m tau/(4-tau^2)) M_l
     identity_jump: float          # residual of (2m/tau)(I - M_l)^2 = (8 m tau/(4-tau^2)) M_l
-    profile_jump: float           # residual of v(0-) = M_l v(0+)
     norm_sq: dict[int, float]     # ||psi_n||^2 by quadrature
     c_lower: float
     c_upper: float
@@ -509,7 +464,6 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
 
     avec = np.array([1.0, 0.0], dtype=complex)
     bvec = m_l @ avec
-    res_profile = float(np.max(np.abs(bvec - m_l @ avec)))
 
     s2w = math.sin(2.0 * p.omega)
     c = 2.0 / s2w if s2w > 1e-12 else 1.0
@@ -568,10 +522,9 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
                 w_ * smoothstep_cutoff(np.abs(c * zt / n)) ** 2 * vsq))
         norms[int(n)] = chi_sq * acc
 
-    ok = (res_quad < 1e-13 and res_jump < 1e-13 and res_profile == 0.0
+    ok = (res_quad < 1e-13 and res_jump < 1e-13
           and all(c_lower <= v <= c_upper for v in norms.values()))
     return SingularSeqReport(
-        identity_quadratic=res_quad, identity_jump=res_jump,
-        profile_jump=res_profile, norm_sq=norms,
+        identity_quadratic=res_quad, identity_jump=res_jump, norm_sq=norms,
         c_lower=c_lower, c_upper=c_upper, ok=ok,
     )

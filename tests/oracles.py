@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import minimize_scalar
 
 _I2 = np.eye(2, dtype=complex)
 _S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -274,6 +275,42 @@ def energy_pieces_quadrature(tau, m, omega, N, L, coeffs) -> dict:
         + (2.0 * m / tau) * jump
     return {"jump_sq": jump, "l2_sq": float(l2), "gradx_sq": float(gx),
             "grady_sq": float(gy), "form_gap": form_gap}
+
+
+# ---------------------------------------------------------------------------
+# numeric maximization of the certificate angle over the strip length
+# ---------------------------------------------------------------------------
+
+def _bracket_angle(tau: float, m: float, N: int, L: float) -> float:
+    """omega(L) that zeroes the bound-gap bracket
+
+        tan(w) (3 + kappa)(2 N^2 pi^2 + m^2 L^2) + 4 m L tau / (4 + tau^2)
+        + 2 N^2 pi^2 kappa / (L kappa0),
+
+    with kappa and kappa0 rebuilt from raw tau."""
+    a, b = _ab(tau)
+    kap = a * a + b * b
+    k0 = -4.0 * m * tau / (4.0 + tau * tau)
+    n2pi2 = N * N * math.pi ** 2
+    rest = 4.0 * m * L * tau / (4.0 + tau * tau) + 2.0 * n2pi2 * kap / (L * k0)
+    return math.atan(-rest / ((3.0 + kap) * (2.0 * n2pi2 + m * m * L * L)))
+
+
+def critical_angle_numeric(tau: float, m: float, N: int) -> tuple[float, float]:
+    """(omega_star, L_star) by bounded Brent maximization of omega(L).
+
+    A log-spaced scan brackets the maximum; Brent then pins L_star to the
+    resolution a flat maximum allows in double precision (about 1e-8
+    relative), which puts omega_star within roundoff of the true maximum.
+    """
+    ls = np.geomspace(1e-2, 1e6, 801) / m
+    i = int(np.argmax([_bracket_angle(tau, m, N, L) for L in ls]))
+    if not 0 < i < len(ls) - 1:
+        raise ValueError(f"maximum of omega(L) not bracketed for tau={tau}")
+    res = minimize_scalar(lambda L: -_bracket_angle(tau, m, N, L),
+                          bounds=(ls[i - 1], ls[i + 1]), method="bounded",
+                          options={"xatol": 1e-12 * ls[i]})
+    return -float(res.fun), float(res.x)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from diracwedge.variational import test_function_family as make_family
 
 from oracles import (
     aux1d_ground_energy,
+    critical_angle_numeric,
     energy_pieces_quadrature,
     spin_orbit_eigenvalue_near,
 )
@@ -159,12 +160,10 @@ def test_criterion_4_critical_angle():
     worst_pair = 0.0
     for tau in (-0.5, -1.0, -3.0, -5.0):
         for n_modes in (1, 2, 3):
-            p = PhysParams(tau=tau, m=1.0, omega=0.01)
-            w_num, _ = critical_angle_maximize(p, n_modes)
+            w_num, _ = critical_angle_numeric(tau, 1.0, n_modes)
             worst_pair = max(
                 worst_pair, abs(critical_angle_closed(tau, n_modes) - w_num))
-    stars = [critical_angle_maximize(
-        PhysParams(tau=-1.0, m=m, omega=0.01), 1)[0] for m in (0.5, 1.0, 2.0)]
+    stars = [critical_angle_numeric(-1.0, m, 1)[0] for m in (0.5, 1.0, 2.0)]
     mass_dev = max(stars) - min(stars)
     limits_ok = all(critical_angle_closed(tau, 1) < 1e-3
                     for tau in (-1e-3, -1.999, -2.001, -1e3))

@@ -1,10 +1,12 @@
 """Modified Bessel evaluation and the deficiency elements built from it."""
 
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from diracwedge.model import PhysParams
 from diracwedge.special import bessel_k, deficiency_element
@@ -15,9 +17,9 @@ P_REF = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 
 def test_half_order_closed_form():
     # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-    for x in (0.5, 2.0, 7.0):
+    for x in (1e-4, 0.5, 2.0, 7.0, 15.0, 26.4, 30.0):
         assert bessel_k(0.5, x) == pytest.approx(
-            math.sqrt(math.pi / (2.0 * x)) * math.exp(-x), rel=1e-10
+            math.sqrt(math.pi / (2.0 * x)) * math.exp(-x), rel=1e-10, abs=0.0
         )
     assert bessel_k(0.5, 2.0) == pytest.approx(0.119938, abs=1e-6)
 
@@ -26,24 +28,27 @@ def test_reference_value_order_zero():
     assert bessel_k(0.0, 1.0) == pytest.approx(0.421024, abs=1e-6)
 
 
-def test_against_scipy_grid():
-    nus = np.linspace(0.0, 3.5, 10)
-    xs = np.geomspace(0.05, 20.0, 10)
-    for nu in nus:
-        for x in xs:
-            ref = scipy.special.kv(nu, x)
-            assert bessel_k(float(nu), float(x)) == pytest.approx(ref, rel=1e-10)
+def test_against_mpmath_grid():
+    # the promised range |nu| <= 1.5, 1e-4 <= x <= 30, plus orders up to 3.5
+    nus = np.concatenate([np.linspace(-1.5, 1.5, 13), np.linspace(0.0, 3.5, 10)])
+    xs = np.concatenate([np.geomspace(1e-4, 30.0, 25), [26.4]])
+    with mpmath.workdps(30):
+        for nu in nus:
+            for x in xs:
+                ref = float(mpmath.besselk(float(nu), float(x)))
+                assert bessel_k(float(nu), float(x)) == pytest.approx(
+                    ref, rel=1e-10, abs=0.0)
 
 
 def test_recurrence_grid():
     # K_{nu+1} - K_{nu-1} = (2 nu / x) K_nu
     nus = np.linspace(0.2, 2.9, 10)
-    xs = np.geomspace(0.1, 10.0, 10)
+    xs = np.geomspace(1e-4, 30.0, 12)
     for nu in nus:
         for x in xs:
             lhs = bessel_k(nu + 1.0, x) - bessel_k(nu - 1.0, x)
             rhs = 2.0 * nu / x * bessel_k(nu, x)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=0.0)
 
 
 def test_negative_order_symmetry():
@@ -59,6 +64,15 @@ def test_bessel_rejects_bad_arguments():
         bessel_k(0.5, -1.0)
     with pytest.raises(ValueError):
         bessel_k(7.0, 1.0)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # kv is imported on first use, so importing the package (and every CLI
+    # call that never evaluates K) does not pay for scipy.special
+    code = "import sys, diracwedge; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
