@@ -26,7 +26,6 @@ from .model import (
 )
 from .spin_orbit import (
     NoRootFound,
-    SecularSystem,
     SpinOrbitRoot,
     angular_profile,
     principal_eigenvalue,
@@ -38,7 +37,6 @@ from .special import bessel_k, deficiency_element
 from .aux1d import Aux1DResult, BracketError, ground_state, secular_f
 from .variational import (
     EnergyBreakdown,
-    OptimizeError,
     SingularSeqReport,
     TestFunctionFamily,
     angle_for_length,
@@ -61,12 +59,12 @@ __all__ = [
     "DerivedConstants", "ParameterError", "PhysParams", "TransmissionMatrix",
     "charge_conjugate", "derived_constants", "interface_matrices", "pauli",
     "sigma_dot", "special_matrices", "transmission_matrix",
-    "NoRootFound", "SecularSystem", "SpinOrbitRoot", "angular_profile",
+    "NoRootFound", "SpinOrbitRoot", "angular_profile",
     "principal_eigenvalue", "secular_det", "secular_matrix",
     "spectrum_in_window",
     "bessel_k", "deficiency_element",
     "Aux1DResult", "BracketError", "ground_state", "secular_f",
-    "EnergyBreakdown", "OptimizeError", "SingularSeqReport",
+    "EnergyBreakdown", "SingularSeqReport",
     "TestFunctionFamily", "angle_for_length", "bound_state_certificate",
     "critical_angle_closed", "critical_angle_maximize", "energy_breakdown",
     "singular_seq_identities", "test_function_family",

@@ -14,17 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 from .aux1d import BracketError, ground_state
-from .fem import (FemSolveError, MeshError, assemble, count_bound_states,
+from .fem import (FemSolveError, MeshError, count_bound_states,
                   export_matrix_market)
-from .fem.solve import _build_from_opts, _resolve_mesh_opts
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
 from .spin_orbit import NoRootFound, principal_eigenvalue, spectrum_in_window
@@ -104,7 +101,6 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     "fem-count": (
         *_COMMON, _OMEGA,
         _Opt("kind", str, default=None, choices=("auto", "disk", "strip")),
-        _Opt("bc", str, default=None, choices=("dirichlet", "neumann")),
         _Opt("R", float, default=None, help="disk radius"),
         _Opt("h", float, default=None, help="disk target size"),
         _Opt("grading", float, default=None, help="disk corner grading"),
@@ -131,7 +127,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     ),
 }
 
-_MESH_OPT_NAMES = ("kind", "bc", "R", "h", "grading", "x_max", "nx",
+_MESH_OPT_NAMES = ("kind", "R", "h", "grading", "x_max", "nx",
                    "wedge_rows", "outer_rows", "width", "outer_grading")
 
 
@@ -357,14 +353,11 @@ def _handle_fem_count(cfg: RunConfig) -> str:
         raise ParameterError(str(exc)) from exc
     result = report.as_dict()
     if o.get("export"):
-        opts = _resolve_mesh_opts(p, mesh_opts or None)
-        pencil = assemble(p, _build_from_opts(p, opts, coarse=False))
-        result["exports"] = export_matrix_market(pencil, o["export"])
+        result["exports"] = export_matrix_market(report.pencil, o["export"])
     return _json_artifact(cfg, result)
 
 
-def _sweep_row(task: tuple) -> list:
-    quantity, point = task
+def _sweep_row(quantity: str, point: tuple) -> list:
     if quantity == "gap":
         tau, m = point
         dc = derived_constants(PhysParams(tau=tau, m=m, omega=_PI_4))
@@ -397,24 +390,11 @@ _SWEEP_TABLE = {
 }
 
 
-def _worker_count() -> int:
-    env = os.environ.get("DIRACWEDGE_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _handle_sweep(cfg: RunConfig) -> str:
     o = cfg.options
     axes, header = _SWEEP_TABLE[o["quantity"]]
     grids = [o[a] for a in axes]
-    tasks = [(o["quantity"], point) for point in product(*grids)]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
+    rows = [_sweep_row(o["quantity"], point) for point in product(*grids)]
     return _csv_artifact(cfg, header, rows)
 
 

@@ -120,11 +120,10 @@ def _prolongation(p: PhysParams, mesh: Mesh,
         if m1 != p1:
             minus_of[int(m1)] = (int(p1), int(side))
 
-    dirichlet = mesh.bc == "dirichlet"
     nv = mesh.n_vertices
     reduced: dict[int, int] = {}
     for vtx in range(nv):
-        if dirichlet and mesh.outer_boundary[vtx]:
+        if mesh.outer_boundary[vtx]:
             continue
         if include_interface and vtx == mesh.corner_vertex:
             continue
@@ -134,7 +133,7 @@ def _prolongation(p: PhysParams, mesh: Mesh,
 
     rows, cols, vals = [], [], []
     for vtx in range(nv):
-        if dirichlet and mesh.outer_boundary[vtx]:
+        if mesh.outer_boundary[vtx]:
             continue
         if include_interface and vtx == mesh.corner_vertex:
             continue
@@ -186,7 +185,7 @@ def assemble(p: PhysParams, mesh: Mesh,
 
     info = dict(mesh.info)
     info.update({
-        "tau": p.tau, "m": p.m, "omega": p.omega, "bc": mesh.bc,
+        "tau": p.tau, "m": p.m, "omega": p.omega,
         "include_interface": include_interface,
         "n_full": n, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),

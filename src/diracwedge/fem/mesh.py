@@ -6,7 +6,10 @@ need a hopeless number of angular cells.  In both, the two boundary rays are
 internal interfaces: every mesh vertex on a ray carries one copy per side
 (the triangles of the wedge interior reference the plus copy, the exterior
 ones the minus copy), except for the corner vertex at the origin, which is
-shared by all four incident interface edges.
+shared by all four incident interface edges.  The truncation is always
+Dirichlet: the vertices of the outer boundary carry no DOFs, so every
+discrete function extends by zero to the plane and Ritz values stay upper
+bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class Mesh:
 
     interface_edges rows are (plus_lo, plus_hi, minus_lo, minus_hi) vertex
     indices of one ray segment; at the corner the plus and minus entries
-    coincide (the shared origin vertex).
+    coincide (the shared origin vertex).  outer_boundary marks the vertices
+    of the truncation boundary, where the discrete functions vanish.
     """
 
     vertices: np.ndarray          # (nv, 2) float
@@ -43,8 +47,7 @@ class Mesh:
     interface_edges: np.ndarray   # (ne, 4) int
     interface_sides: np.ndarray   # (ne,) int, SIDE_LEFT or SIDE_RIGHT
     corner_vertex: int
-    outer_boundary: np.ndarray    # (nv,) bool
-    bc: str                       # "dirichlet" or "neumann"
+    outer_boundary: np.ndarray    # (nv,) bool, Dirichlet vertices
     info: dict = field(default_factory=dict)
 
     @property
@@ -63,12 +66,6 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     d1 = v[t[:, 1]] - v[t[:, 0]]
     d2 = v[t[:, 2]] - v[t[:, 0]]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def _check_bc(bc: str) -> str:
-    if bc not in ("dirichlet", "neumann"):
-        raise MeshError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
-    return bc
 
 
 class _MeshBuilder:
@@ -93,7 +90,7 @@ class _MeshBuilder:
             raise MeshError(f"degenerate triangle {a, b, c}")
         self.tris.append((a, b, c))
 
-    def finish(self, corner: int, bc: str, info: dict) -> Mesh:
+    def finish(self, corner: int, info: dict) -> Mesh:
         nv = len(self.verts)
         outer = np.zeros(nv, dtype=bool)
         outer[list(self.boundary)] = True
@@ -104,13 +101,12 @@ class _MeshBuilder:
             interface_sides=np.asarray(self.iface_side, dtype=np.int64),
             corner_vertex=corner,
             outer_boundary=outer,
-            bc=bc,
             info=info,
         )
 
 
-def build_mesh(p: PhysParams, R: float, h: float, grading: float = 2.0,
-               bc: str = "dirichlet") -> Mesh:
+def build_mesh(p: PhysParams, R: float, h: float,
+               grading: float = 2.0) -> Mesh:
     """Radially graded disk of radius R around the corner.
 
     Rings at r_i = R (i/Nr)^grading share one angular subdivision that
@@ -118,7 +114,6 @@ def build_mesh(p: PhysParams, R: float, h: float, grading: float = 2.0,
     edges.  Raises MeshError when h cannot resolve the wedge opening
     (thin wedges should use build_strip_mesh instead).
     """
-    _check_bc(bc)
     if R <= 0.0 or h <= 0.0:
         raise MeshError(f"need R > 0 and h > 0, got R={R}, h={h}")
     if grading < 1.0:
@@ -191,15 +186,15 @@ def build_mesh(p: PhysParams, R: float, h: float, grading: float = 2.0,
     b.boundary.update(plus_ids[nr - 1, :].tolist())
     b.boundary.update(minus_ids[nr - 1, :].tolist())
 
-    return b.finish(corner, bc, {
+    return b.finish(corner, {
         "kind": "disk", "R": R, "h": h, "grading": grading,
         "rings": nr, "angles": ntheta,
     })
 
 
 def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
-                     outer_rows: int, width: float, outer_grading: float = 1.7,
-                     bc: str = "dirichlet") -> Mesh:
+                     outer_rows: int, width: float,
+                     outer_grading: float = 1.7) -> Mesh:
     """Anisotropic mesh of [0, x_max] x [-(x tan w + width), x tan w + width].
 
     Inside the wedge the rows fan out from the corner at fractions of the
@@ -208,7 +203,6 @@ def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
     aligned with the certificate test function (flat across the wedge,
     exponential across the shell), so thin triangles are harmless here.
     """
-    _check_bc(bc)
     if x_max <= 0.0 or width <= 0.0:
         raise MeshError(f"need x_max > 0 and width > 0, got {x_max}, {width}")
     if nx < 2 or wedge_rows < 1 or outer_rows < 2:
@@ -260,13 +254,8 @@ def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
             for k in range(n_rows - 1):
                 a_, b_ = rows[i, k], rows[i + 1, k]
                 c_, d_ = rows[i + 1, k + 1], rows[i, k + 1]
-                if a_ == b_:          # collapsed corner column
-                    b.tri(a_, c_, d_)
-                elif c_ == d_:
-                    b.tri(a_, b_, c_)
-                else:
-                    b.tri(a_, b_, c_)
-                    b.tri(a_, c_, d_)
+                b.tri(a_, b_, c_)
+                b.tri(a_, c_, d_)
 
     upper = np.column_stack([ray_minus[:, 0], out_up])
     lower = np.column_stack([out_dn[:, ::-1], ray_minus[:, 1]])
@@ -291,21 +280,39 @@ def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
     b.boundary.update(out_up[nx, :].tolist())
     b.boundary.update(out_dn[nx, :].tolist())
 
-    return b.finish(corner, bc, {
+    return b.finish(corner, {
         "kind": "strip", "x_max": x_max, "nx": nx, "wedge_rows": wedge_rows,
         "outer_rows": outer_rows, "width": width,
         "outer_grading": outer_grading,
     })
 
 
+def _outer_edges(mesh: Mesh) -> set[tuple[int, int]]:
+    """Sorted vertex pairs of the edges on the outer (Dirichlet) boundary.
+
+    An outer edge lies in exactly one triangle and is not a ray segment;
+    each side of a ray is in one triangle too, but it is an interface.
+    """
+    t = mesh.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    rays = {tuple(sorted(map(int, pair))) for row in mesh.interface_edges
+            for pair in (row[:2], row[2:])}
+    return {(int(a), int(b)) for a, b in uniq[counts == 1]} - rays
+
+
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Midpoint subdivision: each triangle into four, nested P1 spaces.
 
     Interface midpoints inherit the two-copy structure automatically because
-    the plus-side and minus-side parent edges are distinct index pairs.
+    the plus-side and minus-side parent edges are distinct index pairs.  A
+    midpoint is on the outer boundary only when its parent edge is; an
+    interior edge between two boundary vertices keeps an interior midpoint.
     """
     verts = [tuple(v) for v in mesh.vertices]
     boundary = set(np.nonzero(mesh.outer_boundary)[0].tolist())
+    outer_edges = _outer_edges(mesh)
     midpoint: dict[tuple[int, int], int] = {}
 
     def mid(a: int, b: int) -> int:
@@ -317,7 +324,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
         verts.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
         idx = len(verts) - 1
         midpoint[key] = idx
-        if a in boundary and b in boundary:
+        if key in outer_edges:
             boundary.add(idx)
         return idx
 
@@ -346,6 +353,5 @@ def uniform_refine(mesh: Mesh) -> Mesh:
         interface_sides=np.asarray(iside, dtype=np.int64),
         corner_vertex=mesh.corner_vertex,
         outer_boundary=outer,
-        bc=mesh.bc,
         info=info,
     )

@@ -25,6 +25,7 @@ __all__ = ["FemSolveError", "SpectralReport", "solve_lowest",
            "count_bound_states", "export_matrix_market"]
 
 _RESIDUAL_CAP = 1e-8
+_START_SEED = 0   # fixed Lanczos start vector: repeated runs agree bit for bit
 _MARGIN_FLOOR_REL = 1e-6
 _THIN_WEDGE = 0.05
 
@@ -35,12 +36,17 @@ class FemSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """Eigenvalues of one pencil; ``pencil`` is that pencil, kept for export
+    and left out of ``as_dict``."""
+
     eigenvalues: np.ndarray
     gap_edge: float | None
     margin: float
     count_below: int | None
     residuals: np.ndarray
     mesh_info: dict = field(default_factory=dict)
+    pencil: HermitianPencil | None = field(default=None, repr=False,
+                                           compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -69,7 +75,9 @@ def solve_lowest(pencil: HermitianPencil, k: int,
 
     The shift defaults to just below zero; the reduced A is positive
     semidefinite (it is the squared-operator form), so any negative shift
-    sits below the spectrum and keeps A - sigma B factorizable.
+    sits below the spectrum and keeps A - sigma B factorizable.  The start
+    vector is drawn from ARPACK's own distribution, uniform on [-1, 1], but
+    from a fixed seed, so the result does not depend on OS entropy.
     """
     a, b = pencil.A.tocsc(), pencil.B.tocsc()
     n = a.shape[0]
@@ -80,8 +88,10 @@ def solve_lowest(pencil: HermitianPencil, k: int,
         scale = float(np.sum(np.abs(a.diagonal()))
                       / max(np.sum(b.diagonal().real), 1e-300))
         sigma = -1e-3 * max(scale, 1e-12)
+    v0 = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
     try:
-        vals, vecs = spla.eigsh(a, k=k_eff, M=b, sigma=sigma, which="LM")
+        vals, vecs = spla.eigsh(a, k=k_eff, M=b, sigma=sigma, which="LM",
+                                v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise FemSolveError(
             f"eigensolver did not converge: {len(exc.eigenvalues)} of "
@@ -103,12 +113,12 @@ def solve_lowest(pencil: HermitianPencil, k: int,
         )
     return SpectralReport(
         eigenvalues=vals, gap_edge=None, margin=0.0, count_below=None,
-        residuals=residuals, mesh_info=dict(pencil.info),
+        residuals=residuals, mesh_info=dict(pencil.info), pencil=pencil,
     )
 
 
-_DISK_KEYS = {"kind", "bc", "R", "h", "grading"}
-_STRIP_KEYS = {"kind", "bc", "x_max", "nx", "wedge_rows", "outer_rows",
+_DISK_KEYS = {"kind", "R", "h", "grading"}
+_STRIP_KEYS = {"kind", "x_max", "nx", "wedge_rows", "outer_rows",
                "width", "outer_grading", "N"}
 
 
@@ -122,7 +132,6 @@ def _resolve_mesh_opts(p: PhysParams, mesh_opts: dict | None) -> dict:
     unknown = set(opts) - allowed
     if unknown:
         raise ValueError(f"unknown mesh options: {sorted(unknown)}")
-    opts.setdefault("bc", "dirichlet")
     if kind == "disk":
         opts.setdefault("R", 10.0)
         opts.setdefault("h", 0.35)
@@ -145,15 +154,14 @@ def _build_from_opts(p: PhysParams, opts: dict, coarse: bool) -> Mesh:
         h = opts["h"]
         if coarse:
             h = min(2.0 * h, 0.9 * p.omega * opts["R"])
-        return build_mesh(p, R=opts["R"], h=h, grading=opts["grading"],
-                          bc=opts["bc"])
+        return build_mesh(p, R=opts["R"], h=h, grading=opts["grading"])
     nx = opts["nx"] // 2 if coarse else opts["nx"]
     kw = max(1, opts["wedge_rows"] // 2) if coarse else opts["wedge_rows"]
     nout = max(2, opts["outer_rows"] // 2) if coarse else opts["outer_rows"]
     return build_strip_mesh(
         p, x_max=opts["x_max"], nx=max(2, nx), wedge_rows=kw,
         outer_rows=nout, width=opts["width"],
-        outer_grading=opts["outer_grading"], bc=opts["bc"],
+        outer_grading=opts["outer_grading"],
     )
 
 
@@ -163,7 +171,8 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
 
     With Dirichlet truncation every counted Ritz vector extends by zero to
     a form-domain function, so the count is a lower bound (up to roundoff)
-    on the number of gap states of the squared operator.
+    on the number of gap states of the squared operator.  The report
+    carries the fine pencil the count comes from.
     """
     opts = _resolve_mesh_opts(p, mesh_opts)
     edge = derived_constants(p).eps_tau ** 2
@@ -186,6 +195,7 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     return SpectralReport(
         eigenvalues=fine.eigenvalues, gap_edge=edge, margin=float(margin),
         count_below=count, residuals=fine.residuals, mesh_info=info,
+        pencil=fine.pencil,
     )
 
 

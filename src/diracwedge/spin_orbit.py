@@ -25,7 +25,6 @@ from .model import PhysParams, derived_constants, interface_matrices
 
 __all__ = [
     "NoRootFound",
-    "SecularSystem",
     "SpinOrbitRoot",
     "secular_matrix",
     "secular_det",
@@ -45,15 +44,6 @@ _ROOT_DEDUP = 1e-7
 
 class NoRootFound(RuntimeError):
     """No secular root could be bracketed in the requested interval."""
-
-
-@dataclass(frozen=True)
-class SecularSystem:
-    """The 4x4 matching system at a fixed spectral parameter."""
-
-    params: PhysParams
-    lam: float
-    matrix: np.ndarray  # (4, 4) complex, coefficient order (A, B, C, D)
 
 
 @dataclass(frozen=True)
@@ -100,12 +90,12 @@ def _secular_batch(p: PhysParams, lams: np.ndarray) -> np.ndarray:
     return t
 
 
-def secular_matrix(p: PhysParams, lam: float) -> SecularSystem:
-    """Matching matrix T(lambda) in the coefficient order (A, B, C, D)."""
+def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
+    """Matching matrix T(lambda), (4, 4) complex, in the coefficient order
+    (A, B, C, D)."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("secular problem requires omega < pi/2")
-    t = _secular_batch(p, np.array([float(lam)]))[0]
-    return SecularSystem(params=p, lam=float(lam), matrix=t)
+    return _secular_batch(p, np.array([float(lam)]))[0]
 
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:

@@ -47,7 +47,6 @@ from .model import (
 )
 
 __all__ = [
-    "OptimizeError",
     "TestFunctionFamily",
     "EnergyBreakdown",
     "test_function_family",
@@ -68,11 +67,6 @@ __all__ = [
 ]
 
 _TAU_GUARD = 1e-9
-
-
-class OptimizeError(RuntimeError):
-    """Kept for compatibility: no routine raises it since omega_star and
-    L_star are computed in closed form."""
 
 
 def _require_attractive(tau: float) -> None:

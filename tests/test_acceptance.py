@@ -253,6 +253,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         "ca": ["critical-angle", "--tau", "-1", "-3", "--N", "1", "2"],
         "aux": ["aux1d", "--tau", "-1", "--gamma", "1", "5", "10"],
         "sweep": ["sweep", "--quantity", "gap", "--tau", "-1", "-2.5"],
+        "fem": ["fem-count", "--tau", "-1", "--omega", "90deg", "--kind",
+                "disk", "--R", "8", "--h", "0.5", "--k", "4"],
     }
     ok = True
     for name, argv in runs.items():

@@ -50,6 +50,8 @@ def test_no_subcommand_exits_2():
 
 def test_unknown_flag_exits_2():
     assert main(["gap", "--tau", "-1", "--frobnicate", "3"]) == 2
+    # the FEM truncation is always Dirichlet: there is no --bc
+    assert main(["fem-count", "--tau", "-1", "--bc", "dirichlet"]) == 2
 
 
 def test_solver_failure_maps_to_exit_3(monkeypatch):
@@ -113,6 +115,8 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"tau": -1.0, "bogus": 1}))
     assert main(["gap", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"tau": -1.0, "bc": "dirichlet"}))
+    assert main(["fem-count", "--config", str(cfg)]) == 2
 
 
 def test_load_config_accepts_all_artifact_forms(tmp_path):
@@ -174,13 +178,27 @@ def test_deficiency_artifact(tmp_path):
         assert len(comp) == 2 and all(len(c) == 2 for c in comp)
 
 
-def test_fem_count_with_export(tmp_path):
+def test_fem_count_with_export(tmp_path, monkeypatch):
+    """--export writes the fine pencil the count came from: one assembly per
+    mesh (fine and coarse), none for the export."""
+    from diracwedge.fem import assembly, solve
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assembly.assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "assemble", counted)
+    if hasattr(cli, "assemble"):  # count a re-assembly in the CLI as well
+        monkeypatch.setattr(cli, "assemble", counted)
     prefix = str(tmp_path / "mats")
     code, out = run_to_file(
         tmp_path, "fem.json",
         ["fem-count", "--tau", "-1", "--omega", "90deg", "--kind", "disk",
          "--R", "8", "--h", "0.5", "--k", "4", "--export", prefix])
     assert code == 0
+    assert len(calls) == 2
     doc = json.loads(out.read_text())
     assert doc["result"]["count_below"] == 0
     assert doc["result"]["gap_edge"] == 0.36
@@ -190,15 +208,14 @@ def test_fem_count_with_export(tmp_path):
                 "%%MatrixMarket matrix coordinate complex hermitian")
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+def test_sweep_rows_follow_grid(tmp_path):
     argv = ["sweep", "--quantity", "gap", "--tau", "-1", "-2.5", "-4",
             "--m", "1", "2"]
-    monkeypatch.setenv("DIRACWEDGE_WORKERS", "1")
-    _, serial = run_to_file(tmp_path, "s1.csv", argv)
-    monkeypatch.setenv("DIRACWEDGE_WORKERS", "3")
-    _, parallel = run_to_file(tmp_path, "s2.csv", argv)
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert len(serial.read_text().splitlines()) == 2 + 6  # header lines + grid
+    _, out = run_to_file(tmp_path, "s.csv", argv)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 6  # header lines + grid
+    points = [tuple(float(x) for x in row.split(",")[:2]) for row in lines[2:]]
+    assert points == [(t, m) for t in (-1.0, -2.5, -4.0) for m in (1.0, 2.0)]
 
 
 def test_streams_separate_data_from_diagnostics():

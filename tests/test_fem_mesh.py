@@ -1,6 +1,7 @@
 """Wedge meshes: disk with graded rings, anisotropic strip, refinement."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,12 +44,24 @@ def check_common_invariants(mesh: Mesh):
                 np.testing.assert_allclose(
                     mesh.vertices[pv], mesh.vertices[mv], atol=1e-12
                 )
+    # every edge is manifold, each side of a ray segment lies in one
+    # triangle, and the outer boundary is exactly the endpoints of the other
+    # edges that lie in one triangle
+    in_tris = Counter(tuple(sorted((int(t[i]), int(t[(i + 1) % 3]))))
+                      for t in mesh.triangles for i in range(3))
+    assert max(in_tris.values()) <= 2
+    ray_sides = {tuple(sorted((int(a), int(b))))
+                 for p0, p1, m0, m1 in mesh.interface_edges
+                 for a, b in ((p0, p1), (m0, m1))}
+    assert all(in_tris[e] == 1 for e in ray_sides)
+    ends = {v for e, n in in_tris.items() if n == 1 and e not in ray_sides
+            for v in e}
+    assert set(np.nonzero(mesh.outer_boundary)[0].tolist()) == ends
 
 
 def test_disk_mesh_basic():
     mesh = build_mesh(P_DISK, R=10.0, h=0.5)
     check_common_invariants(mesh)
-    assert mesh.bc == "dirichlet"
     assert mesh.info["kind"] == "disk"
 
 
@@ -110,17 +123,22 @@ def test_strip_mesh_invariants():
 
 
 def test_uniform_refine_quadruples():
-    mesh = build_mesh(P_DISK, R=6.0, h=1.0)
-    fine = uniform_refine(mesh)
-    assert fine.triangles.shape[0] == 4 * mesh.triangles.shape[0]
-    assert fine.interface_edges.shape[0] == 2 * mesh.interface_edges.shape[0]
-    check_common_invariants(fine)
-    # coarse vertices are carried over in place
-    np.testing.assert_allclose(
-        fine.vertices[: mesh.n_vertices], mesh.vertices, atol=0.0
-    )
-    assert fine.corner_vertex == mesh.corner_vertex
-    assert fine.info["refined"] == 1
-    assert float(np.sum(triangle_areas(fine))) == pytest.approx(
-        float(np.sum(triangle_areas(mesh))), rel=1e-12
-    )
+    for mesh in (
+        build_mesh(P_DISK, R=6.0, h=1.0),
+        build_strip_mesh(PhysParams(tau=-1.0, m=1.0, omega=0.01), x_max=2.0,
+                         nx=4, wedge_rows=2, outer_rows=3, width=1.0),
+    ):
+        fine = uniform_refine(mesh)
+        assert fine.triangles.shape[0] == 4 * mesh.triangles.shape[0]
+        assert (fine.interface_edges.shape[0]
+                == 2 * mesh.interface_edges.shape[0])
+        check_common_invariants(fine)
+        # coarse vertices are carried over in place
+        np.testing.assert_allclose(
+            fine.vertices[: mesh.n_vertices], mesh.vertices, atol=0.0
+        )
+        assert fine.corner_vertex == mesh.corner_vertex
+        assert fine.info["refined"] == 1
+        assert float(np.sum(triangle_areas(fine))) == pytest.approx(
+            float(np.sum(triangle_areas(mesh))), rel=1e-12
+        )
