@@ -35,7 +35,7 @@ print()
 p_thin = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
 t0 = time.perf_counter()
 rep_thin = count_bound_states(p_thin)
-print("tau=-1, omega=3.2e-3 (thin wedge), %d complex dofs: count = %d  [%.1f s]"
+print("tau=-1, omega=3.2e-3 (thin wedge), %d reduced real dofs: count = %d  [%.1f s]"
       % (rep_thin.mesh_info["n_reduced"], rep_thin.count_below,
          time.perf_counter() - t0))
 print("  Ritz values below the edge:",

@@ -351,6 +351,10 @@ def _handle_fem_count(cfg: RunConfig) -> str:
         report = count_bound_states(p, mesh_opts or None, k=o["k"])
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
+    if report.count_below == len(report.eigenvalues):
+        print(f"diracwedge fem-count: count_below reached k = "
+              f"{report.count_below}; the count is a capped lower bound, "
+              f"raise --k", file=sys.stderr)
     result = report.as_dict()
     if o.get("export"):
         result["exports"] = export_matrix_market(report.pencil, o["export"])

@@ -5,12 +5,22 @@ The full form on the duplicated-DOF space is
     ||grad u||^2 + m^2 ||u||^2 + (2m/tau) ||u_plus - u_minus||^2 on the rays,
 
 all pieces real symmetric.  The transmission constraint u_minus = M u_plus
-is imposed by elimination through a sparse prolongation Z (complex because
-M is), so the reduced pencil (Z* A Z, Z* B Z) inherits the form identities
-exactly: positivity, and for tau > 0 the lower bound by m^2 times the mass.
+is imposed by elimination through a sparse prolongation Z, so the reduced
+pencil (Z* A Z, Z* B Z) inherits the form identities exactly: positivity,
+and for tau > 0 the lower bound by m^2 times the mass.
 Constrained discrete functions satisfy the trace relation pointwise along
 every ray edge (linear traces, constant M per ray), hence lie in the form
 domain, and Dirichlet Ritz values are upper bounds for the min-max values.
+
+M is complex, but the pencil need not be.  M commutes with the charge
+conjugation C u = sigma_1 conj(u), and the constant spinor rotation
+U = [[1, i], [1, -i]]/sqrt(2) satisfies sigma_1 conj(U) = U, so in the
+coordinates w = U* u the conjugation is plain complex conjugation and the
+rotated transmission matrices U* M U are real.  Every other piece of the
+form acts on both spinor components alike and is unchanged by U.  Z is
+therefore built from U* M U in rotated coordinates, and the reduced pencil
+is real symmetric and unitarily equivalent to the one in the physical basis;
+dof_map = (I x U) Z maps reduced coordinates to physical spinor values.
 """
 
 from __future__ import annotations
@@ -25,12 +35,18 @@ from .mesh import SIDE_LEFT, SIDE_RIGHT, Mesh
 
 __all__ = ["HermitianPencil", "assemble"]
 
+# sigma_1 conj(_U) = _U: rotates charge conjugation to complex conjugation
+_U = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class HermitianPencil:
-    A: sp.csr_matrix              # reduced stiffness + mass + shell term
-    B: sp.csr_matrix              # reduced mass, positive definite
-    dof_map: sp.csr_matrix        # prolongation: reduced -> full DOFs
+    A: sp.csr_matrix              # reduced stiffness + mass + shell term,
+                                  # real symmetric float64
+    B: sp.csr_matrix              # reduced mass, real symmetric positive
+                                  # definite float64
+    dof_map: sp.csr_matrix        # complex prolongation: reduced
+                                  # coordinates -> physical spinor values
     info: dict = field(default_factory=dict)
 
     @property
@@ -106,11 +122,14 @@ def _jump_matrix(p: PhysParams, mesh: Mesh) -> sp.coo_matrix:
 
 def _prolongation(p: PhysParams, mesh: Mesh,
                   include_interface: bool) -> sp.csr_matrix:
+    """Real prolongation from reduced to full DOFs in rotated coordinates."""
     m_l, m_r = interface_matrices(p)
     side_mat = {SIDE_LEFT: m_l.entries, SIDE_RIGHT: m_r.entries}
     if not all(np.all(np.isfinite(m)) for m in side_mat.values()):
         raise ParameterError("transmission matrix not finite; bad tau")
-    eye2 = np.eye(2, dtype=complex)
+    side_mat = {side: (_U.conj().T @ m @ _U).real
+                for side, m in side_mat.items()}
+    eye2 = np.eye(2)
 
     minus_of: dict[int, tuple[int, int]] = {}
     for (p0, p1, m0, m1), side in zip(mesh.interface_edges,
@@ -143,7 +162,7 @@ def _prolongation(p: PhysParams, mesh: Mesh,
             for comp in range(2):
                 rows.append(2 * vtx + comp)
                 cols.append(2 * r + comp)
-                vals.append(1.0 + 0.0j)
+                vals.append(1.0)
         else:
             plus, side = pair
             if plus not in reduced:
@@ -155,7 +174,7 @@ def _prolongation(p: PhysParams, mesh: Mesh,
                     if mat[comp, k] != 0.0:
                         rows.append(2 * vtx + comp)
                         cols.append(2 * r + k)
-                        vals.append(complex(mat[comp, k]))
+                        vals.append(float(mat[comp, k]))
     n_red = 2 * len(reduced)
     z = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, n_red))
     return z.tocsr()
@@ -163,7 +182,8 @@ def _prolongation(p: PhysParams, mesh: Mesh,
 
 def assemble(p: PhysParams, mesh: Mesh,
              include_interface: bool = True) -> HermitianPencil:
-    """Reduced Hermitian pencil (A, B) of the form on the given mesh.
+    """Reduced pencil (A, B) of the form on the given mesh, real symmetric
+    in the rotated spinor basis.
 
     include_interface=False glues the two sides with the identity and drops
     the shell term (plain -Laplace + m^2 for sanity checks).
@@ -178,10 +198,11 @@ def assemble(p: PhysParams, mesh: Mesh,
     b_full = mass.tocsr()
 
     z = _prolongation(p, mesh, include_interface)
-    a_red = (z.getH() @ a_full @ z).tocsr()
-    b_red = (z.getH() @ b_full @ z).tocsr()
-    a_red = ((a_red + a_red.getH()) * 0.5).tocsr()
-    b_red = ((b_red + b_red.getH()) * 0.5).tocsr()
+    a_red = (z.T @ a_full @ z).tocsr()
+    b_red = (z.T @ b_full @ z).tocsr()
+    a_red = ((a_red + a_red.T) * 0.5).tocsr()
+    b_red = ((b_red + b_red.T) * 0.5).tocsr()
+    dof_map = (sp.kron(sp.identity(mesh.n_vertices), _U) @ z).tocsr()
 
     info = dict(mesh.info)
     info.update({
@@ -190,4 +211,4 @@ def assemble(p: PhysParams, mesh: Mesh,
         "n_full": n, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),
     })
-    return HermitianPencil(A=a_red, B=b_red, dof_map=z, info=info)
+    return HermitianPencil(A=a_red, B=b_red, dof_map=dof_map, info=info)

@@ -196,6 +196,58 @@ def aux1d_ground_energy(tau: float, m: float, gamma: float,
 
 
 # ---------------------------------------------------------------------------
+# complex FEM pencil in the physical spinor basis
+# ---------------------------------------------------------------------------
+
+def fem_complex_pencil(tau: float, m: float, omega: float, mesh):
+    """Reduced Hermitian pencil (Z* A Z, Z* B Z) with a complex Z.
+
+    The full-space element matrices are the library's; the prolongation is
+    rebuilt here in the physical spinor basis from raw-tau transmission
+    matrices: u_minus = M u_plus on each ray, zero at the corner and on the
+    outer boundary.
+    """
+    from diracwedge.fem.assembly import (_jump_matrix, _scalar_element_matrices,
+                                         _scatter_spinor)
+    from diracwedge.fem.mesh import SIDE_LEFT
+    from diracwedge.model import PhysParams
+
+    p = PhysParams(tau=tau, m=m, omega=omega)
+    n = mesh.n_dofs
+    k_loc, m_loc = _scalar_element_matrices(mesh)
+    mass = _scatter_spinor(mesh.triangles, m_loc, n).tocsr()
+    a_full = (_scatter_spinor(mesh.triangles, k_loc, n) + m * m * mass
+              + _jump_matrix(p, mesh)).tocsr()
+
+    m_l = _shell_matrix(tau, (-math.sin(omega), math.cos(omega)))
+    m_r = _shell_matrix(tau, (-math.sin(omega), -math.cos(omega)))
+    plus_of = {}       # minus copy -> (plus vertex, shell matrix)
+    for (p0, p1, m0, m1), side in zip(mesh.interface_edges,
+                                      mesh.interface_sides):
+        mat = m_l if side == SIDE_LEFT else m_r
+        for pv, mv in ((p0, m0), (p1, m1)):
+            if mv != pv:
+                plus_of[int(mv)] = (int(pv), mat)
+
+    dead = set(np.flatnonzero(mesh.outer_boundary)) | {mesh.corner_vertex}
+    kept = [v for v in range(mesh.n_vertices)
+            if v not in dead and v not in plus_of]
+    col = {v: i for i, v in enumerate(kept)}
+    z = sp.lil_matrix((n, 2 * len(kept)), dtype=complex)
+    for v in kept:
+        z[2 * v, 2 * col[v]] = 1.0
+        z[2 * v + 1, 2 * col[v] + 1] = 1.0
+    for mv, (pv, mat) in plus_of.items():
+        if mv in dead or pv not in col:
+            continue
+        z[2 * mv: 2 * mv + 2, 2 * col[pv]: 2 * col[pv] + 2] = mat
+    z = z.tocsr()
+    a_red = (z.getH() @ a_full @ z).toarray()
+    b_red = (z.getH() @ mass @ z).toarray()
+    return 0.5 * (a_red + a_red.conj().T), 0.5 * (b_red + b_red.conj().T)
+
+
+# ---------------------------------------------------------------------------
 # tensor quadrature of the explicit test-function energies
 # ---------------------------------------------------------------------------
 

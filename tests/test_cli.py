@@ -208,6 +208,19 @@ def test_fem_count_with_export(tmp_path, monkeypatch):
                 "%%MatrixMarket matrix coordinate complex hermitian")
 
 
+def test_fem_count_warns_when_count_hits_cap(capsys):
+    """A count equal to k is a capped lower bound: say so on stderr only."""
+    code = main(["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
+                 "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows",
+                 "3", "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["result"]["count_below"] == 1
+    assert "count_below reached k = 1" in err
+    assert "raise --k" in err
+    assert "count_below reached" not in out
+
+
 def test_sweep_rows_follow_grid(tmp_path):
     argv = ["sweep", "--quantity", "gap", "--tau", "-1", "-2.5", "-4",
             "--m", "1", "2"]

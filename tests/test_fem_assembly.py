@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from diracwedge.fem import assemble, build_mesh
+from diracwedge.fem import assemble, build_mesh, build_strip_mesh
 from diracwedge.model import PhysParams, interface_matrices, pauli
+from oracles import fem_complex_pencil
 
 RNG = np.random.default_rng(41)
 
@@ -75,16 +77,15 @@ def test_repulsive_form_dominates_mass(mesh):
 def test_charge_conjugation_preserves_form_value(mesh):
     """sigma_1 conj(.) maps the constrained space to itself isometrically."""
     pencil = assemble(P_ATTR, mesh)
+    assert pencil.A.dtype == pencil.B.dtype == np.float64
     z = pencil.dof_map
     n = z.shape[1]
-    # Work in reduced coordinates: conjugation acts per kept vertex as
-    # x -> sigma_1 conj(x), which dof_map intertwines with the full-space C.
-    s1 = pauli(1)
+    # Work in reduced coordinates: the rotated spinor basis turns the
+    # conjugation into x -> conj(x), which dof_map intertwines with the
+    # full-space C.
     for _ in range(20):
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        y = np.empty_like(x)
-        y[0::2] = np.conj(x[1::2])
-        y[1::2] = np.conj(x[0::2])
+        y = np.conj(x)
         u = z @ x
         cu = np.empty_like(u)
         cu[0::2] = np.conj(u[1::2])
@@ -96,6 +97,45 @@ def test_charge_conjugation_preserves_form_value(mesh):
         bx = float(np.real(np.vdot(x, pencil.B @ x)))
         by = float(np.real(np.vdot(y, pencil.B @ y)))
         assert by == pytest.approx(bx, rel=1e-12)
+
+
+def test_rotated_transmission_matrices_are_real():
+    """U* M U is real on both rays, for U = [[1, i], [1, -i]]/sqrt(2)."""
+    u = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
+    s1 = pauli(1)
+    np.testing.assert_array_equal(s1 @ np.conj(u), u)
+    rng = np.random.default_rng(7)
+    taus = np.concatenate([
+        rng.uniform(0.01, 1.99, 400),
+        2.0 - 10.0 ** rng.uniform(-8, -2, 100),      # |tau| near 2
+    ]) * rng.choice([-1.0, 1.0], 500)
+    for tau in taus:
+        p = PhysParams(tau=float(tau), m=float(rng.uniform(0.1, 5.0)),
+                       omega=float(rng.uniform(1e-5, math.pi / 2.0)))
+        for m_ray in interface_matrices(p):
+            mat = m_ray.entries
+            rotated = u.conj().T @ mat @ u
+            bound = 1e-14 * max(1.0, np.max(np.abs(mat)))
+            assert np.max(np.abs(rotated.imag)) <= bound, (p, rotated)
+
+
+@pytest.mark.parametrize("tau, kind", [(-1.0, "disk"), (1.0, "disk"),
+                                       (-1.0, "strip")])
+def test_real_pencil_matches_complex_oracle(tau, kind):
+    """The real pencil has the spectrum of the physical complex pencil."""
+    if kind == "disk":
+        p = PhysParams(tau=tau, m=1.0, omega=math.pi / 4.0)
+        small = build_mesh(p, R=6.0, h=0.8)
+    else:
+        p = PhysParams(tau=tau, m=1.0, omega=3.2e-3)
+        small = build_strip_mesh(p, x_max=60.0, nx=24, wedge_rows=2,
+                                 outer_rows=3, width=5.0)
+    a_ref, b_ref = fem_complex_pencil(p.tau, p.m, p.omega, small)
+    pencil = assemble(p, small)
+    want = scipy.linalg.eigh(a_ref, b_ref, eigvals_only=True)
+    got = scipy.linalg.eigh(pencil.A.toarray(), pencil.B.toarray(),
+                            eigvals_only=True)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_glue_mode_drops_jump(mesh):
