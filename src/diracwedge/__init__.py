@@ -9,7 +9,12 @@ Layout:
     variational  test-function certificates, critical angle, Weyl sequences
     fem          P1 discretization of the quadratic form, gap-state counting
     cli          command-line front end (JSON/CSV artifacts)
+
+``fem`` (and with it scipy.sparse) is loaded on first access, so importing
+the package needs only numpy.
 """
+
+import importlib
 
 from .model import (
     DerivedConstants,
@@ -51,7 +56,6 @@ from .variational import (
     weyl_norm_sq,
     weyl_residual,
 )
-from . import fem
 
 __version__ = "0.1.0"
 
@@ -73,3 +77,11 @@ __all__ = [
     "fem",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # import_module, not ``from . import fem``: the fromlist lookup would
+    # call this hook again before the submodule is bound
+    if name == "fem":
+        return importlib.import_module(".fem", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,8 +20,6 @@ from itertools import product
 from pathlib import Path
 
 from .aux1d import BracketError, ground_state
-from .fem import (FemSolveError, MeshError, count_bound_states,
-                  export_matrix_market)
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
 from .spin_orbit import NoRootFound, principal_eigenvalue, spectrum_in_window
@@ -343,14 +341,25 @@ def _handle_deficiency(cfg: RunConfig) -> str:
     })
 
 
+class _FemFailure(RuntimeError):
+    """A ``FemSolveError`` under a name ``run`` can catch without importing
+    the FEM layer."""
+
+
 def _handle_fem_count(cfg: RunConfig) -> str:
+    # the FEM layer (and scipy.sparse) loads here, not on every CLI call
+    from .fem import (FemSolveError, MeshError, count_bound_states,
+                      export_matrix_market)
+
     o = cfg.options
     p = _params(o)
     mesh_opts = {k: o[k] for k in _MESH_OPT_NAMES if o.get(k) is not None}
     try:
         report = count_bound_states(p, mesh_opts or None, k=o["k"])
-    except ValueError as exc:
+    except (MeshError, ValueError) as exc:
         raise ParameterError(str(exc)) from exc
+    except FemSolveError as exc:
+        raise _FemFailure(str(exc)) from exc
     if report.count_below == len(report.eigenvalues):
         print(f"diracwedge fem-count: count_below reached k = "
               f"{report.count_below}; the count is a capped lower bound, "
@@ -419,10 +428,10 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (NoRootFound, FemSolveError, BracketError) as exc:
+    except (NoRootFound, _FemFailure, BracketError) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, MeshError, ValueError) as exc:
+    except (ParameterError, ValueError) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 2
     _emit(text, config.options.get("output"))

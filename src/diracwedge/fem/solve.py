@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.io import mmwrite
 
 from ..model import PhysParams, derived_constants
 from ..variational import critical_angle_maximize
@@ -202,11 +201,17 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
 
 
 def export_matrix_market(pencil: HermitianPencil, prefix: str) -> list[str]:
-    """Write A and B in coordinate complex hermitian Matrix Market format."""
+    """Write A and B in coordinate real symmetric Matrix Market format.
+
+    Both matrices are real symmetric (float64) in the rotated spinor basis
+    the solver uses; files are ``{prefix}_A.mtx`` and ``{prefix}_B.mtx``.
+    """
+    from scipy.io import mmwrite   # only an export pays for scipy.io
+
     paths = []
     for name, mat in (("A", pencil.A), ("B", pencil.B)):
         path = f"{prefix}_{name}.mtx"
-        mmwrite(path, mat.tocoo(), field="complex", symmetry="hermitian",
+        mmwrite(path, mat.tocoo(), field="real", symmetry="symmetric",
                 precision=17)
         paths.append(path)
     return paths

@@ -62,6 +62,67 @@ def test_solver_failure_maps_to_exit_3(monkeypatch):
     assert run(RunConfig("gap", {"tau": -1.0, "m": 1.0})) == 3
 
 
+def test_fem_solver_failure_maps_to_exit_3(monkeypatch, capsys):
+    import diracwedge.fem
+    from diracwedge.fem import FemSolveError
+
+    def explode(*args, **kwargs):
+        raise FemSolveError("synthetic")
+
+    monkeypatch.setattr(diracwedge.fem, "count_bound_states", explode)
+    cfg = RunConfig("fem-count", {"tau": -1.0, "m": 1.0, "k": 8})
+    assert run(cfg) == 3
+    assert capsys.readouterr().err == "diracwedge fem-count: synthetic\n"
+
+
+def test_fem_mesh_error_exits_2(capsys):
+    code = main(["fem-count", "--tau", "-1", "--omega", "0.1", "--kind",
+                 "disk", "--h", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "diracwedge fem-count: h=5.0 cannot resolve the wedge opening")
+
+
+def test_scalar_subcommands_load_no_scipy_sparse():
+    """Only the subcommands that need scipy load it: the closed-form and
+    scalar ones none of it, deficiency scipy.special and no FEM layer."""
+    code = """
+import contextlib, io, sys
+from diracwedge.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+run("gap", "--tau", "-1")
+run("spin-orbit", "--tau", "-1")
+run("critical-angle", "--tau", "-1", "--N", "1", "2")
+run("testfn", "--tau", "-1", "--omega", "0.1")
+run("aux1d", "--tau", "-1", "--gamma", "1", "5")
+run("weyl", "--tau", "-1")
+run("sweep", "--quantity", "principal", "--tau", "-1", "-3",
+    "--omega", "0.2", "0.4")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+run("deficiency", "--tau", "-1", "--r", "1.5")
+print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "True False"]
+
+
+def test_package_getattr_serves_only_fem():
+    import importlib
+
+    import diracwedge
+
+    assert diracwedge.fem is importlib.import_module("diracwedge.fem")
+    with pytest.raises(AttributeError):
+        diracwedge.frobnicate
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     argv = ["critical-angle", "--tau", "-1", "-3", "--N", "1", "2"]
     _, first = run_to_file(tmp_path, "a.csv", argv)
@@ -205,7 +266,7 @@ def test_fem_count_with_export(tmp_path, monkeypatch):
     for path in doc["result"]["exports"]:
         with open(path) as fh:
             assert fh.readline().strip() == (
-                "%%MatrixMarket matrix coordinate complex hermitian")
+                "%%MatrixMarket matrix coordinate real symmetric")
 
 
 def test_fem_count_warns_when_count_hits_cap(capsys):

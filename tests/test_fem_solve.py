@@ -102,7 +102,7 @@ def test_matrix_market_export_roundtrip(tmp_path):
     assert [p.split("/")[-1] for p in paths] == ["wedge_A.mtx", "wedge_B.mtx"]
     with open(paths[0]) as fh:
         header = fh.readline().strip()
-    assert header == "%%MatrixMarket matrix coordinate complex hermitian"
+    assert header == "%%MatrixMarket matrix coordinate real symmetric"
     a_back = scipy.io.mmread(paths[0]).tocsr()
     diff = (a_back - pencil.A).tocoo()
     top = np.max(np.abs(diff.data)) if diff.nnz else 0.0

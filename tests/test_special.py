@@ -67,12 +67,15 @@ def test_bessel_rejects_bad_arguments():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # kv is imported on first use, so importing the package (and every CLI
-    # call that never evaluates K) does not pay for scipy.special
-    code = "import sys, diracwedge; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # kv is imported on first use and the FEM layer on first access, so
+    # importing the package or the CLI pays for none of these scipy modules
+    for module in ("diracwedge", "diracwedge.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in "
+                "('scipy.special', 'scipy.sparse', 'scipy.io') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
 
 
 @pytest.fixture(scope="module")
