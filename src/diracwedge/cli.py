@@ -108,7 +108,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("outer_rows", int, default=None),
         _Opt("width", float, default=None, help="strip outer width"),
         _Opt("outer_grading", float, default=None),
-        _Opt("k", int, default=8, help="eigenpairs to compute"),
+        _Opt("k", int, default=8, help="lowest eigenvalues to report"),
         _Opt("export", str, default=None,
              help="prefix for Matrix Market export of (A, B)"),
         _OUT,
@@ -360,10 +360,6 @@ def _handle_fem_count(cfg: RunConfig) -> str:
         raise ParameterError(str(exc)) from exc
     except FemSolveError as exc:
         raise _FemFailure(str(exc)) from exc
-    if report.count_below == len(report.eigenvalues):
-        print(f"diracwedge fem-count: count_below reached k = "
-              f"{report.count_below}; the count is a capped lower bound, "
-              f"raise --k", file=sys.stderr)
     result = report.as_dict()
     if o.get("export"):
         result["exports"] = export_matrix_market(report.pencil, o["export"])

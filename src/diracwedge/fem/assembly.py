@@ -53,10 +53,6 @@ class HermitianPencil:
     def n_reduced(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def n_full(self) -> int:
-        return self.dof_map.shape[0]
-
 
 def _scalar_element_matrices(mesh: Mesh):
     v = mesh.vertices

@@ -1,11 +1,10 @@
 """Generalized eigensolves of the reduced pencil and gap-state counting.
 
-Dirichlet Ritz values are upper bounds for the min-max values of the
-underlying form, so counting Ritz values below the gap edge minus a margin
-never overcounts the true number of gap states.  The margin comes from a
-two-mesh Richardson comparison (P1 eigenvalues converge at second order;
-5x the extrapolated error is a generous safety factor), floored at
-1e-6 times the edge.
+Every mesh is conforming with a Dirichlet outer boundary, so each Ritz value
+is an upper bound on its min-max value and the number of pencil eigenvalues
+below the gap edge is a lower bound on the number of gap states.  That number
+is the inertia (Sylvester) of one diagonal-pivot LDL^T factorization of
+A - sB at s = edge (1 - 1e-6), checked against the Ritz values below s.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ __all__ = ["FemSolveError", "SpectralReport", "solve_lowest",
            "count_bound_states", "export_matrix_market"]
 
 _RESIDUAL_CAP = 1e-8
-_START_SEED = 0   # fixed Lanczos start vector: repeated runs agree bit for bit
-_MARGIN_FLOOR_REL = 1e-6
+_FACTOR_RESIDUAL_CAP = 1e-10
+_START_SEED = 0   # fixed Lanczos start and probe vectors: runs agree bit for bit
+_MARGIN_REL = 1e-6
 _THIN_WEDGE = 0.05
 
 
 class FemSolveError(RuntimeError):
-    """Eigensolver breakdown or non-convergence (residuals in the message)."""
+    """Eigensolver or inertia-count failure (measured values in the message)."""
 
 
 @dataclass(frozen=True)
@@ -61,38 +61,49 @@ class SpectralReport:
 def _plain(obj):
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
 
 
-def solve_lowest(pencil: HermitianPencil, k: int,
-                 sigma: float | None = None) -> SpectralReport:
+def _factor(pencil: HermitianPencil, s: float):
+    """SuperLU factor P (A - sB) P^T = L U with diagonal pivots, so that
+    U = D L^T and U's diagonal is the D of an LDL^T factorization."""
+    lu = spla.splu((pencil.A - s * pencil.B).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FemSolveError(
+            f"factor of A - sB at s = {s:.6g} left the diagonal: "
+            f"{np.count_nonzero(lu.perm_r != lu.perm_c)} rows pivoted off it")
+    return lu
+
+
+def _start_vector(n: int) -> np.ndarray:
+    return np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+
+
+def solve_lowest(pencil: HermitianPencil, k: int) -> SpectralReport:
     """k lowest eigenpairs of A x = mu B x by shift-invert Lanczos.
 
-    The shift defaults to -1e-2 m^2, just below zero on the gap scale m^2:
-    the reduced A is positive semidefinite (it is the squared-operator
-    form), so any negative shift sits below the spectrum and keeps
-    A - sigma B factorizable, and a shift close to the lowest eigenvalues
-    lets Lanczos converge in few shift-invert solves.  The default reads m
-    from ``pencil.info``, which `assemble` fills in; pass ``sigma`` for a
-    pencil built by other means.  The start vector is drawn from ARPACK's
-    own distribution, uniform on [-1, 1], but from a fixed seed, so the
-    result does not depend on OS entropy.
+    The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
+    lies below the spectrum, since the reduced A is positive semidefinite,
+    and close to its bottom, so Lanczos converges in few shift-invert solves.
+    The start vector is drawn from ARPACK's own distribution, uniform on
+    [-1, 1], but from a fixed seed, so the result does not depend on OS
+    entropy.
     """
     a, b = pencil.A.tocsc(), pencil.B.tocsc()
     n = a.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), n - 1)
-    if sigma is None:
-        sigma = -1e-2 * pencil.info["m"] ** 2
-    v0 = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    sigma = -1e-2 * pencil.info["m"] ** 2
+    lu = _factor(pencil, sigma)
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
         vals, vecs = spla.eigsh(a, k=k_eff, M=b, sigma=sigma, which="LM",
-                                v0=v0)
+                                v0=_start_vector(n), OPinv=op_inv)
     except spla.ArpackNoConvergence as exc:
         raise FemSolveError(
             f"eigensolver did not converge: {len(exc.eigenvalues)} of "
@@ -101,12 +112,9 @@ def solve_lowest(pencil: HermitianPencil, k: int,
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
-    residuals = np.empty(k_eff)
-    for i in range(k_eff):
-        x = vecs[:, i]
-        bx = b @ x
-        residuals[i] = (np.linalg.norm(a @ x - vals[i] * bx)
-                        / np.linalg.norm(bx))
+    bx = b @ vecs
+    residuals = (np.linalg.norm(a @ vecs - bx * vals, axis=0)
+                 / np.linalg.norm(bx, axis=0))
     if np.any(residuals > _RESIDUAL_CAP):
         raise FemSolveError(
             f"eigenpair residuals exceed {_RESIDUAL_CAP:g}: "
@@ -150,53 +158,52 @@ def _resolve_mesh_opts(p: PhysParams, mesh_opts: dict | None) -> dict:
     return opts
 
 
-def _build_from_opts(p: PhysParams, opts: dict, coarse: bool) -> Mesh:
+def _build_from_opts(p: PhysParams, opts: dict) -> Mesh:
     if opts["kind"] == "disk":
-        h = opts["h"]
-        if coarse:
-            h = min(2.0 * h, 0.9 * p.omega * opts["R"])
-        return build_mesh(p, R=opts["R"], h=h, grading=opts["grading"])
-    nx = opts["nx"] // 2 if coarse else opts["nx"]
-    kw = max(1, opts["wedge_rows"] // 2) if coarse else opts["wedge_rows"]
-    nout = max(2, opts["outer_rows"] // 2) if coarse else opts["outer_rows"]
+        return build_mesh(p, R=opts["R"], h=opts["h"], grading=opts["grading"])
     return build_strip_mesh(
-        p, x_max=opts["x_max"], nx=max(2, nx), wedge_rows=kw,
-        outer_rows=nout, width=opts["width"],
+        p, x_max=opts["x_max"], nx=opts["nx"], wedge_rows=opts["wedge_rows"],
+        outer_rows=opts["outer_rows"], width=opts["width"],
         outer_grading=opts["outer_grading"],
     )
 
 
 def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
                        k: int = 8) -> SpectralReport:
-    """Count Ritz values below eps_tau^2 minus a two-mesh safety margin.
+    """Count the pencil's eigenvalues below eps_tau^2 (1 - 1e-6) by inertia.
 
-    With Dirichlet truncation every counted Ritz vector extends by zero to
-    a form-domain function, so the count is a lower bound (up to roundoff)
-    on the number of gap states of the squared operator.  The report
-    carries the fine pencil the count comes from.
+    The count is a lower bound (up to roundoff) on the number of gap states
+    and does not depend on ``k``, which sets only how many of the lowest
+    eigenvalues are reported.  The report carries the counted pencil.
     """
     opts = _resolve_mesh_opts(p, mesh_opts)
     edge = derived_constants(p).eps_tau ** 2
+    margin = _MARGIN_REL * edge
+    s = edge - margin
 
-    fine = solve_lowest(assemble(p, _build_from_opts(p, opts, coarse=False)), k)
-    coarse = solve_lowest(assemble(p, _build_from_opts(p, opts, coarse=True)), k)
+    pencil = assemble(p, _build_from_opts(p, opts))
+    rep = solve_lowest(pencil, k)
+    lu = _factor(pencil, s)
+    count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    rhs = _start_vector(pencil.n_reduced)
+    x = lu.solve(rhs)
+    resid = (np.linalg.norm(pencil.A @ x - s * (pencil.B @ x) - rhs)
+             / np.linalg.norm(rhs))
+    if resid > _FACTOR_RESIDUAL_CAP:
+        raise FemSolveError(f"factor of A - sB at s = {s:.6g}: relative "
+                            f"residual {resid:.3e} > {_FACTOR_RESIDUAL_CAP:g}")
+    ritz = int(np.count_nonzero(rep.eigenvalues < s))
+    if ritz != min(count, rep.eigenvalues.size):
+        raise FemSolveError(
+            f"inertia count {count} disagrees with {ritz} of "
+            f"{rep.eigenvalues.size} Ritz values below s = {s:.6g}")
 
-    floor = _MARGIN_FLOOR_REL * edge
-    margin = floor
-    n_cmp = min(fine.eigenvalues.size, coarse.eigenvalues.size)
-    for i in range(n_cmp):
-        if fine.eigenvalues[i] < edge:
-            margin = max(margin, 5.0 / 3.0 * abs(fine.eigenvalues[i]
-                                                 - coarse.eigenvalues[i]))
-    count = int(np.sum(fine.eigenvalues < edge - margin))
-
-    info = dict(fine.mesh_info)
-    info["coarse_eigenvalues"] = [float(x) for x in coarse.eigenvalues]
+    info = dict(rep.mesh_info)
     info["mesh_opts"] = dict(opts)
     return SpectralReport(
-        eigenvalues=fine.eigenvalues, gap_edge=edge, margin=float(margin),
-        count_below=count, residuals=fine.residuals, mesh_info=info,
-        pencil=fine.pencil,
+        eigenvalues=rep.eigenvalues, gap_edge=edge, margin=float(margin),
+        count_below=count, residuals=rep.residuals, mesh_info=info,
+        pencil=pencil,
     )
 
 

@@ -8,6 +8,7 @@ Agreement between these routes and the library is what the tests assert.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -53,15 +54,10 @@ def _arc_matrices(n: int, h: float):
     return d.tocsr(), mass.tocsr()
 
 
-def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
-                               n_nodes: int = 4000) -> float:
-    """Nearest eigenvalue to lam of the dense two-arc Galerkin pencil.
-
-    The first-order pencil carries a folded spurious branch, so only a
-    targeted nearest-eigenvalue query is meaningful; the physical branch is
-    superconvergent at the nodes and lands within ~1e-10 of the true value
-    at the default resolution.
-    """
+@functools.lru_cache(maxsize=4)
+def _two_arc_pencil(tau: float, omega: float, n_nodes: int):
+    """Reduced (A, B) of the two-arc Galerkin pencil.  Cached: a window's
+    roots all query one pencil, and the loops below dominate a query."""
     n_plus = max(8, int(round(n_nodes * omega / math.pi)))
     n_minus = max(8, n_nodes - n_plus)
     h_p = 2.0 * omega / n_plus
@@ -106,7 +102,19 @@ def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
     a_red = (a_red + a_red.getH()) * 0.5
     b_red = (z.getH() @ b_full.tocsr() @ z).tocsr()
     b_red = (b_red + b_red.getH()) * 0.5
+    return a_red, b_red
 
+
+def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
+                               n_nodes: int = 4000) -> float:
+    """Nearest eigenvalue to lam of the dense two-arc Galerkin pencil.
+
+    The first-order pencil carries a folded spurious branch, so only a
+    targeted nearest-eigenvalue query is meaningful; the physical branch is
+    superconvergent at the nodes and lands within ~1e-10 of the true value
+    at the default resolution.
+    """
+    a_red, b_red = _two_arc_pencil(tau, omega, n_nodes)
     # tiny offset so the factorization never hits the queried value exactly
     vals = spla.eigsh(a_red, k=1, M=b_red, sigma=lam + 2e-7, which="LM",
                       return_eigenvectors=False)

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, artifacts, determinism, round-trips."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -240,8 +241,8 @@ def test_deficiency_artifact(tmp_path):
 
 
 def test_fem_count_with_export(tmp_path, monkeypatch):
-    """--export writes the fine pencil the count came from: one assembly per
-    mesh (fine and coarse), none for the export."""
+    """--export writes the pencil the count came from: one assembly for the
+    count, none for the export."""
     from diracwedge.fem import assembly, solve
 
     calls = []
@@ -259,7 +260,7 @@ def test_fem_count_with_export(tmp_path, monkeypatch):
         ["fem-count", "--tau", "-1", "--omega", "90deg", "--kind", "disk",
          "--R", "8", "--h", "0.5", "--k", "4", "--export", prefix])
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     doc = json.loads(out.read_text())
     assert doc["result"]["count_below"] == 0
     assert doc["result"]["gap_edge"] == 0.36
@@ -269,17 +270,38 @@ def test_fem_count_with_export(tmp_path, monkeypatch):
                 "%%MatrixMarket matrix coordinate real symmetric")
 
 
-def test_fem_count_warns_when_count_hits_cap(capsys):
-    """A count equal to k is a capped lower bound: say so on stderr only."""
-    code = main(["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
-                 "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows",
-                 "3", "--k", "1"])
+SMALL_STRIP = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
+               "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
+
+
+def test_fem_count_is_not_capped_by_k(capsys):
+    """--k sets how many eigenvalues are reported, not how many are counted:
+    the small strip's 12 states below the edge show with --k 1."""
+    code = main(SMALL_STRIP + ["--k", "1"])
     out, err = capsys.readouterr()
     assert code == 0
-    assert json.loads(out)["result"]["count_below"] == 1
-    assert "count_below reached k = 1" in err
-    assert "raise --k" in err
-    assert "count_below reached" not in out
+    result = json.loads(out)["result"]
+    assert result["count_below"] == 12
+    assert len(result["eigenvalues"]) == 1
+    assert err == ""
+
+
+def test_fem_count_inconsistency_exits_3(monkeypatch, capsys):
+    """Ritz values that miss states the inertia counts make the run fail."""
+    from diracwedge.fem import solve
+
+    real = solve.solve_lowest
+
+    def ritz_above_edge(pencil, k):
+        rep = real(pencil, k)
+        return dataclasses.replace(rep, eigenvalues=rep.eigenvalues + 1.0)
+
+    monkeypatch.setattr(solve, "solve_lowest", ritz_above_edge)
+    assert main(SMALL_STRIP) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("diracwedge fem-count: inertia count 12 disagrees "
+                          "with 0 of 8 Ritz values below s = ")
 
 
 def test_sweep_rows_follow_grid(tmp_path):

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.special
 
 from diracwedge.fem import (
+    FemSolveError,
     assemble,
     build_mesh,
     count_bound_states,
@@ -16,6 +18,7 @@ from diracwedge.fem import (
     solve_lowest,
     uniform_refine,
 )
+from diracwedge.fem import solve
 from diracwedge.model import PhysParams
 
 P_ATTR = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
@@ -107,3 +110,49 @@ def test_matrix_market_export_roundtrip(tmp_path):
     diff = (a_back - pencil.A).tocoo()
     top = np.max(np.abs(diff.data)) if diff.nnz else 0.0
     assert top <= 1e-15
+
+
+SMALL_STRIP = {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3}
+
+
+@pytest.mark.parametrize("tau, mesh_opts", [
+    (-1.0, {"kind": "disk", "R": 6.0, "h": 0.8}),
+    (1.0, {"kind": "disk", "R": 6.0, "h": 0.8}),
+    (-1.0, SMALL_STRIP),
+])
+def test_inertia_count_matches_dense(tau, mesh_opts):
+    """The inertia count is the dense count of pencil eigenvalues below
+    edge - margin, also where it exceeds the k reported eigenvalues."""
+    omega = 3.2e-3 if mesh_opts["kind"] == "strip" else math.pi / 4.0
+    p = PhysParams(tau=tau, m=1.0, omega=omega)
+    rep = count_bound_states(p, mesh_opts=mesh_opts)
+    dense = scipy.linalg.eigh(rep.pencil.A.toarray(), rep.pencil.B.toarray(),
+                              eigvals_only=True)
+    assert rep.margin == 1e-6 * rep.gap_edge
+    assert rep.count_below == int(np.sum(dense < rep.gap_edge - rep.margin))
+    if mesh_opts is SMALL_STRIP:
+        assert rep.count_below > rep.eigenvalues.size == 8
+
+
+def _partial_pivoting_splu(real_splu):
+    def splu(a, **kwargs):
+        return real_splu(a, permc_spec="COLAMD", diag_pivot_thresh=1.0)
+    return splu
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("pivot", r"left the diagonal: \d+ rows pivoted off it"),
+    ("residual", r"relative residual \d\.\d{3}e-\d+ > 0"),
+])
+def test_count_checks_raise_with_measured_values(monkeypatch, fault,
+                                                 message):
+    """Row pivoting and a factor residual above the cap fail the count (an
+    inertia/Ritz disagreement is checked through the CLI)."""
+    if fault == "pivot":
+        monkeypatch.setattr(solve.spla, "splu",
+                            _partial_pivoting_splu(solve.spla.splu))
+    else:
+        monkeypatch.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
+    p = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
+    with pytest.raises(FemSolveError, match=message):
+        count_bound_states(p, mesh_opts=SMALL_STRIP)
