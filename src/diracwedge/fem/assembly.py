@@ -87,113 +87,91 @@ def _scatter_spinor(tris: np.ndarray, loc: np.ndarray, n_dofs: int):
     )
 
 
+# node order (p0, p1, m0, m1) of an interface edge: the edge mass
+# (len/6) [[2, 1], [1, 2]] with the plus/minus difference pattern, on both
+# spinor components
+_JUMP_PATTERN = np.kron(np.array([
+    [2.0, 1.0, -2.0, -1.0],
+    [1.0, 2.0, -1.0, -2.0],
+    [-2.0, -1.0, 2.0, 1.0],
+    [-1.0, -2.0, 1.0, 2.0],
+]), np.eye(2))
+
+
 def _jump_matrix(p: PhysParams, mesh: Mesh) -> sp.coo_matrix:
     coef = 2.0 * p.m / p.tau
-    # node order (p0, p1, m0, m1); edge mass (len/6) [[2,1],[1,2]] with the
-    # plus/minus difference pattern
-    pattern = np.array([
-        [2.0, 1.0, -2.0, -1.0],
-        [1.0, 2.0, -1.0, -2.0],
-        [-2.0, -1.0, 2.0, 1.0],
-        [-1.0, -2.0, 1.0, 2.0],
-    ])
-    rows, cols, vals = [], [], []
+    edges = mesh.interface_edges
     v = mesh.vertices
-    for p0, p1, m0, m1 in mesh.interface_edges:
-        length = float(np.hypot(*(v[p1] - v[p0])))
-        local = np.kron(coef * length / 6.0 * pattern, np.eye(2))
-        dofs = np.array([2 * p0, 2 * p0 + 1, 2 * p1, 2 * p1 + 1,
-                         2 * m0, 2 * m0 + 1, 2 * m1, 2 * m1 + 1])
-        rr, cc = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(local.ravel())
+    length = np.hypot(*(v[edges[:, 1]] - v[edges[:, 0]]).T)
+    local = (coef * length / 6.0)[:, None, None] * _JUMP_PATTERN
+    dofs = (2 * edges[:, :, None] + np.arange(2)).reshape(-1, 8)
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
     n = mesh.n_dofs
-    return sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n))
 
 
-def _prolongation(p: PhysParams, mesh: Mesh,
-                  include_interface: bool) -> sp.csr_matrix:
-    """Real prolongation from reduced to full DOFs in rotated coordinates."""
+def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
+    """Real prolongation from reduced to full DOFs in rotated coordinates.
+
+    Free vertices (neither Dirichlet, nor the corner, nor a minus copy) are
+    numbered in vertex order; a minus copy takes U* M U of its ray times the
+    reduced DOFs of its plus copy, and vanishes when that plus copy does.
+    """
     m_l, m_r = interface_matrices(p)
-    side_mat = {SIDE_LEFT: m_l.entries, SIDE_RIGHT: m_r.entries}
-    if not all(np.all(np.isfinite(m)) for m in side_mat.values()):
-        raise ParameterError("transmission matrix not finite; bad tau")
-    side_mat = {side: (_U.conj().T @ m @ _U).real
-                for side, m in side_mat.items()}
-    eye2 = np.eye(2)
+    side_mat = np.empty((2, 2, 2))
+    for side, m in ((SIDE_LEFT, m_l.entries), (SIDE_RIGHT, m_r.entries)):
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("transmission matrix not finite; bad tau")
+        side_mat[side] = (_U.conj().T @ m @ _U).real
 
-    minus_of: dict[int, tuple[int, int]] = {}
-    for (p0, p1, m0, m1), side in zip(mesh.interface_edges,
-                                      mesh.interface_sides):
-        if m0 != p0:
-            minus_of[int(m0)] = (int(p0), int(side))
-        if m1 != p1:
-            minus_of[int(m1)] = (int(p1), int(side))
-
+    # plus copy and ray of every vertex; the identity off the rays
     nv = mesh.n_vertices
-    reduced: dict[int, int] = {}
-    for vtx in range(nv):
-        if mesh.outer_boundary[vtx]:
-            continue
-        if include_interface and vtx == mesh.corner_vertex:
-            continue
-        if vtx in minus_of:
-            continue
-        reduced[vtx] = len(reduced)
+    edges = mesh.interface_edges
+    ends = np.concatenate([edges[:, [0, 2]], edges[:, [1, 3]]])
+    plus_of = np.arange(nv)
+    plus_of[ends[:, 1]] = ends[:, 0]
+    side_of = np.zeros(nv, dtype=np.int64)
+    side_of[ends[:, 1]] = np.tile(mesh.interface_sides, 2)
+    is_minus = plus_of != np.arange(nv)
+    dead = mesh.outer_boundary.copy()
+    dead[mesh.corner_vertex] = True
+    free = ~dead & ~is_minus
+    col_of = np.cumsum(free) - 1
 
-    rows, cols, vals = [], [], []
-    for vtx in range(nv):
-        if mesh.outer_boundary[vtx]:
-            continue
-        if include_interface and vtx == mesh.corner_vertex:
-            continue
-        pair = minus_of.get(vtx)
-        if pair is None:
-            r = reduced[vtx]
-            for comp in range(2):
-                rows.append(2 * vtx + comp)
-                cols.append(2 * r + comp)
-                vals.append(1.0)
-        else:
-            plus, side = pair
-            if plus not in reduced:
-                continue  # plus copy itself eliminated to zero
-            r = reduced[plus]
-            mat = side_mat[side] if include_interface else eye2
-            for comp in range(2):
-                for k in range(2):
-                    if mat[comp, k] != 0.0:
-                        rows.append(2 * vtx + comp)
-                        cols.append(2 * r + k)
-                        vals.append(float(mat[comp, k]))
-    n_red = 2 * len(reduced)
-    z = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, n_red))
+    # one 2x2 block per row vertex: the identity at a free vertex, U* M U
+    # at a minus copy of a free plus vertex; every other row is zero
+    vtx = np.flatnonzero(~dead & free[plus_of])
+    blocks = np.where(is_minus[vtx, None, None], side_mat[side_of[vtx]],
+                      np.eye(2))
+    comp = np.arange(2)
+    rows = np.broadcast_to((2 * vtx[:, None] + comp)[:, :, None], blocks.shape)
+    cols = np.broadcast_to((2 * col_of[plus_of[vtx]][:, None] + comp)[:, None],
+                           blocks.shape)
+    nz = blocks != 0.0
+    z = sp.coo_matrix((blocks[nz], (rows[nz], cols[nz])),
+                      shape=(mesh.n_dofs, 2 * np.count_nonzero(free)))
     return z.tocsr()
 
 
-def assemble(p: PhysParams, mesh: Mesh,
-             include_interface: bool = True) -> HermitianPencil:
+def assemble(p: PhysParams, mesh: Mesh) -> HermitianPencil:
     """Reduced pencil (A, B) of the form on the given mesh, real symmetric
     in the rotated spinor basis.
 
-    include_interface=False glues the two sides with the identity and drops
-    the shell term (plain -Laplace + m^2 for sanity checks).
+    A = Z^T (stiffness + m^2 mass + shell jump) Z and B = Z^T mass Z, with Z
+    from `_prolongation`; dof_map = (I x U) Z.  ``info`` holds the mesh info,
+    tau, m, omega and the full and reduced sizes.
     """
     k_loc, m_loc = _scalar_element_matrices(mesh)
     n = mesh.n_dofs
     stiff = _scatter_spinor(mesh.triangles, k_loc, n)
     mass = _scatter_spinor(mesh.triangles, m_loc, n)
     a_full = (stiff + p.m ** 2 * mass).tocsr()
-    if include_interface:
-        a_full = (a_full + _jump_matrix(p, mesh).tocsr()).tocsr()
+    a_full = (a_full + _jump_matrix(p, mesh).tocsr()).tocsr()
     b_full = mass.tocsr()
 
-    z = _prolongation(p, mesh, include_interface)
+    z = _prolongation(p, mesh)
     a_red = (z.T @ a_full @ z).tocsr()
     b_red = (z.T @ b_full @ z).tocsr()
     a_red = ((a_red + a_red.T) * 0.5).tocsr()
@@ -203,7 +181,6 @@ def assemble(p: PhysParams, mesh: Mesh,
     info = dict(mesh.info)
     info.update({
         "tau": p.tau, "m": p.m, "omega": p.omega,
-        "include_interface": include_interface,
         "n_full": n, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),
     })

@@ -10,6 +10,13 @@ shared by all four incident interface edges.  The truncation is always
 Dirichlet: the vertices of the outer boundary carry no DOFs, so every
 discrete function extends by zero to the plane and Ritz values stay upper
 bounds.
+
+Meshes are built from index arrays.  Vertex 0 is the corner; the other
+vertices are numbered ring by ring (disk) or column by column (strip), with
+the minus copy of a ray vertex right after its plus copy.  Triangles come
+cell by cell in the same order.  This numbering is fixed on purpose: the
+pencil, its eigenvectors and hence the byte-identical `fem-count` artifacts
+depend on it.
 """
 
 from __future__ import annotations
@@ -60,49 +67,56 @@ class Mesh:
         return 2 * self.n_vertices
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    v = mesh.vertices
-    t = mesh.triangles
+def _doubled_areas(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     d1 = v[t[:, 1]] - v[t[:, 0]]
     d2 = v[t[:, 2]] - v[t[:, 0]]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
-class _MeshBuilder:
-    def __init__(self):
-        self.verts: list[tuple[float, float]] = []
-        self.tris: list[tuple[int, int, int]] = []
-        self.iface: list[tuple[int, int, int, int]] = []
-        self.iface_side: list[int] = []
-        self.boundary: set[int] = set()
+def triangle_areas(mesh: Mesh) -> np.ndarray:
+    return 0.5 * _doubled_areas(mesh.vertices, mesh.triangles)
 
-    def vertex(self, x: float, y: float) -> int:
-        self.verts.append((x, y))
-        return len(self.verts) - 1
 
-    def tri(self, a: int, b: int, c: int) -> None:
-        va, vb, vc = (self.verts[i] for i in (a, b, c))
-        det = ((vb[0] - va[0]) * (vc[1] - va[1])
-               - (vb[1] - va[1]) * (vc[0] - va[0]))
-        if det < 0.0:
-            b, c = c, b
-        elif det == 0.0:
-            raise MeshError(f"degenerate triangle {a, b, c}")
-        self.tris.append((a, b, c))
+def _split_cells(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Triangles (a, b, c), (a, c, d) of every cell between two id columns.
 
-    def finish(self, corner: int, info: dict) -> Mesh:
-        nv = len(self.verts)
-        outer = np.zeros(nv, dtype=bool)
-        outer[list(self.boundary)] = True
-        return Mesh(
-            vertices=np.asarray(self.verts, dtype=float),
-            triangles=np.asarray(self.tris, dtype=np.int64),
-            interface_edges=np.asarray(self.iface, dtype=np.int64).reshape(-1, 4),
-            interface_sides=np.asarray(self.iface_side, dtype=np.int64),
-            corner_vertex=corner,
-            outer_boundary=outer,
-            info=info,
-        )
+    Cell (i, j) has a = lo[i, j], b = lo[i + 1, j], c = hi[i + 1, j] and
+    d = hi[i, j]; cells come row by row.  Halves with a repeated vertex,
+    where a row collapses to the corner, are dropped, so the fan around the
+    corner is the first row of cells.
+    """
+    a, b, c, d = lo[:-1], lo[1:], hi[1:], hi[:-1]
+    tris = np.stack([np.stack([a, b, c], axis=-1),
+                     np.stack([a, c, d], axis=-1)], axis=-2).reshape(-1, 3)
+    distinct = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 2] != tris[:, 0]))
+    return tris[distinct]
+
+
+def _ray_edges(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Interface rows of consecutive plus/minus copies along one ray."""
+    return np.column_stack([plus[:-1], plus[1:], minus[:-1], minus[1:]])
+
+
+def _mesh(vertices: np.ndarray, triangles: np.ndarray, iface: np.ndarray,
+          sides: np.ndarray, outer: np.ndarray, info: dict) -> Mesh:
+    """Orient the triangles positively and reject degenerate ones."""
+    det = _doubled_areas(vertices, triangles)
+    if np.any(det == 0.0):
+        bad = triangles[np.argmax(det == 0.0)]
+        raise MeshError(f"degenerate triangle {tuple(bad.tolist())}")
+    boundary = np.zeros(vertices.shape[0], dtype=bool)
+    boundary[outer] = True
+    return Mesh(
+        vertices=vertices,
+        triangles=np.where((det < 0.0)[:, None], triangles[:, [0, 2, 1]],
+                           triangles),
+        interface_edges=iface.reshape(-1, 4),
+        interface_sides=sides,
+        corner_vertex=0,
+        outer_boundary=boundary,
+        info=info,
+    )
 
 
 def build_mesh(p: PhysParams, R: float, h: float,
@@ -135,58 +149,31 @@ def build_mesh(p: PhysParams, R: float, h: float,
     nr = max(2, int(math.ceil(R / h)))
     radii = R * (np.arange(1, nr + 1) / nr) ** grading
 
-    b = _MeshBuilder()
-    corner = b.vertex(0.0, 0.0)
+    # Each ring lists its vertices by angle, the ray angles j = 0 (theta=-w)
+    # and j = n1 (theta=+w) twice: plus copy, then minus copy.
+    slot_angle = np.insert(np.arange(ntheta), [1, n1 + 1], [0, n1])
+    th = ang[slot_angle]
+    ring_xy = np.stack([radii[:, None] * np.cos(th),
+                        radii[:, None] * np.sin(th)], axis=-1)
+    vertices = np.concatenate([np.zeros((1, 2)), ring_xy.reshape(-1, 2)])
 
-    # ids[i][j] -> vertex id at ring i (1-based), angle j; ray angles j=0
-    # (theta=-w) and j=n1 (theta=+w) get (plus, minus) pairs.
-    plus_ids = np.empty((nr, ntheta), dtype=np.int64)
-    minus_ids = np.empty((nr, 2), dtype=np.int64)          # cols: j=0, j=n1
-    for i, r in enumerate(radii):
-        for j, th in enumerate(ang):
-            x, y = r * math.cos(th), r * math.sin(th)
-            plus_ids[i, j] = b.vertex(x, y)
-            if j == 0:
-                minus_ids[i, 0] = b.vertex(x, y)
-            elif j == n1:
-                minus_ids[i, 1] = b.vertex(x, y)
+    # ids by (ring, angle) with the corner as ring 0
+    ring_ids = np.pad(1 + np.arange(nr * th.size).reshape(nr, -1),
+                      ((1, 0), (0, 0)))
+    plus = np.delete(ring_ids, [1, n1 + 2], axis=1)        # (nr + 1, ntheta)
+    minus = ring_ids[:, [1, n1 + 2]]                       # cols: j=0, j=n1
 
-    def vid(i: int, j: int, wedge_side: bool) -> int:
-        j = j % ntheta
-        if not wedge_side:
-            if j == 0:
-                return minus_ids[i, 0]
-            if j == n1:
-                return minus_ids[i, 1]
-        return plus_ids[i, j]
+    wedge = plus[:, :n1 + 1]
+    outside = np.column_stack([minus[:, 1], plus[:, n1 + 1:], minus[:, 0]])
+    triangles = _split_cells(
+        np.column_stack([wedge[:, :-1], outside[:, :-1]]),
+        np.column_stack([wedge[:, 1:], outside[:, 1:]]),
+    )
+    iface = np.concatenate([_ray_edges(plus[:, n1], minus[:, 1]),
+                            _ray_edges(plus[:, 0], minus[:, 0])])
+    sides = np.repeat([SIDE_LEFT, SIDE_RIGHT], nr)
 
-    # fan around the corner, then structured quads between rings
-    for j in range(ntheta):
-        wedge = j < n1
-        b.tri(corner, vid(0, j, wedge), vid(0, j + 1, wedge))
-    for i in range(nr - 1):
-        for j in range(ntheta):
-            wedge = j < n1
-            a_ = vid(i, j, wedge)
-            b_ = vid(i + 1, j, wedge)
-            c_ = vid(i + 1, j + 1, wedge)
-            d_ = vid(i, j + 1, wedge)
-            b.tri(a_, b_, c_)
-            b.tri(a_, c_, d_)
-
-    # ray segments: (corner, ring 1), then ring-to-ring
-    for side, j, col in ((SIDE_LEFT, n1, 1), (SIDE_RIGHT, 0, 0)):
-        b.iface.append((corner, plus_ids[0, j], corner, minus_ids[0, col]))
-        b.iface_side.append(side)
-        for i in range(nr - 1):
-            b.iface.append((plus_ids[i, j], plus_ids[i + 1, j],
-                            minus_ids[i, col], minus_ids[i + 1, col]))
-            b.iface_side.append(side)
-
-    b.boundary.update(plus_ids[nr - 1, :].tolist())
-    b.boundary.update(minus_ids[nr - 1, :].tolist())
-
-    return b.finish(corner, {
+    return _mesh(vertices, triangles, iface, sides, ring_ids[-1], {
         "kind": "disk", "R": R, "h": h, "grading": grading,
         "rings": nr, "angles": ntheta,
     })
@@ -214,92 +201,43 @@ def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
     xs = np.linspace(0.0, x_max, nx + 1)
     s_off = width * (np.arange(1, outer_rows + 1) / outer_rows) ** outer_grading
 
-    b = _MeshBuilder()
-    corner = b.vertex(0.0, 0.0)
-
     kw = wedge_rows
     frac = np.arange(-kw, kw + 1) / kw                     # row fractions
-    wedge_ids = np.empty((nx + 1, 2 * kw + 1), dtype=np.int64)
-    ray_minus = np.empty((nx + 1, 2), dtype=np.int64)      # cols: up, down
-    out_up = np.empty((nx + 1, outer_rows), dtype=np.int64)
-    out_dn = np.empty((nx + 1, outer_rows), dtype=np.int64)
+    # Each column x_i lists the wedge rows bottom to top, the minus copies
+    # of the upper and lower ray points, then the outer rows in (upper,
+    # lower) pairs.  At x = 0 the wedge rows and ray points are the corner.
+    n_in = 2 * kw + 3
+    ytop = xs * slope
+    y_out = ytop[:, None] + s_off
+    y_pairs = np.stack([y_out, -y_out], axis=-1).reshape(nx + 1, -1)
+    y = np.column_stack([ytop[:, None] * frac, ytop, -ytop, y_pairs])
+    xy = np.stack([np.broadcast_to(xs[:, None], y.shape), y], axis=-1)
+    vertices = np.concatenate([np.zeros((1, 2)), xy[0, n_in:],
+                               xy[1:].reshape(-1, 2)])
 
-    for i, x in enumerate(xs):
-        ytop = x * slope
-        if i == 0:
-            wedge_ids[0, :] = corner
-            ray_minus[0, :] = corner
-        else:
-            for k in range(2 * kw + 1):
-                wedge_ids[i, k] = b.vertex(x, ytop * frac[k])
-            ray_minus[i, 0] = b.vertex(x, ytop)
-            ray_minus[i, 1] = b.vertex(x, -ytop)
-        for j, s in enumerate(s_off):
-            out_up[i, j] = b.vertex(x, ytop + s)
-            out_dn[i, j] = b.vertex(x, -(ytop + s))
+    ids = np.zeros(y.shape, dtype=np.int64)
+    ids[0, n_in:] = 1 + np.arange(y.shape[1] - n_in)
+    ids[1:] = 1 + ids[0, -1] + np.arange(nx * y.shape[1]).reshape(nx, -1)
+    wedge_ids = ids[:, :2 * kw + 1]
+    ray_minus = ids[:, 2 * kw + 1:n_in]                    # cols: up, down
+    out_up, out_dn = ids[:, n_in::2], ids[:, n_in + 1::2]
 
-    # wedge interior: fan out of the corner, then quad columns
-    for k in range(2 * kw):
-        b.tri(corner, wedge_ids[1, k], wedge_ids[1, k + 1])
-    for i in range(1, nx):
-        for k in range(2 * kw):
-            b.tri(wedge_ids[i, k], wedge_ids[i + 1, k], wedge_ids[i + 1, k + 1])
-            b.tri(wedge_ids[i, k], wedge_ids[i + 1, k + 1], wedge_ids[i, k + 1])
-
-    # exterior rows, bottom-to-top ordering per region keeps orientation
-    def quad_strip(rows: np.ndarray) -> None:
-        # rows: (nx+1, m) ids with y increasing along the second axis
-        n_rows = rows.shape[1]
-        for i in range(nx):
-            for k in range(n_rows - 1):
-                a_, b_ = rows[i, k], rows[i + 1, k]
-                c_, d_ = rows[i + 1, k + 1], rows[i, k + 1]
-                b.tri(a_, b_, c_)
-                b.tri(a_, c_, d_)
-
+    # wedge interior (fanning out of the corner), then the exterior rows,
+    # each region with y increasing along the second axis
     upper = np.column_stack([ray_minus[:, 0], out_up])
     lower = np.column_stack([out_dn[:, ::-1], ray_minus[:, 1]])
-    quad_strip(upper)
-    quad_strip(lower)
+    triangles = np.concatenate([_split_cells(g[:, :-1], g[:, 1:])
+                                for g in (wedge_ids, upper, lower)])
+    iface = np.stack([_ray_edges(wedge_ids[:, -1], ray_minus[:, 0]),
+                      _ray_edges(wedge_ids[:, 0], ray_minus[:, 1])], axis=1)
+    sides = np.tile([SIDE_LEFT, SIDE_RIGHT], nx)
+    outer = np.concatenate([ids[0], ids[-1], ids[:, -2], ids[:, -1]])
 
-    for i in range(nx):
-        b.iface.append((wedge_ids[i, 2 * kw], wedge_ids[i + 1, 2 * kw],
-                        ray_minus[i, 0], ray_minus[i + 1, 0]))
-        b.iface_side.append(SIDE_LEFT)
-        b.iface.append((wedge_ids[i, 0], wedge_ids[i + 1, 0],
-                        ray_minus[i, 1], ray_minus[i + 1, 1]))
-        b.iface_side.append(SIDE_RIGHT)
-
-    b.boundary.update(out_up[:, -1].tolist())
-    b.boundary.update(out_dn[:, -1].tolist())
-    b.boundary.update(out_up[0, :].tolist())
-    b.boundary.update(out_dn[0, :].tolist())
-    b.boundary.add(corner)
-    b.boundary.update(wedge_ids[nx, :].tolist())
-    b.boundary.update(ray_minus[nx, :].tolist())
-    b.boundary.update(out_up[nx, :].tolist())
-    b.boundary.update(out_dn[nx, :].tolist())
-
-    return b.finish(corner, {
+    return _mesh(vertices, triangles, iface, sides, outer, {
         "kind": "strip", "x_max": x_max, "nx": nx, "wedge_rows": wedge_rows,
         "outer_rows": outer_rows, "width": width,
         "outer_grading": outer_grading,
     })
-
-
-def _outer_edges(mesh: Mesh) -> set[tuple[int, int]]:
-    """Sorted vertex pairs of the edges on the outer (Dirichlet) boundary.
-
-    An outer edge lies in exactly one triangle and is not a ray segment;
-    each side of a ray is in one triangle too, but it is an interface.
-    """
-    t = mesh.triangles
-    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
-                    axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    rays = {tuple(sorted(map(int, pair))) for row in mesh.interface_edges
-            for pair in (row[:2], row[2:])}
-    return {(int(a), int(b)) for a, b in uniq[counts == 1]} - rays
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
@@ -307,51 +245,48 @@ def uniform_refine(mesh: Mesh) -> Mesh:
 
     Interface midpoints inherit the two-copy structure automatically because
     the plus-side and minus-side parent edges are distinct index pairs.  A
-    midpoint is on the outer boundary only when its parent edge is; an
-    interior edge between two boundary vertices keeps an interior midpoint.
+    midpoint is on the outer boundary only when its parent edge is: it lies
+    in exactly one triangle and is not a ray side (each side of a ray is in
+    one triangle too).  An interior edge between two boundary vertices keeps
+    an interior midpoint.  Midpoints are numbered after the parent vertices,
+    in the order their edges first appear as (ab, bc, ca) of the triangles.
     """
-    verts = [tuple(v) for v in mesh.vertices]
-    boundary = set(np.nonzero(mesh.outer_boundary)[0].tolist())
-    outer_edges = _outer_edges(mesh)
-    midpoint: dict[tuple[int, int], int] = {}
+    nv = mesh.n_vertices
 
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        got = midpoint.get(key)
-        if got is not None:
-            return got
-        va, vb = verts[a], verts[b]
-        verts.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
-        idx = len(verts) - 1
-        midpoint[key] = idx
-        if key in outer_edges:
-            boundary.add(idx)
-        return idx
+    def keys(pairs: np.ndarray) -> np.ndarray:
+        return pairs.min(axis=1) * nv + pairs.max(axis=1)
 
-    tris = []
-    for a, b_, c in mesh.triangles:
-        ab, bc, ca = mid(a, b_), mid(b_, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b_, bc), (ca, bc, c), (ab, bc, ca)])
+    ends = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edge_keys, first, inverse, counts = np.unique(
+        keys(ends), return_index=True, return_inverse=True,
+        return_counts=True)
+    order = np.argsort(first)          # unique edges by first appearance
+    number = nv + np.argsort(order)    # midpoint id of each unique edge
+    mid_xy = mesh.vertices[ends[first[order]]]
 
-    iface = []
-    iside = []
-    for (p0, p1, m0, m1), side in zip(mesh.interface_edges,
-                                      mesh.interface_sides):
-        pm, mm = mid(p0, p1), mid(m0, m1)
-        iface.extend([(p0, pm, m0, mm), (pm, p1, mm, m1)])
-        iside.extend([side, side])
+    def mid(pairs: np.ndarray) -> np.ndarray:
+        return number[np.searchsorted(edge_keys, keys(pairs))]
 
-    nv = len(verts)
-    outer = np.zeros(nv, dtype=bool)
-    outer[list(boundary)] = True
+    # columns a, b, c, ab, bc, ca -> (a, ab, ca), (ab, b, bc), (ca, bc, c),
+    # (ab, bc, ca)
+    abc = np.column_stack([mesh.triangles, number[inverse].reshape(-1, 3)])
+    tris = abc[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
+    # columns p0, p1, m0, m1, pm, mm -> (p0, pm, m0, mm), (pm, p1, mm, m1)
+    ie = mesh.interface_edges
+    ie = np.column_stack([ie, mid(ie[:, :2]), mid(ie[:, 2:])])
+    iface = ie[:, [0, 4, 2, 5, 4, 1, 5, 3]].reshape(-1, 4)
+    ray_keys = np.concatenate([keys(ie[:, :2]), keys(ie[:, 2:4])])
+    outer_mid = (counts == 1) & ~np.isin(edge_keys, ray_keys)
+
     info = dict(mesh.info)
     info["refined"] = info.get("refined", 0) + 1
     return Mesh(
-        vertices=np.asarray(verts, dtype=float),
-        triangles=np.asarray(tris, dtype=np.int64),
-        interface_edges=np.asarray(iface, dtype=np.int64).reshape(-1, 4),
-        interface_sides=np.asarray(iside, dtype=np.int64),
+        vertices=np.concatenate([mesh.vertices,
+                                 (mid_xy[:, 0] + mid_xy[:, 1]) / 2.0]),
+        triangles=tris,
+        interface_edges=iface,
+        interface_sides=np.repeat(mesh.interface_sides, 2),
         corner_vertex=mesh.corner_vertex,
-        outer_boundary=outer,
+        outer_boundary=np.concatenate([mesh.outer_boundary, outer_mid[order]]),
         info=info,
     )

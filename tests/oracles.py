@@ -130,63 +130,44 @@ def _aux1d_lowest(tau: float, m: float, gamma: float, n_half: int) -> float:
 
     Spinor P1 elements on [-gamma, gamma], node 0 duplicated, point jump
     (2m/tau)|f(0+)-f(0-)|^2, elimination f(0-) = (a I + b sigma_1) f(0+),
-    Dirichlet ends.  Mirrors the 2-D FEM constraint treatment.
+    free (natural) ends.  Mirrors the 2-D FEM constraint treatment.
     """
     h = gamma / n_half
-    n_nodes = 2 * n_half + 2          # includes the duplicated zero node
     # node layout: 0..n_half-1 on (-gamma, 0) open, n_half = 0^- copy,
     # n_half+1 = 0^+ copy, n_half+2 .. 2n_half+1 on (0, gamma]
-    ys = np.concatenate([
-        np.linspace(-gamma, 0.0, n_half + 1),      # nodes 0..n_half (0^-)
-        np.linspace(0.0, gamma, n_half + 1),       # nodes n_half+1.. (0^+)
-    ])
-    cells = [(i, i + 1) for i in range(n_half)] \
-        + [(n_half + 1 + i, n_half + 2 + i) for i in range(n_half)]
+    nsc = 2 * n_half + 2
+    left = np.concatenate([np.arange(n_half), n_half + 1 + np.arange(n_half)])
+    ends = np.column_stack([left, left + 1])          # the 2 n_half cells
+    rows = np.repeat(ends, 2, axis=1).ravel()
+    cols = np.tile(ends, 2).ravel()
 
-    nsc = ys.size
-    stiff = sp.lil_matrix((nsc, nsc))
-    mass = sp.lil_matrix((nsc, nsc))
-    for i, j in cells:
-        stiff[i, i] += 1.0 / h
-        stiff[j, j] += 1.0 / h
-        stiff[i, j] += -1.0 / h
-        stiff[j, i] += -1.0 / h
-        mass[i, i] += h / 3.0
-        mass[j, j] += h / 3.0
-        mass[i, j] += h / 6.0
-        mass[j, i] += h / 6.0
+    def scalar(loc: np.ndarray) -> sp.csr_matrix:
+        return sp.coo_matrix((np.tile(loc.ravel(), left.size), (rows, cols)),
+                             shape=(nsc, nsc)).tocsr()
 
-    a_sc = (stiff + m * m * mass).tocsr()
-    a_full = sp.kron(a_sc, _I2).tolil()
-    b_full = sp.kron(mass.tocsr(), _I2).tocsr()
-
-    # point jump between the duplicated zero nodes
-    coef = 2.0 * m / tau
+    stiff = scalar(np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
+    mass = scalar(np.array([[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]))
+    # point jump (2m/tau)|f(0+)-f(0-)|^2 between the duplicated zero nodes
     i_m, i_p = n_half, n_half + 1
-    for comp in range(2):
-        a_full[2 * i_m + comp, 2 * i_m + comp] += coef
-        a_full[2 * i_p + comp, 2 * i_p + comp] += coef
-        a_full[2 * i_m + comp, 2 * i_p + comp] += -coef
-        a_full[2 * i_p + comp, 2 * i_m + comp] += -coef
+    coef = 2.0 * m / tau
+    jump = sp.coo_matrix((coef * np.array([1.0, -1.0, -1.0, 1.0]),
+                          ([i_m, i_m, i_p, i_p], [i_m, i_p, i_m, i_p])),
+                         shape=(nsc, nsc))
+    eye2 = np.eye(2)
+    a_full = sp.kron(stiff + m * m * mass + jump, eye2)
+    b_full = sp.kron(mass, eye2)
 
+    # keep every node but the 0^- copy (ends stay free, natural) and set
+    # f(0-) = m1 f(0+)
     a_mat, b_mat = _ab(tau)
-    m1 = a_mat * np.eye(2) + b_mat * np.array([[0.0, 1.0], [1.0, 0.0]])
+    m1 = a_mat * eye2 + b_mat * np.array([[0.0, 1.0], [1.0, 0.0]])
+    kept = np.delete(np.arange(nsc), i_m)
+    keep = sp.coo_matrix((np.ones(kept.size), (kept, np.arange(kept.size))),
+                         shape=(nsc, kept.size))
+    glue = sp.coo_matrix(([1.0], ([i_m], [i_p - 1])), shape=(nsc, kept.size))
+    z = (sp.kron(keep, eye2) + sp.kron(glue, m1)).tocsr()
 
-    kept = []
-    for node in range(nsc):
-        if node == i_m:                 # 0^- copy; ends stay free (natural)
-            continue
-        kept.extend([2 * node, 2 * node + 1])
-    col_of = {dof: i for i, dof in enumerate(kept)}
-    z = sp.lil_matrix((2 * nsc, len(kept)))
-    for dof, col in col_of.items():
-        z[dof, col] = 1.0
-    for comp in range(2):
-        for k in range(2):
-            z[2 * i_m + comp, col_of[2 * i_p + k]] = m1[comp, k]
-    z = z.tocsr()
-
-    a_red = (z.T @ a_full.tocsr() @ z).tocsr()
+    a_red = (z.T @ a_full @ z).tocsr()
     a_red = (a_red + a_red.T) * 0.5
     b_red = (z.T @ b_full @ z).tocsr()
 

@@ -164,6 +164,20 @@ def test_csv_config_roundtrip(tmp_path):
     assert first.read_bytes() == (tmp_path / "a2.csv").read_bytes()
 
 
+def test_fem_count_config_roundtrip(tmp_path):
+    """Null mesh options replay as defaults; the artifact is reproduced."""
+    argv = ["fem-count", "--tau", "-1", "--omega", "90deg", "--kind", "disk",
+            "--R", "8", "--h", "0.5", "--k", "4"]
+    _, first = run_to_file(tmp_path, "f1.json", argv)
+    doc = json.loads(first.read_text())
+    assert doc["config"]["grading"] is None
+    assert doc["result"]["mesh_info"]["grading"] == 2.0
+    code = main(["fem-count", "--config", str(first),
+                 "--output", str(tmp_path / "f2.json")])
+    assert code == 0
+    assert first.read_bytes() == (tmp_path / "f2.json").read_bytes()
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"tau": -1.0, "m": 1.0}))

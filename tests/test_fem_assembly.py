@@ -138,16 +138,6 @@ def test_real_pencil_matches_complex_oracle(tau, kind):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
-def test_glue_mode_drops_jump(mesh):
-    """include_interface=False glues plus to minus with no shell term."""
-    pencil = assemble(P_ATTR, mesh, include_interface=False)
-    assert pencil.info["include_interface"] is False
-    vals = spla.eigsh(pencil.A, k=1, M=pencil.B, sigma=0.9,
-                      which="LM", return_eigenvectors=False)
-    # free Laplacian plus mass: nothing below m^2
-    assert vals[0] >= P_ATTR.m ** 2 - 1e-10
-
-
 def test_form_value_is_real_psd(mesh):
     pencil = assemble(P_ATTR, mesh)
     for _ in range(10):

@@ -122,6 +122,20 @@ def test_strip_mesh_invariants():
             assert abs(abs(y) - x * tw) <= 1e-9 * max(1.0, x)
 
 
+def test_strip_mesh_area_is_exact():
+    """The strip covers x_max^2 tan(omega) + 2 width x_max exactly."""
+    for p, x_max, nx, rows, width in (
+        (P_STRIP, 60.0, 24, (2, 3), 5.0),
+        (P_STRIP, 60.0, 120, (4, 8), 6.0),
+        (PhysParams(tau=-1.0, m=1.0, omega=0.3), 7.5, 9, (1, 2), 0.8),
+    ):
+        mesh = build_strip_mesh(p, x_max=x_max, nx=nx, wedge_rows=rows[0],
+                                outer_rows=rows[1], width=width)
+        exact = x_max ** 2 * math.tan(p.omega) + 2.0 * width * x_max
+        total = float(np.sum(triangle_areas(mesh)))
+        assert total == pytest.approx(exact, rel=1e-12)
+
+
 def test_uniform_refine_quadruples():
     for mesh in (
         build_mesh(P_DISK, R=6.0, h=1.0),

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.special
 
 from diracwedge.fem import (
     FemSolveError,
+    HermitianPencil,
     assemble,
     build_mesh,
     count_bound_states,
@@ -19,6 +21,7 @@ from diracwedge.fem import (
     uniform_refine,
 )
 from diracwedge.fem import solve
+from diracwedge.fem.assembly import _scalar_element_matrices
 from diracwedge.model import PhysParams
 
 P_ATTR = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
@@ -26,11 +29,29 @@ P_LINE = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
 
 
 def test_laplacian_sanity_disk():
-    """Glue mode reduces to -Delta + m^2 on the Dirichlet disk."""
+    """-Delta + m^2 on the Dirichlet disk, from the library's element
+    matrices with each minus copy glued to its plus vertex (no shell term)
+    and the Dirichlet vertices dropped."""
     p = P_ATTR
     R = 6.0
     mesh = build_mesh(p, R=R, h=0.25)
-    pencil = assemble(p, mesh, include_interface=False)
+    nv = mesh.n_vertices
+    glue = np.arange(nv)
+    glue[mesh.interface_edges[:, 2:]] = mesh.interface_edges[:, :2]
+    tris = glue[mesh.triangles]
+    free = np.flatnonzero(~mesh.outer_boundary & (glue == np.arange(nv)))
+
+    def scalar_matrix(loc):
+        full = sp.coo_matrix(
+            (loc.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
+                           np.tile(tris, 3).ravel())), shape=(nv, nv))
+        return full.tocsr()[free][:, free]
+
+    k_loc, m_loc = _scalar_element_matrices(mesh)
+    mass = scalar_matrix(m_loc)
+    pencil = HermitianPencil(A=scalar_matrix(k_loc) + p.m ** 2 * mass,
+                             B=mass, dof_map=sp.identity(free.size),
+                             info={"m": p.m})
     rep = solve_lowest(pencil, k=1)
     j01 = scipy.special.jn_zeros(0, 1)[0]
     exact = p.m ** 2 + (j01 / R) ** 2
