@@ -366,45 +366,43 @@ def _handle_fem_count(cfg: RunConfig) -> str:
     return _json_artifact(cfg, result)
 
 
-def _sweep_row(quantity: str, point: tuple) -> list:
-    if quantity == "gap":
-        tau, m = point
-        dc = derived_constants(PhysParams(tau=tau, m=m, omega=_PI_4))
-        return [tau, m, dc.eps_tau, dc.kappa0, dc.kappa_tau, dc.c_tau]
-    if quantity == "principal":
-        tau, m, omega = point
-        root = principal_eigenvalue(PhysParams(tau=tau, m=m, omega=omega))
-        return [tau, m, omega, root.lam]
-    if quantity == "critical-angle":
-        tau, m, n_modes = point
-        p = PhysParams(tau=tau, m=m, omega=_PI_4)
-        w_star, l_star = critical_angle_maximize(p, n_modes)
-        return [tau, m, n_modes, w_star, l_star]
-    if quantity == "aux1d":
-        tau, m, gamma = point
-        res = ground_state(PhysParams(tau=tau, m=m, omega=_PI_4), gamma)
-        return [tau, m, gamma, res.k_gamma, res.E_gamma]
-    raise ParameterError(f"unknown sweep quantity {quantity!r}")
+def _sweep_gap(tau: float, m: float) -> list:
+    dc = derived_constants(PhysParams(tau=tau, m=m, omega=_PI_4))
+    return [dc.eps_tau, dc.kappa0, dc.kappa_tau, dc.c_tau]
 
 
-_SWEEP_TABLE = {
-    "gap": (("tau", "m"), ["tau", "m", "eps_tau", "kappa0", "kappa_tau",
-                           "c_tau"]),
-    "principal": (("tau", "m", "omega"), ["tau", "m", "omega",
-                                          "lambda_star"]),
-    "critical-angle": (("tau", "m", "N"), ["tau", "m", "N", "omega_star",
-                                           "L_star"]),
-    "aux1d": (("tau", "m", "gamma"), ["tau", "m", "gamma", "k_gamma",
-                                      "E_gamma"]),
+def _sweep_principal(tau: float, m: float, omega: float) -> list:
+    return [principal_eigenvalue(PhysParams(tau=tau, m=m, omega=omega)).lam]
+
+
+def _sweep_critical_angle(tau: float, m: float, n_modes: int) -> list:
+    p = PhysParams(tau=tau, m=m, omega=_PI_4)
+    return list(critical_angle_maximize(p, n_modes))
+
+
+def _sweep_aux1d(tau: float, m: float, gamma: float) -> list:
+    res = ground_state(PhysParams(tau=tau, m=m, omega=_PI_4), gamma)
+    return [res.k_gamma, res.E_gamma]
+
+
+# quantity -> (grid axes, result columns, result of one grid point); each
+# CSV row is the grid point followed by its result
+_SWEEPS = {
+    "gap": (("tau", "m"), ("eps_tau", "kappa0", "kappa_tau", "c_tau"),
+            _sweep_gap),
+    "principal": (("tau", "m", "omega"), ("lambda_star",), _sweep_principal),
+    "critical-angle": (("tau", "m", "N"), ("omega_star", "L_star"),
+                       _sweep_critical_angle),
+    "aux1d": (("tau", "m", "gamma"), ("k_gamma", "E_gamma"), _sweep_aux1d),
 }
 
 
 def _handle_sweep(cfg: RunConfig) -> str:
     o = cfg.options
-    axes, header = _SWEEP_TABLE[o["quantity"]]
-    grids = [o[a] for a in axes]
-    rows = [_sweep_row(o["quantity"], point) for point in product(*grids)]
-    return _csv_artifact(cfg, header, rows)
+    axes, columns, result = _SWEEPS[o["quantity"]]
+    grid = product(*(o[a] for a in axes))
+    rows = [[*point, *result(*point)] for point in grid]
+    return _csv_artifact(cfg, [*axes, *columns], rows)
 
 
 _HANDLERS = {

@@ -72,19 +72,11 @@ def _scalar_element_matrices(mesh: Mesh):
     return k_loc, m_loc
 
 
-def _scatter_spinor(tris: np.ndarray, loc: np.ndarray, n_dofs: int):
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            for comp in range(2):
-                rows.append(2 * tris[:, i] + comp)
-                cols.append(2 * tris[:, j] + comp)
-                vals.append(loc[:, i, j])
-    return sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dofs, n_dofs),
-    )
+def _scatter(tris: np.ndarray, loc: np.ndarray, n: int) -> sp.csr_matrix:
+    rows = np.broadcast_to(tris[:, :, None], loc.shape)
+    cols = np.broadcast_to(tris[:, None, :], loc.shape)
+    return sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
 
 
 # node order (p0, p1, m0, m1) of an interface edge: the edge mass
@@ -110,6 +102,19 @@ def _jump_matrix(p: PhysParams, mesh: Mesh) -> sp.coo_matrix:
     n = mesh.n_dofs
     return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(n, n))
+
+
+def _full_matrices(p: PhysParams, mesh: Mesh):
+    """(A, B) on the duplicated-DOF space: stiffness + m^2 mass + shell jump,
+    and mass.  Both spinor components see the same scalar matrices, so these
+    are scattered once on vertex indices and lifted by kron(., I_2)."""
+    k_loc, m_loc = _scalar_element_matrices(mesh)
+    nv = mesh.n_vertices
+    eye = sp.identity(2, format="csr")
+    a_full = sp.kron(_scatter(mesh.triangles, k_loc + p.m ** 2 * m_loc, nv),
+                     eye, format="csr")
+    b_full = sp.kron(_scatter(mesh.triangles, m_loc, nv), eye, format="csr")
+    return a_full + _jump_matrix(p, mesh).tocsr(), b_full
 
 
 def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
@@ -163,14 +168,7 @@ def assemble(p: PhysParams, mesh: Mesh) -> HermitianPencil:
     from `_prolongation`; dof_map = (I x U) Z.  ``info`` holds the mesh info,
     tau, m, omega and the full and reduced sizes.
     """
-    k_loc, m_loc = _scalar_element_matrices(mesh)
-    n = mesh.n_dofs
-    stiff = _scatter_spinor(mesh.triangles, k_loc, n)
-    mass = _scatter_spinor(mesh.triangles, m_loc, n)
-    a_full = (stiff + p.m ** 2 * mass).tocsr()
-    a_full = (a_full + _jump_matrix(p, mesh).tocsr()).tocsr()
-    b_full = mass.tocsr()
-
+    a_full, b_full = _full_matrices(p, mesh)
     z = _prolongation(p, mesh)
     a_red = (z.T @ a_full @ z).tocsr()
     b_red = (z.T @ b_full @ z).tocsr()
@@ -181,7 +179,7 @@ def assemble(p: PhysParams, mesh: Mesh) -> HermitianPencil:
     info = dict(mesh.info)
     info.update({
         "tau": p.tau, "m": p.m, "omega": p.omega,
-        "n_full": n, "n_reduced": a_red.shape[0],
+        "n_full": mesh.n_dofs, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),
     })
     return HermitianPencil(A=a_red, B=b_red, dof_map=dof_map, info=info)

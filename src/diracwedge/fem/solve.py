@@ -128,7 +128,7 @@ def solve_lowest(pencil: HermitianPencil, k: int) -> SpectralReport:
 
 _DISK_KEYS = {"kind", "R", "h", "grading"}
 _STRIP_KEYS = {"kind", "x_max", "nx", "wedge_rows", "outer_rows",
-               "width", "outer_grading", "N"}
+               "width", "outer_grading"}
 
 
 def _resolve_mesh_opts(p: PhysParams, mesh_opts: dict | None) -> dict:
@@ -146,9 +146,8 @@ def _resolve_mesh_opts(p: PhysParams, mesh_opts: dict | None) -> dict:
         opts.setdefault("h", 0.35)
         opts.setdefault("grading", 2.0)
     else:
-        n_modes = int(opts.pop("N", 1))
         if "x_max" not in opts:
-            _, l_star = critical_angle_maximize(p, n_modes)
+            _, l_star = critical_angle_maximize(p, 1)
             opts["x_max"] = 3.0 * l_star
         opts.setdefault("nx", 480)
         opts.setdefault("wedge_rows", 8)

@@ -27,7 +27,9 @@ tests check them against a numeric maximization of omega(L).
 The module also evaluates the two explicit sequences that pin down the
 essential spectrum: a Weyl sequence of cut-off plane waves deep inside the
 exterior region, and the matrix identities behind the singular sequence that
-travels along the shell.
+travels along the shell.  The Weyl norms and residuals are closed forms in
+the exact moments of the quintic cutoff chi, and so are the shell-aligned
+sequence's norm bounds; only its per-n norms are integrated numerically.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .model import (
     PhysParams,
     derived_constants,
     interface_matrices,
-    pauli,
-    sigma_dot,
 )
 
 __all__ = [
@@ -89,8 +89,8 @@ class TestFunctionFamily:
 
     @property
     def d(self) -> float:
-        """Half-height L tan(omega) of the wedge at the far end x = 2L... of
-        the strip midline; the plateau of g extends to 2d."""
+        """Half-height L tan(omega) of the wedge at the near end x = L; the
+        plateau 2d is the half-height at x = 2L."""
         return self.L * math.tan(self.params.omega)
 
     @property
@@ -320,8 +320,8 @@ def smoothstep_cutoff(s):
     """C^2 radial cutoff: 1 on [0, 1/2], quintic smoothstep down to 0 at 1.
 
     A polynomial profile instead of a C-infinity bump: only the first two
-    derivatives enter the residual bounds, and polynomials integrate exactly
-    against Gauss rules.
+    derivatives enter the residual bounds, and the moments below are exact
+    rationals.
     """
     s = np.asarray(s, dtype=float)
     q = np.clip(2.0 * s - 1.0, 0.0, 1.0)
@@ -334,93 +334,45 @@ def smoothstep_cutoff_prime(s):
     return -2.0 * 30.0 * q * q * (1.0 - q) ** 2
 
 
+# Exact moments of the cutoff over [0, 1]: chi^2, chi^2 s and chi'^2 s.
+_CHI_SQ = 643.0 / 924.0
+_CHI_SQ_S = 151.0 / 616.0
+_CHI_PRIME_SQ_S = 15.0 / 7.0
+
+
 def weyl_center(n: int) -> np.ndarray:
-    """Center (-1 - n^2, 0) of the n-th cut-off plane wave."""
+    """Center (-1 - n^2, 0) of the n-th cut-off plane wave.
+
+    Its support, the disk of radius n around this center, lies in x < 0,
+    and both rays lie in x >= 0 for every omega <= pi/2, so the support
+    never meets the shell.
+    """
     return np.array([-1.0 - float(n * n), 0.0])
 
 
-def _ray_distance(point: np.ndarray, direction: np.ndarray) -> float:
-    t = float(point @ direction)
-    if t <= 0.0:
-        return float(np.hypot(*point))
-    return float(np.hypot(*(point - t * direction)))
-
-
-def _weyl_quadrature(p: PhysParams, lam: float, n: int):
+def _weyl_spinor_sq(p: PhysParams, lam: float, n: int) -> float:
+    """|w|^2 = 2 lam (lam + m) for w = (k sigma_1 + m sigma_3 + lam) e_1."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if abs(lam) <= p.m:
         raise ValueError(f"need |lambda| > m for a free wave, got {lam}")
-    k = math.sqrt(lam * lam - p.m * p.m)
-    zeta = np.array([1.0, 0.0], dtype=complex)
-    wspin = (k * pauli(1) + p.m * pauli(3) + lam * pauli(0)) @ zeta
-    center = weyl_center(int(n))
-
-    w = p.omega
-    for ray in ((math.cos(w), math.sin(w)), (math.cos(w), -math.sin(w))):
-        if _ray_distance(center, np.asarray(ray)) <= float(n):
-            raise RuntimeError(
-                f"support of the n={n} element touches the shell; "
-                f"center {center} is misplaced"
-            )
-
-    dc = derived_constants(p)
-    cell = 1.0 / max(abs(lam), abs(dc.kappa0), 1.0)
-    # Radial cells aligned to the cutoff breakpoints r = n/2 and r = n keep
-    # the integrand polynomial per cell, so 16-node Gauss is exact.
-    bounds = []
-    for lo, hi in ((0.0, 0.5 * n), (0.5 * n, 1.0 * n)):
-        m_cells = max(2, int(math.ceil((hi - lo) / cell)))
-        bounds.extend(np.linspace(lo, hi, m_cells + 1)[:-1])
-    bounds.append(float(n))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-
-    rho = []
-    rho_w = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rho.extend(mid + half * gl_x)
-        rho_w.extend(half * gl_w)
-    rho = np.asarray(rho)
-    rho_w = np.asarray(rho_w)
-    n_phi = 64
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    phi_w = 2.0 * np.pi / n_phi
-
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    x1 = center[0] + rho[:, None] * cphi[None, :]
-    chi = smoothstep_cutoff(rho / n)[:, None]
-    chip = smoothstep_cutoff_prime(rho / n)[:, None]
-    phase = np.exp(1j * k * x1)
-
-    psi = (1.0 / n) * chi[..., None] * phase[..., None] * wspin
-    # sigma . grad psi = (chi'/n) (sigma . rho_hat) w + i k chi sigma_1 w,
-    # all under the common (1/n) e^{i k x1} factor.
-    sig_rh_w = np.empty((n_phi, 2), dtype=complex)
-    for j in range(n_phi):
-        sig_rh_w[j] = sigma_dot((cphi[j], sphi[j])) @ wspin
-    s1w = pauli(1) @ wspin
-    grad_part = (chip / n)[..., None] * sig_rh_w[None, :, :] \
-        + 1j * k * chi[..., None] * s1w
-    m3l = (p.m * pauli(3) - lam * pauli(0)) @ wspin
-    res = (1.0 / n) * phase[..., None] * (-1j * grad_part
-                                          + chi[..., None] * m3l)
-
-    meas = (rho * rho_w)[:, None] * phi_w
-    norm_sq = float(np.sum(meas * np.sum(np.abs(psi) ** 2, axis=-1)))
-    res_sq = float(np.sum(meas * np.sum(np.abs(res) ** 2, axis=-1)))
-    return norm_sq, res_sq
+    return 2.0 * lam * (lam + p.m)
 
 
 def weyl_norm_sq(p: PhysParams, lam: float, n: int) -> float:
-    """||psi_n||^2 by quadrature (constant in n up to roundoff)."""
-    return _weyl_quadrature(p, lam, n)[0]
+    """||psi_n||^2 = 2 pi |w|^2 int_0^1 chi^2 s ds, the same for every n."""
+    return 2.0 * math.pi * _weyl_spinor_sq(p, lam, n) * _CHI_SQ_S
 
 
 def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
-    """||(S - lambda) psi_n|| / ||psi_n||; decays like 1/n."""
-    norm_sq, res_sq = _weyl_quadrature(p, lam, n)
-    return math.sqrt(res_sq / norm_sq)
+    """||(S - lambda) psi_n|| / ||psi_n|| = sqrt(1320/151) / n.
+
+    (k sigma_1 + m sigma_3 - lambda) w = 0 cancels the plane-wave part, so
+    (S - lambda) psi_n = -(i/n^2) chi'(r/n) (sigma . r_hat) w e^{i k x_1}
+    and the ratio is sqrt(int chi'^2 s ds / int chi^2 s ds) / n.
+    """
+    _weyl_spinor_sq(p, lam, n)
+    return math.sqrt(_CHI_PRIME_SQ_S / _CHI_SQ_S) / n
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +414,16 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     s2w = math.sin(2.0 * p.omega)
     c = 2.0 / s2w if s2w > 1e-12 else 1.0
 
-    # chi^2 integral over one unit of the longitudinal cutoff.
-    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
-    def _chi_sq_integral(lo, hi):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        s = mid + half * gl_x
-        return float(np.sum(half * gl_w * smoothstep_cutoff(np.abs(s)) ** 2))
-    chi_sq = _chi_sq_integral(-1.0, 1.0)
-
+    # chi^2 over one unit of the longitudinal cutoff, and the transverse
+    # |v|^2 = |a|^2 e^{-2 z zeta} above the shell, |b|^2 e^{2 z zeta} below
+    # it, integrated over [-l, l] for l = 1/c and 60/z
+    chi_sq = 2.0 * _CHI_SQ
     na, nb = float(np.sum(np.abs(avec) ** 2)), float(np.sum(np.abs(bvec) ** 2))
+    c_lower, c_upper = (
+        chi_sq * (na + nb) * (1.0 - math.exp(-2.0 * z * ell)) / (2.0 * z)
+        for ell in (1.0 / c, 60.0 / z))
 
-    def _v_sq_integral(x0, x1):
-        # integral of |v|^2 over [x0, x1], closed form per side
-        def one_side(a_, b_):
-            # int_a^b exp(-2 z t) dt with t >= 0 weight na, t <= 0 weight nb
-            total = 0.0
-            if b_ > 0.0:
-                lo_, hi_ = max(a_, 0.0), b_
-                if hi_ > lo_:
-                    total += na * (math.exp(-2.0 * z * lo_)
-                                   - math.exp(-2.0 * z * hi_)) / (2.0 * z)
-            if a_ < 0.0:
-                lo_, hi_ = a_, min(b_, 0.0)
-                if hi_ > lo_:
-                    total += nb * (math.exp(2.0 * z * hi_)
-                                   - math.exp(2.0 * z * lo_)) / (2.0 * z)
-            return total
-        return one_side(x0, x1)
-
-    c_upper = chi_sq * _v_sq_integral(-60.0 / z, 60.0 / z)
-    c_lower = chi_sq * _v_sq_integral(-1.0 / c, 1.0 / c)
-
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
     norms: dict[int, float] = {}
     for n in ns:
         x_c = float(n * n + 1)

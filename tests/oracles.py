@@ -196,17 +196,12 @@ def fem_complex_pencil(tau: float, m: float, omega: float, mesh):
     matrices: u_minus = M u_plus on each ray, zero at the corner and on the
     outer boundary.
     """
-    from diracwedge.fem.assembly import (_jump_matrix, _scalar_element_matrices,
-                                         _scatter_spinor)
+    from diracwedge.fem.assembly import _full_matrices
     from diracwedge.fem.mesh import SIDE_LEFT
     from diracwedge.model import PhysParams
 
-    p = PhysParams(tau=tau, m=m, omega=omega)
     n = mesh.n_dofs
-    k_loc, m_loc = _scalar_element_matrices(mesh)
-    mass = _scatter_spinor(mesh.triangles, m_loc, n).tocsr()
-    a_full = (_scatter_spinor(mesh.triangles, k_loc, n) + m * m * mass
-              + _jump_matrix(p, mesh)).tocsr()
+    a_full, mass = _full_matrices(PhysParams(tau=tau, m=m, omega=omega), mesh)
 
     m_l = _shell_matrix(tau, (-math.sin(omega), math.cos(omega)))
     m_r = _shell_matrix(tau, (-math.sin(omega), -math.cos(omega)))
@@ -358,22 +353,34 @@ def critical_angle_numeric(tau: float, m: float, N: int) -> tuple[float, float]:
 # exact cutoff moments (rational arithmetic)
 # ---------------------------------------------------------------------------
 
-def chi_sq_moments() -> tuple[float, float]:
-    """(int_0^1 chi^2 ds, int_0^1 chi^2 s ds) for the quintic cutoff, exact.
+def chi_sq_moments() -> tuple[float, float, float]:
+    """(int_0^1 chi^2 ds, int_0^1 chi^2 s ds, int_0^1 chi'^2 s ds) for the
+    quintic cutoff, exact.
 
     chi = 1 on [0, 1/2]; chi(s) = 1 - S(2s - 1) beyond, with the smoothstep
     S(q) = 10 q^3 - 15 q^4 + 6 q^5.
     """
-    # (1 - S)^2 as exact polynomial coefficients in q
-    one_minus_s = [Fraction(1), Fraction(0), Fraction(0),
-                   Fraction(-10), Fraction(15), Fraction(-6)]
-    sq = [Fraction(0)] * 11
-    for i, ci in enumerate(one_minus_s):
-        for j, cj in enumerate(one_minus_s):
-            sq[i + j] += ci * cj
-    int_q = sum(c / (k + 1) for k, c in enumerate(sq))            # int_0^1 dq
-    int_qq = sum(c / (k + 2) for k, c in enumerate(sq))           # int q dq
+    def square(coeffs):
+        sq = [Fraction(0)] * (2 * len(coeffs) - 1)
+        for i, ci in enumerate(coeffs):
+            for j, cj in enumerate(coeffs):
+                sq[i + j] += ci * cj
+        return sq
+
+    def moments(sq):
+        # (int_0^1 P dq, int_0^1 q P dq) of a polynomial in q
+        return (sum(c / (k + 1) for k, c in enumerate(sq)),
+                sum(c / (k + 2) for k, c in enumerate(sq)))
+
+    # (1 - S)^2 and S'^2 as exact polynomial coefficients in q
+    int_q, int_qq = moments(square([Fraction(1), Fraction(0), Fraction(0),
+                                    Fraction(-10), Fraction(15),
+                                    Fraction(-6)]))
     m0 = Fraction(1, 2) + Fraction(1, 2) * int_q
     # s = (q+1)/2, ds = dq/2 on the ramp
     m1 = Fraction(1, 8) + Fraction(1, 4) * (int_qq + int_q)
-    return float(m0), float(m1)
+    # chi'(s) = -2 S'(q) vanishes on [0, 1/2]; chi'^2 s ds = S'^2 (q+1) dq
+    dp_q, dp_qq = moments(square([Fraction(0), Fraction(0), Fraction(30),
+                                  Fraction(-60), Fraction(30)]))
+    m2 = dp_qq + dp_q                                             # 15/7
+    return float(m0), float(m1), float(m2)

@@ -86,7 +86,7 @@ def test_fem_mesh_error_exits_2(capsys):
         "diracwedge fem-count: h=5.0 cannot resolve the wedge opening")
 
 
-def test_scalar_subcommands_load_no_scipy_sparse():
+def test_scalar_subcommands_load_no_scipy_sparse(child_env):
     """Only the subcommands that need scipy load it: the closed-form and
     scalar ones none of it, deficiency scipy.special and no FEM layer."""
     code = """
@@ -109,7 +109,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 run("deficiency", "--tau", "-1", "--r", "1.5")
 print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
 """
-    out = subprocess.run([sys.executable, "-c", code],
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "True False"]
 
@@ -328,16 +328,16 @@ def test_sweep_rows_follow_grid(tmp_path):
     assert points == [(t, m) for t in (-1.0, -2.5, -4.0) for m in (1.0, 2.0)]
 
 
-def test_streams_separate_data_from_diagnostics():
+def test_streams_separate_data_from_diagnostics(child_env):
     """Data goes to stdout, errors to stderr, through the real entry point."""
     ok = subprocess.run(
         [sys.executable, "-m", "diracwedge.cli", "gap", "--tau", "-1"],
-        capture_output=True, text=True)
+        env=child_env, capture_output=True, text=True)
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["result"]["eps_tau"] == 0.6
     bad = subprocess.run(
         [sys.executable, "-m", "diracwedge.cli", "gap", "--tau", "2"],
-        capture_output=True, text=True)
+        env=child_env, capture_output=True, text=True)
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert "tau" in bad.stderr

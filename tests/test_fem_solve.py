@@ -106,8 +106,9 @@ def test_repulsive_count_is_zero_threshold_m_sq():
 
 
 def test_unknown_mesh_option_rejected():
-    with pytest.raises(ValueError):
-        count_bound_states(P_ATTR, mesh_opts={"kind": "disk", "hmax": 0.5})
+    for opts in ({"kind": "disk", "hmax": 0.5}, {"kind": "strip", "N": 2}):
+        with pytest.raises(ValueError):
+            count_bound_states(P_ATTR, mesh_opts=opts)
 
 
 def test_report_serializes_to_json():

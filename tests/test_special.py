@@ -66,14 +66,14 @@ def test_bessel_rejects_bad_arguments():
         bessel_k(7.0, 1.0)
 
 
-def test_import_leaves_scipy_special_unloaded():
+def test_import_leaves_scipy_special_unloaded(child_env):
     # kv is imported on first use and the FEM layer on first access, so
     # importing the package or the CLI pays for none of these scipy modules
     for module in ("diracwedge", "diracwedge.cli"):
         code = (f"import sys, {module}; print(sorted(m for m in "
                 "('scipy.special', 'scipy.sparse', 'scipy.io') "
                 "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code],
+        out = subprocess.run([sys.executable, "-c", code], env=child_env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]", module
 

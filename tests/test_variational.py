@@ -262,11 +262,13 @@ def test_cutoff_shape_and_derivative():
 
 
 def test_cutoff_moments_match_exact_rationals():
-    m0, m1 = chi_sq_moments()
+    m0, m1, m2 = chi_sq_moments()
     s = np.linspace(0.0, 1.0, 200001)
     chi2 = smoothstep_cutoff(s) ** 2
     assert np.trapezoid(chi2, s) == pytest.approx(m0, abs=1e-11)
     assert np.trapezoid(chi2 * s, s) == pytest.approx(m1, abs=1e-11)
+    dchi2 = smoothstep_cutoff_prime(s) ** 2
+    assert np.trapezoid(dchi2 * s, s) == pytest.approx(m2, abs=1e-11)
 
 
 def test_weyl_supports_disjoint():
@@ -277,15 +279,16 @@ def test_weyl_supports_disjoint():
 
 
 def test_weyl_norm_constancy_and_value():
-    p = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
-    lam = 1.5
-    k_sq = lam * lam - 1.0
-    _, m1 = chi_sq_moments()
-    predicted = 2.0 * math.pi * m1 * ((1.0 + lam) ** 2 + k_sq)
-    norms = [weyl_norm_sq(p, lam, n) for n in (4, 8, 16)]
-    for v in norms:
-        assert v == pytest.approx(predicted, rel=1e-12)
-    assert max(norms) - min(norms) <= 1e-8 * norms[0]
+    _, m1, _ = chi_sq_moments()
+    for m, lam in ((1.0, 1.5), (1.0, -1.5), (0.7, 1.5), (0.7, -1.5)):
+        p = PhysParams(tau=-1.0, m=m, omega=math.pi / 4.0)
+        k_sq = lam * lam - m * m
+        # |w|^2 for w = (k sigma_1 + m sigma_3 + lam) e_1 = (m + lam, k)
+        predicted = 2.0 * math.pi * m1 * ((m + lam) ** 2 + k_sq)
+        norms = [weyl_norm_sq(p, lam, n) for n in (4, 8, 16)]
+        for v in norms:
+            assert v == pytest.approx(predicted, rel=1e-12)
+        assert max(norms) - min(norms) <= 1e-8 * norms[0]
 
 
 def test_weyl_residual_decays_like_one_over_n():
@@ -294,12 +297,20 @@ def test_weyl_residual_decays_like_one_over_n():
     res = {n: weyl_residual(p, lam, n) for n in (4, 8, 16, 32)}
     for n in (4, 8, 16):
         assert res[2 * n] / res[n] <= 0.7
+    _, m1, m2 = chi_sq_moments()
+    for n, r in res.items():
+        assert r == pytest.approx(math.sqrt(m2 / m1) / n, rel=1e-12)
 
 
 def test_weyl_rejects_subcritical_lambda():
     p = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
     with pytest.raises(ValueError):
         weyl_norm_sq(p, 0.5, 4)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError):
+            weyl_norm_sq(p, 1.5, n)
+        with pytest.raises(ValueError):
+            weyl_residual(p, 1.5, n)
 
 
 # ---------------------------------------------------------------------------
