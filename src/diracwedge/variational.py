@@ -435,7 +435,10 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
                 raise RuntimeError(
                     f"n={n} support touches the second ray; widen c"
                 )
-        zeta_cells = np.linspace(-half_z, half_z, 2 * max(8, int(8 * half_z)) + 1)
+        # a multiple of 4 cells puts the kinks of chi at +-half_z/2 and of
+        # v at 0 on cell edges, so each Gauss cell sees a smooth integrand
+        n_cells = 4 * max(4, (int(8 * half_z) + 1) // 2)
+        zeta_cells = np.linspace(-half_z, half_z, n_cells + 1)
         acc = 0.0
         for lo, hi in zip(zeta_cells[:-1], zeta_cells[1:]):
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -121,6 +121,15 @@ def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
     return float(vals[0])
 
 
+def secular_det_matrix(p, lams) -> np.ndarray:
+    """det T(lambda) as np.linalg.det of the stacked 4x4 matching matrices
+    (complex): a route independent of the closed form in ``secular_det``."""
+    from diracwedge.spin_orbit import secular_matrix
+
+    return np.linalg.det(np.stack([secular_matrix(p, lam)
+                                   for lam in np.atleast_1d(lams)]))
+
+
 # ---------------------------------------------------------------------------
 # 1-D transverse comparison oracle
 # ---------------------------------------------------------------------------

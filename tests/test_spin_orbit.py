@@ -15,7 +15,7 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
-from oracles import spin_orbit_eigenvalue_near
+from oracles import secular_det_matrix, spin_orbit_eigenvalue_near
 
 RNG = np.random.default_rng(11)
 
@@ -56,21 +56,33 @@ def test_secular_matrix_encodes_matching():
 
 def test_secular_det_closed_form():
     """det T(lam) = 2 - 2a^2 cos(2 pi mu) - 2(a^2 - 1) cos((2pi - 4w) mu - 2w),
-    mu = lam - 1/2, a = (4 + tau^2)/(4 - tau^2): real, and even in tau."""
+    mu = lam - 1/2, a = (4 + tau^2)/(4 - tau^2): real, and equal to the
+    determinant of the 4x4 matching matrix."""
     rng = np.random.default_rng(20230)
     lams = rng.uniform(-10.0, 10.0, 50)
-    mu = lams - 0.5
     worst = 0.0
     for _ in range(500):
         tau = rng.uniform(-6.0, 6.0)
         w = rng.uniform(1e-3, math.pi / 2.0 - 1e-3)
         p = PhysParams(tau=tau, m=rng.uniform(0.1, 5.0), omega=w)
         a2 = ((4.0 + tau * tau) / (4.0 - tau * tau)) ** 2
-        closed = (2.0 - 2.0 * a2 * np.cos(2.0 * np.pi * mu)
-                  - 2.0 * (a2 - 1.0) * np.cos((2.0 * np.pi - 4.0 * w) * mu
-                                               - 2.0 * w))
-        err = np.max(np.abs(secular_det(p, lams) - closed)) / max(1.0, a2)
+        got = secular_det(p, lams)
+        assert got.dtype == np.float64
+        err = np.max(np.abs(got - secular_det_matrix(p, lams))) / max(1.0, a2)
         worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_window_roots_are_null_points_of_matching_matrix():
+    """Every root the scan keeps on criterion 2's grid makes the 4x4
+    matching matrix singular: s_min / s_max <= 1e-12."""
+    worst = 0.0
+    for tau in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0):
+        for omega in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0):
+            p = PhysParams(tau=tau, m=1.0, omega=omega)
+            for root in spectrum_in_window(p, -3.0, 3.0):
+                s = np.linalg.svd(secular_matrix(p, root.lam), compute_uv=False)
+                worst = max(worst, s[-1] / s[0])
     assert worst <= 1e-12
 
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from diracwedge.model import ParameterError, PhysParams, derived_constants
+from diracwedge.model import (ParameterError, PhysParams, derived_constants,
+                              interface_matrices)
 from diracwedge.variational import (
     angle_for_length,
     bound_state_certificate,
@@ -327,6 +329,32 @@ def test_singular_sequence_report():
     for v in rep.norm_sq.values():
         assert rep.c_lower <= v <= rep.c_upper
     assert 0.0 < rep.c_lower < rep.c_upper
+
+
+@pytest.mark.parametrize("omega", [1.2, 0.5])
+def test_singular_sequence_norms_match_split_quad(omega):
+    """Each per-n norm is 2 int chi^2 times the zeta integral of
+    chi(|c zeta / n|)^2 |v|^2, here by quad split at the kinks -h/2, 0, h/2."""
+    p = PhysParams(tau=-1.0, m=1.0, omega=omega)
+    ns = tuple(range(2, 9))
+    rep = singular_seq_identities(p, ns=ns)
+    m_l = interface_matrices(p)[0].entries
+    nb = float(np.sum(np.abs(m_l[:, 0]) ** 2))
+    z = -4.0 * p.m * p.tau / (p.tau ** 2 + 4.0)
+    c = 2.0 / math.sin(2.0 * omega)
+    chi_sq = 2.0 * chi_sq_moments()[0]
+    for n in ns:
+        h = n / c
+
+        def f(zt):
+            vsq = (math.exp(-2.0 * z * zt) if zt >= 0.0
+                   else nb * math.exp(2.0 * z * zt))
+            return float(smoothstep_cutoff(abs(c * zt / n))) ** 2 * vsq
+
+        cuts = (-h, -h / 2.0, 0.0, h / 2.0, h)
+        ref = chi_sq * sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                           for a, b in zip(cuts, cuts[1:]))
+        assert rep.norm_sq[n] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_singular_sequence_other_strengths():
