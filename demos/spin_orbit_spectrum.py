@@ -47,7 +47,7 @@ for lam, d in zip(lams, secular_det(p, lams)):
 print()
 
 # eigenfunction: check the matching condition it was built to satisfy
-m_l = interface_matrices(p)[0].entries
+m_l = interface_matrices(p)[0]
 w = p.omega
 inside = angular_profile(p, root, w - 1e-13)
 outside = angular_profile(p, root, w + 1e-13)

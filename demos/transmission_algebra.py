@@ -34,14 +34,14 @@ print("  c_tau    = %.15g   |(M - I) e|^2, the squared jump (=20/9)" % dc.c_tau)
 print()
 
 m_l, m_r = interface_matrices(p)
-print("restriction to the upper ray (normal %s):" % (m_l.normal,))
-print(np.array_str(m_l.entries, precision=6, suppress_small=True))
-print("restriction to the lower ray (normal %s):" % (m_r.normal,))
-print(np.array_str(m_r.entries, precision=6, suppress_small=True))
+print("restriction to the upper ray (normal (-sin w, cos w)):")
+print(np.array_str(m_l, precision=6, suppress_small=True))
+print("restriction to the lower ray (normal (-sin w, -cos w)):")
+print(np.array_str(m_r, precision=6, suppress_small=True))
 print()
 
 s0, s3 = pauli(0), pauli(3)
-m = m_l.entries
+m = m_l
 print("identities (max entrywise residual)")
 print("  det M - 1                : %.2e" % abs(np.linalg.det(m) - 1.0))
 print("  M - M*                   : %.2e" % np.max(np.abs(m - m.conj().T)))
@@ -52,12 +52,12 @@ print()
 
 # The rotation Theta turns every M(nu) into the same real diagonal matrix.
 nu = (0.6, 0.8)
-m_nu = transmission_matrix(p, nu).entries
+m_nu = transmission_matrix(p, nu)
 m_tilde, theta = special_matrices(p, nu)
 print("diagonalization at nu = %s" % (nu,))
 print("  M_tilde = diag(%g, %g); residual of Theta* M Theta - M_tilde: %.2e"
-      % (m_tilde.entries[0, 0].real, m_tilde.entries[1, 1].real,
-         np.max(np.abs(theta.conj().T @ m_nu @ theta - m_tilde.entries))))
+      % (m_tilde[0, 0].real, m_tilde[1, 1].real,
+         np.max(np.abs(theta.conj().T @ m_nu @ theta - m_tilde))))
 print()
 print("The eigenvalue pair (3, 1/3) is reciprocal because det M = 1; the")
 print("whole interaction strength sits in how far the pair spreads from 1.")

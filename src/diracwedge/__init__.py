@@ -20,7 +20,6 @@ from .model import (
     DerivedConstants,
     ParameterError,
     PhysParams,
-    TransmissionMatrix,
     charge_conjugate,
     derived_constants,
     interface_matrices,
@@ -39,7 +38,7 @@ from .spin_orbit import (
     spectrum_in_window,
 )
 from .special import bessel_k, deficiency_element
-from .aux1d import Aux1DResult, BracketError, ground_state, secular_f
+from .aux1d import Aux1DResult, ground_state, secular_f
 from .variational import (
     EnergyBreakdown,
     SingularSeqReport,
@@ -60,14 +59,14 @@ from .variational import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivedConstants", "ParameterError", "PhysParams", "TransmissionMatrix",
-    "charge_conjugate", "derived_constants", "interface_matrices", "pauli",
-    "sigma_dot", "special_matrices", "transmission_matrix",
+    "DerivedConstants", "ParameterError", "PhysParams", "charge_conjugate",
+    "derived_constants", "interface_matrices", "pauli", "sigma_dot",
+    "special_matrices", "transmission_matrix",
     "NoRootFound", "SpinOrbitRoot", "angular_profile",
     "principal_eigenvalue", "secular_det", "secular_matrix",
     "spectrum_in_window",
     "bessel_k", "deficiency_element",
-    "Aux1DResult", "BracketError", "ground_state", "secular_f",
+    "Aux1DResult", "ground_state", "secular_f",
     "EnergyBreakdown", "SingularSeqReport",
     "TestFunctionFamily", "angle_for_length", "bound_state_certificate",
     "critical_angle_closed", "critical_angle_maximize", "energy_breakdown",

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 from .model import ParameterError, PhysParams, derived_constants
 
-__all__ = ["BracketError", "Aux1DResult", "secular_f", "ground_state"]
-
-_BISECT_TOL = 1e-13
-
-
-class BracketError(RuntimeError):
-    """The secular bracket failed to enclose a root (bad kappa0)."""
+__all__ = ["Aux1DResult", "secular_f", "ground_state"]
 
 
 @dataclass(frozen=True)
@@ -38,9 +32,9 @@ class Aux1DResult:
 
 def secular_f(k: float, gamma: float) -> float:
     """F_gamma(k) = k tanh(k gamma); strictly increasing in k >= 0."""
-    if k < 0.0:
+    if not k >= 0.0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return k * math.tanh(k * gamma)
 
@@ -48,36 +42,26 @@ def secular_f(k: float, gamma: float) -> float:
 def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
     """Solve F_gamma(k) = kappa0 and return (gamma, k_gamma, E_gamma).
 
-    Bisection on [kappa0, kappa0 + 10 m + 10/gamma] (expanded if needed),
-    then a single Newton polish; tanh(k gamma) < 1 forces k_gamma > kappa0,
-    so the lower end is a strict bracket.
+    Bisection on [kappa0, kappa0 + 1/gamma] down to adjacent floats, then a
+    single Newton polish.  tanh(k gamma) < 1 forces k_gamma > kappa0, and
+    tanh x >= x/(1 + x) gives F_gamma(kappa0 + 1/gamma) > kappa0, so the
+    bracket always holds the root.
     """
     if p.tau >= 0.0:
         raise ParameterError("strip ground state is defined for tau < 0")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     kap = derived_constants(p).kappa0
 
-    lo = kap
-    hi = kap + 10.0 * p.m + 10.0 / gamma
-    f_hi = secular_f(hi, gamma) - kap
-    grow = 0
-    while f_hi <= 0.0:
-        hi *= 2.0
-        f_hi = secular_f(hi, gamma) - kap
-        grow += 1
-        if grow > 60:
-            raise BracketError(
-                f"no sign change on [{kap}, {hi}] for gamma={gamma}, "
-                f"kappa0={kap}"
-            )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if secular_f(mid, gamma) - kap > 0.0:
+    lo, hi = kap, kap + 1.0 / gamma
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if secular_f(mid, gamma) > kap:
             hi = mid
         else:
             lo = mid
-    k = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    k = mid
     # One Newton step squeezes out the last bisection digit.
     th = math.tanh(k * gamma)
     fprime = th + k * gamma * (1.0 - th * th)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .aux1d import BracketError, ground_state
+from .aux1d import ground_state
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
 from .spin_orbit import NoRootFound, principal_eigenvalue, spectrum_in_window
@@ -422,7 +422,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (NoRootFound, _FemFailure, BracketError) as exc:
+    except (NoRootFound, _FemFailure) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, ValueError) as exc:

@@ -126,7 +126,7 @@ def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
     """
     m_l, m_r = interface_matrices(p)
     side_mat = np.empty((2, 2, 2))
-    for side, m in ((SIDE_LEFT, m_l.entries), (SIDE_RIGHT, m_r.entries)):
+    for side, m in ((SIDE_LEFT, m_l), (SIDE_RIGHT, m_r)):
         if not np.all(np.isfinite(m)):
             raise ParameterError("transmission matrix not finite; bad tau")
         side_mat[side] = (_U.conj().T @ m @ _U).real

@@ -5,7 +5,8 @@ Lorentz-scalar shell interaction of strength ``tau`` supported on a broken
 line: the boundary of the infinite wedge of half opening angle ``omega``
 around the positive x-axis.  The interaction is encoded entirely in a 2x2
 matrix-valued transmission condition ``u_minus = M u_plus`` across the two
-rays.  Every other module consumes the constants and matrices built here.
+rays; M is returned as a plain (2, 2) complex array.  Every other module
+consumes the constants and matrices built here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "ParameterError",
     "PhysParams",
     "DerivedConstants",
-    "TransmissionMatrix",
     "pauli",
     "sigma_dot",
     "transmission_matrix",
@@ -126,41 +126,26 @@ def derived_constants(p: PhysParams) -> DerivedConstants:
                             kappa_tau=kappa, c_tau=c)
 
 
-@dataclass(frozen=True)
-class TransmissionMatrix:
-    """A 2x2 transmission matrix together with the normal it was built from.
-
-    ``normal`` is None for derived matrices that no longer carry a direction
-    (the diagonalized form M_tilde).
-    """
-
-    entries: np.ndarray
-    normal: tuple[float, float] | None
-
-    @property
-    def inv(self) -> np.ndarray:
-        # sigma_3 M sigma_3 = M^{-1}; cheaper and exacter than a solve.
-        s3 = _SIGMA[3]
-        return s3 @ self.entries @ s3
-
-
-def transmission_matrix(p: PhysParams, nu, *, invert: bool = False) -> TransmissionMatrix:
-    """Transmission matrix M(nu) = a sigma_0 + b i sigma_3 (sigma . nu).
-
-    With ``invert=True`` the sign of the b-term flips, which produces the
-    inverse matrix (the transmission condition read in the other direction).
-    """
+def _unit_normal(nu) -> tuple[float, float]:
     nu1, nu2 = float(nu[0]), float(nu[1])
     norm = math.hypot(nu1, nu2)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ParameterError(f"normal must be a unit vector, |nu| = {norm}")
+    return nu1, nu2
+
+
+def transmission_matrix(p: PhysParams, nu) -> np.ndarray:
+    """Transmission matrix M(nu) = a sigma_0 + b i sigma_3 (sigma . nu), (2, 2).
+
+    M(-nu) = sigma_3 M(nu) sigma_3 = M(nu)^{-1}: the condition read in the
+    other direction is the matrix of the opposite normal.
+    """
+    nu = _unit_normal(nu)
     dc = derived_constants(p)
-    b = -dc.b if invert else dc.b
-    entries = dc.a * _SIGMA[0] + b * 1.0j * (_SIGMA[3] @ sigma_dot((nu1, nu2)))
-    return TransmissionMatrix(entries=entries, normal=(nu1, nu2))
+    return dc.a * _SIGMA[0] + dc.b * 1.0j * (_SIGMA[3] @ sigma_dot(nu))
 
 
-def interface_matrices(p: PhysParams) -> tuple[TransmissionMatrix, TransmissionMatrix]:
+def interface_matrices(p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """Restrictions (M_l, M_r) of M to the upper and lower rays.
 
     The upper ray runs at angle +omega with outward normal (-sin w, cos w),
@@ -173,21 +158,16 @@ def interface_matrices(p: PhysParams) -> tuple[TransmissionMatrix, TransmissionM
     return m_l, m_r
 
 
-def special_matrices(p: PhysParams, nu) -> tuple[TransmissionMatrix, np.ndarray]:
+def special_matrices(p: PhysParams, nu) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalized transmission matrix M_tilde and the rotation Theta.
 
     Theta = (sigma_0 + i sigma.nu)/sqrt(2) is unitary and satisfies
     Theta* M(nu) Theta = M_tilde = a sigma_0 - b sigma_3, which is diagonal,
     real, and independent of nu.
     """
-    nu1, nu2 = float(nu[0]), float(nu[1])
-    norm = math.hypot(nu1, nu2)
-    if abs(norm - 1.0) > 1e-12:
-        raise ParameterError(f"normal must be a unit vector, |nu| = {norm}")
     dc = derived_constants(p)
-    theta = (_SIGMA[0] + 1.0j * sigma_dot((nu1, nu2))) / math.sqrt(2.0)
-    m_tilde = dc.a * _SIGMA[0] - dc.b * _SIGMA[3]
-    return TransmissionMatrix(entries=m_tilde, normal=None), theta
+    theta = (_SIGMA[0] + 1.0j * sigma_dot(_unit_normal(nu))) / math.sqrt(2.0)
+    return dc.a * _SIGMA[0] - dc.b * _SIGMA[3], theta
 
 
 def charge_conjugate(u: np.ndarray) -> np.ndarray:

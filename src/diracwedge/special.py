@@ -35,7 +35,7 @@ def bessel_k(nu: float, x: float) -> float:
 
     x = float(x)
     nu = abs(float(nu))
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"argument must be positive, got x={x}")
     if nu > _NU_MAX:
         raise ValueError(f"order out of supported range, |nu|={nu} > {_NU_MAX}")
@@ -52,7 +52,7 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     if root is None:
         root = principal_eigenvalue(p)

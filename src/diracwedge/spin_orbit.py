@@ -73,35 +73,22 @@ class SpinOrbitRoot:
     coefficients: np.ndarray  # (multiplicity, 4) complex
 
 
-def _secular_batch(p: PhysParams, lams: np.ndarray) -> np.ndarray:
-    """T(lambda) for a whole batch of spectral parameters, shape (n, 4, 4)."""
-    m_l, m_r = interface_matrices(p)
-    ml, mr = m_l.entries, m_r.entries
+def _secular_t(p: PhysParams, lam: float) -> np.ndarray:
+    """T(lambda), (4, 4) complex, in the coefficient order (A, B, C, D)."""
+    ml, mr = interface_matrices(p)
     w = p.omega
-    mu = np.asarray(lams, dtype=float) - 0.5
-    ew = np.exp(1j * mu * w)           # e^{i mu omega}
-    emw = np.exp(-1j * mu * w)
+    mu = float(lam) - 0.5
+    ew, emw = np.exp(1j * mu * w), np.exp(-1j * mu * w)   # e^{+-i mu omega}
     efar = np.exp(1j * mu * (2.0 * np.pi - w))   # e^{i mu (2pi - omega)}
     emfar = np.exp(-1j * mu * (2.0 * np.pi - w))
-
-    n = mu.shape[0]
-    t = np.zeros((n, 4, 4), dtype=complex)
-    # Matching at theta = omega: M_l phi_plus(omega) - phi_minus(omega) = 0.
-    t[:, 0, 0] = ml[0, 0] * ew
-    t[:, 0, 1] = ml[0, 1] * emw
-    t[:, 0, 2] = -ew
-    t[:, 1, 0] = ml[1, 0] * ew
-    t[:, 1, 1] = ml[1, 1] * emw
-    t[:, 1, 3] = -emw
-    # Matching at theta = 2pi - omega (= -omega on the wedge side):
-    # M_r phi_plus(-omega) - phi_minus(2pi - omega) = 0.
-    t[:, 2, 0] = mr[0, 0] * emw
-    t[:, 2, 1] = mr[0, 1] * ew
-    t[:, 2, 2] = -efar
-    t[:, 3, 0] = mr[1, 0] * emw
-    t[:, 3, 1] = mr[1, 1] * ew
-    t[:, 3, 3] = -emfar
-    return t
+    # Rows 0-1 match at theta = omega: M_l phi_plus(omega) = phi_minus(omega);
+    # rows 2-3 at theta = 2pi - omega (= -omega on the wedge side):
+    # M_r phi_plus(-omega) = phi_minus(2pi - omega).
+    coef = np.array([[*ml[0], -1.0, 0.0], [*ml[1], 0.0, -1.0],
+                     [*mr[0], -1.0, 0.0], [*mr[1], 0.0, -1.0]])
+    phase = np.array([[ew, emw, ew, 0.0], [ew, emw, 0.0, emw],
+                      [emw, ew, efar, 0.0], [emw, ew, 0.0, emfar]])
+    return coef * phase
 
 
 def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
@@ -109,7 +96,7 @@ def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
     (A, B, C, D)."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("secular problem requires omega < pi/2")
-    return _secular_batch(p, np.array([float(lam)]))[0]
+    return _secular_t(p, lam)
 
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:
@@ -172,8 +159,7 @@ def _newton_polish(p: PhysParams, lam: float, lo: float, hi: float) -> float:
 
 
 def _null_space(p: PhysParams, lam: float) -> tuple[int, np.ndarray, float]:
-    t = _secular_batch(p, np.array([lam]))[0]
-    u, s, vh = np.linalg.svd(t)
+    u, s, vh = np.linalg.svd(_secular_t(p, lam))
     mult = int(np.sum(s <= _SVD_MULT_CUT * s[0]))
     mult = max(mult, 1)
     vecs = vh[4 - mult:].conj()

@@ -102,7 +102,7 @@ def test_function_family(p: PhysParams, N: int, L: float,
                          coefficients=None) -> TestFunctionFamily:
     if N < 1 or int(N) != N:
         raise ParameterError(f"N must be a positive integer, got {N}")
-    if L <= 0.0:
+    if not L > 0.0:
         raise ParameterError(f"L must be positive, got {L}")
     if coefficients is None:
         c = np.ones(int(N), dtype=complex)
@@ -119,7 +119,7 @@ def _profile_vectors(p: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(h_in, h_above, h_below): the wedge profile and its transmitted images."""
     m_l, m_r = interface_matrices(p)
     e0 = np.array([1.0, 0.0], dtype=complex)
-    return e0, m_l.entries @ e0, m_r.entries @ e0
+    return e0, m_l @ e0, m_r @ e0
 
 
 def _f_and_fprime(fam: TestFunctionFamily, x: np.ndarray):
@@ -259,15 +259,15 @@ def _fgh(tau: float, N: int) -> tuple[float, float, float]:
 
 def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
     """The certificate angle omega(L) whose tangent zeroes the bound-gap
-    bracket at strip length L; negative means no certificate at this L."""
+    bracket at strip length L; negative means no certificate at this L.
+
+    tan omega(L) = (m^2 L^2 H - F) / ((2 N^2 pi^2 + m^2 L^2) G m L).
+    """
     _require_attractive(tau)
-    t2 = tau * tau
-    plus, minus = 4.0 + t2, 4.0 - t2
-    num = (N * N * math.pi ** 2 * plus ** 2 * (16.0 * t2 + plus ** 2)
-           - 8.0 * m * m * L * L * t2 * minus ** 2)
-    den = ((2.0 * N * N * math.pi ** 2 + m * m * L * L)
-           * (minus ** 2 + plus ** 2) * 4.0 * m * tau * L * plus)
-    return math.atan(num / den)
+    f, g, h = _fgh(tau, N)
+    mL2 = m * m * L * L
+    return math.atan((mL2 * h - f)
+                     / ((2.0 * N * N * math.pi ** 2 + mL2) * g * m * L))
 
 
 def _x_star(tau: float, N: int) -> tuple[float, float, float, float]:
@@ -354,7 +354,7 @@ def _weyl_spinor_sq(p: PhysParams, lam: float, n: int) -> float:
     """|w|^2 = 2 lam (lam + m) for w = (k sigma_1 + m sigma_3 + lam) e_1."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if abs(lam) <= p.m:
+    if not abs(lam) > p.m:
         raise ValueError(f"need |lambda| > m for a free wave, got {lam}")
     return 2.0 * lam * (lam + p.m)
 
@@ -399,7 +399,7 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     """
     _require_attractive(p.tau)
     tau, m = p.tau, p.m
-    m_l = interface_matrices(p)[0].entries
+    m_l = interface_matrices(p)[0]
     eye = np.eye(2)
     z = -4.0 * m * tau / (tau * tau + 4.0)
     coef = 8.0 * m * tau / (4.0 - tau * tau)
@@ -426,15 +426,9 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     gl_x, gl_w = np.polynomial.legendre.leggauss(32)
     norms: dict[int, float] = {}
     for n in ns:
-        x_c = float(n * n + 1)
+        # the support, centred at xi = n^2 + 1, clears the lower ray for
+        # every n: that needs n^2 - 1.5 n + 1 > 0, true for all real n
         half_z = n / c
-        # support must stay clear of the lower ray (at angle 2 omega here)
-        if s2w > 1e-12:
-            xi_hit = half_z / s2w * abs(math.cos(2.0 * p.omega))
-            if x_c - n <= xi_hit and math.cos(2.0 * p.omega) > 0.0:
-                raise RuntimeError(
-                    f"n={n} support touches the second ray; widen c"
-                )
         # a multiple of 4 cells puts the kinks of chi at +-half_z/2 and of
         # v at 0 on cell edges, so each Gauss cell sees a smooth integrand
         n_cells = 4 * max(4, (int(8 * half_z) + 1) // 2)

@@ -76,9 +76,9 @@ def test_criterion_1_matrix_algebra():
     for p in _random_valid_params(rng, 100):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         nu = (math.cos(phi), math.sin(phi))
-        m = transmission_matrix(p, nu).entries
+        m = transmission_matrix(p, nu)
         m_tilde, theta = special_matrices(p, nu)
-        m_l = interface_matrices(p)[0].entries
+        m_l = interface_matrices(p)[0]
         t, mass = p.tau, p.m
         z = -4.0 * mass * t / (t * t + 4.0)
         coef = 8.0 * mass * t / (4.0 - t * t)
@@ -89,7 +89,7 @@ def test_criterion_1_matrix_algebra():
             np.max(np.abs(m - m.conj().T)) / scale_m,
             np.max(np.abs(S3 @ m @ S3 @ m - S0)) / max(1.0, scale_m ** 2),
             np.max(np.abs(theta @ theta.conj().T - S0)),
-            np.max(np.abs(theta.conj().T @ m @ theta - m_tilde.entries))
+            np.max(np.abs(theta.conj().T @ m @ theta - m_tilde))
             / scale_m,
             np.max(np.abs(z * (m_l @ m_l + S0) + coef * m_l)) / scale_c,
             np.max(np.abs((2.0 * mass / t) * (S0 - m_l) @ (S0 - m_l)

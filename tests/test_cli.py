@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from diracwedge import cli
+from diracwedge.aux1d import secular_f
 from diracwedge.cli import RunConfig, load_config, main, parse_angle, run
 from diracwedge.spin_orbit import NoRootFound
 
@@ -341,3 +342,28 @@ def test_streams_separate_data_from_diagnostics(child_env):
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert "tau" in bad.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["aux1d", "--tau", "-1", "--gamma", "nan"],
+    ["deficiency", "--tau", "-1", "--r", "nan"],
+    ["testfn", "--tau", "-1", "--omega", "0.01", "--L", "nan"],
+    ["weyl", "--tau", "-1", "--lam", "nan"],
+])
+def test_nan_option_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("m, gamma", [("1", "1e-6"), ("1000", "1")])
+def test_aux1d_root_beyond_512_returns(m, gamma, child_env):
+    """Bisection stops at adjacent floats, which are 1.1e-13 apart here."""
+    out = subprocess.run(
+        [sys.executable, "-m", "diracwedge.cli", "aux1d", "--tau", "-1",
+         "--m", m, "--gamma", gamma],
+        env=child_env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    g, k, _, _ = (float(v) for v in out.stdout.splitlines()[2].split(","))
+    kappa0 = 0.8 * float(m)
+    assert k > 512.0
+    assert secular_f(k, g) == pytest.approx(kappa0, rel=1e-12)

@@ -105,7 +105,7 @@ def test_transmission_matrix_reference_entries():
     # tau=-1 on the upper-ray normal: [[5/3, -(4/3)e^{-iw}], [-(4/3)e^{iw}, 5/3]]
     for omega in (0.2, math.pi / 4, 1.1):
         p = PhysParams(tau=-1.0, m=1.0, omega=omega)
-        m_l = interface_matrices(p)[0].entries
+        m_l = interface_matrices(p)[0]
         ref = np.array(
             [
                 [5.0 / 3.0, -(4.0 / 3.0) * np.exp(-1j * omega)],
@@ -118,13 +118,11 @@ def test_transmission_matrix_reference_entries():
 def test_matrix_identities_random_sweep():
     for p in random_params(RNG, 60):
         nu = random_unit(RNG)
-        tm = transmission_matrix(p, nu)
-        m = tm.entries
+        m = transmission_matrix(p, nu)
         dc = derived_constants(p)
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
         np.testing.assert_allclose(S3 @ m @ S3, np.linalg.inv(m), atol=1e-11)
-        np.testing.assert_allclose(tm.inv @ m, S0, atol=1e-13)
         np.testing.assert_allclose(m.conj().T @ S3 @ m, S3, atol=1e-12)
         # quadratic relations behind the singular-sequence profile
         np.testing.assert_allclose(m @ m + S0, 2.0 * dc.a * m, atol=1e-11)
@@ -133,25 +131,28 @@ def test_matrix_identities_random_sweep():
         )
 
 
-def test_invert_flag_gives_inverse():
+def test_negated_normal_gives_inverse():
     p = PhysParams(tau=1.3, m=0.7, omega=0.9)
     nu = random_unit(RNG)
-    m = transmission_matrix(p, nu).entries
-    mi = transmission_matrix(p, nu, invert=True).entries
+    m = transmission_matrix(p, nu)
+    mi = transmission_matrix(p, (-nu[0], -nu[1]))
     np.testing.assert_allclose(m @ mi, S0, atol=1e-14)
 
 
 def test_transmission_matrix_rejects_non_unit_normal():
     p = PhysParams(tau=-1.0, m=1.0, omega=0.5)
-    with pytest.raises(ParameterError):
-        transmission_matrix(p, (1.0, 1.0))
+    for nu in ((1.0, 1.0), (math.nan, 0.0)):
+        with pytest.raises(ParameterError):
+            transmission_matrix(p, nu)
+        with pytest.raises(ParameterError):
+            special_matrices(p, nu)
 
 
 def test_interface_matrices_are_conjugate_pair():
     # mirroring the normal in y conjugates and inverts: M_r = conj(M_l^{-1})
     for p in random_params(RNG, 10):
         m_l, m_r = interface_matrices(p)
-        np.testing.assert_allclose(m_r.entries, np.conj(m_l.inv), atol=1e-15)
+        np.testing.assert_allclose(m_r, np.conj(S3 @ m_l @ S3), atol=1e-15)
 
 
 def test_diagonalization():
@@ -161,18 +162,18 @@ def test_diagonalization():
         m_tilde, theta = special_matrices(p, nu)
         np.testing.assert_allclose(theta @ theta.conj().T, S0, atol=1e-14)
         np.testing.assert_allclose(
-            m_tilde.entries, np.diag([3.0, 1.0 / 3.0]), atol=1e-14
+            m_tilde, np.diag([3.0, 1.0 / 3.0]), atol=1e-14
         )
-        m = transmission_matrix(p, nu).entries
+        m = transmission_matrix(p, nu)
         np.testing.assert_allclose(
-            theta.conj().T @ m @ theta, m_tilde.entries, atol=1e-14
+            theta.conj().T @ m @ theta, m_tilde, atol=1e-14
         )
 
 
 def test_shell_strength_identities():
     # z (M_l^2 + I) = -(8 m tau / (4 - tau^2)) M_l and the jump twin
     for p in random_params(RNG, 30):
-        m_l = interface_matrices(p)[0].entries
+        m_l = interface_matrices(p)[0]
         t, m = p.tau, p.m
         z = -4.0 * m * t / (t * t + 4.0)
         coef = 8.0 * m * t / (4.0 - t * t)
@@ -190,7 +191,7 @@ def test_charge_conjugation_intertwines_transmission():
     # sigma_1 conj(M) = M sigma_1, so C preserves the transmission constraint
     p = PhysParams(tau=-1.7, m=1.0, omega=0.6)
     nu = random_unit(RNG)
-    m = transmission_matrix(p, nu).entries
+    m = transmission_matrix(p, nu)
     np.testing.assert_allclose(S1 @ np.conj(m), m @ S1, atol=1e-15)
     u = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
     np.testing.assert_allclose(charge_conjugate(m @ u), m @ charge_conjugate(u), atol=1e-14)

@@ -48,9 +48,9 @@ def test_secular_matrix_encodes_matching():
         return np.array([c * np.exp(1j * mu * th), d * np.exp(-1j * mu * th)])
 
     res = t @ coef
-    np.testing.assert_allclose(res[:2], m_l.entries @ plus(w) - minus(w), atol=1e-14)
+    np.testing.assert_allclose(res[:2], m_l @ plus(w) - minus(w), atol=1e-14)
     np.testing.assert_allclose(
-        res[2:], m_r.entries @ plus(-w) - minus(2.0 * np.pi - w), atol=1e-14
+        res[2:], m_r @ plus(-w) - minus(2.0 * np.pi - w), atol=1e-14
     )
 
 
@@ -177,10 +177,10 @@ def test_profile_satisfies_matching_and_norm():
     w = P_REF.omega
     phi_plus_w = angular_profile(P_REF, root, w - 1e-14)
     phi_minus_w = angular_profile(P_REF, root, w + 1e-12)
-    np.testing.assert_allclose(m_l.entries @ phi_plus_w, phi_minus_w, atol=1e-9)
+    np.testing.assert_allclose(m_l @ phi_plus_w, phi_minus_w, atol=1e-9)
     phi_plus_mw = angular_profile(P_REF, root, -w + 1e-14)
     phi_minus_mw = angular_profile(P_REF, root, -w - 1e-12)
-    np.testing.assert_allclose(m_r.entries @ phi_plus_mw, phi_minus_mw, atol=1e-9)
+    np.testing.assert_allclose(m_r @ phi_plus_mw, phi_minus_mw, atol=1e-9)
 
     # unit L^2 norm over the full angle by trapezoid on each arc
     for lo, hi in ((-w, w), (w, 2.0 * np.pi - w)):

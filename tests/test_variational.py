@@ -338,7 +338,7 @@ def test_singular_sequence_norms_match_split_quad(omega):
     p = PhysParams(tau=-1.0, m=1.0, omega=omega)
     ns = tuple(range(2, 9))
     rep = singular_seq_identities(p, ns=ns)
-    m_l = interface_matrices(p)[0].entries
+    m_l = interface_matrices(p)[0]
     nb = float(np.sum(np.abs(m_l[:, 0]) ** 2))
     z = -4.0 * p.m * p.tau / (p.tau ** 2 + 4.0)
     c = 2.0 / math.sin(2.0 * omega)
