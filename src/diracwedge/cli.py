@@ -6,7 +6,9 @@ timestamps.  Every report embeds the fully resolved configuration, and
 report (its embedded config is reused), or a CSV artifact (the "# config"
 header line).  Flags override config-file values.
 
-Exit codes: 0 success, 2 invalid parameters or config, 3 solver failure.
+Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
+float option included), 3 solver failure or a NaN or infinite result, which
+has no JSON form.
 """
 
 from __future__ import annotations
@@ -204,6 +206,10 @@ def _resolve(subcommand: str, flags: dict, config_file: dict | None) -> RunConfi
             raise ParameterError(
                 f"{subcommand}: {opt.name} must be one of {opt.choices}"
             )
+        if not _finite(val):
+            raise ParameterError(
+                f"{subcommand}: --{opt.name} must be finite, got {val}"
+            )
         options[opt.name] = val
     return RunConfig(subcommand=subcommand, options=options)
 
@@ -212,14 +218,38 @@ def _resolve(subcommand: str, flags: dict, config_file: dict | None) -> RunConfi
 # artifact formatting
 # ---------------------------------------------------------------------------
 
+class _NonFiniteResult(RuntimeError):
+    """A result field is NaN or infinite."""
+
+
+def _finite(value) -> bool:
+    """False if ``value`` is, or holds, a NaN or infinite float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _require_finite(fields) -> None:
+    bad = list(dict.fromkeys(name for name, value in fields
+                             if not _finite(value)))
+    if bad:
+        raise _NonFiniteResult(f"non-finite result in {', '.join(bad)}")
+
+
 def _json_artifact(config: RunConfig, result: dict) -> str:
+    _require_finite(result.items())
     return json.dumps({"config": config.as_dict(), "result": result},
-                      indent=2) + "\n"
+                      indent=2, allow_nan=False) + "\n"
 
 
 def _csv_artifact(config: RunConfig, header: list[str],
                   rows: list[list]) -> str:
-    lines = ["# config " + json.dumps(config.as_dict())]
+    _require_finite(pair for row in rows for pair in zip(header, row))
+    lines = ["# config " + json.dumps(config.as_dict(), allow_nan=False)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(
@@ -422,7 +452,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (NoRootFound, _FemFailure) as exc:
+    except (NoRootFound, _FemFailure, _NonFiniteResult) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, ValueError) as exc:

@@ -33,14 +33,14 @@ import scipy.sparse as sp
 from ..model import ParameterError, PhysParams, interface_matrices
 from .mesh import SIDE_LEFT, SIDE_RIGHT, Mesh
 
-__all__ = ["HermitianPencil", "assemble"]
+__all__ = ["SymmetricPencil", "assemble"]
 
 # sigma_1 conj(_U) = _U: rotates charge conjugation to complex conjugation
 _U = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class HermitianPencil:
+class SymmetricPencil:
     A: sp.csr_matrix              # reduced stiffness + mass + shell term,
                                   # real symmetric float64
     B: sp.csr_matrix              # reduced mass, real symmetric positive
@@ -160,7 +160,7 @@ def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
     return z.tocsr()
 
 
-def assemble(p: PhysParams, mesh: Mesh) -> HermitianPencil:
+def assemble(p: PhysParams, mesh: Mesh) -> SymmetricPencil:
     """Reduced pencil (A, B) of the form on the given mesh, real symmetric
     in the rotated spinor basis.
 
@@ -182,4 +182,4 @@ def assemble(p: PhysParams, mesh: Mesh) -> HermitianPencil:
         "n_full": mesh.n_dofs, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),
     })
-    return HermitianPencil(A=a_red, B=b_red, dof_map=dof_map, info=info)
+    return SymmetricPencil(A=a_red, B=b_red, dof_map=dof_map, info=info)

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from ..model import PhysParams, derived_constants
 from ..variational import critical_angle_maximize
-from .assembly import HermitianPencil, assemble
+from .assembly import SymmetricPencil, assemble
 from .mesh import Mesh, build_mesh, build_strip_mesh
 
 __all__ = ["FemSolveError", "SpectralReport", "solve_lowest",
@@ -44,7 +44,7 @@ class SpectralReport:
     count_below: int | None
     residuals: np.ndarray
     mesh_info: dict = field(default_factory=dict)
-    pencil: HermitianPencil | None = field(default=None, repr=False,
+    pencil: SymmetricPencil | None = field(default=None, repr=False,
                                            compare=False)
 
     def as_dict(self) -> dict:
@@ -66,7 +66,7 @@ def _plain(obj):
     return obj
 
 
-def _factor(pencil: HermitianPencil, s: float):
+def _factor(pencil: SymmetricPencil, s: float):
     """SuperLU factor P (A - sB) P^T = L U with diagonal pivots, so that
     U = D L^T and U's diagonal is the D of an LDL^T factorization."""
     lu = spla.splu((pencil.A - s * pencil.B).tocsc(),
@@ -83,7 +83,7 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
 
 
-def solve_lowest(pencil: HermitianPencil, k: int) -> SpectralReport:
+def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     """k lowest eigenpairs of A x = mu B x by shift-invert Lanczos.
 
     The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
@@ -206,7 +206,7 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     )
 
 
-def export_matrix_market(pencil: HermitianPencil, prefix: str) -> list[str]:
+def export_matrix_market(pencil: SymmetricPencil, prefix: str) -> list[str]:
     """Write A and B in coordinate real symmetric Matrix Market format.
 
     Both matrices are real symmetric (float64) in the rotated spinor basis

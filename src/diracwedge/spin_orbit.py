@@ -19,8 +19,11 @@ a = (4 + tau^2)/(4 - tau^2), which ``secular_det`` evaluates.  The 4x4
 system itself is built only for the null vectors at a root (multiplicity and
 the coefficients behind ``angular_profile``) and for ``secular_matrix``.
 
-Roots are still located by the |det|^2 minimum scan below (grid, golden
-section, Newton polish).  Sign-change bracketing of the real closed form
+Roots are still located by the |det|^2 minimum scan below: a grid, then
+golden section and Newton polish on all of the grid's candidate minima
+together, as arrays, so each step is one ``secular_det`` call for every
+bracket still refining (each bracket stops on its own test and sees the
+iterates it would see alone).  Sign-change bracketing of the real closed form
 would find every simple root more cheaply, but it also finds two close root
 pairs the scan misses, and the benchmark reference froze the scan's
 windows; the scan is replaced once that reference is corrected.
@@ -115,46 +118,70 @@ def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
     return med if med > 0.0 else float(np.max(vals)) + 1e-300
 
 
-def _golden(p: PhysParams, a: float, c: float, width: float) -> float:
-    """Golden-section minimization of |det T|^2 on [a, c]."""
+def _golden(p: PhysParams, a: np.ndarray, c: np.ndarray,
+            width: float) -> np.ndarray:
+    """Golden-section minimization of |det T|^2 on every bracket [a_i, c_i]
+    at once.
+
+    Each step evaluates the determinant once for all brackets still wider
+    than ``width``; a bracket drops out when it is narrow enough, so each one
+    sees the same iterates it would see alone.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     b = c - invphi * (c - a)
     d = a + invphi * (c - a)
-    fb = secular_det(p, b)[0] ** 2
-    fd = secular_det(p, d)[0] ** 2
-    while c - a > width:
-        if fb <= fd:
-            c, d, fd = d, b, fb
-            b = c - invphi * (c - a)
-            fb = secular_det(p, b)[0] ** 2
-        else:
-            a, b, fb = b, d, fd
-            d = a + invphi * (c - a)
-            fd = secular_det(p, d)[0] ** 2
-    return 0.5 * (a + c)
+    fb, fd = (secular_det(p, np.concatenate([b, d])) ** 2).reshape(2, -1)
+    out = np.empty_like(a)
+    idx = np.arange(a.size)
+    go = c - a > width
+    while True:
+        if not go.all():
+            out[idx[~go]] = 0.5 * (a[~go] + c[~go])
+            if not go.any():
+                return out
+            idx, a, b, c, d, fb, fd = (x[go] for x in (idx, a, b, c, d, fb, fd))
+        # f(b) <= f(d): keep [a, d], b becomes the upper inner point and the
+        # new point the lower one; otherwise keep [b, c], d moves down and the
+        # new point is the upper one.
+        left = fb <= fd
+        a, c = np.where(left, a, b), np.where(left, d, c)
+        width_now = c - a
+        step = invphi * width_now
+        new = np.where(left, c - step, a + step)
+        fnew = secular_det(p, new) ** 2
+        b, d = np.where(left, new, d), np.where(left, b, new)
+        fb, fd = np.where(left, fnew, fd), np.where(left, fb, fnew)
+        go = width_now > width
 
 
-def _newton_polish(p: PhysParams, lam: float, lo: float, hi: float) -> float:
+def _newton_polish(p: PhysParams, lam: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
     """Newton iteration on the real determinant, with a central-difference
-    derivative.
+    derivative, for every start ``lam[i]`` in [lo[i], hi[i]] at once.
 
     Near a simple root det T(lam) ~ (lam - root) g(root), so det/det' is the
     signed distance to the root; the iteration is quadratically convergent
-    and also contracts at double roots.
+    and also contracts at double roots.  Each start stops on its own: without
+    updating when det' = 0 or the step leaves its bracket (by more than
+    1e-6), after updating when the step is below ``_NEWTON_STEP_TOL``.
     """
     h = 1e-7
-    for _ in range(30):
-        f = secular_det(p, lam)[0]
-        fp = (secular_det(p, lam + h)[0] - secular_det(p, lam - h)[0]) / (2.0 * h)
-        if fp == 0.0:
-            break
-        step = f / fp
-        new = lam - step
-        if not (lo - 1e-6 <= new <= hi + 1e-6):
-            break
-        lam = new
-        if abs(step) <= _NEWTON_STEP_TOL:
-            break
+    lam = lam.copy()
+    lo, hi = lo - 1e-6, hi + 1e-6
+    idx = np.arange(lam.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(30):
+            if not idx.size:
+                break
+            x = lam[idx]
+            f, fplus, fminus = secular_det(
+                p, np.concatenate([x, x + h, x - h])).reshape(3, -1)
+            fp = (fplus - fminus) / (2.0 * h)
+            step = f / fp
+            new = x - step
+            ok = (fp != 0.0) & (lo[idx] <= new) & (new <= hi[idx])
+            lam[idx[ok]] = new[ok]
+            idx = idx[ok & ~(np.abs(step) <= _NEWTON_STEP_TOL)]
     return lam
 
 
@@ -201,13 +228,12 @@ def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
     mid = vals[1:-1]
     minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])
                             & (mid < 0.5 * scale ** 2)) + 1
-    roots: list[float] = []
-    for i in minima:
-        lam = _golden(p, grid[i - 1], grid[i + 1], 1e-8)
-        lam = _newton_polish(p, lam, grid[i - 1], grid[i + 1])
-        if secular_det(p, lam)[0] ** 2 <= accept and lo <= lam <= hi:
-            roots.append(lam)
-    roots.sort()
+    if not minima.size:
+        return []
+    a, c = grid[minima - 1], grid[minima + 1]
+    lam = _newton_polish(p, _golden(p, a, c, 1e-8), a, c)
+    keep = (secular_det(p, lam) ** 2 <= accept) & (lo <= lam) & (lam <= hi)
+    roots = np.sort(lam[keep])
     merged: list[float] = []
     for lam in roots:
         if not merged or abs(lam - merged[-1]) > _ROOT_DEDUP:

@@ -349,10 +349,37 @@ def test_streams_separate_data_from_diagnostics(child_env):
     ["deficiency", "--tau", "-1", "--r", "nan"],
     ["testfn", "--tau", "-1", "--omega", "0.01", "--L", "nan"],
     ["weyl", "--tau", "-1", "--lam", "nan"],
+    ["deficiency", "--tau", "-1", "--r", "1", "--theta", "nan"],
+    ["testfn", "--tau", "-1", "--omega", "0.01", "--L", "inf"],
+    ["weyl", "--tau", "-1", "--lam", "inf"],
 ])
 def test_nan_option_exits_2(argv, capsys):
+    """NaN and infinite float options are refused where they are read."""
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]} must be finite" in captured.err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tau": -1.0, "lam": Infinity}')
+    assert main(["weyl", "--config", str(cfg)]) == 2
+    assert "--lam must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gap", "--tau=-1e200"], "eps_tau"),
+    (["sweep", "--quantity", "gap", "--tau=-1e200"], "eps_tau"),
+])
+def test_non_finite_result_exits_3(argv, field, tmp_path, capsys):
+    """tau^2 overflows in the derived constants: no NaN reaches an artifact."""
+    out = tmp_path / "never"
+    assert main(argv + ["--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m, gamma", [("1", "1e-6"), ("1000", "1")])

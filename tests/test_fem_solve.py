@@ -12,7 +12,7 @@ import scipy.special
 
 from diracwedge.fem import (
     FemSolveError,
-    HermitianPencil,
+    SymmetricPencil,
     assemble,
     build_mesh,
     count_bound_states,
@@ -49,7 +49,7 @@ def test_laplacian_sanity_disk():
 
     k_loc, m_loc = _scalar_element_matrices(mesh)
     mass = scalar_matrix(m_loc)
-    pencil = HermitianPencil(A=scalar_matrix(k_loc) + p.m ** 2 * mass,
+    pencil = SymmetricPencil(A=scalar_matrix(k_loc) + p.m ** 2 * mass,
                              B=mass, dof_map=sp.identity(free.size),
                              info={"m": p.m})
     rep = solve_lowest(pencil, k=1)

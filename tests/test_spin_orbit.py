@@ -161,6 +161,31 @@ def test_empty_window():
     assert spectrum_in_window(P_REF, 0.4, 0.45) == []
 
 
+@pytest.mark.parametrize("solve, n_lams", [
+    (principal_eigenvalue, 1309),
+    (lambda p: spectrum_in_window(p, -3.0, 3.0), 12672),
+])
+def test_refinement_evaluation_sequence(monkeypatch, solve, n_lams):
+    """Every determinant evaluation goes through the module attribute, the
+    number of lambda values is the scan's pinned count, and the refinement
+    makes one call per step for all brackets together."""
+    import diracwedge.spin_orbit as so
+
+    orig = so.secular_det
+    sizes = []
+
+    def counted(p, lams):
+        sizes.append(np.size(lams))
+        return orig(p, lams)
+
+    monkeypatch.setattr(so, "secular_det", counted)
+    solve(P_REF)
+    assert sum(sizes) == n_lams
+    # 30 calls here (grid, scale probe, golden start and steps, Newton steps,
+    # acceptance); one call per bracket and step would make 398 for the window
+    assert len(sizes) < 80
+
+
 def test_window_rejects_bad_bounds():
     with pytest.raises(ValueError):
         spectrum_in_window(P_REF, 1.0, -1.0)
