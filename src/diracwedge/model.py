@@ -43,7 +43,8 @@ class ParameterError(ValueError):
 class PhysParams:
     """Interaction strength, mass, and wedge half-angle.
 
-    tau : dimensionless shell strength, tau not in {-2, 0, 2}
+    tau : dimensionless shell strength, tau not in {-2, 0, 2}, small enough
+        that the derived constants stay finite (|tau| below about 8.2e76)
     m : mass, m > 0, sets the spectral scale
     omega : half opening angle in radians, 0 < omega <= pi/2
         (pi/2 is the straight-line reference case)
@@ -68,6 +69,18 @@ class PhysParams:
             raise ParameterError(
                 f"omega must lie in ({_OMEGA_MIN}, pi/2], got {self.omega}"
             )
+        # Computed once here: every secular evaluation reads them.  Stored
+        # outside the fields, so equality, hashing and repr are unchanged.
+        try:
+            dc = _derive(self.tau, self.m)
+        except OverflowError:
+            dc = None
+        if dc is None or not all(map(math.isfinite, vars(dc).values())):
+            raise ParameterError(
+                f"tau = {self.tau}, m = {self.m} overflows the derived "
+                "constants"
+            )
+        object.__setattr__(self, "_constants", dc)
 
 
 _SIGMA = (
@@ -110,9 +123,7 @@ class DerivedConstants:
     c_tau: float
 
 
-def derived_constants(p: PhysParams) -> DerivedConstants:
-    """All derived scalar constants for parameters ``p``."""
-    t, m = p.tau, p.m
+def _derive(t: float, m: float) -> DerivedConstants:
     a = (4.0 + t * t) / (4.0 - t * t)
     b = 4.0 * t / (4.0 - t * t)
     if t > 0.0:
@@ -124,6 +135,12 @@ def derived_constants(p: PhysParams) -> DerivedConstants:
     c = 4.0 * t * t * (t * t + 4.0) / (t * t - 4.0) ** 2
     return DerivedConstants(a=a, b=b, eps_tau=eps, kappa0=kappa0,
                             kappa_tau=kappa, c_tau=c)
+
+
+def derived_constants(p: PhysParams) -> DerivedConstants:
+    """All derived scalar constants for parameters ``p`` (built once, when
+    ``p`` is constructed)."""
+    return p._constants
 
 
 def _unit_normal(nu) -> tuple[float, float]:

@@ -16,8 +16,10 @@ The determinant is real and has the closed form
     det T = 2 - 2a^2 cos(2 pi mu) - 2(a^2 - 1) cos((2pi - 4 omega) mu - 2 omega),
 
 a = (4 + tau^2)/(4 - tau^2), which ``secular_det`` evaluates.  The 4x4
-system itself is built only for the null vectors at a root (multiplicity and
-the coefficients behind ``angular_profile``) and for ``secular_matrix``.
+system itself is built only for the null vectors at the roots (multiplicity
+and the coefficients behind ``angular_profile``) and for ``secular_matrix``:
+all roots of a scan share one (n, 4, 4) stack of T(lambda), one batched SVD
+and one vectorized normalization.
 
 Roots are still located by the |det|^2 minimum scan below: a grid, then
 golden section and Newton polish on all of the grid's candidate minima
@@ -34,6 +36,7 @@ lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,22 +79,28 @@ class SpinOrbitRoot:
     coefficients: np.ndarray  # (multiplicity, 4) complex
 
 
-def _secular_t(p: PhysParams, lam: float) -> np.ndarray:
-    """T(lambda), (4, 4) complex, in the coefficient order (A, B, C, D)."""
+# Phase of each entry of T as an index into (e^{i mu omega}, e^{-i mu omega},
+# e^{i mu (2pi - omega)}, e^{-i mu (2pi - omega)}, 0).
+_PHASE_INDEX = np.array([[0, 1, 0, 4], [0, 1, 4, 1],
+                         [1, 0, 2, 4], [1, 0, 4, 3]])
+
+
+def _secular_stack(p: PhysParams, lams) -> np.ndarray:
+    """T(lambda) for every lambda in ``lams``, (n, 4, 4) complex, in the
+    coefficient order (A, B, C, D)."""
     ml, mr = interface_matrices(p)
     w = p.omega
-    mu = float(lam) - 0.5
-    ew, emw = np.exp(1j * mu * w), np.exp(-1j * mu * w)   # e^{+-i mu omega}
-    efar = np.exp(1j * mu * (2.0 * np.pi - w))   # e^{i mu (2pi - omega)}
-    emfar = np.exp(-1j * mu * (2.0 * np.pi - w))
+    mu = np.asarray(lams, dtype=float).reshape(-1, 1) - 0.5
+    far = 2.0 * np.pi - w
+    phases = np.hstack([np.exp(1j * mu * w), np.exp(-1j * mu * w),
+                        np.exp(1j * mu * far), np.exp(-1j * mu * far),
+                        np.zeros_like(mu)])
     # Rows 0-1 match at theta = omega: M_l phi_plus(omega) = phi_minus(omega);
     # rows 2-3 at theta = 2pi - omega (= -omega on the wedge side):
     # M_r phi_plus(-omega) = phi_minus(2pi - omega).
     coef = np.array([[*ml[0], -1.0, 0.0], [*ml[1], 0.0, -1.0],
                      [*mr[0], -1.0, 0.0], [*mr[1], 0.0, -1.0]])
-    phase = np.array([[ew, emw, ew, 0.0], [ew, emw, 0.0, emw],
-                      [emw, ew, efar, 0.0], [emw, ew, 0.0, emfar]])
-    return coef * phase
+    return coef * phases[:, _PHASE_INDEX]
 
 
 def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
@@ -99,7 +108,7 @@ def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
     (A, B, C, D)."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("secular problem requires omega < pi/2")
-    return _secular_t(p, lam)
+    return _secular_stack(p, lam)[0]
 
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:
@@ -114,7 +123,7 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
 def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
     probe = np.linspace(lo, hi, 257)
     vals = np.abs(secular_det(p, probe))
-    med = float(np.median(vals))
+    med = float(np.partition(vals, 128)[128])   # the median of 257 values
     return med if med > 0.0 else float(np.max(vals)) + 1e-300
 
 
@@ -185,27 +194,26 @@ def _newton_polish(p: PhysParams, lam: np.ndarray, lo: np.ndarray,
     return lam
 
 
-def _null_space(p: PhysParams, lam: float) -> tuple[int, np.ndarray, float]:
-    u, s, vh = np.linalg.svd(_secular_t(p, lam))
-    mult = int(np.sum(s <= _SVD_MULT_CUT * s[0]))
-    mult = max(mult, 1)
-    vecs = vh[4 - mult:].conj()
-    return mult, vecs, float(s[-1] / s[0])
-
-
-def _normalize_profiles(p: PhysParams, vecs: np.ndarray) -> np.ndarray:
+def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
+    """The roots at ``lams``: one SVD of the stacked T(lambda) gives every
+    multiplicity and null space."""
+    _, s, vh = np.linalg.svd(_secular_stack(p, lams))
+    mult = np.maximum(np.sum(s <= _SVD_MULT_CUT * s[:, :1], axis=1), 1)
+    vecs = vh.conj()
     # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega + (|C|^2+|D|^2)(2pi-2 omega)
     # because the angular exponentials are unimodular.
     w = p.omega
-    out = np.array(vecs, dtype=complex)
-    for row in out:
-        nrm = (abs(row[0]) ** 2 + abs(row[1]) ** 2) * 2.0 * w \
-            + (abs(row[2]) ** 2 + abs(row[3]) ** 2) * (2.0 * np.pi - 2.0 * w)
-        row /= np.sqrt(nrm)
-    return out
+    sq = np.abs(vecs) ** 2
+    nrm = (sq[..., 0] + sq[..., 1]) * 2.0 * w \
+        + (sq[..., 2] + sq[..., 3]) * (2.0 * np.pi - 2.0 * w)
+    vecs /= np.sqrt(nrm)[..., None]
+    return [SpinOrbitRoot(lam=lam, multiplicity=int(k), coefficients=v[4 - k:])
+            for lam, k, v in zip(lams, mult, vecs)]
 
 
+@functools.lru_cache(maxsize=2)
 def _candidate_grid(lo: float, hi: float) -> np.ndarray:
+    """The scan grid of [lo, hi], read-only: built once per window."""
     n = int(np.ceil((hi - lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(lo, hi, max(n, 16))
     # Geometric tails resolve roots hugging the window edges (weak coupling
@@ -216,7 +224,9 @@ def _candidate_grid(lo: float, hi: float) -> np.ndarray:
         off = 10.0 ** (-k) * span
         tails.append(lo + off)
         tails.append(hi - off)
-    return np.unique(np.concatenate([grid, np.array(tails)]))
+    grid = np.unique(np.concatenate([grid, np.array(tails)]))
+    grid.setflags(write=False)
+    return grid
 
 
 def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
@@ -241,12 +251,6 @@ def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
     return merged
 
 
-def _make_root(p: PhysParams, lam: float) -> SpinOrbitRoot:
-    mult, vecs, _ = _null_space(p, lam)
-    return SpinOrbitRoot(lam=lam, multiplicity=mult,
-                         coefficients=_normalize_profiles(p, vecs))
-
-
 def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
     """The unique simple eigenvalue in (0, 1/2).
 
@@ -264,20 +268,20 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
             f"no secular root in (0, 1/2) for tau={p.tau}, omega={p.omega}; "
             f"|det| scale on the scan was {scale:.3e}"
         )
-    lam = roots[0]
     if len(roots) > 1:
         # the principal root should be simple; refuse to guess between extras
         raise NoRootFound(
             f"expected one root in (0, 1/2), refinement kept {roots}"
         )
-    return _make_root(p, lam)
+    return _make_roots(p, roots)[0]
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
     """All secular roots in [lo, hi], sorted ascending, with multiplicities."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
-    return [_make_root(p, lam) for lam in _roots_in(p, lo, hi)]
+    roots = _roots_in(p, lo, hi)
+    return _make_roots(p, roots) if roots else []
 
 
 def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:

@@ -130,6 +130,17 @@ def secular_det_matrix(p, lams) -> np.ndarray:
                                    for lam in np.atleast_1d(lams)]))
 
 
+def secular_null_space(p, lam: float, cut: float = 1e-7) -> np.ndarray:
+    """Orthonormal rows spanning the null space of T(lambda), from one SVD of
+    ``secular_matrix`` at this one root: singular values at most ``cut``
+    times the largest count as zero, and at least one row is returned."""
+    from diracwedge.spin_orbit import secular_matrix
+
+    _, s, vh = np.linalg.svd(secular_matrix(p, lam))
+    k = max(int(np.sum(s <= cut * s[0])), 1)
+    return vh[4 - k:].conj()
+
+
 # ---------------------------------------------------------------------------
 # 1-D transverse comparison oracle
 # ---------------------------------------------------------------------------

@@ -368,12 +368,35 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "--lam must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, field", [
-    (["gap", "--tau=-1e200"], "eps_tau"),
-    (["sweep", "--quantity", "gap", "--tau=-1e200"], "eps_tau"),
+@pytest.mark.parametrize("argv", [
+    ["gap", "--tau=-1e100"],
+    ["gap", "--tau=-1e200"],
+    ["sweep", "--quantity", "gap", "--tau=-1e200"],
 ])
-def test_non_finite_result_exits_3(argv, field, tmp_path, capsys):
-    """tau^2 overflows in the derived constants: no NaN reaches an artifact."""
+def test_overflowing_tau_exits_2(argv, tmp_path, capsys):
+    """A tau whose derived constants overflow (a float overflow at -1e100,
+    inf/inf at -1e200) is refused as an input, naming tau."""
+    out = tmp_path / "never"
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau = -1e+" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gap", "--tau=-1"], "eps_tau"),
+    (["sweep", "--quantity", "gap", "--tau=-1"], "eps_tau"),
+])
+def test_non_finite_result_exits_3(argv, field, monkeypatch, tmp_path, capsys):
+    """A NaN result field is refused as a result: no NaN reaches an
+    artifact."""
+    real = cli.derived_constants
+
+    def nan_edge(p):
+        return dataclasses.replace(real(p), eps_tau=math.nan)
+
+    monkeypatch.setattr(cli, "derived_constants", nan_edge)
     out = tmp_path / "never"
     assert main(argv + ["--output", str(out)]) == 3
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 """Transmission-matrix algebra and derived constants."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,11 @@ def test_parameter_validation():
         PhysParams(tau=-1.0, m=1.0, omega=0.0)
     with pytest.raises(ParameterError):
         PhysParams(tau=float("nan"), m=1.0, omega=0.5)
+    # derived constants that overflow: a float OverflowError, then inf/inf
+    for tau in (-1e100, -1e200, 1e200):
+        with pytest.raises(ParameterError, match="tau"):
+            PhysParams(tau=tau, m=1.0, omega=0.5)
+    PhysParams(tau=-8e76, m=1.0, omega=0.5)
     # pi/2 itself is the straight-line reference case and must be accepted
     PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
 
@@ -79,6 +86,19 @@ def test_derived_constants_reference_point():
     assert dc.kappa0 == pytest.approx(4.0 / 5.0, abs=1e-15)
     assert dc.kappa_tau == pytest.approx(41.0 / 9.0, abs=1e-14)
     assert dc.c_tau == pytest.approx(20.0 / 9.0, abs=1e-14)
+
+
+def test_derived_constants_built_once_per_params():
+    """derived_constants returns the constants built with the parameters;
+    a replaced or unpickled copy carries its own, equal where it should be."""
+    p = PhysParams(tau=-1.0, m=1.0, omega=0.7)
+    assert derived_constants(p) is derived_constants(p)
+    q = dataclasses.replace(p, tau=-0.5)
+    assert derived_constants(q).a == pytest.approx(4.25 / 3.75, abs=1e-15)
+    assert derived_constants(p).a == pytest.approx(5.0 / 3.0, abs=1e-15)
+    r = pickle.loads(pickle.dumps(p))
+    assert r == p and hash(r) == hash(p) and repr(r) == repr(p)
+    assert derived_constants(r) == derived_constants(p)
 
 
 def test_gap_edge_identity_attractive():

@@ -1,6 +1,8 @@
 """Angular spin-orbit problem: secular matrix, roots, profiles."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from diracwedge.model import PhysParams, interface_matrices
 from diracwedge.spin_orbit import (
     NoRootFound,
+    SpinOrbitRoot,
     angular_profile,
     principal_eigenvalue,
     secular_det,
@@ -15,7 +18,8 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
-from oracles import secular_det_matrix, spin_orbit_eigenvalue_near
+from oracles import (secular_det_matrix, secular_null_space,
+                     spin_orbit_eigenvalue_near)
 
 RNG = np.random.default_rng(11)
 
@@ -184,6 +188,96 @@ def test_refinement_evaluation_sequence(monkeypatch, solve, n_lams):
     # 30 calls here (grid, scale probe, golden start and steps, Newton steps,
     # acceptance); one call per bracket and step would make 398 for the window
     assert len(sizes) < 80
+
+
+# omega = pi/6, lambda = +-3/2: 6 omega mu = pi, so det T and its derivative
+# both vanish for every tau and the root is double.
+DOUBLE_ROOT_TAUS = (-1.0, -0.5, 1.0)
+
+
+def _arc_norm_sq(p, row):
+    """L^2 norm squared over both arcs of the profile with coefficients
+    ``row``, by the trapezoid rule (exact up to the trimmed arc ends: |phi|^2
+    is constant on each arc)."""
+    root = SpinOrbitRoot(lam=0.0, multiplicity=1, coefficients=row[None])
+    w = p.omega
+    total = 0.0
+    for lo, hi in ((-w, w), (w, 2.0 * np.pi - w)):
+        th = np.linspace(lo + 1e-12, hi - 1e-12, 101)
+        dens = np.sum(np.abs(angular_profile(p, root, th)) ** 2, axis=-1)
+        total += np.trapezoid(dens, th)
+    return total
+
+
+@pytest.mark.parametrize("tau", DOUBLE_ROOT_TAUS)
+def test_double_root_null_space(tau):
+    """Both coefficient rows of a double root are null vectors of T,
+    orthogonal, and unit-normalized over the two arcs."""
+    p = PhysParams(tau=tau, m=1.0, omega=math.pi / 6.0)
+    roots = {round(float(r.lam), 6): r for r in spectrum_in_window(p, -2.0, 2.0)}
+    for lam in (-1.5, 1.5):
+        root = roots[lam]
+        assert root.multiplicity == 2
+        assert root.coefficients.shape == (2, 4)
+        t = secular_matrix(p, root.lam)
+        t_norm = np.linalg.norm(t, 2)
+        for row in root.coefficients:
+            assert np.linalg.norm(t @ row) <= 1e-12 * t_norm * np.linalg.norm(row)
+            assert _arc_norm_sq(p, row) == pytest.approx(1.0, abs=1e-10)
+        r0, r1 = root.coefficients
+        assert abs(np.vdot(r0, r1)) <= 1e-12 * np.linalg.norm(r0) * np.linalg.norm(r1)
+
+
+def _oracle_points():
+    scan = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "reference.json").read_text())["scan"]
+    pts = [(pt["tau"], pt["omega"]) for pt in scan[::24]]
+    return pts + [(tau, math.pi / 6.0) for tau in DOUBLE_ROOT_TAUS]
+
+
+def test_stacked_roots_match_per_root_svd():
+    """The batched root build agrees with one SVD per root: the same
+    multiplicity and the same null space (compared as projectors)."""
+    worst = 0.0
+    n_double = 0
+    for tau, omega in _oracle_points():
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        for root in [principal_eigenvalue(p), *spectrum_in_window(p, -3.0, 3.0)]:
+            ref = secular_null_space(p, root.lam)
+            assert root.multiplicity == len(ref) == len(root.coefficients)
+            n_double += root.multiplicity == 2
+            q = root.coefficients / np.linalg.norm(
+                root.coefficients, axis=1, keepdims=True)
+            worst = max(worst, np.max(np.abs(q.T @ q.conj() - ref.T @ ref.conj())))
+    assert n_double == 2 * len(DOUBLE_ROOT_TAUS)
+    assert worst <= 1e-13
+
+
+def test_root_build_calls_interface_matrices_once(monkeypatch):
+    """All roots of a call share one pair of transmission matrices."""
+    import diracwedge.spin_orbit as so
+
+    calls = []
+    orig = so.interface_matrices
+
+    def counted(p):
+        calls.append(p)
+        return orig(p)
+
+    monkeypatch.setattr(so, "interface_matrices", counted)
+    assert len(so.spectrum_in_window(P_REF, -3.0, 3.0)) == 12
+    assert len(calls) == 1
+    so.principal_eigenvalue(P_REF)
+    assert len(calls) == 2
+
+
+def test_candidate_grid_is_cached_read_only():
+    from diracwedge.spin_orbit import _candidate_grid
+
+    grid = _candidate_grid(-3.0, 3.0)
+    assert _candidate_grid(-3.0, 3.0) is grid
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 def test_window_rejects_bad_bounds():
