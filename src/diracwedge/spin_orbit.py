@@ -23,12 +23,15 @@ and one vectorized normalization.
 
 Roots are still located by the |det|^2 minimum scan below: a grid, then
 golden section and Newton polish on all of the grid's candidate minima
-together, as arrays, so each step is one ``secular_det`` call for every
-bracket still refining (each bracket stops on its own test and sees the
-iterates it would see alone).  Sign-change bracketing of the real closed form
-would find every simple root more cheaply, but it also finds two close root
-pairs the scan misses, and the benchmark reference froze the scan's
-windows; the scan is replaced once that reference is corrected.
+together.  Each bracket's state is a handful of Python floats updated in a
+plain loop (the brackets are few, so numpy bookkeeping would cost more than
+the arithmetic), and each step packs the new points of every bracket still
+refining into one ``secular_det`` call.  Each bracket stops on its own test
+and runs the same float operations it would run alone.  Sign-change
+bracketing of the real closed form would find every simple root more
+cheaply, but it also finds two close root pairs the scan misses, and the
+benchmark reference froze the scan's windows; the scan is replaced once that
+reference is corrected.
 
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
@@ -37,6 +40,7 @@ lives in the test suite as an independent oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,44 +131,48 @@ def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
     return med if med > 0.0 else float(np.max(vals)) + 1e-300
 
 
-def _golden(p: PhysParams, a: np.ndarray, c: np.ndarray,
-            width: float) -> np.ndarray:
+def _golden(p: PhysParams, a: list[float], c: list[float],
+            width: float) -> list[float]:
     """Golden-section minimization of |det T|^2 on every bracket [a_i, c_i]
-    at once.
+    at once; returns the midpoints of the final brackets.
 
-    Each step evaluates the determinant once for all brackets still wider
-    than ``width``; a bracket drops out when it is narrow enough, so each one
-    sees the same iterates it would see alone.
+    Each bracket's state (a, b, c, d, f(b), f(d)) is a tuple of Python
+    floats, updated in a plain loop.  Each step packs the new points of all
+    brackets still wider than ``width`` into one ``secular_det`` call; a
+    bracket drops out when it is narrow enough, so each one runs the same
+    float operations, in the same order, as it would alone.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    b = c - invphi * (c - a)
-    d = a + invphi * (c - a)
-    fb, fd = (secular_det(p, np.concatenate([b, d])) ** 2).reshape(2, -1)
-    out = np.empty_like(a)
-    idx = np.arange(a.size)
-    go = c - a > width
-    while True:
-        if not go.all():
-            out[idx[~go]] = 0.5 * (a[~go] + c[~go])
-            if not go.any():
-                return out
-            idx, a, b, c, d, fb, fd = (x[go] for x in (idx, a, b, c, d, fb, fd))
-        # f(b) <= f(d): keep [a, d], b becomes the upper inner point and the
-        # new point the lower one; otherwise keep [b, c], d moves down and the
-        # new point is the upper one.
-        left = fb <= fd
-        a, c = np.where(left, a, b), np.where(left, d, c)
-        width_now = c - a
-        step = invphi * width_now
-        new = np.where(left, c - step, a + step)
-        fnew = secular_det(p, new) ** 2
-        b, d = np.where(left, new, d), np.where(left, b, new)
-        fb, fd = np.where(left, fnew, fd), np.where(left, fb, fnew)
-        go = width_now > width
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    b = [ci - invphi * (ci - ai) for ai, ci in zip(a, c)]
+    d = [ai + invphi * (ci - ai) for ai, ci in zip(a, c)]
+    f = (secular_det(p, b + d) ** 2).tolist()
+    n = len(a)
+    out = [0.5 * (ai + ci) for ai, ci in zip(a, c)]
+    live = [(i, a[i], b[i], c[i], d[i], f[i], f[n + i])
+            for i in range(n) if c[i] - a[i] > width]
+    while live:
+        # Shrink each bracket to [a, c] and pick its new inner point; the
+        # kept inner point and its value carry over.
+        moved = []
+        for i, a, b, c, d, fb, fd in live:
+            if fb <= fd:    # keep [a, d]: b moves up, the new point is below it
+                moved.append((i, a, d, d - invphi * (d - a), b, fb, True))
+            else:           # keep [b, c]: d moves down, the new point is above
+                moved.append((i, b, c, b + invphi * (c - b), d, fd, False))
+        fnew = (secular_det(p, [m[3] for m in moved]) ** 2).tolist()
+        live = []
+        for (i, a, c, new, kept, fkept, below), fn in zip(moved, fnew):
+            if not c - a > width:
+                out[i] = 0.5 * (a + c)
+            elif below:
+                live.append((i, a, new, c, kept, fn, fkept))
+            else:
+                live.append((i, a, kept, c, new, fkept, fn))
+    return out
 
 
-def _newton_polish(p: PhysParams, lam: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray:
+def _newton_polish(p: PhysParams, lam: list[float], lo: list[float],
+                   hi: list[float]) -> list[float]:
     """Newton iteration on the real determinant, with a central-difference
     derivative, for every start ``lam[i]`` in [lo[i], hi[i]] at once.
 
@@ -172,25 +180,34 @@ def _newton_polish(p: PhysParams, lam: np.ndarray, lo: np.ndarray,
     signed distance to the root; the iteration is quadratically convergent
     and also contracts at double roots.  Each start stops on its own: without
     updating when det' = 0 or the step leaves its bracket (by more than
-    1e-6), after updating when the step is below ``_NEWTON_STEP_TOL``.
+    1e-6), after updating when the step is below ``_NEWTON_STEP_TOL``.  The
+    iterates are Python floats; each step evaluates lam and lam +- h of
+    every live start in one ``secular_det`` call.
     """
     h = 1e-7
-    lam = lam.copy()
-    lo, hi = lo - 1e-6, hi + 1e-6
-    idx = np.arange(lam.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(30):
-            if not idx.size:
-                break
-            x = lam[idx]
-            f, fplus, fminus = secular_det(
-                p, np.concatenate([x, x + h, x - h])).reshape(3, -1)
-            fp = (fplus - fminus) / (2.0 * h)
-            step = f / fp
+    lam = list(lam)
+    live = [(i, x, l - 1e-6, u + 1e-6)
+            for i, (x, l, u) in enumerate(zip(lam, lo, hi))]
+    for _ in range(30):
+        if not live:
+            break
+        xs = [s[1] for s in live]
+        n = len(xs)
+        f = secular_det(p, xs + [x + h for x in xs]
+                        + [x - h for x in xs]).tolist()
+        nxt = []
+        for k, (i, x, l, u) in enumerate(live):
+            fp = (f[n + k] - f[2 * n + k]) / (2.0 * h)
+            if fp == 0.0:
+                continue
+            step = f[k] / fp
             new = x - step
-            ok = (fp != 0.0) & (lo[idx] <= new) & (new <= hi[idx])
-            lam[idx[ok]] = new[ok]
-            idx = idx[ok & ~(np.abs(step) <= _NEWTON_STEP_TOL)]
+            if not l <= new <= u:
+                continue
+            lam[i] = new
+            if not abs(step) <= _NEWTON_STEP_TOL:
+                nxt.append((i, new, l, u))
+        live = nxt
     return lam
 
 
@@ -240,8 +257,8 @@ def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
                             & (mid < 0.5 * scale ** 2)) + 1
     if not minima.size:
         return []
-    a, c = grid[minima - 1], grid[minima + 1]
-    lam = _newton_polish(p, _golden(p, a, c, 1e-8), a, c)
+    a, c = grid[minima - 1].tolist(), grid[minima + 1].tolist()
+    lam = np.array(_newton_polish(p, _golden(p, a, c, 1e-8), a, c))
     keep = (secular_det(p, lam) ** 2 <= accept) & (lo <= lam) & (lam <= hi)
     roots = np.sort(lam[keep])
     merged: list[float] = []

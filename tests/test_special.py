@@ -29,8 +29,11 @@ def test_reference_value_order_zero():
 
 
 def test_against_mpmath_grid():
-    # the promised range |nu| <= 1.5, 1e-4 <= x <= 30, plus orders up to 3.5
-    nus = np.concatenate([np.linspace(-1.5, 1.5, 13), np.linspace(0.0, 3.5, 10)])
+    # the whole accepted order range |nu| <= 5 on 1e-4 <= x <= 30: a fine
+    # grid on |nu| <= 1.5, where the radial factors live, a coarser one out
+    # to the order cap, and two negative orders beyond 1.5
+    nus = np.concatenate([np.linspace(-1.5, 1.5, 13), np.linspace(0.0, 5.0, 13),
+                          [-5.0, -3.3]])
     xs = np.concatenate([np.geomspace(1e-4, 30.0, 25), [26.4]])
     with mpmath.workdps(30):
         for nu in nus:
@@ -64,6 +67,12 @@ def test_bessel_rejects_bad_arguments():
         bessel_k(0.5, -1.0)
     with pytest.raises(ValueError):
         bessel_k(7.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="nu="):
+            bessel_k(bad, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x="):
+            bessel_k(0.5, bad)
 
 
 def test_import_leaves_scipy_special_unloaded(child_env):
@@ -144,3 +153,10 @@ def test_deficiency_argument_validation(principal_root):
         deficiency_element(P_REF, 0, 1.0, 0.0, root=principal_root)
     with pytest.raises(ValueError):
         deficiency_element(P_REF, +1, -1.0, 0.0, root=principal_root)
+    for sign in (1, -1):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta="):
+                deficiency_element(P_REF, sign, 1.0, bad, root=principal_root)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r="):
+                deficiency_element(P_REF, sign, bad, 0.3, root=principal_root)
