@@ -29,7 +29,6 @@ from .model import (
     transmission_matrix,
 )
 from .spin_orbit import (
-    NoRootFound,
     SpinOrbitRoot,
     angular_profile,
     principal_eigenvalue,
@@ -62,9 +61,8 @@ __all__ = [
     "DerivedConstants", "ParameterError", "PhysParams", "charge_conjugate",
     "derived_constants", "interface_matrices", "pauli", "sigma_dot",
     "special_matrices", "transmission_matrix",
-    "NoRootFound", "SpinOrbitRoot", "angular_profile",
-    "principal_eigenvalue", "secular_det", "secular_matrix",
-    "spectrum_in_window",
+    "SpinOrbitRoot", "angular_profile", "principal_eigenvalue",
+    "secular_det", "secular_matrix", "spectrum_in_window",
     "bessel_k", "deficiency_element",
     "Aux1DResult", "ground_state", "secular_f",
     "EnergyBreakdown", "SingularSeqReport",

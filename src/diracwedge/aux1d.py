@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ParameterError, PhysParams, derived_constants
+from .model import ParameterError, PhysParams, _bisect, derived_constants
 
 __all__ = ["Aux1DResult", "secular_f", "ground_state"]
 
@@ -52,16 +52,8 @@ def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     kap = derived_constants(p).kappa0
-
-    lo, hi = kap, kap + 1.0 / gamma
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if secular_f(mid, gamma) > kap:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    k = mid
+    # kap - F < 0 exactly when F > kap: the float subtraction keeps the sign
+    k = _bisect(lambda x: kap - secular_f(x, gamma), kap, kap + 1.0 / gamma)
     # One Newton step squeezes out the last bisection digit.
     th = math.tanh(k * gamma)
     fprime = th + k * gamma * (1.0 - th * th)

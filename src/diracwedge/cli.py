@@ -24,7 +24,7 @@ from pathlib import Path
 from .aux1d import ground_state
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
-from .spin_orbit import NoRootFound, principal_eigenvalue, spectrum_in_window
+from .spin_orbit import principal_eigenvalue, spectrum_in_window
 from .variational import (critical_angle_closed, critical_angle_maximize,
                           energy_breakdown, test_function_family,
                           weyl_norm_sq, weyl_residual)
@@ -452,7 +452,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (NoRootFound, _FemFailure, _NonFiniteResult) as exc:
+    except (_FemFailure, _NonFiniteResult) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, ValueError) as exc:

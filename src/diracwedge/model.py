@@ -143,6 +143,19 @@ def derived_constants(p: PhysParams) -> DerivedConstants:
     return p._constants
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], f(lo) >= 0 > f(hi), on Python floats down to
+    adjacent floats; returns the last midpoint (lo or hi)."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def _unit_normal(nu) -> tuple[float, float]:
     nu1, nu2 = float(nu[0]), float(nu[1])
     norm = math.hypot(nu1, nu2)

@@ -13,25 +13,30 @@ so the matching conditions collapse to a 4x4 homogeneous linear system
 T(lambda) (A, B, C, D)^T = 0; lambda is an eigenvalue iff det T(lambda) = 0.
 The determinant is real and has the closed form
 
-    det T = 2 - 2a^2 cos(2 pi mu) - 2(a^2 - 1) cos((2pi - 4 omega) mu - 2 omega),
+    det T = 4a^2 sin^2(pi mu) - 4b^2 cos^2((pi - 2 omega) mu - omega),
 
-a = (4 + tau^2)/(4 - tau^2), which ``secular_det`` evaluates.  The 4x4
-system itself is built only for the null vectors at the roots (multiplicity
-and the coefficients behind ``angular_profile``) and for ``secular_matrix``:
-all roots of a scan share one (n, 4, 4) stack of T(lambda), one batched SVD
-and one vectorized normalization.
+a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2), which ``secular_det``
+evaluates.  By a^2 - 1 = b^2 and the half-angle formulas it equals
+2 - 2a^2 cos(2 pi mu) - 2b^2 cos((2pi - 4 omega) mu - 2 omega), but no
+difference in it cancels at weak coupling.  The 4x4 system is built only
+for the null vectors at the roots (multiplicity and the coefficients behind
+``angular_profile``) and for ``secular_matrix``: all roots of a call share
+one (n, 4, 4) stack of T(lambda) and one batched SVD.
 
-Roots are still located by the |det|^2 minimum scan below: a grid, then
-golden section and Newton polish on all of the grid's candidate minima
-together.  Each bracket's state is a handful of Python floats updated in a
-plain loop (the brackets are few, so numpy bookkeeping would cost more than
-the arithmetic), and each step packs the new points of every bracket still
-refining into one ``secular_det`` call.  Each bracket stops on its own test
-and runs the same float operations it would run alone.  Sign-change
-bracketing of the real closed form would find every simple root more
-cheaply, but it also finds two close root pairs the scan misses, and the
-benchmark reference froze the scan's windows; the scan is replaced once that
-reference is corrected.
+The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
+det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
+(-1/2, 0) and (2pi - 4 omega) mu - 2 omega in (-pi, -2 omega), both sines of
+
+    d det T / d mu = 4 pi a^2 sin(2 pi mu)
+                     + 4b^2 (pi - 2 omega) sin((2pi - 4 omega) mu - 2 omega)
+
+are negative.  So det T has exactly one root in (0, 1/2), a simple one, and
+bisection of [0, 1/2] finds it.
+
+Other windows are searched by a |det|^2 minimum scan.  Sign-change
+bracketing would be cheaper and would find two close root pairs the scan
+misses; it waits until the benchmark reference, which froze the scan's
+windows, is corrected.
 
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
@@ -45,10 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysParams, derived_constants, interface_matrices
+from .model import PhysParams, _bisect, derived_constants, interface_matrices
 
 __all__ = [
-    "NoRootFound",
     "SpinOrbitRoot",
     "secular_matrix",
     "secular_det",
@@ -64,10 +68,8 @@ _SCAN_DENSITY = 2000
 _NEWTON_STEP_TOL = 1e-10
 _SVD_MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
-
-
-class NoRootFound(RuntimeError):
-    """No secular root could be bracketed in the requested interval."""
+# Widest window the scan accepts: 2e6 grid points.
+_MAX_WINDOW = 1000.0
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,17 @@ def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
     return _secular_stack(p, lam)[0]
 
 
+def _det(a: float, b: float, w: float, mu):
+    """det T at mu = lambda - 1/2, a float or an array."""
+    return 4.0 * ((a * np.sin(np.pi * mu)) ** 2
+                  - (b * np.cos((np.pi - 2.0 * w) * mu - w)) ** 2)
+
+
 def secular_det(p: PhysParams, lams) -> np.ndarray:
     """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
     mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
-    a2 = derived_constants(p).a ** 2
-    w = p.omega
-    return (2.0 - 2.0 * a2 * np.cos(2.0 * np.pi * mu)
-            - 2.0 * (a2 - 1.0) * np.cos((2.0 * np.pi - 4.0 * w) * mu - 2.0 * w))
+    dc = derived_constants(p)
+    return _det(dc.a, dc.b, p.omega, mu)
 
 
 def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
@@ -233,8 +239,9 @@ def _candidate_grid(lo: float, hi: float) -> np.ndarray:
     """The scan grid of [lo, hi], read-only: built once per window."""
     n = int(np.ceil((hi - lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(lo, hi, max(n, 16))
-    # Geometric tails resolve roots hugging the window edges (weak coupling
-    # pushes the principal root exponentially close to 1/2).
+    # Geometric tails resolve roots closer to a window edge than the grid
+    # step; at weak coupling the roots pair up around the half-integers at
+    # distances linear in tau (1/2 - lambda* ~ |tau| cos(omega) / pi).
     tails = []
     span = hi - lo
     for k in range(4, 13):
@@ -246,7 +253,28 @@ def _candidate_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
+def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
+    """The unique simple eigenvalue in (0, 1/2), bisected on [0, 1/2] down
+    to adjacent floats, since det T is positive at 0, negative at 1/2 and
+    strictly decreasing between (see the module docstring)."""
+    if p.omega >= np.pi / 2.0:
+        raise ValueError("principal eigenvalue requires omega < pi/2")
+    dc, w = derived_constants(p), p.omega
+    lam = _bisect(lambda x: _det(dc.a, dc.b, w, x - 0.5), 0.0, 0.5)
+    (root,) = _make_roots(p, [lam])
+    # Simple, though T's second-smallest singular value (about 1.4 |tau| at
+    # weak coupling) can fall under the multiplicity cut: keep the null vector.
+    return SpinOrbitRoot(lam=lam, multiplicity=1,
+                         coefficients=root.coefficients[-1:])
+
+
+def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
+    """All secular roots in [lo, hi], at most 1000 wide, sorted ascending,
+    with multiplicities."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
+    if not hi - lo <= _MAX_WINDOW:
+        raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
     grid = _candidate_grid(lo, hi)
     vals = secular_det(p, grid) ** 2
     scale = _det_scale(p, lo, hi)
@@ -260,44 +288,10 @@ def _roots_in(p: PhysParams, lo: float, hi: float) -> list[float]:
     a, c = grid[minima - 1].tolist(), grid[minima + 1].tolist()
     lam = np.array(_newton_polish(p, _golden(p, a, c, 1e-8), a, c))
     keep = (secular_det(p, lam) ** 2 <= accept) & (lo <= lam) & (lam <= hi)
-    roots = np.sort(lam[keep])
-    merged: list[float] = []
-    for lam in roots:
-        if not merged or abs(lam - merged[-1]) > _ROOT_DEDUP:
-            merged.append(lam)
-    return merged
-
-
-def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
-    """The unique simple eigenvalue in (0, 1/2).
-
-    Raises NoRootFound with the scan summary if no determinant minimum in the
-    open interval survives refinement; that signals parameter pathology (tau
-    at an excluded value, omega at the straight-line limit) rather than an
-    expected outcome.
-    """
-    if p.omega >= np.pi / 2.0:
-        raise ValueError("principal eigenvalue requires omega < pi/2")
-    roots = _roots_in(p, 1e-12, 0.5 - 1e-12)
-    if not roots:
-        scale = _det_scale(p, 0.0, 0.5)
-        raise NoRootFound(
-            f"no secular root in (0, 1/2) for tau={p.tau}, omega={p.omega}; "
-            f"|det| scale on the scan was {scale:.3e}"
-        )
-    if len(roots) > 1:
-        # the principal root should be simple; refuse to guess between extras
-        raise NoRootFound(
-            f"expected one root in (0, 1/2), refinement kept {roots}"
-        )
-    return _make_roots(p, roots)[0]
-
-
-def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
-    """All secular roots in [lo, hi], sorted ascending, with multiplicities."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
-    roots = _roots_in(p, lo, hi)
+    roots: list[float] = []
+    for x in np.sort(lam[keep]):
+        if not roots or abs(x - roots[-1]) > _ROOT_DEDUP:
+            roots.append(x)
     return _make_roots(p, roots) if roots else []
 
 

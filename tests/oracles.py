@@ -141,6 +141,46 @@ def secular_null_space(p, lam: float, cut: float = 1e-7) -> np.ndarray:
     return vh[4 - k:].conj()
 
 
+def secular_root_mp(tau: float, omega: float, lo: float, hi: float,
+                    dps: int = 50) -> float:
+    """The root of det T(lambda) in [lo, hi], computed with ``dps`` digits.
+
+    T is the 4x4 matching matrix rebuilt in mpmath from raw tau: rows 0-1
+    match M_l phi_plus(omega) = phi_minus(omega), rows 2-3
+    M_r phi_plus(-omega) = phi_minus(2pi - omega), with
+    M(nu) = a + b i sigma_3 (sigma . nu).  Its determinant, taken by mpmath
+    (no closed form), must change sign on [lo, hi], which mpmath bisects
+    (the secant-type solvers stall on the flat weak-coupling determinant).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t, w = mpmath.mpf(tau), mpmath.mpf(omega)
+        a, b = (4 + t * t) / (4 - t * t), 4 * t / (4 - t * t)
+
+        def shell(n1, n2):
+            # a I + b i sigma_3 (sigma . nu)
+            return [[a, 1j * b * (n1 - 1j * n2)], [-1j * b * (n1 + 1j * n2), a]]
+
+        m_l = shell(-mpmath.sin(w), mpmath.cos(w))
+        m_r = shell(-mpmath.sin(w), -mpmath.cos(w))
+
+        def det(lam):
+            mu = lam - mpmath.mpf(1) / 2
+            e_w, e_far = mpmath.expj(mu * w), mpmath.expj(mu * (2 * mpmath.pi - w))
+            t_mat = mpmath.matrix([
+                [m_l[0][0] * e_w, m_l[0][1] / e_w, -e_w, 0],
+                [m_l[1][0] * e_w, m_l[1][1] / e_w, 0, -1 / e_w],
+                [m_r[0][0] / e_w, m_r[0][1] * e_w, -e_far, 0],
+                [m_r[1][0] / e_w, m_r[1][1] * e_w, 0, -1 / e_far],
+            ])
+            return mpmath.re(mpmath.det(t_mat))
+
+        root = mpmath.findroot(det, (mpmath.mpf(lo), mpmath.mpf(hi)),
+                               solver="bisect")
+        return float(root)
+
+
 # ---------------------------------------------------------------------------
 # 1-D transverse comparison oracle
 # ---------------------------------------------------------------------------

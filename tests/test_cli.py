@@ -11,7 +11,6 @@ import pytest
 from diracwedge import cli
 from diracwedge.aux1d import secular_f
 from diracwedge.cli import RunConfig, load_config, main, parse_angle, run
-from diracwedge.spin_orbit import NoRootFound
 
 
 def run_to_file(tmp_path, name, argv):
@@ -54,14 +53,6 @@ def test_unknown_flag_exits_2():
     assert main(["gap", "--tau", "-1", "--frobnicate", "3"]) == 2
     # the FEM truncation is always Dirichlet: there is no --bc
     assert main(["fem-count", "--tau", "-1", "--bc", "dirichlet"]) == 2
-
-
-def test_solver_failure_maps_to_exit_3(monkeypatch):
-    def explode(cfg):
-        raise NoRootFound("synthetic")
-
-    monkeypatch.setitem(cli._HANDLERS, "gap", explode)
-    assert run(RunConfig("gap", {"tau": -1.0, "m": 1.0})) == 3
 
 
 def test_fem_solver_failure_maps_to_exit_3(monkeypatch, capsys):
@@ -359,6 +350,19 @@ def test_nan_option_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{argv[-2]} must be finite" in captured.err
+
+
+def test_unbounded_window_exits_2(monkeypatch, capsys):
+    """A window too wide to scan is refused before its grid is built."""
+    import diracwedge.spin_orbit as so
+
+    def no_grid(lo, hi):
+        raise AssertionError("scan grid requested")
+
+    monkeypatch.setattr(so, "_candidate_grid", no_grid)
+    code = main(["spin-orbit", "--tau", "-1", "--lo=-1e9", "--hi", "1e9"])
+    assert code == 2
+    assert "wider than 1000" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

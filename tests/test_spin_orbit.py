@@ -9,7 +9,6 @@ import pytest
 
 from diracwedge.model import PhysParams, interface_matrices
 from diracwedge.spin_orbit import (
-    NoRootFound,
     SpinOrbitRoot,
     angular_profile,
     principal_eigenvalue,
@@ -19,7 +18,7 @@ from diracwedge.spin_orbit import (
 )
 
 from oracles import (secular_det_matrix, secular_null_space,
-                     spin_orbit_eigenvalue_near)
+                     secular_root_mp, spin_orbit_eigenvalue_near)
 
 RNG = np.random.default_rng(11)
 
@@ -32,6 +31,10 @@ LAMBDA_STAR = {
     (-3.0, math.pi / 8.0): 0.297207681922,
     (0.5, 3.0 * math.pi / 8.0): 0.448131210878,
 }
+
+# Weak coupling: lambda* sits about |tau| cos(omega) / pi below 1/2, and
+# is checked against the 50-digit oracle at omega = pi/4.
+WEAK_TAUS = (-1e-8, 2e-9, -3e-8)
 
 
 def test_secular_matrix_encodes_matching():
@@ -124,6 +127,35 @@ def test_principal_eigenvalue_reference_points():
         assert 0.0 < root.lam < 0.5
         assert root.lam == pytest.approx(expected, abs=2e-9)
         assert root.multiplicity == 1
+    for tau in WEAK_TAUS:
+        p = PhysParams(tau=tau, m=1.0, omega=P_REF.omega)
+        root = principal_eigenvalue(p)
+        expected = secular_root_mp(tau, P_REF.omega, 0.25, 0.5)
+        assert root.lam == pytest.approx(expected, abs=1e-15)
+        assert root.multiplicity == 1
+        # T's second-smallest singular value is only about 1.4 |tau| here
+        t = secular_matrix(p, root.lam)
+        assert np.linalg.norm(t @ root.coefficients[0]) <= 1e-12
+
+
+def test_det_brackets_one_principal_root():
+    """det T(0) = 4a^2, det T(1/2) = -4b^2 cos^2 omega < 0, and det T
+    strictly decreases in between: (0, 1/2) holds exactly one root, and it
+    is simple."""
+    rng = np.random.default_rng(20231)
+    lams = np.linspace(0.0, 0.5, 4001)
+    for _ in range(200):
+        tau = rng.uniform(-6.0, 6.0)
+        w = rng.uniform(1e-3, math.pi / 2.0 - 1e-3)
+        p = PhysParams(tau=tau, m=1.0, omega=w)
+        a2 = ((4.0 + tau * tau) / (4.0 - tau * tau)) ** 2
+        b2 = (4.0 * tau / (4.0 - tau * tau)) ** 2
+        det = secular_det(p, lams)
+        assert det[0] == pytest.approx(4.0 * a2, rel=1e-14)
+        assert det[-1] < 0.0
+        assert det[-1] == pytest.approx(-4.0 * b2 * math.cos(w) ** 2,
+                                        abs=1e-14 * a2)
+        assert np.all(np.diff(det) < 0.0)
 
 
 def test_principal_matches_oracle():
@@ -166,8 +198,8 @@ def test_empty_window():
 
 
 @pytest.mark.parametrize("solve, n_grid, n_brackets, n_lams", [
-    pytest.param(principal_eigenvalue, 1019, 1, 1309,
-                 id="principal_eigenvalue-1309"),
+    pytest.param(lambda p: spectrum_in_window(p, 1e-12, 0.5 - 1e-12),
+                 1019, 1, 1309, id="principal_window-1309"),
     pytest.param(lambda p: spectrum_in_window(p, -3.0, 3.0), 12019, 12, 12672,
                  id="<lambda>-12672"),
 ])
@@ -195,18 +227,18 @@ def test_refinement_evaluation_sequence(monkeypatch, solve, n_grid,
     assert sum(sizes) == n_lams
 
 
-# tau = -1e-6 pools the principal root's bracket, which hugs 1/2 and leaves
-# golden section after 9 steps, with the window's 24-step brackets; at
-# omega = pi/6 Newton leaves the double roots after one step and the simple
-# ones after two.
+# tau = -1e-6 pools the bracket of the (0, 1/2) window's one root, which hugs
+# 1/2 and leaves golden section after 9 steps, with the [-3, 3] window's
+# 24-step brackets; at omega = pi/6 Newton leaves the double roots after one
+# step and the simple ones after two.
 BATCH_POINTS = ((-1.0, math.pi / 4.0), (-1e-6, math.pi / 4.0),
                 (0.5, math.pi / 6.0), (-3.0, math.pi / 8.0))
 
 
 def _pooled_refinement_inputs(monkeypatch, p):
     """The brackets ``_golden`` and the starts ``_newton_polish`` receive
-    while the principal root and the [-3, 3] window of ``p`` are solved,
-    each pooled over both solves into one batch of columns."""
+    while the windows (1e-12, 1/2 - 1e-12) and [-3, 3] of ``p`` are scanned,
+    each pooled over both scans into one batch of columns."""
     import diracwedge.spin_orbit as so
 
     seen = {"_golden": [], "_newton_polish": []}
@@ -215,7 +247,7 @@ def _pooled_refinement_inputs(monkeypatch, p):
             calls.append(args)
             return fn(p, *args)
         monkeypatch.setattr(so, name, recorded)
-    principal_eigenvalue(p)
+    spectrum_in_window(p, 1e-12, 0.5 - 1e-12)
     spectrum_in_window(p, -3.0, 3.0)
     monkeypatch.undo()
     (width,) = {args[2] for args in seen["_golden"]}
@@ -357,9 +389,19 @@ def test_candidate_grid_is_cached_read_only():
         grid[0] = 0.0
 
 
-def test_window_rejects_bad_bounds():
+def test_window_rejects_bad_bounds(monkeypatch):
+    import diracwedge.spin_orbit as so
+
     with pytest.raises(ValueError):
         spectrum_in_window(P_REF, 1.0, -1.0)
+
+    def no_grid(lo, hi):
+        raise AssertionError("scan grid requested")
+
+    # a window wider than 1000 is refused before its grid is built
+    monkeypatch.setattr(so, "_candidate_grid", no_grid)
+    with pytest.raises(ValueError, match="wider than 1000"):
+        spectrum_in_window(P_REF, -1e9, 1e9)
 
 
 def test_principal_rejects_straight_line():
