@@ -33,10 +33,15 @@ det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
 are negative.  So det T has exactly one root in (0, 1/2), a simple one, and
 bisection of [0, 1/2] finds it.
 
-Other windows are searched by a |det|^2 minimum scan.  Sign-change
-bracketing would be cheaper and would find two close root pairs the scan
-misses; it waits until the benchmark reference, which froze the scan's
-windows, is corrected.
+Other windows are searched by a |det|^2 minimum scan on a fixed grid.  det T
+is 4 (a sin(pi mu) - b cos phi)(a sin(pi mu) + b cos phi),
+phi = (pi - 2 omega) mu - omega, so at each interior minimum the factor
+nearer 0 is bisected down to adjacent floats if it changes sign across the
+minimum's two grid cells; a minimum where it does not holds no root.  The
+scan misses roots that share a minimum's cells with another root (two close
+pairs, and one member of each weak-coupling pair); sign-change bracketing of
+the whole window would find them, and waits until the benchmark reference,
+which froze the scan's windows, is corrected.
 
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
@@ -61,11 +66,9 @@ __all__ = [
     "angular_profile",
 ]
 
-# Scan density fixed at 2000 points per unit spectral interval; minima of
-# |det|^2 are refined by golden section and polished by Newton steps on the
-# real closed-form determinant.
+# Scan density fixed at 2000 points per unit spectral interval; each minimum
+# of |det|^2 on the grid brackets at most one bisected root.
 _SCAN_DENSITY = 2000
-_NEWTON_STEP_TOL = 1e-10
 _SVD_MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
 # Widest window the scan accepts: 2e6 grid points.
@@ -123,98 +126,23 @@ def _det(a: float, b: float, w: float, mu):
                   - (b * np.cos((np.pi - 2.0 * w) * mu - w)) ** 2)
 
 
+def _det_factor(a: float, b: float, w: float):
+    """lambda -> a sin(pi mu) + b cos((pi - 2 omega) mu - omega) on Python
+    floats, mu = lambda - 1/2: det T is 4 times the product of the factors
+    with b and -b."""
+    c = math.pi - 2.0 * w
+
+    def factor(lam: float) -> float:
+        mu = lam - 0.5
+        return a * math.sin(math.pi * mu) + b * math.cos(c * mu - w)
+    return factor
+
+
 def secular_det(p: PhysParams, lams) -> np.ndarray:
     """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
     mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
     dc = derived_constants(p)
     return _det(dc.a, dc.b, p.omega, mu)
-
-
-def _det_scale(p: PhysParams, lo: float, hi: float) -> float:
-    probe = np.linspace(lo, hi, 257)
-    vals = np.abs(secular_det(p, probe))
-    med = float(np.partition(vals, 128)[128])   # the median of 257 values
-    return med if med > 0.0 else float(np.max(vals)) + 1e-300
-
-
-def _golden(p: PhysParams, a: list[float], c: list[float],
-            width: float) -> list[float]:
-    """Golden-section minimization of |det T|^2 on every bracket [a_i, c_i]
-    at once; returns the midpoints of the final brackets.
-
-    Each bracket's state (a, b, c, d, f(b), f(d)) is a tuple of Python
-    floats, updated in a plain loop.  Each step packs the new points of all
-    brackets still wider than ``width`` into one ``secular_det`` call; a
-    bracket drops out when it is narrow enough, so each one runs the same
-    float operations, in the same order, as it would alone.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    b = [ci - invphi * (ci - ai) for ai, ci in zip(a, c)]
-    d = [ai + invphi * (ci - ai) for ai, ci in zip(a, c)]
-    f = (secular_det(p, b + d) ** 2).tolist()
-    n = len(a)
-    out = [0.5 * (ai + ci) for ai, ci in zip(a, c)]
-    live = [(i, a[i], b[i], c[i], d[i], f[i], f[n + i])
-            for i in range(n) if c[i] - a[i] > width]
-    while live:
-        # Shrink each bracket to [a, c] and pick its new inner point; the
-        # kept inner point and its value carry over.
-        moved = []
-        for i, a, b, c, d, fb, fd in live:
-            if fb <= fd:    # keep [a, d]: b moves up, the new point is below it
-                moved.append((i, a, d, d - invphi * (d - a), b, fb, True))
-            else:           # keep [b, c]: d moves down, the new point is above
-                moved.append((i, b, c, b + invphi * (c - b), d, fd, False))
-        fnew = (secular_det(p, [m[3] for m in moved]) ** 2).tolist()
-        live = []
-        for (i, a, c, new, kept, fkept, below), fn in zip(moved, fnew):
-            if not c - a > width:
-                out[i] = 0.5 * (a + c)
-            elif below:
-                live.append((i, a, new, c, kept, fn, fkept))
-            else:
-                live.append((i, a, kept, c, new, fkept, fn))
-    return out
-
-
-def _newton_polish(p: PhysParams, lam: list[float], lo: list[float],
-                   hi: list[float]) -> list[float]:
-    """Newton iteration on the real determinant, with a central-difference
-    derivative, for every start ``lam[i]`` in [lo[i], hi[i]] at once.
-
-    Near a simple root det T(lam) ~ (lam - root) g(root), so det/det' is the
-    signed distance to the root; the iteration is quadratically convergent
-    and also contracts at double roots.  Each start stops on its own: without
-    updating when det' = 0 or the step leaves its bracket (by more than
-    1e-6), after updating when the step is below ``_NEWTON_STEP_TOL``.  The
-    iterates are Python floats; each step evaluates lam and lam +- h of
-    every live start in one ``secular_det`` call.
-    """
-    h = 1e-7
-    lam = list(lam)
-    live = [(i, x, l - 1e-6, u + 1e-6)
-            for i, (x, l, u) in enumerate(zip(lam, lo, hi))]
-    for _ in range(30):
-        if not live:
-            break
-        xs = [s[1] for s in live]
-        n = len(xs)
-        f = secular_det(p, xs + [x + h for x in xs]
-                        + [x - h for x in xs]).tolist()
-        nxt = []
-        for k, (i, x, l, u) in enumerate(live):
-            fp = (f[n + k] - f[2 * n + k]) / (2.0 * h)
-            if fp == 0.0:
-                continue
-            step = f[k] / fp
-            new = x - step
-            if not l <= new <= u:
-                continue
-            lam[i] = new
-            if not abs(step) <= _NEWTON_STEP_TOL:
-                nxt.append((i, new, l, u))
-        live = nxt
-    return lam
 
 
 def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
@@ -269,27 +197,28 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
-    """All secular roots in [lo, hi], at most 1000 wide, sorted ascending,
-    with multiplicities."""
+    """The secular roots in [lo, hi] that the grid scan brackets (see the
+    module docstring), sorted ascending, with multiplicities; the window may
+    be at most 1000 wide."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
     grid = _candidate_grid(lo, hi)
     vals = secular_det(p, grid) ** 2
-    scale = _det_scale(p, lo, hi)
-    accept = (1e-6 * scale) ** 2
-
     mid = vals[1:-1]
-    minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])
-                            & (mid < 0.5 * scale ** 2)) + 1
-    if not minima.size:
-        return []
-    a, c = grid[minima - 1].tolist(), grid[minima + 1].tolist()
-    lam = np.array(_newton_polish(p, _golden(p, a, c, 1e-8), a, c))
-    keep = (secular_det(p, lam) ** 2 <= accept) & (lo <= lam) & (lam <= hi)
+    minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
+    dc, w = derived_constants(p), p.omega
+    factors = (_det_factor(dc.a, dc.b, w), _det_factor(dc.a, -dc.b, w))
+    lams = []
+    for i in minima.tolist():
+        l, x, u = grid[i - 1:i + 2].tolist()
+        f = min(factors, key=lambda g: abs(g(x)))
+        r = 1.0 if f(l) >= 0.0 else -1.0
+        if r * f(u) < 0.0:
+            lams.append(_bisect(lambda t: r * f(t), l, u))
     roots: list[float] = []
-    for x in np.sort(lam[keep]):
+    for x in sorted(lams):
         if not roots or abs(x - roots[-1]) > _ROOT_DEDUP:
             roots.append(x)
     return _make_roots(p, roots) if roots else []

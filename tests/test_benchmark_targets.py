@@ -43,3 +43,19 @@ def test_scan_points_match_reference(monkeypatch):
     for pt in random.Random(2023).sample(scan, 60):
         got = workloads.scan_point(diracwedge, pt["tau"], pt["omega"])
         assert workloads.close(got, pt["expect"]), (pt["tau"], pt["omega"])
+
+
+def test_every_scan_window_matches_reference(monkeypatch):
+    """spectrum_in_window(p, -3, 3) gives the frozen roots and multiplicities
+    at all 480 spectral-scan points, within the benchmark's tolerances."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    scan = workloads.load_reference()["scan"]
+    assert len(scan) == 480
+    for pt in scan:
+        p = diracwedge.PhysParams(tau=pt["tau"], m=1.0, omega=pt["omega"])
+        roots = diracwedge.spectrum_in_window(p, *workloads.SCAN_WINDOW)
+        got = {"window": [float(r.lam) for r in roots],
+               "multiplicity": [int(r.multiplicity) for r in roots]}
+        want = {k: pt["expect"][k] for k in got}
+        assert workloads.close(got, want), (pt["tau"], pt["omega"])

@@ -197,106 +197,51 @@ def test_empty_window():
     assert spectrum_in_window(P_REF, 0.4, 0.45) == []
 
 
-@pytest.mark.parametrize("solve, n_grid, n_brackets, n_lams", [
-    pytest.param(lambda p: spectrum_in_window(p, 1e-12, 0.5 - 1e-12),
-                 1019, 1, 1309, id="principal_window-1309"),
-    pytest.param(lambda p: spectrum_in_window(p, -3.0, 3.0), 12019, 12, 12672,
-                 id="<lambda>-12672"),
-])
-def test_refinement_evaluation_sequence(monkeypatch, solve, n_grid,
-                                        n_brackets, n_lams):
-    """Every determinant evaluation goes through the module attribute, the
-    number of lambda values is the scan's pinned count, and the refinement
-    makes one call per step for all brackets together."""
-    import diracwedge.spin_orbit as so
-
-    orig = so.secular_det
-    sizes = []
-
-    def counted(p, lams):
-        sizes.append(np.size(lams))
-        return orig(p, lams)
-
-    monkeypatch.setattr(so, "secular_det", counted)
-    solve(P_REF)
-    k = n_brackets
-    # grid, scale probe, golden section's two inner points and 24 steps, two
-    # Newton steps (lambda and lambda +- h), acceptance: 30 calls, where one
-    # call per bracket and step would make 398 for the window
-    assert sizes == [n_grid, 257, 2 * k] + [k] * 24 + [3 * k, 3 * k, k]
-    assert sum(sizes) == n_lams
-
-
-# tau = -1e-6 pools the bracket of the (0, 1/2) window's one root, which hugs
-# 1/2 and leaves golden section after 9 steps, with the [-3, 3] window's
-# 24-step brackets; at omega = pi/6 Newton leaves the double roots after one
-# step and the simple ones after two.
+# tau = -1e-6 puts a root pair about 4.5e-7 apart at each half-integer, one
+# member of each kept; omega = pi/6 adds double roots at +-3/2 (below).
 BATCH_POINTS = ((-1.0, math.pi / 4.0), (-1e-6, math.pi / 4.0),
                 (0.5, math.pi / 6.0), (-3.0, math.pi / 8.0))
 
 
-def _pooled_refinement_inputs(monkeypatch, p):
-    """The brackets ``_golden`` and the starts ``_newton_polish`` receive
-    while the windows (1e-12, 1/2 - 1e-12) and [-3, 3] of ``p`` are scanned,
-    each pooled over both scans into one batch of columns."""
-    import diracwedge.spin_orbit as so
+def test_window_roots_are_factor_sign_changes():
+    """det T = 4 f(b) f(-b), f(b) = a sin(pi mu) + b cos((pi - 2w) mu - w):
+    at every window root lambda one factor changes sign between lambda and
+    an adjacent float."""
+    points = [(tau, omega) for tau in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0)
+              for omega in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)]
+    points += BATCH_POINTS + tuple((tau, math.pi / 6.0)
+                                   for tau in DOUBLE_ROOT_TAUS)
+    for tau, omega in points:
+        a = (4.0 + tau * tau) / (4.0 - tau * tau)
+        b = 4.0 * tau / (4.0 - tau * tau)
 
-    seen = {"_golden": [], "_newton_polish": []}
-    for name, calls in seen.items():
-        def recorded(p, *args, fn=getattr(so, name), calls=calls):
-            calls.append(args)
-            return fn(p, *args)
-        monkeypatch.setattr(so, name, recorded)
-    spectrum_in_window(p, 1e-12, 0.5 - 1e-12)
-    spectrum_in_window(p, -3.0, 3.0)
-    monkeypatch.undo()
-    (width,) = {args[2] for args in seen["_golden"]}
-    brackets = [[x for args in seen["_golden"] for x in args[j]]
-                for j in (0, 1)]
-    starts = [[x for args in seen["_newton_polish"] for x in args[j]]
-              for j in (0, 1, 2)]
-    return brackets, width, starts
+        def factor(lam, b):
+            mu = lam - 0.5
+            return (a * math.sin(math.pi * mu)
+                    + b * math.cos((math.pi - 2.0 * omega) * mu - omega))
+
+        roots = spectrum_in_window(PhysParams(tau=tau, m=1.0, omega=omega),
+                                   -3.0, 3.0)
+        assert roots
+        for root in roots:
+            near = [math.nextafter(root.lam, to) for to in (-math.inf, math.inf)]
+            assert any(factor(root.lam, s) * factor(x, s) <= 0.0
+                       for s in (b, -b) for x in near), (tau, omega, root.lam)
 
 
-def test_batched_refinement_matches_each_bracket_alone(monkeypatch):
-    """Golden section and Newton polish on a batch of brackets give, bit for
-    bit, what each bracket gives alone, also when brackets stop after
-    different numbers of steps."""
-    import diracwedge.spin_orbit as so
-
-    orig = so.secular_det
-    n_calls = [0]
-
-    def counted(p, lams):
-        n_calls[0] += 1
-        return orig(p, lams)
-
-    def alone(fn, p, columns, *extra):
-        """``fn`` on each bracket alone: the results, and the set of
-        ``secular_det`` call counts the brackets took."""
-        out, counts = [], set()
-        for row in zip(*columns):
-            n_calls[0] = 0
-            (x,) = fn(p, *([v] for v in row), *extra)
-            out.append(x)
-            counts.add(n_calls[0])
-        return out, counts
-
-    golden_mixed = newton_mixed = False
-    for tau, omega in BATCH_POINTS:
-        p = PhysParams(tau=tau, m=1.0, omega=omega)
-        brackets, width, starts = _pooled_refinement_inputs(monkeypatch, p)
-        golden = so._golden(p, *brackets, width)
-        newton = so._newton_polish(p, *starts)
-        monkeypatch.setattr(so, "secular_det", counted)
-        golden_alone, golden_counts = alone(so._golden, p, brackets, width)
-        newton_alone, newton_counts = alone(so._newton_polish, p, starts)
-        monkeypatch.undo()
-        assert [x.hex() for x in golden] == [x.hex() for x in golden_alone]
-        assert [x.hex() for x in newton] == [x.hex() for x in newton_alone]
-        golden_mixed |= len(golden_counts) > 1
-        newton_mixed |= len(newton_counts) > 1
-    assert golden_mixed and newton_mixed
+@pytest.mark.parametrize("tau, lo, hi", [(-1e-8, 0.0, 1.0),
+                                         (-1e-6, -3.0, 3.0)])
+def test_weak_coupling_window_roots_match_oracle(tau, lo, hi):
+    """At weak coupling the roots pair up 0.45 |tau| apart around the
+    half-integers; every root the window reports is a true root to 1e-15
+    (50-digit oracle on a bracket holding only that root)."""
+    omega = math.pi / 4.0
+    roots = spectrum_in_window(PhysParams(tau=tau, m=1.0, omega=omega), lo, hi)
+    assert roots
+    half = 0.1 * abs(tau)
+    for root in roots:
+        expected = secular_root_mp(tau, omega, root.lam - half, root.lam + half)
+        assert root.lam == pytest.approx(expected, abs=1e-15)
 
 
 # omega = pi/6, lambda = +-3/2: 6 omega mu = pi, so det T and its derivative
