@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ParameterError, PhysParams, _bisect, derived_constants
+from .model import ParameterError, PhysParams, _refine, derived_constants
 
 __all__ = ["Aux1DResult", "secular_f", "ground_state"]
 
@@ -42,21 +42,20 @@ def secular_f(k: float, gamma: float) -> float:
 def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
     """Solve F_gamma(k) = kappa0 and return (gamma, k_gamma, E_gamma).
 
-    Bisection on [kappa0, kappa0 + 1/gamma] down to adjacent floats, then a
-    single Newton polish.  tanh(k gamma) < 1 forces k_gamma > kappa0, and
-    tanh x >= x/(1 + x) gives F_gamma(kappa0 + 1/gamma) > kappa0, so the
-    bracket always holds the root.
+    Bracketed Newton on [kappa0, kappa0 + 1/gamma] down to adjacent floats,
+    with the closed-form slope F' = tanh(k gamma) + k gamma sech^2(k gamma).
+    tanh(k gamma) < 1 forces k_gamma > kappa0, and tanh x >= x/(1 + x) gives
+    F_gamma(kappa0 + 1/gamma) > kappa0, so the bracket always holds the root.
     """
     if p.tau >= 0.0:
         raise ParameterError("strip ground state is defined for tau < 0")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     kap = derived_constants(p).kappa0
-    # kap - F < 0 exactly when F > kap: the float subtraction keeps the sign
-    k = _bisect(lambda x: kap - secular_f(x, gamma), kap, kap + 1.0 / gamma)
-    # One Newton step squeezes out the last bisection digit.
-    th = math.tanh(k * gamma)
-    fprime = th + k * gamma * (1.0 - th * th)
-    if fprime > 0.0:
-        k -= (k * th - kap) / fprime
+
+    def fd(k: float) -> tuple[float, float]:
+        # kap - F < 0 exactly when F > kap: the float subtraction keeps the sign
+        th = math.tanh(k * gamma)
+        return kap - k * th, -(th + k * gamma * (1.0 - th * th))
+    k = _refine(fd, kap, kap + 1.0 / gamma)
     return Aux1DResult(gamma=gamma, k_gamma=k, E_gamma=p.m * p.m - k * k)

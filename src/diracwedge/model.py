@@ -143,17 +143,36 @@ def derived_constants(p: PhysParams) -> DerivedConstants:
     return p._constants
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisect [lo, hi], f(lo) >= 0 > f(hi), on Python floats down to
-    adjacent floats; returns the last midpoint (lo or hi)."""
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if f(mid) < 0.0:
-            hi = mid
+def _refine(fd, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], f(lo) >= 0 > f(hi), by bracketed Newton on
+    Python floats down to adjacent floats; returns lo or hi.
+
+    ``fd(x)`` returns (f(x), f'(x)).  Every iterate lies strictly inside the
+    current sign-change bracket.  A Newton target on or beyond an end of the
+    bracket (a step too small to move x lands on x, which is an end) probes
+    the float next to that end, inside: the root lies within the bracket,
+    usually within one float of that end.  A step more than half the size of
+    the step before last bisects instead, as does a zero slope, so a
+    non-monotone f or a stalled Newton sequence falls back on bisection.
+    """
+    x = 0.5 * (lo + hi)
+    older = old = math.inf   # sizes of the last two steps
+    while lo < x < hi:
+        f, d = fd(x)
+        if f < 0.0:
+            hi = x
         else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+            lo = x
+        y = x - f / d if d else math.nan
+        if y <= lo:
+            y = math.nextafter(lo, hi)
+        elif y >= hi:
+            y = math.nextafter(hi, lo)
+        if not (lo < y < hi and abs(y - x) <= 0.5 * older):
+            y = 0.5 * (lo + hi)
+        older, old = old, abs(y - x)
+        x = y
+    return x
 
 
 def _unit_normal(nu) -> tuple[float, float]:

@@ -30,18 +30,22 @@ det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
     d det T / d mu = 4 pi a^2 sin(2 pi mu)
                      + 4b^2 (pi - 2 omega) sin((2pi - 4 omega) mu - 2 omega)
 
-are negative.  So det T has exactly one root in (0, 1/2), a simple one, and
-bisection of [0, 1/2] finds it.
+are negative.  So det T has exactly one root in (0, 1/2), a simple one.
+det T is 4 (a sin(pi mu) - b cos phi)(a sin(pi mu) + b cos phi),
+phi = (pi - 2 omega) mu - omega, and only depends on |a| and |b|; on (0, 1/2)
+the factor |a| sin(pi mu) - |b| cos phi stays negative, so the root is the
+one of |a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to
+|b| cos omega at 1/2.  Bracketed Newton on [0, 1/2] refines it down to
+adjacent floats.
 
-Other windows are searched by a |det|^2 minimum scan on a fixed grid.  det T
-is 4 (a sin(pi mu) - b cos phi)(a sin(pi mu) + b cos phi),
-phi = (pi - 2 omega) mu - omega, so at each interior minimum the factor
-nearer 0 is bisected down to adjacent floats if it changes sign across the
-minimum's two grid cells; a minimum where it does not holds no root.  The
-scan misses roots that share a minimum's cells with another root (two close
-pairs, and one member of each weak-coupling pair); sign-change bracketing of
-the whole window would find them, and waits until the benchmark reference,
-which froze the scan's windows, is corrected.
+Other windows are searched by a |det|^2 minimum scan on a fixed grid, whose
+sin(pi mu) is cached with it.  At each interior minimum the factor nearer 0
+is refined by bracketed Newton down to adjacent floats if it changes sign
+across the minimum's two grid cells; a minimum where it does not holds no
+root.  The scan misses roots that share a minimum's cells with another root
+(two close pairs, and one member of each weak-coupling pair); sign-change
+bracketing of the whole window would find them, and waits until the
+benchmark reference, which froze the scan's windows, is corrected.
 
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysParams, _bisect, derived_constants, interface_matrices
+from .model import PhysParams, _refine, derived_constants, interface_matrices
 
 __all__ = [
     "SpinOrbitRoot",
@@ -67,7 +71,7 @@ __all__ = [
 ]
 
 # Scan density fixed at 2000 points per unit spectral interval; each minimum
-# of |det|^2 on the grid brackets at most one bisected root.
+# of |det|^2 on the grid brackets at most one refined root.
 _SCAN_DENSITY = 2000
 _SVD_MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
@@ -120,21 +124,26 @@ def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
     return _secular_stack(p, lam)[0]
 
 
-def _det(a: float, b: float, w: float, mu):
-    """det T at mu = lambda - 1/2, a float or an array."""
-    return 4.0 * ((a * np.sin(np.pi * mu)) ** 2
+def _det(a: float, b: float, w: float, mu: np.ndarray,
+         sine: np.ndarray) -> np.ndarray:
+    """det T at the array mu = lambda - 1/2, given sine = sin(pi mu)."""
+    return 4.0 * ((a * sine) ** 2
                   - (b * np.cos((np.pi - 2.0 * w) * mu - w)) ** 2)
 
 
-def _det_factor(a: float, b: float, w: float):
-    """lambda -> a sin(pi mu) + b cos((pi - 2 omega) mu - omega) on Python
-    floats, mu = lambda - 1/2: det T is 4 times the product of the factors
-    with b and -b."""
+def _det_factor(a: float, b: float, w: float, sign: float):
+    """lambda -> (f, f') on Python floats for
+    f = sign (a sin(pi mu) + b cos((pi - 2 omega) mu - omega)),
+    mu = lambda - 1/2: det T is 4 times the product of the factors with b
+    and -b."""
     c = math.pi - 2.0 * w
+    sa, sb = sign * a, sign * b
 
-    def factor(lam: float) -> float:
+    def factor(lam: float) -> tuple[float, float]:
         mu = lam - 0.5
-        return a * math.sin(math.pi * mu) + b * math.cos(c * mu - w)
+        phi = c * mu - w
+        return (sa * math.sin(math.pi * mu) + sb * math.cos(phi),
+                sa * math.pi * math.cos(math.pi * mu) - sb * c * math.sin(phi))
     return factor
 
 
@@ -142,7 +151,7 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
     """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
     mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
     dc = derived_constants(p)
-    return _det(dc.a, dc.b, p.omega, mu)
+    return _det(dc.a, dc.b, p.omega, mu, np.sin(np.pi * mu))
 
 
 def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
@@ -163,8 +172,9 @@ def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
 
 
 @functools.lru_cache(maxsize=2)
-def _candidate_grid(lo: float, hi: float) -> np.ndarray:
-    """The scan grid of [lo, hi], read-only: built once per window."""
+def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid of [lo, hi] and sin(pi (grid - 1/2)) on it, both
+    read-only: built once per window."""
     n = int(np.ceil((hi - lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(lo, hi, max(n, 16))
     # Geometric tails resolve roots closer to a window edge than the grid
@@ -177,18 +187,23 @@ def _candidate_grid(lo: float, hi: float) -> np.ndarray:
         tails.append(lo + off)
         tails.append(hi - off)
     grid = np.unique(np.concatenate([grid, np.array(tails)]))
+    sine = np.sin(np.pi * (grid - 0.5))
     grid.setflags(write=False)
-    return grid
+    sine.setflags(write=False)
+    return grid, sine
 
 
 def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
-    """The unique simple eigenvalue in (0, 1/2), bisected on [0, 1/2] down
-    to adjacent floats, since det T is positive at 0, negative at 1/2 and
-    strictly decreasing between (see the module docstring)."""
+    """The unique simple eigenvalue in (0, 1/2): the root of
+    |a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to |b| cos omega
+    at 1/2 (see the module docstring), refined by bracketed Newton on
+    [0, 1/2] down to adjacent floats."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("principal eigenvalue requires omega < pi/2")
-    dc, w = derived_constants(p), p.omega
-    lam = _bisect(lambda x: _det(dc.a, dc.b, w, x - 0.5), 0.0, 0.5)
+    dc = derived_constants(p)
+    # a < 0 when |tau| > 2; the sign -1 makes the factor fall through 0.
+    fd = _det_factor(abs(dc.a), abs(dc.b), p.omega, -1.0)
+    lam = _refine(fd, 0.0, 0.5)
     (root,) = _make_roots(p, [lam])
     # Simple, though T's second-smallest singular value (about 1.4 |tau| at
     # weak coupling) can fall under the multiplicity cut: keep the null vector.
@@ -197,26 +212,27 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
-    """The secular roots in [lo, hi] that the grid scan brackets (see the
-    module docstring), sorted ascending, with multiplicities; the window may
-    be at most 1000 wide."""
+    """The secular roots in [lo, hi] that the grid scan brackets, each
+    refined by bracketed Newton on one factor of det T down to adjacent
+    floats (see the module docstring), sorted ascending, with
+    multiplicities; the window may be at most 1000 wide."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
-    grid = _candidate_grid(lo, hi)
-    vals = secular_det(p, grid) ** 2
+    dc, w = derived_constants(p), p.omega
+    grid, sine = _candidate_grid(lo, hi)
+    vals = _det(dc.a, dc.b, w, grid - 0.5, sine) ** 2
     mid = vals[1:-1]
     minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    dc, w = derived_constants(p), p.omega
-    factors = (_det_factor(dc.a, dc.b, w), _det_factor(dc.a, -dc.b, w))
+    factors = {b: _det_factor(dc.a, b, w, 1.0) for b in (dc.b, -dc.b)}
     lams = []
     for i in minima.tolist():
         l, x, u = grid[i - 1:i + 2].tolist()
-        f = min(factors, key=lambda g: abs(g(x)))
-        r = 1.0 if f(l) >= 0.0 else -1.0
-        if r * f(u) < 0.0:
-            lams.append(_bisect(lambda t: r * f(t), l, u))
+        b = min(factors, key=lambda s: abs(factors[s](x)[0]))
+        r = 1.0 if factors[b](l)[0] >= 0.0 else -1.0
+        if r * factors[b](u)[0] < 0.0:
+            lams.append(_refine(_det_factor(dc.a, b, w, r), l, u))
     roots: list[float] = []
     for x in sorted(lams):
         if not roots or abs(x - roots[-1]) > _ROOT_DEDUP:

@@ -10,6 +10,7 @@ import pytest
 from diracwedge.model import (
     ParameterError,
     PhysParams,
+    _refine,
     charge_conjugate,
     derived_constants,
     interface_matrices,
@@ -18,6 +19,7 @@ from diracwedge.model import (
     special_matrices,
     transmission_matrix,
 )
+from diracwedge.spin_orbit import _det_factor
 
 RNG = np.random.default_rng(20240817)
 
@@ -218,3 +220,110 @@ def test_charge_conjugation_intertwines_transmission():
     # involution on arrays of spinors
     batch = RNG.standard_normal((5, 2)) + 1j * RNG.standard_normal((5, 2))
     np.testing.assert_allclose(charge_conjugate(charge_conjugate(batch)), batch, atol=0.0)
+
+
+def _ab(tau):
+    return (4.0 + tau * tau) / (4.0 - tau * tau), 4.0 * tau / (4.0 - tau * tau)
+
+
+def _log_tau(rng, lo_exp, sign=None):
+    s = float(rng.choice((-1.0, 1.0))) if sign is None else sign
+    return s * 10.0 ** rng.uniform(lo_exp, 2.0)
+
+
+def _principal_brackets(rng):
+    """[0, 1/2] for -(|a| sin(pi mu) + |b| cos phi), |tau| up to 100."""
+    for _ in range(300):
+        a, b = _ab(_log_tau(rng, -8.0))
+        w = rng.uniform(1e-4, math.pi / 2.0 - 1e-4)
+        yield _det_factor(abs(a), abs(b), w, -1.0), 0.0, 0.5
+
+
+def _band_brackets(rng):
+    """Whole bands [k + 1/2 - d, k + 1/2 + d], d = arcsin(|b|/|a|)/pi plus
+    1e-9: outside them |a sin(pi mu)| > |b|, so each factor has the sign of
+    a sin(pi mu) at the ends, and at large |b| it is not monotone inside."""
+    n = 0
+    while n < 200:
+        tau = _log_tau(rng, -6.0)
+        if abs(abs(tau) - 2.0) < 1e-2:
+            continue
+        a, b = _ab(tau)
+        w = rng.uniform(1e-4, math.pi / 2.0 - 1e-4)
+        d = math.asin(abs(b) / abs(a)) / math.pi + 1e-9
+        k = int(rng.integers(-3, 3))
+        for s in (b, -b):
+            r = 1.0 if _det_factor(a, s, w, 1.0)(k + 0.5 - d)[0] >= 0.0 else -1.0
+            yield _det_factor(a, s, w, r), k + 0.5 - d, k + 0.5 + d
+        n += 1
+
+
+def _aux1d_brackets(rng):
+    """[kappa0, kappa0 + 1/gamma] for kappa0 - k tanh(k gamma)."""
+    for _ in range(100):
+        kap = derived_constants(PhysParams(tau=_log_tau(rng, -8.0, -1.0),
+                                           m=1.0, omega=0.5)).kappa0
+        for gamma in (0.05, 1.0, 20.0):
+            def fd(k, gamma=gamma, kap=kap):
+                th = math.tanh(k * gamma)
+                return kap - k * th, -(th + k * gamma * (1.0 - th * th))
+            yield fd, kap, kap + 1.0 / gamma
+
+
+def _wiggly_brackets(rng):
+    """[0, 1] for c - x + A sin(B x)/B, whose slope changes sign up to 2B/pi
+    times: Newton often points out of the bracket, and without the
+    bisection fallback the iterates would creep along it one float at a
+    time."""
+    n = 0
+    while n < 300:
+        c, amp = rng.uniform(0.1, 0.9), rng.uniform(0.1, 3.0)
+        freq = rng.uniform(1.0, 60.0)
+
+        def fd(x, c=c, amp=amp, freq=freq):
+            return (c - x + amp * math.sin(freq * x) / freq,
+                    amp * math.cos(freq * x) - 1.0)
+        if fd(0.0)[0] >= 0.0 > fd(1.0)[0]:
+            n += 1
+            yield fd, 0.0, 1.0
+
+
+def _bisection_evals(f, lo, hi):
+    """Evaluations plain bisection takes from [lo, hi], f(lo) >= 0 > f(hi),
+    down to adjacent floats: the reference count for ``_refine``."""
+    n, mid = 0, 0.5 * (lo + hi)
+    while lo < mid < hi:
+        n += 1
+        if f(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return n
+
+
+@pytest.mark.parametrize("family", [_principal_brackets, _band_brackets,
+                                    _aux1d_brackets, _wiggly_brackets])
+def test_refine_ends_at_a_sign_change_within_bisection_count(family):
+    """On seeded brackets of the package's three root searches and of a
+    wiggly function, ``_refine`` evaluates only strictly inside the bracket,
+    ends at a sign change between the result and an adjacent float, and
+    never needs more evaluations than bisection."""
+    rng = np.random.default_rng(20261018)
+    for fd, lo, hi in family(rng):
+        def f(x):
+            return fd(x)[0]
+
+        assert f(lo) >= 0.0 > f(hi)
+        budget = _bisection_evals(f, lo, hi)
+        seen = []
+
+        def counted(x):
+            assert lo < x < hi
+            seen.append(x)
+            assert len(seen) <= budget, (lo, hi)
+            return fd(x)
+
+        x = _refine(counted, lo, hi)
+        up, down = math.nextafter(x, math.inf), math.nextafter(x, -math.inf)
+        assert f(x) >= 0.0 > f(up) or f(down) >= 0.0 > f(x), (lo, hi, x)

@@ -203,30 +203,59 @@ BATCH_POINTS = ((-1.0, math.pi / 4.0), (-1e-6, math.pi / 4.0),
                 (0.5, math.pi / 6.0), (-3.0, math.pi / 8.0))
 
 
-def test_window_roots_are_factor_sign_changes():
+def _is_factor_sign_change(tau, omega, lam):
     """det T = 4 f(b) f(-b), f(b) = a sin(pi mu) + b cos((pi - 2w) mu - w):
-    at every window root lambda one factor changes sign between lambda and
-    an adjacent float."""
+    whether one factor changes sign between lam and an adjacent float."""
+    a = (4.0 + tau * tau) / (4.0 - tau * tau)
+    b = 4.0 * tau / (4.0 - tau * tau)
+
+    def factor(x, b):
+        mu = x - 0.5
+        return (a * math.sin(math.pi * mu)
+                + b * math.cos((math.pi - 2.0 * omega) * mu - omega))
+
+    near = [math.nextafter(lam, to) for to in (-math.inf, math.inf)]
+    return any(factor(lam, s) * factor(x, s) <= 0.0
+               for s in (b, -b) for x in near)
+
+
+def test_window_roots_are_factor_sign_changes():
+    """At every window root one factor of det T changes sign between the
+    root and an adjacent float."""
     points = [(tau, omega) for tau in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0)
               for omega in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)]
     points += BATCH_POINTS + tuple((tau, math.pi / 6.0)
                                    for tau in DOUBLE_ROOT_TAUS)
     for tau, omega in points:
-        a = (4.0 + tau * tau) / (4.0 - tau * tau)
-        b = 4.0 * tau / (4.0 - tau * tau)
-
-        def factor(lam, b):
-            mu = lam - 0.5
-            return (a * math.sin(math.pi * mu)
-                    + b * math.cos((math.pi - 2.0 * omega) * mu - omega))
-
         roots = spectrum_in_window(PhysParams(tau=tau, m=1.0, omega=omega),
                                    -3.0, 3.0)
         assert roots
         for root in roots:
-            near = [math.nextafter(root.lam, to) for to in (-math.inf, math.inf)]
-            assert any(factor(root.lam, s) * factor(x, s) <= 0.0
-                       for s in (b, -b) for x in near), (tau, omega, root.lam)
+            assert _is_factor_sign_change(tau, omega, root.lam), \
+                (tau, omega, root.lam)
+
+
+def test_principal_is_factor_sign_change_over_tau_range():
+    """For both signs of tau, |tau| from 1e-9 to 100 (a < 0 beyond 2), and
+    omega in [1e-4, pi/2 - 1e-4], the principal root lies in (0, 1/2) and
+    one factor of det T changes sign between it and an adjacent float."""
+    rng = np.random.default_rng(20232)
+    for _ in range(400):
+        tau = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-9.0, 2.0)
+        omega = rng.uniform(1e-4, math.pi / 2.0 - 1e-4)
+        lam = principal_eigenvalue(PhysParams(tau=tau, m=1.0, omega=omega)).lam
+        assert 0.0 < lam < 0.5, (tau, omega)
+        assert _is_factor_sign_change(tau, omega, lam), (tau, omega, lam)
+
+
+@pytest.mark.parametrize("tau, omega", [(-3.0, math.pi / 8.0), (5.0, 0.3),
+                                        (-100.0, 1.2)])
+def test_principal_matches_oracle_beyond_tau_2(tau, omega):
+    """|tau| > 2 makes a negative; the principal root still matches the
+    50-digit oracle on [0, 1/2]."""
+    root = principal_eigenvalue(PhysParams(tau=tau, m=1.0, omega=omega))
+    assert root.lam == pytest.approx(secular_root_mp(tau, omega, 0.0, 0.5),
+                                     abs=1e-15)
 
 
 @pytest.mark.parametrize("tau, lo, hi", [(-1e-8, 0.0, 1.0),
@@ -326,12 +355,17 @@ def test_root_build_calls_interface_matrices_once(monkeypatch):
 
 
 def test_candidate_grid_is_cached_read_only():
+    """The scan grid and its sin(pi mu) are built once per window, shared
+    read-only, and the sine is the one the grid gives."""
     from diracwedge.spin_orbit import _candidate_grid
 
-    grid = _candidate_grid(-3.0, 3.0)
-    assert _candidate_grid(-3.0, 3.0) is grid
-    with pytest.raises(ValueError):
-        grid[0] = 0.0
+    grid, sine = _candidate_grid(-3.0, 3.0)
+    again = _candidate_grid(-3.0, 3.0)
+    assert again[0] is grid and again[1] is sine
+    for arr in (grid, sine):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    np.testing.assert_array_equal(sine, np.sin(np.pi * (grid - 0.5)))
 
 
 def test_window_rejects_bad_bounds(monkeypatch):
