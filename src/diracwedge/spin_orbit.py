@@ -18,10 +18,42 @@ The determinant is real and has the closed form
 a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2), which ``secular_det``
 evaluates.  By a^2 - 1 = b^2 and the half-angle formulas it equals
 2 - 2a^2 cos(2 pi mu) - 2b^2 cos((2pi - 4 omega) mu - 2 omega), but no
-difference in it cancels at weak coupling.  The 4x4 system is built only
-for the null vectors at the roots (multiplicity and the coefficients behind
-``angular_profile``) and for ``secular_matrix``: all roots of a call share
-one (n, 4, 4) stack of T(lambda) and one batched SVD.
+difference in it cancels at weak coupling.
+
+The null vectors at the roots (multiplicity and the coefficients behind
+``angular_profile``) are closed form too.  The reflection theta -> -theta
+acts on the coefficients as the parity
+P (A, B, C, D) = (-iB, iA, -iD e^{-2 pi i mu}, iC e^{2 pi i mu}), P^2 = 1,
+and on the rows of T as P'(r0, r1, r2, r3) = (-i r3, i r2, -i r1, i r0),
+with T P = P' T.  So T splits into its two sectors s = +-1, where
+B = s i A and D = s i e^{2 pi i mu} C; in orthonormal row and column bases
+of sector s it is the 2x2 block
+
+    T_s = [[a e + s i b e^{-i omega} / e, -e],
+           [a / e - s i b e^{i omega} e,  -E]],
+    e = e^{i mu omega},  E = e^{i mu (2pi - omega)},
+
+With C_s = a + s i b e^{-i (2 mu + 1) omega}, the first column of T_s is
+(e C_s, conj(e C_s)), so det T_s = conj(C_s) - e^{2 pi i mu} C_s =
+-2i e^{i pi mu} f_s, f_s = a sin(pi mu) + s b cos phi,
+phi = (pi - 2 omega) mu - omega, and T_s T_s^H has the diagonal
+|C_s|^2 + 1 twice and the off-diagonal e^2 (C_s^2 + e^{-2 pi i mu}).  The
+four singular values of T are therefore, per sector,
+s_max = sqrt(|C_s|^2 + 1 + |C_s^2 + e^{-2 pi i mu}|) >= 1 and
+s_min = 2 |f_s| / s_max, and the null vector of sector s is
+(1, s i, C_s, s i e^{2 pi i mu} C_s).  These hold for any real a and b, so
+for their rounded values too, and no difference in them cancels: the
+Frobenius form ||T_s||_F^2 = 2(a^2 + b^2 + 1) + 4ab s sin((2 mu + 1) omega)
+does, near |tau| = 2, where a and b reach 8 / |4 - tau^2| and ||T_s||_F^2
+is 2 at a root.  A sector counts towards the multiplicity when
+|f_s| <= 1e-7 (|a| + |b|), the size of f_s, so a double root is a common
+root of f_+ and f_- and no root is more than double; at least one sector
+counts, and the null vector of the smaller s_min comes last.  (A cut on
+singular values relative to the largest one, of T or of T_s, reads simple
+roots near |tau| = 2 as double or triple: the largest grow like
+1/|4 - tau^2|, while the root's sector keeps s_max near sqrt 2 and the
+other sector's s_min can stay of order 1.)  ``secular_matrix`` builds the
+full 4x4 T for checks.
 
 The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
 det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
@@ -31,12 +63,11 @@ det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
                      + 4b^2 (pi - 2 omega) sin((2pi - 4 omega) mu - 2 omega)
 
 are negative.  So det T has exactly one root in (0, 1/2), a simple one.
-det T is 4 (a sin(pi mu) - b cos phi)(a sin(pi mu) + b cos phi),
-phi = (pi - 2 omega) mu - omega, and only depends on |a| and |b|; on (0, 1/2)
-the factor |a| sin(pi mu) - |b| cos phi stays negative, so the root is the
-one of |a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to
-|b| cos omega at 1/2.  Bracketed Newton on [0, 1/2] refines it down to
-adjacent floats.
+det T = 4 f_+ f_- only depends on |a| and |b|; on (0, 1/2) the factor
+|a| sin(pi mu) - |b| cos phi stays negative, so the root is the one of
+|a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to |b| cos omega
+at 1/2.  Bracketed Newton on [0, 1/2] refines it down to adjacent
+floats.
 
 Other windows are searched by a |det|^2 minimum scan on a fixed grid, whose
 sin(pi mu) is cached with it.  At each interior minimum the factor nearer 0
@@ -53,6 +84,7 @@ lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -73,7 +105,7 @@ __all__ = [
 # Scan density fixed at 2000 points per unit spectral interval; each minimum
 # of |det|^2 on the grid brackets at most one refined root.
 _SCAN_DENSITY = 2000
-_SVD_MULT_CUT = 1e-7
+_MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
 # Widest window the scan accepts: 2e6 grid points.
 _MAX_WINDOW = 1000.0
@@ -98,30 +130,22 @@ _PHASE_INDEX = np.array([[0, 1, 0, 4], [0, 1, 4, 1],
                          [1, 0, 2, 4], [1, 0, 4, 3]])
 
 
-def _secular_stack(p: PhysParams, lams) -> np.ndarray:
-    """T(lambda) for every lambda in ``lams``, (n, 4, 4) complex, in the
-    coefficient order (A, B, C, D)."""
-    ml, mr = interface_matrices(p)
-    w = p.omega
-    mu = np.asarray(lams, dtype=float).reshape(-1, 1) - 0.5
-    far = 2.0 * np.pi - w
-    phases = np.hstack([np.exp(1j * mu * w), np.exp(-1j * mu * w),
-                        np.exp(1j * mu * far), np.exp(-1j * mu * far),
-                        np.zeros_like(mu)])
-    # Rows 0-1 match at theta = omega: M_l phi_plus(omega) = phi_minus(omega);
-    # rows 2-3 at theta = 2pi - omega (= -omega on the wedge side):
-    # M_r phi_plus(-omega) = phi_minus(2pi - omega).
-    coef = np.array([[*ml[0], -1.0, 0.0], [*ml[1], 0.0, -1.0],
-                     [*mr[0], -1.0, 0.0], [*mr[1], 0.0, -1.0]])
-    return coef * phases[:, _PHASE_INDEX]
-
-
 def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
     """Matching matrix T(lambda), (4, 4) complex, in the coefficient order
     (A, B, C, D)."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("secular problem requires omega < pi/2")
-    return _secular_stack(p, lam)[0]
+    ml, mr = interface_matrices(p)
+    w = p.omega
+    mu = float(lam) - 0.5
+    far = 2.0 * np.pi - w
+    phases = np.append(np.exp(1j * mu * np.array([w, -w, far, -far])), 0.0)
+    # Rows 0-1 match at theta = omega: M_l phi_plus(omega) = phi_minus(omega);
+    # rows 2-3 at theta = 2pi - omega (= -omega on the wedge side):
+    # M_r phi_plus(-omega) = phi_minus(2pi - omega).
+    coef = np.array([[*ml[0], -1.0, 0.0], [*ml[1], 0.0, -1.0],
+                     [*mr[0], -1.0, 0.0], [*mr[1], 0.0, -1.0]])
+    return coef * phases[_PHASE_INDEX]
 
 
 def _det(a: float, b: float, w: float, mu: np.ndarray,
@@ -154,21 +178,52 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
     return _det(dc.a, dc.b, p.omega, mu, np.sin(np.pi * mu))
 
 
+def _sectors(a: float, b: float, w: float,
+             lam: float) -> list[tuple[float, float, float, float, complex]]:
+    """(s_min, s_max, s, f_s, C_s) of the block T_s for s = +1 and s = -1 at
+    lambda, on Python floats; the s_min and s_max are the four singular
+    values of T (module docstring)."""
+    mu = lam - 0.5
+    sin_pi = math.sin(math.pi * mu)
+    cos_phi = math.cos((math.pi - 2.0 * w) * mu - w)
+    rot = cmath.exp(-1j * (2.0 * mu + 1.0) * w)
+    back = cmath.exp(-2j * math.pi * mu)
+    out = []
+    for s in (1.0, -1.0):
+        f = a * sin_pi + s * b * cos_phi
+        c = a + s * 1j * b * rot
+        # A sum of non-negative terms, so s_max >= 1 at any coupling.
+        s_max = math.sqrt(abs(c) ** 2 + 1.0 + abs(c * c + back))
+        # s_min s_max = |det T_s| = 2 |f|, without cancellation.
+        out.append((2.0 * abs(f) / s_max, s_max, s, f, c))
+    return out
+
+
 def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
-    """The roots at ``lams``: one SVD of the stacked T(lambda) gives every
-    multiplicity and null space."""
-    _, s, vh = np.linalg.svd(_secular_stack(p, lams))
-    mult = np.maximum(np.sum(s <= _SVD_MULT_CUT * s[:, :1], axis=1), 1)
-    vecs = vh.conj()
-    # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega + (|C|^2+|D|^2)(2pi-2 omega)
-    # because the angular exponentials are unimodular.
-    w = p.omega
-    sq = np.abs(vecs) ** 2
-    nrm = (sq[..., 0] + sq[..., 1]) * 2.0 * w \
-        + (sq[..., 2] + sq[..., 3]) * (2.0 * np.pi - 2.0 * w)
-    vecs /= np.sqrt(nrm)[..., None]
-    return [SpinOrbitRoot(lam=lam, multiplicity=int(k), coefficients=v[4 - k:])
-            for lam, k, v in zip(lams, mult, vecs)]
+    """The roots at ``lams``, their multiplicities and null vectors from the
+    two parity sectors of T in closed form (see the module docstring)."""
+    dc, w = derived_constants(p), p.omega
+    a, b = dc.a, dc.b
+    cut = _MULT_CUT * (abs(a) + abs(b))
+    roots = []
+    for lam in lams:
+        # The null vector of the smaller s_min goes last.
+        sectors = sorted(_sectors(a, b, w, lam), key=lambda t: t[0],
+                         reverse=True)
+        null = [t for t in sectors if abs(t[3]) <= cut] or sectors[1:]
+        turn = cmath.exp(2j * math.pi * (lam - 0.5))
+        rows = []
+        for _, _, s, _, cs in null:
+            # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega
+            # + (|C|^2+|D|^2)(2pi-2 omega): the angular exponentials are
+            # unimodular.
+            scale = 1.0 / math.sqrt(4.0 * w + abs(cs) ** 2 * (4.0 * math.pi
+                                                             - 4.0 * w))
+            rows.append([scale, s * 1j * scale, cs * scale,
+                         s * 1j * turn * cs * scale])
+        roots.append(SpinOrbitRoot(lam=lam, multiplicity=len(rows),
+                                   coefficients=np.array(rows)))
+    return roots
 
 
 @functools.lru_cache(maxsize=2)

@@ -141,44 +141,91 @@ def secular_null_space(p, lam: float, cut: float = 1e-7) -> np.ndarray:
     return vh[4 - k:].conj()
 
 
+def _shell_constants_mp(t):
+    """a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2) from raw mpf tau."""
+    return (4 + t * t) / (4 - t * t), 4 * t / (4 - t * t)
+
+
+def _secular_matrix_mp(a, b, w, lam):
+    """T(lambda) as an mpmath matrix at the working precision, rebuilt from
+    mpf shell constants a, b and omega: rows 0-1 match M_l phi_plus(omega) =
+    phi_minus(omega), rows 2-3 M_r phi_plus(-omega) = phi_minus(2pi - omega),
+    with M(nu) = a + b i sigma_3 (sigma . nu)."""
+    import mpmath
+
+    def shell(n1, n2):
+        # a I + b i sigma_3 (sigma . nu)
+        return [[a, 1j * b * (n1 - 1j * n2)], [-1j * b * (n1 + 1j * n2), a]]
+
+    m_l = shell(-mpmath.sin(w), mpmath.cos(w))
+    m_r = shell(-mpmath.sin(w), -mpmath.cos(w))
+    mu = lam - mpmath.mpf(1) / 2
+    e_w, e_far = mpmath.expj(mu * w), mpmath.expj(mu * (2 * mpmath.pi - w))
+    return mpmath.matrix([
+        [m_l[0][0] * e_w, m_l[0][1] / e_w, -e_w, 0],
+        [m_l[1][0] * e_w, m_l[1][1] / e_w, 0, -1 / e_w],
+        [m_r[0][0] / e_w, m_r[0][1] * e_w, -e_far, 0],
+        [m_r[1][0] / e_w, m_r[1][1] * e_w, 0, -1 / e_far],
+    ])
+
+
 def secular_root_mp(tau: float, omega: float, lo: float, hi: float,
                     dps: int = 50) -> float:
     """The root of det T(lambda) in [lo, hi], computed with ``dps`` digits.
 
-    T is the 4x4 matching matrix rebuilt in mpmath from raw tau: rows 0-1
-    match M_l phi_plus(omega) = phi_minus(omega), rows 2-3
-    M_r phi_plus(-omega) = phi_minus(2pi - omega), with
-    M(nu) = a + b i sigma_3 (sigma . nu).  Its determinant, taken by mpmath
-    (no closed form), must change sign on [lo, hi], which mpmath bisects
-    (the secant-type solvers stall on the flat weak-coupling determinant).
+    T is the 4x4 matching matrix rebuilt in mpmath from raw tau
+    (``_secular_matrix_mp``).  Its determinant, taken by mpmath (no closed
+    form), must change sign on [lo, hi], which mpmath bisects (the
+    secant-type solvers stall on the flat weak-coupling determinant).
     """
     import mpmath
 
     with mpmath.workdps(dps):
         t, w = mpmath.mpf(tau), mpmath.mpf(omega)
-        a, b = (4 + t * t) / (4 - t * t), 4 * t / (4 - t * t)
 
-        def shell(n1, n2):
-            # a I + b i sigma_3 (sigma . nu)
-            return [[a, 1j * b * (n1 - 1j * n2)], [-1j * b * (n1 + 1j * n2), a]]
-
-        m_l = shell(-mpmath.sin(w), mpmath.cos(w))
-        m_r = shell(-mpmath.sin(w), -mpmath.cos(w))
+        a, b = _shell_constants_mp(t)
 
         def det(lam):
-            mu = lam - mpmath.mpf(1) / 2
-            e_w, e_far = mpmath.expj(mu * w), mpmath.expj(mu * (2 * mpmath.pi - w))
-            t_mat = mpmath.matrix([
-                [m_l[0][0] * e_w, m_l[0][1] / e_w, -e_w, 0],
-                [m_l[1][0] * e_w, m_l[1][1] / e_w, 0, -1 / e_w],
-                [m_r[0][0] / e_w, m_r[0][1] * e_w, -e_far, 0],
-                [m_r[1][0] / e_w, m_r[1][1] * e_w, 0, -1 / e_far],
-            ])
-            return mpmath.re(mpmath.det(t_mat))
+            return mpmath.re(mpmath.det(_secular_matrix_mp(a, b, w, lam)))
 
         root = mpmath.findroot(det, (mpmath.mpf(lo), mpmath.mpf(hi)),
                                solver="bisect")
         return float(root)
+
+
+def secular_null_space_mp(tau: float, omega: float, lam: float, k: int,
+                          dps: int = 50) -> np.ndarray:
+    """Orthonormal rows spanning the right singular vectors of the ``k``
+    smallest singular values of T(lambda) at the float ``lam``, computed
+    with ``dps`` digits from T rebuilt in mpmath from raw tau, and rounded
+    to complex128.  They come from the eigenvectors of T^H T: squaring the
+    conditioning costs digits the 50-digit default has to spare."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = _shell_constants_mp(mpmath.mpf(tau))
+        t_mat = _secular_matrix_mp(a, b, mpmath.mpf(omega), mpmath.mpf(lam))
+        vals, vecs = mpmath.eighe(t_mat.H * t_mat)
+        order = sorted(range(4), key=lambda j: vals[j])[:k]
+        return np.array([[complex(vecs[i, j]) for i in range(4)]
+                         for j in order])
+
+
+def secular_singular_values_mp(a: float, b: float, omega: float, lam: float,
+                               dps: int = 50) -> np.ndarray:
+    """The four singular values of T(lambda), ascending, computed with
+    ``dps`` digits from the float shell constants ``a``, ``b`` taken as
+    exact (not from tau: near |tau| = 2 the rounding of 4 - tau^2 scales a
+    and b by far more than an ulp, which no evaluation at given a, b can
+    undo).  They are the square roots of the eigenvalues of T^H T, which
+    the 50-digit default resolves down to 1e-25 of the largest."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t_mat = _secular_matrix_mp(mpmath.mpf(a), mpmath.mpf(b),
+                                   mpmath.mpf(omega), mpmath.mpf(lam))
+        vals = mpmath.eighe(t_mat.H * t_mat, eigvals_only=True)
+        return np.sort([float(mpmath.sqrt(max(v, 0))) for v in vals])
 
 
 # ---------------------------------------------------------------------------
