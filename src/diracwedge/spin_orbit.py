@@ -31,29 +31,21 @@ of sector s it is the 2x2 block
 
     T_s = [[a e + s i b e^{-i omega} / e, -e],
            [a / e - s i b e^{i omega} e,  -E]],
-    e = e^{i mu omega},  E = e^{i mu (2pi - omega)},
+    e = e^{i mu omega},  E = e^{i mu (2pi - omega)}.
 
 With C_s = a + s i b e^{-i (2 mu + 1) omega}, the first column of T_s is
 (e C_s, conj(e C_s)), so det T_s = conj(C_s) - e^{2 pi i mu} C_s =
 -2i e^{i pi mu} f_s, f_s = a sin(pi mu) + s b cos phi,
-phi = (pi - 2 omega) mu - omega, and T_s T_s^H has the diagonal
-|C_s|^2 + 1 twice and the off-diagonal e^2 (C_s^2 + e^{-2 pi i mu}).  The
-four singular values of T are therefore, per sector,
-s_max = sqrt(|C_s|^2 + 1 + |C_s^2 + e^{-2 pi i mu}|) >= 1 and
-s_min = 2 |f_s| / s_max, and the null vector of sector s is
-(1, s i, C_s, s i e^{2 pi i mu} C_s).  These hold for any real a and b, so
-for their rounded values too, and no difference in them cancels: the
-Frobenius form ||T_s||_F^2 = 2(a^2 + b^2 + 1) + 4ab s sin((2 mu + 1) omega)
-does, near |tau| = 2, where a and b reach 8 / |4 - tau^2| and ||T_s||_F^2
-is 2 at a root.  A sector counts towards the multiplicity when
-|f_s| <= 1e-7 (|a| + |b|), the size of f_s, so a double root is a common
-root of f_+ and f_- and no root is more than double; at least one sector
-counts, and the null vector of the smaller s_min comes last.  (A cut on
-singular values relative to the largest one, of T or of T_s, reads simple
-roots near |tau| = 2 as double or triple: the largest grow like
-1/|4 - tau^2|, while the root's sector keeps s_max near sqrt 2 and the
-other sector's s_min can stay of order 1.)  ``secular_matrix`` builds the
-full 4x4 T for checks.
+phi = (pi - 2 omega) mu - omega, and det T = 4 f_+ f_-.  A root of f_s
+has the null vector (1, s i, C_s, s i e^{2 pi i mu} C_s) in sector s; this
+holds for any real a and b, so for their rounded values too.  A sector
+counts towards the multiplicity when |f_s| <= 1e-7 (|a| + |b|), the size
+of f_s, so a double root is a common root of f_+ and f_- and no root is
+more than double; at least one sector counts, and the rows are ordered by
+|f_s|, the smaller last.  (A cut on singular values relative to the largest
+one, of T or of T_s, reads simple roots near |tau| = 2 as double or triple:
+the largest grow like 1/|4 - tau^2|, while the other sector's smallest can
+stay of order 1.)  ``secular_matrix`` builds the full 4x4 T for checks.
 
 The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
 det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
@@ -66,8 +58,9 @@ are negative.  So det T has exactly one root in (0, 1/2), a simple one.
 det T = 4 f_+ f_- only depends on |a| and |b|; on (0, 1/2) the factor
 |a| sin(pi mu) - |b| cos phi stays negative, so the root is the one of
 |a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to |b| cos omega
-at 1/2.  Bracketed Newton on [0, 1/2] refines it down to adjacent
-floats.
+at 1/2.  As sgn b = sgn tau sgn a, that factor is +-f_s for s = sgn tau:
+the principal root lies in sector sgn tau.  Bracketed Newton on [0, 1/2]
+refines it down to adjacent floats.
 
 Other windows are searched by a |det|^2 minimum scan on a fixed grid, whose
 sin(pi mu) is cached with it.  At each interior minimum the factor nearer 0
@@ -178,25 +171,18 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
     return _det(dc.a, dc.b, p.omega, mu, np.sin(np.pi * mu))
 
 
-def _sectors(a: float, b: float, w: float,
-             lam: float) -> list[tuple[float, float, float, float, complex]]:
-    """(s_min, s_max, s, f_s, C_s) of the block T_s for s = +1 and s = -1 at
-    lambda, on Python floats; the s_min and s_max are the four singular
-    values of T (module docstring)."""
+def _sector_row(a: float, b: float, w: float, lam: float,
+                s: float) -> list[complex]:
+    """The null vector (1, s i, C_s, s i e^{2 pi i mu} C_s) of sector s at
+    lambda, C_s = a + s i b e^{-i (2 mu + 1) omega}, on Python floats and
+    scaled to unit L^2 norm over both arcs."""
     mu = lam - 0.5
-    sin_pi = math.sin(math.pi * mu)
-    cos_phi = math.cos((math.pi - 2.0 * w) * mu - w)
-    rot = cmath.exp(-1j * (2.0 * mu + 1.0) * w)
-    back = cmath.exp(-2j * math.pi * mu)
-    out = []
-    for s in (1.0, -1.0):
-        f = a * sin_pi + s * b * cos_phi
-        c = a + s * 1j * b * rot
-        # A sum of non-negative terms, so s_max >= 1 at any coupling.
-        s_max = math.sqrt(abs(c) ** 2 + 1.0 + abs(c * c + back))
-        # s_min s_max = |det T_s| = 2 |f|, without cancellation.
-        out.append((2.0 * abs(f) / s_max, s_max, s, f, c))
-    return out
+    cs = a + s * 1j * b * cmath.exp(-1j * (2.0 * mu + 1.0) * w)
+    turn = cmath.exp(2j * math.pi * mu)
+    # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega + (|C|^2+|D|^2)(2pi-2 omega):
+    # the angular exponentials are unimodular.
+    scale = 1.0 / math.sqrt(4.0 * w + abs(cs) ** 2 * (4.0 * math.pi - 4.0 * w))
+    return [scale, s * 1j * scale, cs * scale, s * 1j * turn * cs * scale]
 
 
 def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
@@ -205,22 +191,14 @@ def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
     dc, w = derived_constants(p), p.omega
     a, b = dc.a, dc.b
     cut = _MULT_CUT * (abs(a) + abs(b))
+    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1.0, -1.0)}
     roots = []
     for lam in lams:
-        # The null vector of the smaller s_min goes last.
-        sectors = sorted(_sectors(a, b, w, lam), key=lambda t: t[0],
-                         reverse=True)
-        null = [t for t in sectors if abs(t[3]) <= cut] or sectors[1:]
-        turn = cmath.exp(2j * math.pi * (lam - 0.5))
-        rows = []
-        for _, _, s, _, cs in null:
-            # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega
-            # + (|C|^2+|D|^2)(2pi-2 omega): the angular exponentials are
-            # unimodular.
-            scale = 1.0 / math.sqrt(4.0 * w + abs(cs) ** 2 * (4.0 * math.pi
-                                                             - 4.0 * w))
-            rows.append([scale, s * 1j * scale, cs * scale,
-                         s * 1j * turn * cs * scale])
+        size = {s: abs(f(lam)[0]) for s, f in factors.items()}
+        # The sector of the smaller |f_s| goes last.
+        order = sorted(size, key=size.get, reverse=True)
+        null = [s for s in order if size[s] <= cut] or order[1:]
+        rows = [_sector_row(a, b, w, lam, s) for s in null]
         roots.append(SpinOrbitRoot(lam=lam, multiplicity=len(rows),
                                    coefficients=np.array(rows)))
     return roots
@@ -259,11 +237,9 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
     # a < 0 when |tau| > 2; the sign -1 makes the factor fall through 0.
     fd = _det_factor(abs(dc.a), abs(dc.b), p.omega, -1.0)
     lam = _refine(fd, 0.0, 0.5)
-    (root,) = _make_roots(p, [lam])
-    # Simple, though T's second-smallest singular value (about 1.4 |tau| at
-    # weak coupling) can fall under the multiplicity cut: keep the null vector.
-    return SpinOrbitRoot(lam=lam, multiplicity=1,
-                         coefficients=root.coefficients[-1:])
+    # The factor is +-f_s of sector s = sgn tau, as sgn b = sgn tau sgn a.
+    row = _sector_row(dc.a, dc.b, p.omega, lam, 1.0 if p.tau > 0.0 else -1.0)
+    return SpinOrbitRoot(lam=lam, multiplicity=1, coefficients=np.array([row]))
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:

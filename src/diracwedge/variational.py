@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _TAU_GUARD,
     ParameterError,
     PhysParams,
     derived_constants,
@@ -65,8 +66,6 @@ __all__ = [
     "SingularSeqReport",
     "singular_seq_identities",
 ]
-
-_TAU_GUARD = 1e-9
 
 
 def _require_attractive(tau: float) -> None:
@@ -282,20 +281,25 @@ def _x_star(tau: float, N: int) -> tuple[float, float, float, float]:
     return f, g, h, a0 + math.sqrt(a0 * (a0 + 4.0 * f))
 
 
+def _tan_omega_star(N: int, f: float, g: float, h: float,
+                    x_star: float) -> float:
+    """tan omega_star from the output of ``_x_star``."""
+    return (x_star * h ** 1.5
+            / (g * (2.0 * N * N * math.pi ** 2 * h + f + x_star)
+               * math.sqrt(f + x_star)))
+
+
 def critical_angle_closed(tau: float, N: int) -> float:
     """Closed-form critical angle omega_star(tau, N), mass-independent."""
-    f, g, h, x_star = _x_star(tau, N)
-    tan_w = (x_star * h ** 1.5
-             / (g * (2.0 * N * N * math.pi ** 2 * h + f + x_star)
-                * math.sqrt(f + x_star)))
-    return math.atan(tan_w)
+    return math.atan(_tan_omega_star(N, *_x_star(tau, N)))
 
 
 def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
     """(omega_star, L_star): the maximum of omega(L) over L > 0 and the
     strip length that attains it, both in closed form."""
-    f, _, h, x_star = _x_star(p.tau, N)
-    return critical_angle_closed(p.tau, N), math.sqrt((f + x_star) / h) / p.m
+    f, g, h, x_star = _x_star(p.tau, N)
+    return (math.atan(_tan_omega_star(N, f, g, h, x_star)),
+            math.sqrt((f + x_star) / h) / p.m)
 
 
 def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdown]:

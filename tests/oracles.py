@@ -121,22 +121,34 @@ def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
     return float(vals[0])
 
 
+def _secular_matrix(tau: float, omega: float, lam: float) -> np.ndarray:
+    """T(lambda), (4, 4) complex, rebuilt from raw tau with the row layout
+    of ``_secular_matrix_mp``."""
+    m_l = _shell_matrix(tau, (-math.sin(omega), math.cos(omega)))
+    m_r = _shell_matrix(tau, (-math.sin(omega), -math.cos(omega)))
+    mu = lam - 0.5
+    e_w = np.exp(1j * mu * omega)
+    e_far = np.exp(1j * mu * (2.0 * math.pi - omega))
+    return np.array([
+        [m_l[0, 0] * e_w, m_l[0, 1] / e_w, -e_w, 0.0],
+        [m_l[1, 0] * e_w, m_l[1, 1] / e_w, 0.0, -1.0 / e_w],
+        [m_r[0, 0] / e_w, m_r[0, 1] * e_w, -e_far, 0.0],
+        [m_r[1, 0] / e_w, m_r[1, 1] * e_w, 0.0, -1.0 / e_far],
+    ])
+
+
 def secular_det_matrix(p, lams) -> np.ndarray:
     """det T(lambda) as np.linalg.det of the stacked 4x4 matching matrices
     (complex): a route independent of the closed form in ``secular_det``."""
-    from diracwedge.spin_orbit import secular_matrix
-
-    return np.linalg.det(np.stack([secular_matrix(p, lam)
+    return np.linalg.det(np.stack([_secular_matrix(p.tau, p.omega, lam)
                                    for lam in np.atleast_1d(lams)]))
 
 
 def secular_null_space(p, lam: float, cut: float = 1e-7) -> np.ndarray:
     """Orthonormal rows spanning the null space of T(lambda), from one SVD of
-    ``secular_matrix`` at this one root: singular values at most ``cut``
-    times the largest count as zero, and at least one row is returned."""
-    from diracwedge.spin_orbit import secular_matrix
-
-    _, s, vh = np.linalg.svd(secular_matrix(p, lam))
+    T at this one root: singular values at most ``cut`` times the largest
+    count as zero, and at least one row is returned."""
+    _, s, vh = np.linalg.svd(_secular_matrix(p.tau, p.omega, lam))
     k = max(int(np.sum(s <= cut * s[0])), 1)
     return vh[4 - k:].conj()
 
@@ -209,23 +221,6 @@ def secular_null_space_mp(tau: float, omega: float, lam: float, k: int,
         order = sorted(range(4), key=lambda j: vals[j])[:k]
         return np.array([[complex(vecs[i, j]) for i in range(4)]
                          for j in order])
-
-
-def secular_singular_values_mp(a: float, b: float, omega: float, lam: float,
-                               dps: int = 50) -> np.ndarray:
-    """The four singular values of T(lambda), ascending, computed with
-    ``dps`` digits from the float shell constants ``a``, ``b`` taken as
-    exact (not from tau: near |tau| = 2 the rounding of 4 - tau^2 scales a
-    and b by far more than an ulp, which no evaluation at given a, b can
-    undo).  They are the square roots of the eigenvalues of T^H T, which
-    the 50-digit default resolves down to 1e-25 of the largest."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        t_mat = _secular_matrix_mp(mpmath.mpf(a), mpmath.mpf(b),
-                                   mpmath.mpf(omega), mpmath.mpf(lam))
-        vals = mpmath.eighe(t_mat.H * t_mat, eigvals_only=True)
-        return np.sort([float(mpmath.sqrt(max(v, 0))) for v in vals])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from diracwedge.model import PhysParams
 from diracwedge.special import bessel_k, deficiency_element
@@ -116,7 +117,7 @@ def test_deficiency_square_integrable(principal_root):
                 v = deficiency_element(P_REF, +1, r, th, root=principal_root)
                 dens[i, j] = np.sum(np.abs(v) ** 2)
         ang = dens.mean(axis=1) * 2.0 * np.pi
-        return np.trapezoid(ang * rs, rs)
+        return trapezoid(ang * rs, rs)
 
     coarse = integral(64, 16)
     fine = integral(128, 32)

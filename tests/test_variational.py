@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from diracwedge.model import (ParameterError, PhysParams, derived_constants,
                               interface_matrices)
@@ -267,10 +267,10 @@ def test_cutoff_moments_match_exact_rationals():
     m0, m1, m2 = chi_sq_moments()
     s = np.linspace(0.0, 1.0, 200001)
     chi2 = smoothstep_cutoff(s) ** 2
-    assert np.trapezoid(chi2, s) == pytest.approx(m0, abs=1e-11)
-    assert np.trapezoid(chi2 * s, s) == pytest.approx(m1, abs=1e-11)
+    assert trapezoid(chi2, s) == pytest.approx(m0, abs=1e-11)
+    assert trapezoid(chi2 * s, s) == pytest.approx(m1, abs=1e-11)
     dchi2 = smoothstep_cutoff_prime(s) ** 2
-    assert np.trapezoid(dchi2 * s, s) == pytest.approx(m2, abs=1e-11)
+    assert trapezoid(dchi2 * s, s) == pytest.approx(m2, abs=1e-11)
 
 
 def test_weyl_supports_disjoint():
