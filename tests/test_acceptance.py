@@ -13,6 +13,7 @@ import numpy as np
 from diracwedge.aux1d import ground_state
 from diracwedge.cli import main as cli_main
 from diracwedge.fem import assemble, build_mesh, count_bound_states, solve_lowest
+from diracwedge.fem import solve
 from diracwedge.model import (
     PhysParams,
     derived_constants,
@@ -235,10 +236,12 @@ def test_criterion_7_fem_certification():
 
     p_thin = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
     rep_c = count_bound_states(p_thin)
-    c_ok = rep_c.count_below >= 1
+    c_ok = (rep_c.count_below >= 1
+            and bool(np.all(rep_c.residuals <= 1e-3 * solve._RESIDUAL_CAP)))
     details.append(
         f"(c) count {rep_c.count_below}, lowest {rep_c.eigenvalues[0]:.4f}, "
-        f"margin {rep_c.margin:.1e}, dofs {rep_c.mesh_info['n_reduced']}")
+        f"margin {rep_c.margin:.1e}, dofs {rep_c.mesh_info['n_reduced']}, "
+        f"max residual {rep_c.residuals.max():.1e}")
 
     ok = a_ok and b_ok and c_ok
     elapsed = time.perf_counter() - t0

@@ -310,6 +310,34 @@ def test_fem_count_inconsistency_exits_3(monkeypatch, capsys):
                           "with 0 of 8 Ritz values below s = ")
 
 
+def test_fem_count_child_without_result_exits_3(monkeypatch, capsys):
+    """An inertia child that dies before it reports is a solver failure."""
+    import os
+
+    from diracwedge.fem import solve
+
+    def die(pencil, s):
+        os._exit(5)
+
+    monkeypatch.setattr(solve, "_inertia", die)
+    assert main(SMALL_STRIP) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("diracwedge fem-count: inertia count at s = ")
+    assert err.endswith("(wait status 1280, exit code 5)\n")
+
+
+def test_fem_count_piped_through_subprocess(child_env):
+    """The forked inertia child writes nothing to the streams it shares:
+    stdout holds exactly one JSON document and stderr stays empty."""
+    out = subprocess.run(
+        [sys.executable, "-m", "diracwedge.cli", *SMALL_STRIP],
+        env=child_env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["result"]["count_below"] == 12
+
+
 def test_sweep_rows_follow_grid(tmp_path):
     argv = ["sweep", "--quantity", "gap", "--tau", "-1", "-2.5", "-4",
             "--m", "1", "2"]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import scipy.special
 
 from diracwedge.fem import (
     FemSolveError,
+    SpectralReport,
     SymmetricPencil,
     assemble,
     build_mesh,
@@ -144,14 +148,22 @@ SMALL_STRIP = {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3}
 ])
 def test_inertia_count_matches_dense(tau, mesh_opts):
     """The inertia count is the dense count of pencil eigenvalues below
-    edge - margin, also where it exceeds the k reported eigenvalues."""
+    edge - margin, also where it exceeds the k reported eigenvalues.  The
+    Ritz values are the dense lowest k, and ARPACK's tol leaves the
+    residuals three decades under their cap."""
     omega = 3.2e-3 if mesh_opts["kind"] == "strip" else math.pi / 4.0
     p = PhysParams(tau=tau, m=1.0, omega=omega)
     rep = count_bound_states(p, mesh_opts=mesh_opts)
-    dense = scipy.linalg.eigh(rep.pencil.A.toarray(), rep.pencil.B.toarray(),
-                              eigvals_only=True)
+    a, b = rep.pencil.A.toarray(), rep.pencil.B.toarray()
+    dense, vecs = scipy.linalg.eigh(a, b)
     assert rep.margin == 1e-6 * rep.gap_edge
     assert rep.count_below == int(np.sum(dense < rep.gap_edge - rep.margin))
+    # eigh's values carry B's conditioning (3.7e-12 off on the strip); the
+    # Rayleigh quotients of its vectors are off by the square of their error
+    v = vecs[:, :rep.eigenvalues.size]
+    lowest = np.sum(v * (a @ v), axis=0) / np.sum(v * (b @ v), axis=0)
+    np.testing.assert_allclose(rep.eigenvalues, lowest, rtol=1e-12, atol=0.0)
+    assert np.all(rep.residuals <= 1e-3 * solve._RESIDUAL_CAP)
     if mesh_opts is SMALL_STRIP:
         assert rep.count_below > rep.eigenvalues.size == 8
 
@@ -178,3 +190,94 @@ def test_count_checks_raise_with_measured_values(monkeypatch, fault,
     p = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
     with pytest.raises(FemSolveError, match=message):
         count_bound_states(p, mesh_opts=SMALL_STRIP)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+P_THIN = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
+
+
+def test_count_leaves_no_child(monkeypatch):
+    """The forked inertia child is reaped after a count, after a failure of
+    the parent's Lanczos, after a failed check of the child's factor, and
+    when the child dies without a result, whose wait status is reported."""
+    assert count_bound_states(P_THIN, mesh_opts=SMALL_STRIP).count_below == 12
+    _assert_no_child_left()
+
+    def no_convergence(*args, **kwargs):
+        raise solve.spla.ArpackNoConvergence("synthetic", np.zeros(1),
+                                             np.zeros((1, 1)))
+
+    with monkeypatch.context() as m:
+        m.setattr(solve.spla, "eigsh", no_convergence)
+        with pytest.raises(FemSolveError, match="did not converge"):
+            count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+    _assert_no_child_left()
+
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
+        with pytest.raises(FemSolveError, match="relative residual"):
+            count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+    _assert_no_child_left()
+
+    def die(pencil, s):
+        os._exit(5)
+
+    monkeypatch.setattr(solve, "_inertia", die)
+    with pytest.raises(FemSolveError, match=r"without a result "
+                       r"\(wait status 1280, exit code 5\)"):
+        count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+    _assert_no_child_left()
+
+
+def test_child_error_reaches_parent(monkeypatch):
+    """A failure inside the child's factor is raised in the parent."""
+    monkeypatch.setattr(solve.spla, "splu",
+                        _partial_pivoting_splu(solve.spla.splu))
+    monkeypatch.setattr(solve, "solve_lowest",
+                        lambda pencil, k: SpectralReport(
+                            np.zeros(0), None, 0.0, None, np.zeros(0)))
+    with pytest.raises(FemSolveError, match="rows pivoted off it"):
+        count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+    _assert_no_child_left()
+
+
+def test_child_flushes_no_inherited_buffer(child_env):
+    """Output the parent has buffered when it forks is written once."""
+    code = ("import sys\n"
+            "from diracwedge.fem import count_bound_states\n"
+            "from diracwedge.model import PhysParams\n"
+            "sys.stdout.write('pending')\n"
+            "count_bound_states(PhysParams(tau=-1.0, m=1.0, omega=3.2e-3), "
+            f"{SMALL_STRIP!r})\n")
+    env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert (out.stdout, out.stderr) == ("pending", "")
+
+
+@pytest.mark.parametrize("p, mesh_opts", [
+    (P_THIN, SMALL_STRIP),
+    (P_ATTR, {"kind": "disk", "R": 6.0, "h": 0.8}),
+])
+def test_inline_count_equals_forked(monkeypatch, p, mesh_opts):
+    """Without os.fork the count runs inline: same count, bitwise-equal
+    eigenvalues and residuals, and the same failure message."""
+    forked = count_bound_states(p, mesh_opts=mesh_opts)
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
+        with pytest.raises(FemSolveError) as forked_err:
+            count_bound_states(p, mesh_opts=mesh_opts)
+    monkeypatch.delattr(solve.os, "fork")
+    inline = count_bound_states(p, mesh_opts=mesh_opts)
+    assert inline.count_below == forked.count_below
+    assert np.array_equal(inline.eigenvalues, forked.eigenvalues)
+    assert inline.as_dict() == forked.as_dict()
+    monkeypatch.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
+    with pytest.raises(FemSolveError) as inline_err:
+        count_bound_states(p, mesh_opts=mesh_opts)
+    assert str(inline_err.value) == str(forked_err.value)
