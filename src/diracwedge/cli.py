@@ -22,7 +22,8 @@ from itertools import product
 from pathlib import Path
 
 from .aux1d import ground_state
-from .model import ParameterError, PhysParams, derived_constants
+from .model import (FemSolveError, ParameterError, PhysParams,
+                    derived_constants)
 from .special import deficiency_element
 from .spin_orbit import principal_eigenvalue, spectrum_in_window
 from .variational import (critical_angle_maximize, energy_breakdown,
@@ -370,25 +371,14 @@ def _handle_deficiency(cfg: RunConfig) -> str:
     })
 
 
-class _FemFailure(RuntimeError):
-    """A ``FemSolveError`` under a name ``run`` can catch without importing
-    the FEM layer."""
-
-
 def _handle_fem_count(cfg: RunConfig) -> str:
     # the FEM layer (and scipy.sparse) loads here, not on every CLI call
-    from .fem import (FemSolveError, MeshError, count_bound_states,
-                      export_matrix_market)
+    from .fem import count_bound_states, export_matrix_market
 
     o = cfg.options
     p = _params(o)
     mesh_opts = {k: o[k] for k in _MESH_OPT_NAMES if o.get(k) is not None}
-    try:
-        report = count_bound_states(p, mesh_opts or None, k=o["k"])
-    except (MeshError, ValueError) as exc:
-        raise ParameterError(str(exc)) from exc
-    except FemSolveError as exc:
-        raise _FemFailure(str(exc)) from exc
+    report = count_bound_states(p, mesh_opts, k=o["k"])
     result = report.as_dict()
     if o.get("export"):
         result["exports"] = export_matrix_market(report.pencil, o["export"])
@@ -451,7 +441,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
         text = _HANDLERS[config.subcommand](config)
-    except (_FemFailure, _NonFiniteResult) as exc:
+    except (FemSolveError, _NonFiniteResult) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, ValueError) as exc:

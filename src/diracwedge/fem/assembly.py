@@ -19,8 +19,8 @@ coordinates w = U* u the conjugation is plain complex conjugation and the
 rotated transmission matrices U* M U are real.  Every other piece of the
 form acts on both spinor components alike and is unchanged by U.  Z is
 therefore built from U* M U in rotated coordinates, and the reduced pencil
-is real symmetric and unitarily equivalent to the one in the physical basis;
-dof_map = (I x U) Z maps reduced coordinates to physical spinor values.
+is real symmetric and unitarily equivalent to the one in the physical basis:
+(I x U) Z maps its coordinates to physical spinor values.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class SymmetricPencil:
                                   # real symmetric float64
     B: sp.csr_matrix              # reduced mass, real symmetric positive
                                   # definite float64
-    dof_map: sp.csr_matrix        # complex prolongation: reduced
-                                  # coordinates -> physical spinor values
     info: dict = field(default_factory=dict)
 
     @property
@@ -165,8 +163,8 @@ def assemble(p: PhysParams, mesh: Mesh) -> SymmetricPencil:
     in the rotated spinor basis.
 
     A = Z^T (stiffness + m^2 mass + shell jump) Z and B = Z^T mass Z, with Z
-    from `_prolongation`; dof_map = (I x U) Z.  ``info`` holds the mesh info,
-    tau, m, omega and the full and reduced sizes.
+    from `_prolongation`.  ``info`` holds the mesh info, tau, m, omega and
+    the full and reduced sizes.
     """
     a_full, b_full = _full_matrices(p, mesh)
     z = _prolongation(p, mesh)
@@ -174,7 +172,6 @@ def assemble(p: PhysParams, mesh: Mesh) -> SymmetricPencil:
     b_red = (z.T @ b_full @ z).tocsr()
     a_red = ((a_red + a_red.T) * 0.5).tocsr()
     b_red = ((b_red + b_red.T) * 0.5).tocsr()
-    dof_map = (sp.kron(sp.identity(mesh.n_vertices), _U) @ z).tocsr()
 
     info = dict(mesh.info)
     info.update({
@@ -182,4 +179,4 @@ def assemble(p: PhysParams, mesh: Mesh) -> SymmetricPencil:
         "n_full": mesh.n_dofs, "n_reduced": a_red.shape[0],
         "n_triangles": int(mesh.triangles.shape[0]),
     })
-    return SymmetricPencil(A=a_red, B=b_red, dof_map=dof_map, info=info)
+    return SymmetricPencil(A=a_red, B=b_red, info=info)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..model import PhysParams
+from ..model import ParameterError, PhysParams, derived_constants
+from ..variational import critical_angle_maximize
 
 __all__ = ["Mesh", "MeshError", "build_mesh", "build_strip_mesh",
            "uniform_refine", "triangle_areas"]
@@ -35,7 +36,7 @@ SIDE_LEFT = 0   # upper ray, polar angle +omega
 SIDE_RIGHT = 1  # lower ray, polar angle -omega
 
 
-class MeshError(RuntimeError):
+class MeshError(ParameterError):
     """Degenerate or unresolvable geometry for the requested mesh sizes."""
 
 
@@ -119,7 +120,7 @@ def _mesh(vertices: np.ndarray, triangles: np.ndarray, iface: np.ndarray,
     )
 
 
-def build_mesh(p: PhysParams, R: float, h: float,
+def build_mesh(p: PhysParams, R: float = 10.0, h: float = 0.35,
                grading: float = 2.0) -> Mesh:
     """Radially graded disk of radius R around the corner.
 
@@ -179,8 +180,9 @@ def build_mesh(p: PhysParams, R: float, h: float,
     })
 
 
-def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
-                     outer_rows: int, width: float,
+def build_strip_mesh(p: PhysParams, x_max: float | None = None,
+                     nx: int = 480, wedge_rows: int = 8, outer_rows: int = 18,
+                     width: float | None = None,
                      outer_grading: float = 1.7) -> Mesh:
     """Anisotropic mesh of [0, x_max] x [-(x tan w + width), x tan w + width].
 
@@ -189,7 +191,13 @@ def build_strip_mesh(p: PhysParams, x_max: float, nx: int, wedge_rows: int,
     offsets s_j = width (j/outer_rows)^outer_grading.  Row anisotropy is
     aligned with the certificate test function (flat across the wedge,
     exponential across the shell), so thin triangles are harmless here.
+    ``x_max`` defaults to three certificate strip lengths L_star (N = 1),
+    ``width`` to five transverse decay lengths 1/|kappa0|.
     """
+    if x_max is None:
+        x_max = 3.0 * critical_angle_maximize(p, 1)[1]
+    if width is None:
+        width = 5.0 / abs(derived_constants(p).kappa0)
     if x_max <= 0.0 or width <= 0.0:
         raise MeshError(f"need x_max > 0 and width > 0, got {x_max}, {width}")
     if nx < 2 or wedge_rows < 1 or outer_rows < 2:

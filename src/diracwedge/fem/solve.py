@@ -15,6 +15,7 @@ runs Lanczos (SuperLU holds the GIL, so threads would take turns); without
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import signal
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ..model import PhysParams, derived_constants
-from ..variational import critical_angle_maximize
+from ..model import FemSolveError, PhysParams, derived_constants
 from .assembly import SymmetricPencil, assemble
 from .mesh import Mesh, build_mesh, build_strip_mesh
 
@@ -39,10 +39,6 @@ _FACTOR_RESIDUAL_CAP = 1e-10
 _START_SEED = 0   # fixed Lanczos start and probe vectors: runs agree bit for bit
 _MARGIN_REL = 1e-6
 _THIN_WEDGE = 0.05
-
-
-class FemSolveError(RuntimeError):
-    """Eigensolver or inertia-count failure (measured values in the message)."""
 
 
 @dataclass(frozen=True)
@@ -141,45 +137,23 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     )
 
 
-_DISK_KEYS = {"kind", "R", "h", "grading"}
-_STRIP_KEYS = {"kind", "x_max", "nx", "wedge_rows", "outer_rows",
-               "width", "outer_grading"}
-
-
-def _resolve_mesh_opts(p: PhysParams, mesh_opts: dict | None) -> dict:
+def _mesh_from_opts(p: PhysParams, mesh_opts: dict | None) -> Mesh:
+    """The mesh ``mesh_opts`` asks ``count_bound_states`` for."""
     opts = dict(mesh_opts or {})
-    kind = opts.get("kind", "auto")
+    kind = opts.pop("kind", "auto")
     if kind == "auto":
         kind = "strip" if p.omega < _THIN_WEDGE else "disk"
-        opts["kind"] = kind
-    allowed = _DISK_KEYS if kind == "disk" else _STRIP_KEYS
-    unknown = set(opts) - allowed
+    if kind not in ("disk", "strip"):
+        raise ValueError(f"unknown mesh kind {kind!r}: need 'auto', 'disk' "
+                         "or 'strip'")
+    # looked up by module-level name on every call, so a rebound name counts
+    build = build_mesh if kind == "disk" else build_strip_mesh
+    keys = list(inspect.signature(build).parameters)[1:]
+    unknown = sorted(set(opts) - set(keys))
     if unknown:
-        raise ValueError(f"unknown mesh options: {sorted(unknown)}")
-    if kind == "disk":
-        opts.setdefault("R", 10.0)
-        opts.setdefault("h", 0.35)
-        opts.setdefault("grading", 2.0)
-    else:
-        if "x_max" not in opts:
-            _, l_star = critical_angle_maximize(p, 1)
-            opts["x_max"] = 3.0 * l_star
-        opts.setdefault("nx", 480)
-        opts.setdefault("wedge_rows", 8)
-        opts.setdefault("outer_rows", 18)
-        opts.setdefault("width", 5.0 / abs(derived_constants(p).kappa0))
-        opts.setdefault("outer_grading", 1.7)
-    return opts
-
-
-def _build_from_opts(p: PhysParams, opts: dict) -> Mesh:
-    if opts["kind"] == "disk":
-        return build_mesh(p, R=opts["R"], h=opts["h"], grading=opts["grading"])
-    return build_strip_mesh(
-        p, x_max=opts["x_max"], nx=opts["nx"], wedge_rows=opts["wedge_rows"],
-        outer_rows=opts["outer_rows"], width=opts["width"],
-        outer_grading=opts["outer_grading"],
-    )
+        raise ValueError(f"unknown {kind} mesh options {unknown}: need "
+                         f"'kind' or one of {keys}")
+    return build(p, **opts)
 
 
 def _inertia(pencil: SymmetricPencil, s: float) -> tuple[int, float]:
@@ -253,18 +227,23 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
                        k: int = 8) -> SpectralReport:
     """Count the pencil's eigenvalues below eps_tau^2 (1 - 1e-6) by inertia.
 
+    ``mesh_opts`` picks the mesh: ``kind`` is "disk", "strip" or "auto"
+    (the default: a strip for omega < 0.05, else a disk), and the other keys
+    are keyword arguments of `build_mesh` or `build_strip_mesh`, whose
+    defaults fill in the rest.  An unknown kind or key raises ValueError.
+    ``mesh_info`` of the report holds the mesh's resolved values.
+
     The count is a lower bound (up to roundoff) on the number of gap states
     and does not depend on ``k``, which sets only how many of the lowest
     eigenvalues are reported.  The report carries the counted pencil.  The
     count's factorization runs in a forked child while Lanczos runs here,
     or inline after it where ``os.fork`` does not exist.
     """
-    opts = _resolve_mesh_opts(p, mesh_opts)
     edge = derived_constants(p).eps_tau ** 2
     margin = _MARGIN_REL * edge
     s = edge - margin
 
-    pencil = assemble(p, _build_from_opts(p, opts))
+    pencil = assemble(p, _mesh_from_opts(p, mesh_opts))
     rep, (count, resid) = _solve_and_count(pencil, k, s)
     if resid > _FACTOR_RESIDUAL_CAP:
         raise FemSolveError(f"factor of A - sB at s = {s:.6g}: relative "
@@ -275,11 +254,9 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
             f"inertia count {count} disagrees with {ritz} of "
             f"{rep.eigenvalues.size} Ritz values below s = {s:.6g}")
 
-    info = dict(rep.mesh_info)
-    info["mesh_opts"] = dict(opts)
     return SpectralReport(
         eigenvalues=rep.eigenvalues, gap_edge=edge, margin=float(margin),
-        count_below=count, residuals=rep.residuals, mesh_info=info,
+        count_below=count, residuals=rep.residuals, mesh_info=rep.mesh_info,
         pencil=pencil,
     )
 

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "ParameterError",
+    "FemSolveError",
     "PhysParams",
     "DerivedConstants",
     "pauli",
@@ -37,6 +38,11 @@ _OMEGA_MIN = 1e-6
 
 class ParameterError(ValueError):
     """Raised for parameter values outside the admissible ranges."""
+
+
+class FemSolveError(RuntimeError):
+    """Failure of the ``fem`` eigensolver or inertia count (measured values
+    in the message); defined here so it is caught without loading scipy."""
 
 
 @dataclass(frozen=True)
@@ -124,15 +130,18 @@ class DerivedConstants:
 
 
 def _derive(t: float, m: float) -> DerivedConstants:
-    a = (4.0 + t * t) / (4.0 - t * t)
-    b = 4.0 * t / (4.0 - t * t)
+    # 4 - tau^2 as (2 - tau)(2 + tau): 2 - tau is exact near tau = 2 (and
+    # 2 + tau near -2), so no digits cancel as |tau| -> 2
+    d = (2.0 - t) * (2.0 + t)
+    a = (4.0 + t * t) / d
+    b = 4.0 * t / d
     if t > 0.0:
         eps = m
     else:
-        eps = m * abs(t * t - 4.0) / (t * t + 4.0)
+        eps = m * abs(d) / (t * t + 4.0)
     kappa0 = -4.0 * m * t / (4.0 + t * t)
-    kappa = ((4.0 + t * t) ** 2 + 16.0 * t * t) / (4.0 - t * t) ** 2
-    c = 4.0 * t * t * (t * t + 4.0) / (t * t - 4.0) ** 2
+    kappa = ((4.0 + t * t) ** 2 + 16.0 * t * t) / d ** 2
+    c = 4.0 * t * t * (t * t + 4.0) / d ** 2
     return DerivedConstants(a=a, b=b, eps_tau=eps, kappa0=kappa0,
                             kappa_tau=kappa, c_tau=c)
 

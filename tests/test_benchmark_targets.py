@@ -4,12 +4,19 @@ Breaking either would otherwise surface only in the benchmark's own
 self-check or run, which take about a minute.
 """
 
+import functools
 import importlib.util
+import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import diracwedge
+from diracwedge import PhysParams
+from diracwedge.fem import count_bound_states
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,6 +39,40 @@ def test_trace_targets_resolve(monkeypatch):
     assert targets
     for mod, attr in targets:
         spans.resolve(mod, attr)
+
+
+@pytest.mark.parametrize("p, mesh_opts, builder", [
+    (PhysParams(tau=-1.0, m=1.0, omega=3.2e-3),
+     {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3},
+     "build_strip_mesh"),
+    (PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0),
+     {"kind": "disk", "R": 6.0, "h": 0.8}, "build_mesh"),
+], ids=["strip", "disk"])
+def test_traced_mesh_builders_see_each_count(monkeypatch, p, mesh_opts,
+                                             builder):
+    """The tracer rebinds module attributes only: ``count_bound_states``
+    must reach the builder through them, exactly once per count, or the
+    traced fem.mesh metrics read 0."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = _load("spans")
+    calls = Counter()
+    for name, mod, attr, _ in spans.SPANS:
+        if name != "fem.mesh.build":
+            continue
+        _, orig = spans.resolve(mod, attr)
+
+        @functools.wraps(orig)
+        def counted(*args, _orig=orig, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _orig(*args, **kwargs)
+
+        for holder in [m for n, m in list(sys.modules.items())
+                       if n.startswith("diracwedge") and m is not None]:
+            for key, value in list(vars(holder).items()):
+                if value is orig:
+                    monkeypatch.setattr(holder, key, counted)
+    count_bound_states(p, mesh_opts=mesh_opts)
+    assert calls == {builder: 1}
 
 
 def test_scan_points_match_reference(monkeypatch):

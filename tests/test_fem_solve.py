@@ -19,6 +19,7 @@ from diracwedge.fem import (
     SymmetricPencil,
     assemble,
     build_mesh,
+    build_strip_mesh,
     count_bound_states,
     export_matrix_market,
     solve_lowest,
@@ -27,6 +28,7 @@ from diracwedge.fem import (
 from diracwedge.fem import solve
 from diracwedge.fem.assembly import _scalar_element_matrices
 from diracwedge.model import PhysParams
+from diracwedge.variational import critical_angle_maximize
 
 P_ATTR = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 P_LINE = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
@@ -54,8 +56,7 @@ def test_laplacian_sanity_disk():
     k_loc, m_loc = _scalar_element_matrices(mesh)
     mass = scalar_matrix(m_loc)
     pencil = SymmetricPencil(A=scalar_matrix(k_loc) + p.m ** 2 * mass,
-                             B=mass, dof_map=sp.identity(free.size),
-                             info={"m": p.m})
+                             B=mass, info={"m": p.m})
     rep = solve_lowest(pencil, k=1)
     j01 = scipy.special.jn_zeros(0, 1)[0]
     exact = p.m ** 2 + (j01 / R) ** 2
@@ -110,7 +111,8 @@ def test_repulsive_count_is_zero_threshold_m_sq():
 
 
 def test_unknown_mesh_option_rejected():
-    for opts in ({"kind": "disk", "hmax": 0.5}, {"kind": "strip", "N": 2}):
+    for opts in ({"kind": "disk", "hmax": 0.5}, {"kind": "strip", "N": 2},
+                 {"kind": "hex"}):
         with pytest.raises(ValueError):
             count_bound_states(P_ATTR, mesh_opts=opts)
 
@@ -281,3 +283,26 @@ def test_inline_count_equals_forked(monkeypatch, p, mesh_opts):
     with pytest.raises(FemSolveError) as inline_err:
         count_bound_states(p, mesh_opts=mesh_opts)
     assert str(inline_err.value) == str(forked_err.value)
+
+
+def test_builder_defaults_are_the_count_meshes():
+    """Without options the builders build the default meshes of
+    ``count_bound_states``: the thin-wedge strip of 26 437 vertices and
+    48 858 reduced DOFs, and the R = 10, h = 0.35, grading 2 disk."""
+    def same(m1, m2):
+        return (np.array_equal(m1.vertices, m2.vertices)
+                and np.array_equal(m1.triangles, m2.triangles)
+                and m1.info == m2.info)
+
+    strip = build_strip_mesh(P_THIN)
+    explicit = build_strip_mesh(
+        P_THIN, x_max=3.0 * critical_angle_maximize(P_THIN, 1)[1], nx=480,
+        wedge_rows=8, outer_rows=18, width=6.25, outer_grading=1.7)
+    assert same(strip, explicit)
+    assert same(strip, solve._mesh_from_opts(P_THIN, None))
+    assert strip.n_vertices == 26437
+    assert assemble(P_THIN, strip).n_reduced == 48858
+
+    disk = build_mesh(P_ATTR)
+    assert same(disk, build_mesh(P_ATTR, R=10.0, h=0.35, grading=2.0))
+    assert same(disk, solve._mesh_from_opts(P_ATTR, None))

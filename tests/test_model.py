@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,6 +89,25 @@ def test_derived_constants_reference_point():
     assert dc.kappa0 == pytest.approx(4.0 / 5.0, abs=1e-15)
     assert dc.kappa_tau == pytest.approx(41.0 / 9.0, abs=1e-14)
     assert dc.c_tau == pytest.approx(20.0 / 9.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [s * (2.0 + off) for s in (1.0, -1.0)
+                                 for off in (2e-9, -2e-9, 1e-8, -1e-8)])
+def test_derived_constants_near_two_match_mpmath(tau):
+    """No digits cancel in 4 - tau^2 as |tau| -> 2: against 50-digit
+    values from the float tau itself, a and b keep 2e-16 and the squared
+    constants 1e-15 relative accuracy (4 - tau^2 in float lost 2.5e-9)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        d = 4 - t * t
+        want = {"a": (4 + t * t) / d, "b": 4 * t / d,
+                "eps_tau": abs(d) / (t * t + 4) if tau < 0.0 else 1,
+                "kappa_tau": ((4 + t * t) ** 2 + 16 * t * t) / d ** 2,
+                "c_tau": 4 * t * t * (t * t + 4) / d ** 2}
+        dc = derived_constants(PhysParams(tau=tau, m=1.0, omega=0.5))
+        for name, value in want.items():
+            rel = float(abs(getattr(dc, name) / value - 1))
+            assert rel <= (2e-16 if name in "ab" else 1e-15), (name, rel)
 
 
 def test_derived_constants_built_once_per_params():

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -150,8 +151,10 @@ def test_det_brackets_one_principal_root():
         tau = rng.uniform(-6.0, 6.0)
         w = rng.uniform(1e-3, math.pi / 2.0 - 1e-3)
         p = PhysParams(tau=tau, m=1.0, omega=w)
-        a2 = ((4.0 + tau * tau) / (4.0 - tau * tau)) ** 2
-        b2 = (4.0 * tau / (4.0 - tau * tau)) ** 2
+        with mpmath.workdps(50):
+            t = mpmath.mpf(tau)
+            a2 = float(((4 + t * t) / (4 - t * t)) ** 2)
+            b2 = float((4 * t / (4 - t * t)) ** 2)
         det = secular_det(p, lams)
         assert det[0] == pytest.approx(4.0 * a2, rel=1e-14)
         assert det[-1] < 0.0
