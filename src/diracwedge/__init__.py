@@ -20,7 +20,6 @@ from .model import (
     DerivedConstants,
     ParameterError,
     PhysParams,
-    charge_conjugate,
     derived_constants,
     interface_matrices,
     pauli,
@@ -33,11 +32,10 @@ from .spin_orbit import (
     angular_profile,
     principal_eigenvalue,
     secular_det,
-    secular_matrix,
     spectrum_in_window,
 )
 from .special import bessel_k, deficiency_element
-from .aux1d import Aux1DResult, ground_state, secular_f
+from .aux1d import Aux1DResult, ground_state
 from .variational import (
     EnergyBreakdown,
     SingularSeqReport,
@@ -49,8 +47,6 @@ from .variational import (
     energy_breakdown,
     singular_seq_identities,
     test_function_family,
-    test_function_gradient,
-    test_function_value,
     weyl_norm_sq,
     weyl_residual,
 )
@@ -58,18 +54,17 @@ from .variational import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivedConstants", "ParameterError", "PhysParams", "charge_conjugate",
-    "derived_constants", "interface_matrices", "pauli", "sigma_dot",
-    "special_matrices", "transmission_matrix",
+    "DerivedConstants", "ParameterError", "PhysParams", "derived_constants",
+    "interface_matrices", "pauli", "sigma_dot", "special_matrices",
+    "transmission_matrix",
     "SpinOrbitRoot", "angular_profile", "principal_eigenvalue",
-    "secular_det", "secular_matrix", "spectrum_in_window",
+    "secular_det", "spectrum_in_window",
     "bessel_k", "deficiency_element",
-    "Aux1DResult", "ground_state", "secular_f",
+    "Aux1DResult", "ground_state",
     "EnergyBreakdown", "SingularSeqReport",
     "TestFunctionFamily", "angle_for_length", "bound_state_certificate",
     "critical_angle_closed", "critical_angle_maximize", "energy_breakdown",
-    "singular_seq_identities", "test_function_family",
-    "test_function_gradient", "test_function_value", "weyl_norm_sq",
+    "singular_seq_identities", "test_function_family", "weyl_norm_sq",
     "weyl_residual",
     "fem",
     "__version__",

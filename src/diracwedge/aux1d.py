@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .model import ParameterError, PhysParams, _refine, derived_constants
 
-__all__ = ["Aux1DResult", "secular_f", "ground_state"]
+__all__ = ["Aux1DResult", "ground_state"]
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,6 @@ class Aux1DResult:
     gamma: float
     k_gamma: float
     E_gamma: float
-
-
-def secular_f(k: float, gamma: float) -> float:
-    """F_gamma(k) = k tanh(k gamma); strictly increasing in k >= 0."""
-    if not k >= 0.0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return k * math.tanh(k * gamma)
 
 
 def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:

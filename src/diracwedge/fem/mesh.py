@@ -30,7 +30,7 @@ from ..model import ParameterError, PhysParams, derived_constants
 from ..variational import critical_angle_maximize
 
 __all__ = ["Mesh", "MeshError", "build_mesh", "build_strip_mesh",
-           "uniform_refine", "triangle_areas"]
+           "uniform_refine"]
 
 SIDE_LEFT = 0   # upper ray, polar angle +omega
 SIDE_RIGHT = 1  # lower ray, polar angle -omega
@@ -72,10 +72,6 @@ def _doubled_areas(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     d1 = v[t[:, 1]] - v[t[:, 0]]
     d2 = v[t[:, 2]] - v[t[:, 0]]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    return 0.5 * _doubled_areas(mesh.vertices, mesh.triangles)
 
 
 def _split_cells(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -191,11 +187,16 @@ def build_strip_mesh(p: PhysParams, x_max: float | None = None,
     offsets s_j = width (j/outer_rows)^outer_grading.  Row anisotropy is
     aligned with the certificate test function (flat across the wedge,
     exponential across the shell), so thin triangles are harmless here.
-    ``x_max`` defaults to three certificate strip lengths L_star (N = 1),
-    ``width`` to five transverse decay lengths 1/|kappa0|.
+    ``x_max`` defaults to three certificate strip lengths L_star (N = 1)
+    for tau < 0, ``width`` to five transverse decay lengths 1/|kappa0|.
+    For tau > 0 there is no certificate and no L_star: the pencil satisfies
+    A >= m^2 B on every mesh, so the count is 0 whatever the length, which
+    then only sets how far the lowest Ritz values sit above m^2; it
+    defaults to ten Compton lengths 10/m.
     """
     if x_max is None:
-        x_max = 3.0 * critical_angle_maximize(p, 1)[1]
+        x_max = (10.0 / p.m if p.tau > 0.0
+                 else 3.0 * critical_angle_maximize(p, 1)[1])
     if width is None:
         width = 5.0 / abs(derived_constants(p).kappa0)
     if x_max <= 0.0 or width <= 0.0:

@@ -27,7 +27,6 @@ __all__ = [
     "interface_matrices",
     "derived_constants",
     "special_matrices",
-    "charge_conjugate",
 ]
 
 # Strengths where 1/(4 - tau^2) or the interaction itself degenerates.
@@ -226,9 +225,3 @@ def special_matrices(p: PhysParams, nu) -> tuple[np.ndarray, np.ndarray]:
     dc = derived_constants(p)
     theta = (_SIGMA[0] + 1.0j * sigma_dot(_unit_normal(nu))) / math.sqrt(2.0)
     return dc.a * _SIGMA[0] - dc.b * _SIGMA[3], theta
-
-
-def charge_conjugate(u: np.ndarray) -> np.ndarray:
-    """Charge conjugation C u = sigma_1 conj(u), applied along the last axis
-    of an array of spinor values."""
-    return np.conj(u[..., ::-1])

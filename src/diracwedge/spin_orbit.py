@@ -45,7 +45,7 @@ more than double; at least one sector counts, and the rows are ordered by
 |f_s|, the smaller last.  (A cut on singular values relative to the largest
 one, of T or of T_s, reads simple roots near |tau| = 2 as double or triple:
 the largest grow like 1/|4 - tau^2|, while the other sector's smallest can
-stay of order 1.)  ``secular_matrix`` builds the full 4x4 T for checks.
+stay of order 1.)
 
 The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
 det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
@@ -84,11 +84,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysParams, _refine, derived_constants, interface_matrices
+from .model import PhysParams, _refine, derived_constants
 
 __all__ = [
     "SpinOrbitRoot",
-    "secular_matrix",
     "secular_det",
     "principal_eigenvalue",
     "spectrum_in_window",
@@ -115,30 +114,6 @@ class SpinOrbitRoot:
     lam: float
     multiplicity: int
     coefficients: np.ndarray  # (multiplicity, 4) complex
-
-
-# Phase of each entry of T as an index into (e^{i mu omega}, e^{-i mu omega},
-# e^{i mu (2pi - omega)}, e^{-i mu (2pi - omega)}, 0).
-_PHASE_INDEX = np.array([[0, 1, 0, 4], [0, 1, 4, 1],
-                         [1, 0, 2, 4], [1, 0, 4, 3]])
-
-
-def secular_matrix(p: PhysParams, lam: float) -> np.ndarray:
-    """Matching matrix T(lambda), (4, 4) complex, in the coefficient order
-    (A, B, C, D)."""
-    if p.omega >= np.pi / 2.0:
-        raise ValueError("secular problem requires omega < pi/2")
-    ml, mr = interface_matrices(p)
-    w = p.omega
-    mu = float(lam) - 0.5
-    far = 2.0 * np.pi - w
-    phases = np.append(np.exp(1j * mu * np.array([w, -w, far, -far])), 0.0)
-    # Rows 0-1 match at theta = omega: M_l phi_plus(omega) = phi_minus(omega);
-    # rows 2-3 at theta = 2pi - omega (= -omega on the wedge side):
-    # M_r phi_plus(-omega) = phi_minus(2pi - omega).
-    coef = np.array([[*ml[0], -1.0, 0.0], [*ml[1], 0.0, -1.0],
-                     [*mr[0], -1.0, 0.0], [*mr[1], 0.0, -1.0]])
-    return coef * phases[_PHASE_INDEX]
 
 
 def _det(a: float, b: float, w: float, mu: np.ndarray,

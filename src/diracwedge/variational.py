@@ -51,8 +51,6 @@ __all__ = [
     "TestFunctionFamily",
     "EnergyBreakdown",
     "test_function_family",
-    "test_function_value",
-    "test_function_gradient",
     "energy_breakdown",
     "angle_for_length",
     "critical_angle_closed",
@@ -86,16 +84,6 @@ class TestFunctionFamily:
     L: float
     coefficients: np.ndarray  # complex (N,)
 
-    @property
-    def d(self) -> float:
-        """Half-height L tan(omega) of the wedge at the near end x = L; the
-        plateau 2d is the half-height at x = 2L."""
-        return self.L * math.tan(self.params.omega)
-
-    @property
-    def kappa0(self) -> float:
-        return derived_constants(self.params).kappa0
-
 
 def test_function_family(p: PhysParams, N: int, L: float,
                          coefficients=None) -> TestFunctionFamily:
@@ -112,67 +100,6 @@ def test_function_family(p: PhysParams, N: int, L: float,
                 f"need exactly N={N} coefficients, got shape {c.shape}"
             )
     return TestFunctionFamily(params=p, N=int(N), L=float(L), coefficients=c)
-
-
-def _profile_vectors(p: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_in, h_above, h_below): the wedge profile and its transmitted images."""
-    m_l, m_r = interface_matrices(p)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    return e0, m_l @ e0, m_r @ e0
-
-
-def _f_and_fprime(fam: TestFunctionFamily, x: np.ndarray):
-    L = fam.L
-    x = np.asarray(x, dtype=float)
-    inside = (x >= L) & (x <= 2.0 * L)
-    f = np.zeros(x.shape, dtype=complex)
-    fp = np.zeros(x.shape, dtype=complex)
-    for n, cn in enumerate(fam.coefficients, start=1):
-        arg = 2.0 * n * np.pi * x / L
-        f += cn * np.sin(arg) * inside
-        fp += cn * (2.0 * n * np.pi / L) * np.cos(arg) * inside
-    return f, fp
-
-
-def _g_and_gprime(fam: TestFunctionFamily, y: np.ndarray):
-    k0 = fam.kappa0
-    two_d = 2.0 * fam.d
-    y = np.asarray(y, dtype=float)
-    ay = np.abs(y)
-    outer = ay > two_d
-    g = np.where(outer, np.exp(-k0 * (ay - two_d)), 1.0)
-    gp = np.where(outer, -k0 * np.sign(y) * np.exp(-k0 * (ay - two_d)), 0.0)
-    return g, gp
-
-
-def _region_profiles(fam: TestFunctionFamily, x, y) -> np.ndarray:
-    h_in, h_up, h_dn = _profile_vectors(fam.params)
-    slope = math.tan(fam.params.omega)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.empty(np.broadcast(x, y).shape + (2,), dtype=complex)
-    up = y > x * slope
-    dn = y < -x * slope
-    h[...] = h_in
-    h[up] = h_up
-    h[dn] = h_dn
-    return h
-
-
-def test_function_value(fam: TestFunctionFamily, x, y) -> np.ndarray:
-    """u(x, y) as a complex 2-vector; broadcasts over array arguments."""
-    f, _ = _f_and_fprime(fam, x)
-    g, _ = _g_and_gprime(fam, y)
-    h = _region_profiles(fam, x, y)
-    return (f * g)[..., None] * h
-
-
-def test_function_gradient(fam: TestFunctionFamily, x, y):
-    """(du/dx, du/dy) away from the region boundaries."""
-    f, fp = _f_and_fprime(fam, x)
-    g, gp = _g_and_gprime(fam, y)
-    h = _region_profiles(fam, x, y)
-    return (fp * g)[..., None] * h, (f * gp)[..., None] * h
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,11 @@ def spin_orbit_eigenvalue_near(tau: float, omega: float, lam: float,
     return float(vals[0])
 
 
-def _secular_matrix(tau: float, omega: float, lam: float) -> np.ndarray:
-    """T(lambda), (4, 4) complex, rebuilt from raw tau with the row layout
-    of ``_secular_matrix_mp``."""
+def secular_matrix(p, lam: float) -> np.ndarray:
+    """Matching matrix T(lambda), (4, 4) complex, in the coefficient order
+    (A, B, C, D), rebuilt from raw tau with the row layout of
+    ``_secular_matrix_mp``."""
+    tau, omega = p.tau, p.omega
     m_l = _shell_matrix(tau, (-math.sin(omega), math.cos(omega)))
     m_r = _shell_matrix(tau, (-math.sin(omega), -math.cos(omega)))
     mu = lam - 0.5
@@ -140,7 +142,7 @@ def _secular_matrix(tau: float, omega: float, lam: float) -> np.ndarray:
 def secular_det_matrix(p, lams) -> np.ndarray:
     """det T(lambda) as np.linalg.det of the stacked 4x4 matching matrices
     (complex): a route independent of the closed form in ``secular_det``."""
-    return np.linalg.det(np.stack([_secular_matrix(p.tau, p.omega, lam)
+    return np.linalg.det(np.stack([secular_matrix(p, lam)
                                    for lam in np.atleast_1d(lams)]))
 
 
@@ -148,7 +150,7 @@ def secular_null_space(p, lam: float, cut: float = 1e-7) -> np.ndarray:
     """Orthonormal rows spanning the null space of T(lambda), from one SVD of
     T at this one root: singular values at most ``cut`` times the largest
     count as zero, and at least one row is returned."""
-    _, s, vh = np.linalg.svd(_secular_matrix(p.tau, p.omega, lam))
+    _, s, vh = np.linalg.svd(secular_matrix(p, lam))
     k = max(int(np.sum(s <= cut * s[0])), 1)
     return vh[4 - k:].conj()
 
@@ -345,26 +347,6 @@ def _gl_cells(lo: float, hi: float, n_cells: int, order: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def testfn_value_reference(tau, m, omega, L, coeffs, x, y):
-    """Pointwise u(x, y) from the raw definition (no library calls)."""
-    a, b = _ab(tau)
-    k0 = -4.0 * m * tau / (4.0 + tau * tau)
-    d = L * math.tan(omega)
-    f = 0.0
-    if L <= x <= 2.0 * L:
-        for n, cn in enumerate(coeffs, start=1):
-            f += cn * math.sin(2.0 * n * math.pi * x / L)
-    g = 1.0 if abs(y) <= 2.0 * d else math.exp(-k0 * (abs(y) - 2.0 * d))
-    t = math.tan(omega)
-    if y > x * t:
-        h = np.array([a, b * np.exp(1j * omega)], dtype=complex)
-    elif y < -x * t:
-        h = np.array([a, -b * np.exp(-1j * omega)], dtype=complex)
-    else:
-        h = np.array([1.0, 0.0], dtype=complex)
-    return f * g * h
 
 
 def energy_pieces_quadrature(tau, m, omega, N, L, coeffs) -> dict:

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from diracwedge import cli
-from diracwedge.aux1d import secular_f
 from diracwedge.cli import RunConfig, load_config, main, parse_angle, run
 
 
@@ -292,6 +291,19 @@ def test_fem_count_is_not_capped_by_k(capsys):
     assert err == ""
 
 
+def test_fem_count_repulsive_thin_wedge_default_length(capsys):
+    """For tau > 0 the strip's default length is 10/m, not one from L_star,
+    which exists only for tau < 0; the count there is 0."""
+    code = main(["fem-count", "--tau", "1", "--omega", "0.01", "--nx", "24",
+                 "--wedge-rows", "2", "--outer-rows", "3"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["count_below"] == 0
+    assert result["mesh_info"]["kind"] == "strip"
+    assert result["mesh_info"]["x_max"] == 10.0
+
+
 def test_fem_count_inconsistency_exits_3(monkeypatch, capsys):
     """Ritz values that miss states the inertia counts make the run fail."""
     from diracwedge.fem import solve
@@ -448,4 +460,4 @@ def test_aux1d_root_beyond_512_returns(m, gamma, child_env):
     g, k, _, _ = (float(v) for v in out.stdout.splitlines()[2].split(","))
     kappa0 = 0.8 * float(m)
     assert k > 512.0
-    assert secular_f(k, g) == pytest.approx(kappa0, rel=1e-12)
+    assert k * math.tanh(k * g) == pytest.approx(kappa0, rel=1e-12)

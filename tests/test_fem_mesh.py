@@ -11,7 +11,6 @@ from diracwedge.fem import (
     MeshError,
     build_mesh,
     build_strip_mesh,
-    triangle_areas,
     uniform_refine,
 )
 from diracwedge.model import PhysParams
@@ -27,6 +26,13 @@ def interface_copy_counts(mesh: Mesh) -> dict[int, int]:
         for v in (p0, p1, m0, m1):
             counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def triangle_areas(mesh: Mesh) -> np.ndarray:
+    """Signed triangle areas, positive for counter-clockwise vertices."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
+    d1, d2 = b - a, c - a
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def check_common_invariants(mesh: Mesh):

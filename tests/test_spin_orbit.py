@@ -15,11 +15,10 @@ from diracwedge.spin_orbit import (
     angular_profile,
     principal_eigenvalue,
     secular_det,
-    secular_matrix,
     spectrum_in_window,
 )
 
-from oracles import (secular_det_matrix, secular_null_space,
+from oracles import (secular_det_matrix, secular_matrix, secular_null_space,
                      secular_null_space_mp, secular_root_mp,
                      spin_orbit_eigenvalue_near)
 
@@ -348,6 +347,7 @@ def test_root_null_vectors_match_mp_null_space():
 def test_root_build_uses_no_svd_or_matching_matrix(monkeypatch):
     """Multiplicities and null vectors are closed form: neither root search
     calls np.linalg.svd or builds the transmission matrices."""
+    import diracwedge.model as model
     import diracwedge.spin_orbit as so
 
     calls = []
@@ -358,16 +358,18 @@ def test_root_build_uses_no_svd_or_matching_matrix(monkeypatch):
             return orig(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(so, "interface_matrices",
-                        counted("interface_matrices", so.interface_matrices))
+    # every transmission matrix, M_l and M_r included, comes from here
+    monkeypatch.setattr(model, "transmission_matrix",
+                        counted("transmission_matrix",
+                                model.transmission_matrix))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     assert len(so.spectrum_in_window(P_REF, -3.0, 3.0)) == 12
     so.principal_eigenvalue(P_REF)
     assert calls == []
-    # the counters see calls: the full matching matrix is built from M_l, M_r
-    so.secular_matrix(P_REF, 0.3)
+    # the counters see calls: M_l and M_r, then one SVD
+    model.interface_matrices(P_REF)
     np.linalg.svd(np.eye(2))
-    assert calls == ["interface_matrices", "svd"]
+    assert calls == ["transmission_matrix", "transmission_matrix", "svd"]
 
 
 def test_coefficient_rows_have_parity():

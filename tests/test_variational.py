@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from diracwedge.model import (ParameterError, PhysParams, derived_constants,
-                              interface_matrices)
+from diracwedge.model import ParameterError, PhysParams, interface_matrices
 from diracwedge.variational import (
     angle_for_length,
     bound_state_certificate,
@@ -23,12 +22,9 @@ from diracwedge.variational import (
 )
 # aliased so pytest does not collect them as test items
 from diracwedge.variational import test_function_family as make_family
-from diracwedge.variational import test_function_gradient as family_gradient
-from diracwedge.variational import test_function_value as family_value
 
 from oracles import (chi_sq_moments, critical_angle_numeric,
                      energy_pieces_quadrature)
-from oracles import testfn_value_reference as raw_value_reference
 
 RNG = np.random.default_rng(5)
 
@@ -48,39 +44,6 @@ PIECES_STAR_1 = {
 def family(tau=-1.0, m=1.0, omega=0.01, N=1, L=20.0, coefficients=None):
     p = PhysParams(tau=tau, m=m, omega=omega)
     return make_family(p, N=N, L=L, coefficients=coefficients)
-
-
-# ---------------------------------------------------------------------------
-# pointwise values
-# ---------------------------------------------------------------------------
-
-def test_pointwise_values_match_raw_definition():
-    fam = family(N=2, coefficients=[1.0, -0.3])
-    pts = [(25.0, 0.05), (25.0, 0.6), (25.0, -0.6), (10.0, 0.1), (45.0, 0.0)]
-    for x, y in pts:
-        got = family_value(fam, x, y)
-        ref = raw_value_reference(-1.0, 1.0, 0.01, 20.0, [1.0, -0.3], x, y)
-        np.testing.assert_allclose(got, ref, atol=1e-14)
-
-
-def test_support_is_the_doubled_strip():
-    fam = family()
-    assert np.all(family_value(fam, 19.9, 0.0) == 0.0)
-    assert np.all(family_value(fam, 40.1, 0.0) == 0.0)
-    assert np.any(family_value(fam, 30.0, 0.0) != 0.0)
-
-
-def test_gradient_matches_finite_differences():
-    fam = family(N=2, coefficients=[0.7, 0.4], omega=0.02)
-    h = 1e-6
-    for x, y in ((26.0, 0.3), (33.0, -1.5), (37.0, 2.5)):
-        gx, gy = family_gradient(fam, x, y)
-        fx = (family_value(fam, x + h, y)
-              - family_value(fam, x - h, y)) / (2.0 * h)
-        fy = (family_value(fam, x, y + h)
-              - family_value(fam, x, y - h)) / (2.0 * h)
-        np.testing.assert_allclose(gx, fx, atol=1e-6)
-        np.testing.assert_allclose(gy, fy, atol=1e-6)
 
 
 def test_family_validation():
