@@ -17,7 +17,6 @@ from diracwedge import (
     critical_angle_closed,
     critical_angle_maximize,
     energy_breakdown,
-    test_function_family,
 )
 
 tau, m = -1.0, 1.0
@@ -61,7 +60,7 @@ print()
 w2 = critical_angle_closed(tau, 2)
 p2 = PhysParams(tau=tau, m=m, omega=w2)
 _, l2 = critical_angle_maximize(p2, 2)
-bd2 = energy_breakdown(test_function_family(p2, 2, l2))
+bd2 = energy_breakdown(p2, 2, l2)
 print("N=2 at omega_star(%g, 2) = %.6e, L_star = %.4f:" % (tau, w2, l2))
 print("  per-mode form gaps: %s" % np.array_str(bd2.form_gap_modes, precision=6))
 print("  both negative: two eigenvalues certified in the gap")

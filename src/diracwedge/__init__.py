@@ -39,14 +39,12 @@ from .aux1d import Aux1DResult, ground_state
 from .variational import (
     EnergyBreakdown,
     SingularSeqReport,
-    TestFunctionFamily,
     angle_for_length,
     bound_state_certificate,
     critical_angle_closed,
     critical_angle_maximize,
     energy_breakdown,
     singular_seq_identities,
-    test_function_family,
     weyl_norm_sq,
     weyl_residual,
 )
@@ -62,10 +60,9 @@ __all__ = [
     "bessel_k", "deficiency_element",
     "Aux1DResult", "ground_state",
     "EnergyBreakdown", "SingularSeqReport",
-    "TestFunctionFamily", "angle_for_length", "bound_state_certificate",
-    "critical_angle_closed", "critical_angle_maximize", "energy_breakdown",
-    "singular_seq_identities", "test_function_family", "weyl_norm_sq",
-    "weyl_residual",
+    "angle_for_length", "bound_state_certificate", "critical_angle_closed",
+    "critical_angle_maximize", "energy_breakdown", "singular_seq_identities",
+    "weyl_norm_sq", "weyl_residual",
     "fem",
     "__version__",
 ]

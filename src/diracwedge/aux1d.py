@@ -37,6 +37,7 @@ def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
     with the closed-form slope F' = tanh(k gamma) + k gamma sech^2(k gamma).
     tanh(k gamma) < 1 forces k_gamma > kappa0, and tanh x >= x/(1 + x) gives
     F_gamma(kappa0 + 1/gamma) > kappa0, so the bracket always holds the root.
+    In floats k_gamma rounds to kappa0 once gamma kappa0 reaches about 20.
     """
     if p.tau >= 0.0:
         raise ParameterError("strip ground state is defined for tau < 0")

@@ -27,7 +27,7 @@ from .model import (FemSolveError, ParameterError, PhysParams,
 from .special import deficiency_element
 from .spin_orbit import principal_eigenvalue, spectrum_in_window
 from .variational import (critical_angle_maximize, energy_breakdown,
-                          test_function_family, weyl_norm_sq, weyl_residual)
+                          weyl_norm_sq, weyl_residual)
 
 __all__ = ["main", "run", "RunConfig", "load_config", "parse_angle"]
 
@@ -147,17 +147,54 @@ def load_config(path: str) -> dict:
     """Config dict from a JSON config, a JSON report, or a CSV artifact."""
     text = Path(path).read_text()
     if text.startswith("# config "):
-        return json.loads(text.splitlines()[0][len("# config "):])
-    data = json.loads(text)
-    if isinstance(data, dict) and "config" in data and "result" in data:
-        return data["config"]
+        data = json.loads(text.splitlines()[0][len("# config "):])
+    else:
+        data = json.loads(text)
+        if isinstance(data, dict) and "config" in data and "result" in data:
+            data = data["config"]
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} does not hold an object")
     return data
 
 
+def _config_tokens(subcommand: str, config_file: dict) -> list[str]:
+    """The config file's non-null values as ``--name value...`` tokens, so
+    the subparser converts and checks them exactly as it does flags."""
+    opts = {o.name: o for o in _COMMANDS[subcommand]}
+    cfg = {k: v for k, v in config_file.items() if k != "subcommand"}
+    # exact keys: the parser would take a prefix such as "ta" for "tau"
+    unknown = set(cfg) - set(opts)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for name, value in cfg.items():
+        if value is None:
+            continue
+        if isinstance(value, list) != opts[name].many:
+            shape = "a list" if opts[name].many else "a single value"
+            raise ParameterError(
+                f"{subcommand}: config {name} must be {shape}, got {value!r}")
+        values = value if opts[name].many else [value]
+        tokens.append(f"--{name.replace('_', '-')}")
+        tokens += [v if isinstance(v, str) else json.dumps(v) for v in values]
+    return tokens
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that float() accepts as a value: argparse's own
+    negative-number pattern knows no exponent or inf, so it would take
+    -1e-3 for an unknown flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracwedge",
         description="spectral toolkit for a Dirac operator with a "
                     "Lorentz-scalar shell on a wedge boundary",
@@ -178,33 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(subcommand: str, flags: dict, config_file: dict | None) -> RunConfig:
-    opt_table = _COMMANDS[subcommand]
-    known = {o.name for o in opt_table}
-    cfg = dict(config_file or {})
-    cfg.pop("subcommand", None)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-
+def _resolve(subcommand: str, flags: dict) -> RunConfig:
     options: dict = {}
-    for opt in opt_table:
+    for opt in _COMMANDS[subcommand]:
         val = flags.get(opt.name)
-        if val is None and opt.name in cfg:
-            raw = cfg[opt.name]
-            if opt.many:
-                val = [opt.type(v) for v in raw]
-            else:
-                val = opt.type(raw) if raw is not None else None
         if val is None:
             val = opt.default
         if val is None and opt.required:
             raise ParameterError(
                 f"{subcommand}: missing required option --{opt.name}"
-            )
-        if opt.choices and val is not None and val not in opt.choices:
-            raise ParameterError(
-                f"{subcommand}: {opt.name} must be one of {opt.choices}"
             )
         if not _finite(val):
             raise ParameterError(
@@ -317,8 +336,7 @@ def _handle_testfn(cfg: RunConfig) -> str:
     length = o["L"]
     if length is None:
         length = critical_angle_maximize(p, o["N"])[1]
-    fam = test_function_family(p, o["N"], length)
-    bd = energy_breakdown(fam)
+    bd = energy_breakdown(p, o["N"], length)
     return _json_artifact(cfg, {
         "L": length,
         "N": o["N"],
@@ -452,19 +470,22 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not args.subcommand:
-        parser.print_help(sys.stderr)
-        return 2
-    try:
-        file_cfg = load_config(args.config) if args.config else None
+        if args.subcommand and args.config:
+            # config values go first, so the flags that follow override them
+            tokens = _config_tokens(args.subcommand, load_config(args.config))
+            args = parser.parse_args([args.subcommand, *tokens, *argv[1:]])
+        if not args.subcommand:
+            parser.print_help(sys.stderr)
+            return 2
         flags = {k: v for k, v in vars(args).items()
                  if k not in ("subcommand", "config")}
-        config = _resolve(args.subcommand, flags, file_cfg)
+        config = _resolve(args.subcommand, flags)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (OSError, json.JSONDecodeError, ParameterError, ValueError) as exc:
         print(f"diracwedge: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Variational certificates for gap eigenvalues and essential-spectrum sequences.
 
-The central object is a family of explicit spinor test functions supported in
-a strip x in [L, 2L] across the wedge boundary,
+The certificates use N explicit spinor test functions supported in a strip
+x in [L, 2L] across the wedge boundary,
 
     u_n(x, y) = f_n(x) g(y) h(x, y),   n = 1..N,
     f_n(x) = sin(2 n pi x / L) on [L, 2L], else 0,
@@ -9,16 +9,18 @@ a strip x in [L, 2L] across the wedge boundary,
     h      = (1, 0)^T inside the wedge and M_l (1,0)^T / M_r (1,0)^T above /
              below it (so the transmission condition holds by construction).
 
-All four energy pieces of the quadratic form have closed forms; their
-combination gives the exact "form gap" (form value minus the squared gap
-edge times the squared norm) and the working upper estimate "bound gap":
+The modes are form-orthogonal, so the energies of their sum depend on
+(tau, m, omega, N, L) alone.  All four energy pieces of the quadratic form
+have closed forms; their combination gives the exact "form gap" (form value
+minus the squared gap edge times the squared norm) and the working upper
+estimate "bound gap":
 
-    bound_gap / sum |c_n|^2 = tan(w) (3 + kappa)(2 N^2 pi^2 + m^2 L^2)
-                              + 4 m L tau / (4 + tau^2)
-                              + 2 N^2 pi^2 kappa / (L kappa0).
+    bound_gap / N = tan(w) (3 + kappa)(2 N^2 pi^2 + m^2 L^2)
+                    + 4 m L tau / (4 + tau^2)
+                    + 2 N^2 pi^2 kappa / (L kappa0).
 
 The angle that zeroes this bracket, maximized over the strip length L, is the
-critical angle omega_star below which the family certifies at least N
+critical angle omega_star below which the modes certify at least N
 eigenvalues in the spectral gap.  Both omega_star and the maximizing length
 L_star have closed forms through the polynomials F, G, H and the unique
 positive solution x_star of a quadratic (m^2 L_star^2 H = F + x_star); the
@@ -29,7 +31,8 @@ essential spectrum: a Weyl sequence of cut-off plane waves deep inside the
 exterior region, and the matrix identities behind the singular sequence that
 travels along the shell.  The Weyl norms and residuals are closed forms in
 the exact moments of the quintic cutoff chi, and so are the shell-aligned
-sequence's norm bounds; only its per-n norms are integrated numerically.
+sequence's norm bounds; its per-n norms are closed forms apart from one
+Gauss rule over the ramp of chi.
 """
 
 from __future__ import annotations
@@ -48,17 +51,13 @@ from .model import (
 )
 
 __all__ = [
-    "TestFunctionFamily",
     "EnergyBreakdown",
-    "test_function_family",
     "energy_breakdown",
     "angle_for_length",
     "critical_angle_closed",
     "critical_angle_maximize",
     "bound_state_certificate",
     "smoothstep_cutoff",
-    "smoothstep_cutoff_prime",
-    "weyl_center",
     "weyl_norm_sq",
     "weyl_residual",
     "SingularSeqReport",
@@ -74,42 +73,17 @@ def _require_attractive(tau: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Test-function family and closed-form energies
+# Closed-form energies of the test functions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TestFunctionFamily:
-    params: PhysParams
-    N: int
-    L: float
-    coefficients: np.ndarray  # complex (N,)
-
-
-def test_function_family(p: PhysParams, N: int, L: float,
-                         coefficients=None) -> TestFunctionFamily:
-    if N < 1 or int(N) != N:
-        raise ParameterError(f"N must be a positive integer, got {N}")
-    if not L > 0.0:
-        raise ParameterError(f"L must be positive, got {L}")
-    if coefficients is None:
-        c = np.ones(int(N), dtype=complex)
-    else:
-        c = np.asarray(coefficients, dtype=complex)
-        if c.shape != (int(N),):
-            raise ParameterError(
-                f"need exactly N={N} coefficients, got shape {c.shape}"
-            )
-    return TestFunctionFamily(params=p, N=int(N), L=float(L), coefficients=c)
-
-
-@dataclass(frozen=True)
 class EnergyBreakdown:
-    """Closed-form quadratic-form pieces of a test-function family.
+    """Closed-form quadratic-form pieces of the sum of the N modes.
 
     form_gap is the exact form value minus eps_tau^2 ||u||^2; bound_gap is
     the n-independent upper estimate whose sign drives the certificate;
     form_gap_modes are the exact per-mode contributions (all negative iff
-    the family certifies N gap eigenvalues).
+    the modes certify N gap eigenvalues).
     """
 
     jump_sq: float
@@ -121,18 +95,20 @@ class EnergyBreakdown:
     form_gap_modes: np.ndarray
 
 
-def energy_breakdown(fam: TestFunctionFamily) -> EnergyBreakdown:
-    p = fam.params
+def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
+    """Energies of the sum of the N modes on the strip [L, 2L]."""
+    if N < 1 or int(N) != N:
+        raise ParameterError(f"N must be a positive integer, got {N}")
+    if not L > 0.0:
+        raise ParameterError(f"L must be positive, got {L}")
     _require_attractive(p.tau)
     if p.omega >= math.pi / 2.0:
         raise ParameterError("energy closed forms require omega < pi/2")
     dc = derived_constants(p)
     kap, k0, c_t = dc.kappa_tau, dc.kappa0, dc.c_tau
-    tau, m, L, N = p.tau, p.m, fam.L, fam.N
+    tau, m = p.tau, p.m
     tw = math.tan(p.omega)
     cw = math.cos(p.omega)
-    wts = np.abs(fam.coefficients) ** 2
-    s = float(np.sum(wts))
     ns = np.arange(1, N + 1, dtype=float)
 
     # Cross-section braces shared by the closed forms; the x-weighted and
@@ -140,14 +116,15 @@ def energy_breakdown(fam: TestFunctionFamily) -> EnergyBreakdown:
     brace_l2 = L * L * tw * (3.0 + kap) / 2.0 + L * kap / (2.0 * k0)
     brace_gx = L * tw * (3.0 + kap) / 2.0 + kap / (2.0 * k0)
 
-    jump_sq = c_t * L / cw * s
-    l2_sq = brace_l2 * s
-    gradx_sq = float(np.sum(wts * (2.0 * ns * np.pi) ** 2 / L) * brace_gx)
-    grady_sq = 0.5 * L * k0 * kap * s
+    # the modes are form-orthogonal, so each piece is a sum over modes
+    jump_sq = c_t * L / cw * N
+    l2_sq = brace_l2 * N
+    gradx_sq = float(np.sum((2.0 * ns * np.pi) ** 2 / L) * brace_gx)
+    grady_sq = 0.5 * L * k0 * kap * N
 
     # Exact pre-estimate gap, mode by mode; the third coefficient equals
     # m^2 - eps_tau^2 and the last term is (2m/tau) times the jump integral.
-    gap_modes = wts * (
+    gap_modes = (
         (2.0 * ns * np.pi) ** 2 / L * brace_gx
         + 0.5 * L * k0 * kap
         + (16.0 * m * m * tau * tau / (tau * tau + 4.0) ** 2) * brace_l2
@@ -160,11 +137,10 @@ def energy_breakdown(fam: TestFunctionFamily) -> EnergyBreakdown:
         + 4.0 * m * L * tau / (4.0 + tau * tau)
         + 2.0 * N * N * np.pi ** 2 * kap / (L * k0)
     )
-    bound_gap = bound_brace * s
 
     return EnergyBreakdown(
         jump_sq=jump_sq, l2_sq=l2_sq, gradx_sq=gradx_sq, grady_sq=grady_sq,
-        form_gap=form_gap, bound_gap=float(bound_gap),
+        form_gap=form_gap, bound_gap=float(bound_brace * N),
         form_gap_modes=gap_modes,
     )
 
@@ -230,22 +206,21 @@ def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
 
 
 def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdown]:
-    """Evaluate the family at the optimal strip length with unit coefficients.
+    """Evaluate the N modes at the optimal strip length L_star.
 
     True certifies at least N eigenvalues (with multiplicity) in the spectral
     gap; False is inconclusive (the estimate, not the statement, failed).
     """
-    _require_attractive(p.tau)
-    _, l_star = critical_angle_maximize(p, int(N))
-    fam = test_function_family(p, int(N), l_star)
-    bd = energy_breakdown(fam)
-    ok = bool(np.all(bd.form_gap_modes < 0.0))
-    return ok, bd
+    bd = energy_breakdown(p, N, critical_angle_maximize(p, N)[1])
+    return bool(np.all(bd.form_gap_modes < 0.0)), bd
 
 
 # ---------------------------------------------------------------------------
 # Weyl sequence (cut-off plane waves in the exterior)
 # ---------------------------------------------------------------------------
+
+# psi_n is centred at (-1 - n^2, 0): its support, the disk of radius n, lies
+# in x < 0, off the shell (both rays lie in x >= 0 for every omega <= pi/2).
 
 def smoothstep_cutoff(s):
     """C^2 radial cutoff: 1 on [0, 1/2], quintic smoothstep down to 0 at 1.
@@ -259,26 +234,10 @@ def smoothstep_cutoff(s):
     return 1.0 - q ** 3 * (10.0 - 15.0 * q + 6.0 * q * q)
 
 
-def smoothstep_cutoff_prime(s):
-    s = np.asarray(s, dtype=float)
-    q = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return -2.0 * 30.0 * q * q * (1.0 - q) ** 2
-
-
 # Exact moments of the cutoff over [0, 1]: chi^2, chi^2 s and chi'^2 s.
 _CHI_SQ = 643.0 / 924.0
 _CHI_SQ_S = 151.0 / 616.0
 _CHI_PRIME_SQ_S = 15.0 / 7.0
-
-
-def weyl_center(n: int) -> np.ndarray:
-    """Center (-1 - n^2, 0) of the n-th cut-off plane wave.
-
-    Its support, the disk of radius n around this center, lies in x < 0,
-    and both rays lie in x >= 0 for every omega <= pi/2, so the support
-    never meets the shell.
-    """
-    return np.array([-1.0 - float(n * n), 0.0])
 
 
 def _weyl_spinor_sq(p: PhysParams, lam: float, n: int) -> float:
@@ -314,7 +273,7 @@ def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
 class SingularSeqReport:
     identity_quadratic: float     # residual of z (M_l^2 + I) = -(8 m tau/(4-tau^2)) M_l
     identity_jump: float          # residual of (2m/tau)(I - M_l)^2 = (8 m tau/(4-tau^2)) M_l
-    norm_sq: dict[int, float]     # ||psi_n||^2 by quadrature
+    norm_sq: dict[int, float]     # ||psi_n||^2
     c_lower: float
     c_upper: float
     ok: bool
@@ -339,41 +298,33 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     res_jump = float(np.max(np.abs(
         (2.0 * m / tau) * (eye - m_l) @ (eye - m_l) - coef * m_l)))
 
-    avec = np.array([1.0, 0.0], dtype=complex)
-    bvec = m_l @ avec
-
     s2w = math.sin(2.0 * p.omega)
     c = 2.0 / s2w if s2w > 1e-12 else 1.0
 
     # chi^2 over one unit of the longitudinal cutoff, and the transverse
     # |v|^2 = |a|^2 e^{-2 z zeta} above the shell, |b|^2 e^{2 z zeta} below
-    # it, integrated over [-l, l] for l = 1/c and 60/z
+    # it (a = e_1, b = M_l e_1), integrated over [-l, l] for l = 1/c and 60/z
     chi_sq = 2.0 * _CHI_SQ
-    na, nb = float(np.sum(np.abs(avec) ** 2)), float(np.sum(np.abs(bvec) ** 2))
+    ab_sq = 1.0 + float(np.sum(np.abs(m_l[:, 0]) ** 2))
     c_lower, c_upper = (
-        chi_sq * (na + nb) * (1.0 - math.exp(-2.0 * z * ell)) / (2.0 * z)
+        chi_sq * ab_sq * (1.0 - math.exp(-2.0 * z * ell)) / (2.0 * z)
         for ell in (1.0 / c, 60.0 / z))
 
+    # |v|^2 is symmetric in zeta up to |a|^2 and |b|^2, so with zeta = n t / c
+    # the n-th norm is chi_sq (|a|^2 + |b|^2) (n / c) times the integral of
+    # chi(t)^2 e^{-alpha t} over [0, 1], alpha = 2 z n / c: exact on [0, 1/2]
+    # where chi = 1, one Gauss rule on the ramp [1/2, 1]
     gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    t = 0.75 + 0.25 * gl_x
+    ramp_w = 0.25 * gl_w * smoothstep_cutoff(t) ** 2
     norms: dict[int, float] = {}
     for n in ns:
         # the support, centred at xi = n^2 + 1, clears the lower ray for
         # every n: that needs n^2 - 1.5 n + 1 > 0, true for all real n
-        half_z = n / c
-        # a multiple of 4 cells puts the kinks of chi at +-half_z/2 and of
-        # v at 0 on cell edges, so each Gauss cell sees a smooth integrand
-        n_cells = 4 * max(4, (int(8 * half_z) + 1) // 2)
-        zeta_cells = np.linspace(-half_z, half_z, n_cells + 1)
-        acc = 0.0
-        for lo, hi in zip(zeta_cells[:-1], zeta_cells[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            zt = mid + half * gl_x
-            w_ = half * gl_w
-            vsq = np.where(zt >= 0.0, na * np.exp(-2.0 * z * zt),
-                           nb * np.exp(2.0 * z * zt))
-            acc += float(np.sum(
-                w_ * smoothstep_cutoff(np.abs(c * zt / n)) ** 2 * vsq))
-        norms[int(n)] = chi_sq * acc
+        alpha = 2.0 * z * n / c
+        flat = -math.expm1(-0.5 * alpha) / alpha
+        ramp = float(np.sum(ramp_w * np.exp(-alpha * t)))
+        norms[int(n)] = chi_sq * ab_sq * (n / c) * (flat + ramp)
 
     ok = (res_quad < 1e-13 and res_jump < 1e-13
           and all(c_lower <= v <= c_upper for v in norms.values()))

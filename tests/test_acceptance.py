@@ -31,7 +31,6 @@ from diracwedge.variational import (
     weyl_norm_sq,
     weyl_residual,
 )
-from diracwedge.variational import test_function_family as make_family
 
 from oracles import (
     aux1d_ground_energy,
@@ -187,8 +186,7 @@ def test_criterion_5_certificate():
         if not (certified and np.all(bd.form_gap_modes < 0.0)
                 and abs(bd.bound_gap) <= 1e-10):
             ok = False
-        fam = make_family(p, n_modes, l_star)
-        bd2 = energy_breakdown(fam)
+        bd2 = energy_breakdown(p, n_modes, l_star)
         orc = energy_pieces_quadrature(-1.0, 1.0, w_star, n_modes, l_star,
                                        np.ones(n_modes))
         for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap"):

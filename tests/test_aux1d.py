@@ -1,4 +1,4 @@
-"""Transverse strip problem: secular function and ground-state energy."""
+"""Transverse strip problem: secular root and ground-state energy."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diracwedge.aux1d import Aux1DResult, ground_state
-from diracwedge.model import ParameterError, PhysParams
+from diracwedge.model import ParameterError, PhysParams, derived_constants
 
 from oracles import aux1d_ground_energy
 
@@ -15,22 +15,20 @@ RNG = np.random.default_rng(3)
 P_REF = PhysParams(tau=-1.0, m=1.0, omega=0.5)
 
 
-def secular_f(k: float, gamma: float) -> float:
-    """F_gamma(k) = k tanh(k gamma), the left side of the secular equation."""
-    return k * math.tanh(k * gamma)
-
-
-def test_secular_zero_and_saturation():
-    assert secular_f(0.0, 3.0) == 0.0
-    # tanh saturates: F -> k as gamma grows at fixed k
-    assert secular_f(2.0, 50.0) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_secular_monotone_in_k():
-    for gamma in (0.3, 1.0, 7.0):
-        ks = np.sort(RNG.uniform(0.0, 5.0, size=20))
-        vals = [secular_f(float(k), gamma) for k in ks]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+def test_root_bracket_and_secular_residual_sweep():
+    """The bracket that ``ground_state`` promises, kappa0 < k_gamma <= kappa0
+    + 1/gamma, and k tanh(k gamma) = kappa0 to 1e-12 relative, from gamma
+    kappa0 = 1e-3 to 15.  (From gamma kappa0 = 20 on, the gap k_gamma -
+    kappa0, about 2 kappa0 e^{-2 gamma kappa0}, is below one ulp of kappa0.)"""
+    for _ in range(200):
+        tau = -float(10.0 ** RNG.uniform(-2.0, 1.0))
+        p = PhysParams(tau=tau, m=float(RNG.uniform(0.3, 3.0)), omega=0.5)
+        kap = derived_constants(p).kappa0
+        gamma = float(10.0 ** RNG.uniform(-3.0, math.log10(15.0))) / kap
+        k = ground_state(p, gamma).k_gamma
+        assert kap < k <= kap + 1.0 / gamma
+        assert k * math.tanh(k * gamma) == pytest.approx(kap, rel=1e-12,
+                                                          abs=0.0)
 
 
 def test_ground_state_reference_values():
@@ -52,7 +50,8 @@ def test_root_exceeds_kappa0():
         assert r.k_gamma > 0.8
         assert r.E_gamma < 0.36
         # the returned root actually solves the secular equation
-        assert secular_f(r.k_gamma, gamma) == pytest.approx(0.8, abs=1e-12)
+        assert r.k_gamma * math.tanh(r.k_gamma * gamma) == pytest.approx(
+            0.8, abs=1e-12)
 
 
 def test_energy_approaches_gap_edge():

@@ -383,6 +383,7 @@ def test_streams_separate_data_from_diagnostics(child_env):
     ["deficiency", "--tau", "-1", "--r", "1", "--theta", "nan"],
     ["testfn", "--tau", "-1", "--omega", "0.01", "--L", "inf"],
     ["weyl", "--tau", "-1", "--lam", "inf"],
+    ["gap", "--tau", "-inf"],
 ])
 def test_nan_option_exits_2(argv, capsys):
     """NaN and infinite float options are refused where they are read."""
@@ -410,6 +411,52 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg.write_text('{"tau": -1.0, "lam": Infinity}')
     assert main(["weyl", "--config", str(cfg)]) == 2
     assert "--lam must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, text, message", [
+    ("gap", '{"subcommand": "gap", "tau": [-1, -2]}',
+     "tau must be a single value"),
+    ("critical-angle", '{"tau": -1}', "tau must be a list"),
+    ("critical-angle", '{"tau": [-1], "N": []}',
+     "argument --N: expected at least one argument"),
+    ("gap", '{"config": [1], "result": {}}', "does not hold an object"),
+    ("testfn", '{"tau": -1, "N": 1.7}', "invalid int value: '1.7'"),
+    ("gap", '{"tau": true}', "invalid float value: 'true'"),
+])
+def test_malformed_config_exits_2(subcommand, text, message, tmp_path,
+                                  capsys):
+    """A value of the wrong shape or type is refused, not coerced."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([subcommand, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["gap", "--tau", "-1e-3"], "tau", -1e-3),
+    (["spin-orbit", "--tau", "-1", "--lo", "-1e1", "--hi", "3"], "lo", -10.0),
+    (["critical-angle", "--tau", "-1", "-1e-3"], "tau", [-1.0, -1e-3]),
+])
+def test_negative_exponent_values_parse(argv, key, value, tmp_path):
+    """A negative value parses in any notation that float() reads."""
+    code, out = run_to_file(tmp_path, "out", argv)
+    assert code == 0
+    assert load_config(str(out))[key] == value
+
+
+def test_config_replays_negative_exponent(tmp_path):
+    """-1e-05 replays from its artifact, and a later flag overrides it."""
+    _, first = run_to_file(tmp_path, "g1.json", ["gap", "--tau", "-1e-5"])
+    code, second = run_to_file(tmp_path, "g2.json",
+                               ["gap", "--config", str(first)])
+    assert code == 0
+    assert first.read_bytes() == second.read_bytes()
+    _, third = run_to_file(tmp_path, "g3.json", ["gap", "--config",
+                                                 str(first), "--tau", "-2e-1"])
+    assert json.loads(third.read_text())["config"]["tau"] == -0.2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,14 +1,14 @@
-"""Every exported name is reached by a route: the library itself, a demo or
+"""Every name in an ``__all__`` of the package or of one of its modules is
+reached by a route: the library itself, a demo or
 the benchmark.  A name that only the tests call is a second path kept for
 the tests; its cross-check belongs in ``tests/oracles.py``."""
 
 import ast
+import importlib
 from pathlib import Path
 
-import diracwedge
-import diracwedge.fem
-
 _ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src"
 
 
 def _names(path: Path) -> set[str]:
@@ -35,7 +35,7 @@ def _spans_targets() -> set[str]:
 
 
 def _reached() -> set[str]:
-    files = [f for f in (_ROOT / "src" / "diracwedge").rglob("*.py")
+    files = [f for f in (_SRC / "diracwedge").rglob("*.py")
              if f.name != "__init__.py"]
     files += sorted((_ROOT / "demos").glob("*.py"))
     files += sorted((_ROOT / "perfbench").glob("*.py"))
@@ -43,7 +43,21 @@ def _reached() -> set[str]:
     return reached | _spans_targets()
 
 
+def _exports() -> set[str]:
+    """``module.name`` for every name in the ``__all__`` of the package and
+    of each of its modules."""
+    found = set()
+    for f in (_SRC / "diracwedge").rglob("*.py"):
+        parts = f.relative_to(_SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        found |= {f"{module.__name__}.{name}"
+                  for name in getattr(module, "__all__", ())}
+    return found
+
+
 def test_every_export_has_a_route():
-    exported = (set(diracwedge.__all__) | set(diracwedge.fem.__all__)) \
-        - {"__version__", "fem"}
-    assert sorted(exported - _reached()) == []
+    reached = _reached() | {"__version__", "fem"}
+    assert sorted(name for name in _exports()
+                  if name.rpartition(".")[2] not in reached) == []

@@ -15,13 +15,9 @@ from diracwedge.variational import (
     energy_breakdown,
     singular_seq_identities,
     smoothstep_cutoff,
-    smoothstep_cutoff_prime,
-    weyl_center,
     weyl_norm_sq,
     weyl_residual,
 )
-# aliased so pytest does not collect them as test items
-from diracwedge.variational import test_function_family as make_family
 
 from oracles import (chi_sq_moments, critical_angle_numeric,
                      energy_pieces_quadrature)
@@ -29,7 +25,7 @@ from oracles import (chi_sq_moments, critical_angle_numeric,
 RNG = np.random.default_rng(5)
 
 # Frozen reference: omega_star/L_star for tau=-1 and the energy pieces of the
-# N=1 unit-coefficient family evaluated there.
+# N=1 mode evaluated there.
 OMEGA_STAR_1 = 0.003288651296915874
 L_STAR_1 = 21.15305866460599
 PIECES_STAR_1 = {
@@ -41,19 +37,12 @@ PIECES_STAR_1 = {
 }
 
 
-def family(tau=-1.0, m=1.0, omega=0.01, N=1, L=20.0, coefficients=None):
-    p = PhysParams(tau=tau, m=m, omega=omega)
-    return make_family(p, N=N, L=L, coefficients=coefficients)
-
-
 def test_family_validation():
     p = PhysParams(tau=-1.0, m=1.0, omega=0.01)
     with pytest.raises(ParameterError):
-        make_family(p, N=0, L=10.0)
+        energy_breakdown(p, 0, 10.0)
     with pytest.raises(ParameterError):
-        make_family(p, N=1, L=-1.0)
-    with pytest.raises(ParameterError):
-        make_family(p, N=2, L=10.0, coefficients=[1.0])
+        energy_breakdown(p, 1, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +50,7 @@ def test_family_validation():
 # ---------------------------------------------------------------------------
 
 def test_energy_pieces_match_quadrature_reference_case():
-    fam = family()
-    bd = energy_breakdown(fam)
+    bd = energy_breakdown(PhysParams(tau=-1.0, m=1.0, omega=0.01), 1, 20.0)
     orc = energy_pieces_quadrature(-1.0, 1.0, 0.01, 1, 20.0, [1.0])
     for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap"):
         got = getattr(bd, name)
@@ -70,6 +58,9 @@ def test_energy_pieces_match_quadrature_reference_case():
 
 
 def test_energy_pieces_match_quadrature_random():
+    """The oracle weights the modes with random coefficients c_n; form-
+    orthogonality predicts each piece as sum |c_n|^2 times the piece of mode
+    n alone, read off the library's unit-coefficient sums over 1..n."""
     for _ in range(3):
         tau = -float(RNG.uniform(0.3, 1.8))
         m = float(RNG.uniform(0.5, 2.0))
@@ -77,26 +68,21 @@ def test_energy_pieces_match_quadrature_random():
         L = float(RNG.uniform(5.0, 30.0))
         omega = float(RNG.uniform(0.002, 0.05))
         coeffs = RNG.standard_normal(N)
-        fam = family(tau=tau, m=m, omega=omega, N=N, L=L, coefficients=coeffs)
-        bd = energy_breakdown(fam)
+        p = PhysParams(tau=tau, m=m, omega=omega)
+        sums = [energy_breakdown(p, n, L) for n in range(1, N + 1)]
+        wts = np.abs(coeffs) ** 2
         orc = energy_pieces_quadrature(tau, m, omega, N, L, coeffs)
-        for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap"):
-            assert getattr(bd, name) == pytest.approx(orc[name], rel=1e-8), name
-
-
-def test_quadratic_homogeneity():
-    fam1 = family(N=2, coefficients=[1.0, 0.5])
-    fam_s = family(N=2, coefficients=[3.0, 1.5])
-    b1, bs = energy_breakdown(fam1), energy_breakdown(fam_s)
-    for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap",
-                 "bound_gap"):
-        assert getattr(bs, name) == pytest.approx(9.0 * getattr(b1, name),
-                                                  rel=1e-14), name
+        for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq"):
+            per_mode = np.diff([0.0] + [getattr(bd, name) for bd in sums])
+            assert float(np.sum(wts * per_mode)) == pytest.approx(
+                orc[name], rel=1e-8), name
+        assert float(np.sum(wts * sums[-1].form_gap_modes)) == pytest.approx(
+            orc["form_gap"], rel=1e-8)
 
 
 def test_frozen_pieces_at_the_optimum():
     p = PhysParams(tau=-1.0, m=1.0, omega=OMEGA_STAR_1)
-    bd = energy_breakdown(make_family(p, N=1, L=L_STAR_1))
+    bd = energy_breakdown(p, 1, L_STAR_1)
     for name, val in PIECES_STAR_1.items():
         assert getattr(bd, name) == pytest.approx(val, rel=1e-12), name
 
@@ -104,13 +90,10 @@ def test_frozen_pieces_at_the_optimum():
 def test_bound_gap_dominates_form_gap():
     # the n-independent estimate can only be worse than the exact value
     for _ in range(5):
-        fam = family(
-            tau=-float(RNG.uniform(0.3, 1.8)),
-            omega=float(RNG.uniform(0.002, 0.05)),
-            N=int(RNG.integers(1, 4)),
-            L=float(RNG.uniform(5.0, 30.0)),
-        )
-        bd = energy_breakdown(fam)
+        p = PhysParams(tau=-float(RNG.uniform(0.3, 1.8)), m=1.0,
+                       omega=float(RNG.uniform(0.002, 0.05)))
+        bd = energy_breakdown(p, int(RNG.integers(1, 4)),
+                              float(RNG.uniform(5.0, 30.0)))
         assert bd.bound_gap >= np.max(bd.form_gap_modes) - 1e-12
 
 
@@ -124,7 +107,7 @@ def test_angle_for_length_zeroes_bound_gap():
         omega = angle_for_length(tau, m, L, N)
         assert omega > 0.0
         p = PhysParams(tau=tau, m=m, omega=omega)
-        bd = energy_breakdown(make_family(p, N=N, L=L))
+        bd = energy_breakdown(p, N, L)
         assert abs(bd.bound_gap) <= 1e-10
         assert bd.form_gap < 0.0
 
@@ -211,6 +194,12 @@ def test_certificate_inconclusive_at_wide_angle():
 # cutoff and Weyl sequence
 # ---------------------------------------------------------------------------
 
+def _cutoff_prime(s):
+    """chi'(s) = -60 q^2 (1 - q)^2 with q = 2 s - 1 clipped to [0, 1]."""
+    q = np.clip(2.0 * np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
+    return -60.0 * q * q * (1.0 - q) ** 2
+
+
 def test_cutoff_shape_and_derivative():
     s = np.linspace(0.0, 1.5, 301)
     chi = smoothstep_cutoff(s)
@@ -220,10 +209,10 @@ def test_cutoff_shape_and_derivative():
     h = 1e-6
     mids = np.linspace(0.05, 1.2, 40)
     num = (smoothstep_cutoff(mids + h) - smoothstep_cutoff(mids - h)) / (2 * h)
-    np.testing.assert_allclose(smoothstep_cutoff_prime(mids), num, atol=1e-5)
+    np.testing.assert_allclose(_cutoff_prime(mids), num, atol=1e-5)
     # C^1 at the two breakpoints
-    assert smoothstep_cutoff_prime(0.5) == 0.0
-    assert smoothstep_cutoff_prime(1.0) == 0.0
+    assert _cutoff_prime(0.5) == 0.0
+    assert _cutoff_prime(1.0) == 0.0
 
 
 def test_cutoff_moments_match_exact_rationals():
@@ -232,14 +221,16 @@ def test_cutoff_moments_match_exact_rationals():
     chi2 = smoothstep_cutoff(s) ** 2
     assert trapezoid(chi2, s) == pytest.approx(m0, abs=1e-11)
     assert trapezoid(chi2 * s, s) == pytest.approx(m1, abs=1e-11)
-    dchi2 = smoothstep_cutoff_prime(s) ** 2
+    dchi2 = _cutoff_prime(s) ** 2
     assert trapezoid(dchi2 * s, s) == pytest.approx(m2, abs=1e-11)
 
 
 def test_weyl_supports_disjoint():
-    # |c_n - c_m| = n^2 - m^2 >= n + m, so the support balls cannot meet
+    # the n-th centre is c_n = (-1 - n^2, 0), and |c_n - c_m| = n^2 - m^2
+    # >= n + m, so the support balls cannot meet
     for n, m in ((4, 8), (8, 16), (4, 16)):
-        dist = float(np.linalg.norm(weyl_center(n) - weyl_center(m)))
+        c_n, c_m = np.array([-1.0 - n * n, 0.0]), np.array([-1.0 - m * m, 0.0])
+        dist = float(np.linalg.norm(c_n - c_m))
         assert dist >= n + m
 
 
