@@ -20,7 +20,7 @@ from diracwedge import (
 )
 
 p = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
-eps_sq = derived_constants(p).eps_tau ** 2
+eps_sq = derived_constants(p).eps_tau_sq
 
 print("strip ground state, tau=%g m=%g (gap edge eps^2 = %.2f):" % (p.tau, p.m, eps_sq))
 print("  gamma   k_gamma            E(gamma)            eps^2 - E")

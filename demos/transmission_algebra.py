@@ -27,7 +27,7 @@ print()
 print("derived constants")
 print("  a        = %.15g   (=5/3)" % dc.a)
 print("  b        = %.15g   (=-4/3)" % dc.b)
-print("  eps_tau  = %.15g   gap edge; essential spectrum starts at eps_tau^2=%.2f" % (dc.eps_tau, dc.eps_tau**2))
+print("  eps_tau  = %.15g   gap edge; essential spectrum starts at eps_tau^2=%.2f" % (dc.eps_tau, dc.eps_tau_sq))
 print("  kappa0   = %.15g   transverse decay rate of the shell mode" % dc.kappa0)
 print("  kappa_tau= %.15g   |M e|^2 for a unit spinor e (=41/9)" % dc.kappa_tau)
 print("  c_tau    = %.15g   |(M - I) e|^2, the squared jump (=20/9)" % dc.c_tau)

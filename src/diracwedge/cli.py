@@ -7,8 +7,9 @@ report (its embedded config is reused), or a CSV artifact (the "# config"
 header line).  Flags override config-file values.
 
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
-float option included), 3 solver failure or a NaN or infinite result, which
-has no JSON form.
+float option, a mass whose eps_tau^2 overflows, and an unwritable --output
+or --export path included), 3 solver failure or a NaN or infinite result,
+which has no JSON form.
 """
 
 from __future__ import annotations
@@ -61,74 +62,20 @@ _OMEGA = _Opt("omega", parse_angle, default=_PI_4,
               help="wedge half-angle (radians, or e.g. 12deg)")
 _OUT = _Opt("output", str, default=None, help="artifact path (default stdout)")
 
-_COMMANDS: dict[str, tuple[_Opt, ...]] = {
-    "gap": (*_COMMON, _OMEGA, _OUT),
-    "spin-orbit": (
-        *_COMMON, _OMEGA,
-        _Opt("lo", float, default=-3.0, help="window lower edge"),
-        _Opt("hi", float, default=3.0, help="window upper edge"),
-        _OUT,
-    ),
-    "critical-angle": (
-        _Opt("tau", float, required=True, many=True),
-        _Opt("m", float, default=1.0),
-        _Opt("N", int, default=[1], many=True, help="mode counts"),
-        _OUT,
-    ),
-    "testfn": (
-        *_COMMON, _OMEGA,
-        _Opt("N", int, default=1, help="number of modes"),
-        _Opt("L", float, default=None, help="strip length (default L_star)"),
-        _OUT,
-    ),
-    "aux1d": (
-        *_COMMON, _OMEGA,
-        _Opt("gamma", float, required=True, many=True, help="half-widths"),
-        _OUT,
-    ),
-    "weyl": (
-        *_COMMON, _OMEGA,
-        _Opt("lam", float, default=1.5, help="spectral point, |lam| > m"),
-        _Opt("n", int, default=[4, 8, 16], many=True, help="sequence indices"),
-        _OUT,
-    ),
-    "deficiency": (
-        *_COMMON, _OMEGA,
-        _Opt("r", float, required=True, help="radius"),
-        _Opt("theta", parse_angle, default=0.0, help="polar angle"),
-        _OUT,
-    ),
-    "fem-count": (
-        *_COMMON, _OMEGA,
-        _Opt("kind", str, default=None, choices=("auto", "disk", "strip")),
-        _Opt("R", float, default=None, help="disk radius"),
-        _Opt("h", float, default=None, help="disk target size"),
-        _Opt("grading", float, default=None, help="disk corner grading"),
-        _Opt("x_max", float, default=None, help="strip length"),
-        _Opt("nx", int, default=None, help="strip columns"),
-        _Opt("wedge_rows", int, default=None),
-        _Opt("outer_rows", int, default=None),
-        _Opt("width", float, default=None, help="strip outer width"),
-        _Opt("outer_grading", float, default=None),
-        _Opt("k", int, default=8, help="lowest eigenvalues to report"),
-        _Opt("export", str, default=None,
-             help="prefix for Matrix Market export of (A, B)"),
-        _OUT,
-    ),
-    "sweep": (
-        _Opt("quantity", str, required=True,
-             choices=("gap", "principal", "critical-angle", "aux1d")),
-        _Opt("tau", float, required=True, many=True),
-        _Opt("m", float, default=[1.0], many=True),
-        _Opt("omega", parse_angle, default=[_PI_4], many=True),
-        _Opt("gamma", float, default=[10.0], many=True),
-        _Opt("N", int, default=[1], many=True),
-        _OUT,
-    ),
-}
-
-_MESH_OPT_NAMES = ("kind", "R", "h", "grading", "x_max", "nx",
-                   "wedge_rows", "outer_rows", "width", "outer_grading")
+# fem-count's mesh options; the mesh builders own their defaults
+_MESH_OPTS = (
+    _Opt("kind", str, choices=("auto", "disk", "strip")),
+    _Opt("R", float, help="disk radius"),
+    _Opt("h", float, help="disk target size"),
+    _Opt("grading", float, help="disk corner grading"),
+    _Opt("x_max", float, help="strip length"),
+    _Opt("nx", int, help="strip columns"),
+    _Opt("wedge_rows", int),
+    _Opt("outer_rows", int),
+    _Opt("width", float, help="strip outer width"),
+    _Opt("outer_grading", float),
+)
+_MESH_OPT_NAMES = tuple(opt.name for opt in _MESH_OPTS)
 
 
 @dataclass(frozen=True)
@@ -160,7 +107,7 @@ def load_config(path: str) -> dict:
 def _config_tokens(subcommand: str, config_file: dict) -> list[str]:
     """The config file's non-null values as ``--name value...`` tokens, so
     the subparser converts and checks them exactly as it does flags."""
-    opts = {o.name: o for o in _COMMANDS[subcommand]}
+    opts = {o.name: o for o in _COMMANDS[subcommand][0]}
     cfg = {k: v for k, v in config_file.items() if k != "subcommand"}
     # exact keys: the parser would take a prefix such as "ta" for "tau"
     unknown = set(cfg) - set(opts)
@@ -200,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lorentz-scalar shell on a wedge boundary",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    for name, opts in _COMMANDS.items():
+    for name, (opts, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file; flags override")
@@ -217,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(subcommand: str, flags: dict) -> RunConfig:
     options: dict = {}
-    for opt in _COMMANDS[subcommand]:
+    for opt in _COMMANDS[subcommand][0]:
         val = flags.get(opt.name)
         if val is None:
             val = opt.default
@@ -285,59 +232,49 @@ def _emit(text: str, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# point functions: one per reported quantity; a quantity that `sweep` also
+# reports uses the same function there.  Each takes an options dict and
+# returns every field that a route prints; a CSV route picks its columns.
 # ---------------------------------------------------------------------------
 
 def _params(o: dict) -> PhysParams:
     return PhysParams(tau=o["tau"], m=o["m"], omega=o.get("omega", _PI_4))
 
 
-def _handle_gap(cfg: RunConfig) -> str:
-    p = _params(cfg.options)
-    dc = derived_constants(p)
-    return _json_artifact(cfg, {
-        "eps_tau": dc.eps_tau,
-        "eps_tau_sq": dc.eps_tau ** 2,
-        "kappa0": dc.kappa0,
-        "kappa_tau": dc.kappa_tau,
-        "c_tau": dc.c_tau,
-        "a": dc.a,
-        "b": dc.b,
-    })
+def _gap(o: dict) -> dict:
+    dc = derived_constants(_params(o))
+    return {name: getattr(dc, name) for name in (
+        "eps_tau", "eps_tau_sq", "kappa0", "kappa_tau", "c_tau", "a", "b")}
 
 
-def _handle_spin_orbit(cfg: RunConfig) -> str:
-    o = cfg.options
+def _spin_orbit(o: dict) -> dict:
     p = _params(o)
     roots = spectrum_in_window(p, o["lo"], o["hi"])
-    principal = principal_eigenvalue(p)
-    return _json_artifact(cfg, {
+    return {
         "roots": [{"lambda": r.lam, "multiplicity": r.multiplicity}
                   for r in roots],
-        "principal_lambda": principal.lam,
-    })
+        "principal_lambda": principal_eigenvalue(p).lam,
+    }
 
 
-def _handle_critical_angle(cfg: RunConfig) -> str:
-    o = cfg.options
-    rows = []
-    for tau, n_modes in product(o["tau"], o["N"]):
-        p = PhysParams(tau=tau, m=o["m"], omega=_PI_4)
-        w_star, l_star = critical_angle_maximize(p, n_modes)
-        # Both omega_star columns hold the closed form, computed once.
-        rows.append([tau, n_modes, w_star, w_star, l_star])
-    return _csv_artifact(
-        cfg, ["tau", "N", "omega_star_closed", "omega_star", "L_star"], rows)
+def _principal(o: dict) -> dict:
+    return {"lambda_star": principal_eigenvalue(_params(o)).lam}
 
 
-def _handle_testfn(cfg: RunConfig) -> str:
-    o = cfg.options
+def _critical_angle(o: dict) -> dict:
+    w_star, l_star = critical_angle_maximize(_params(o), o["N"])
+    # the subcommand prints the closed form twice, once as omega_star_closed
+    return {"omega_star_closed": w_star, "omega_star": w_star,
+            "L_star": l_star}
+
+
+def _testfn(o: dict) -> dict:
     p = _params(o)
     length = o["L"]
     if length is None:
         length = critical_angle_maximize(p, o["N"])[1]
     bd = energy_breakdown(p, o["N"], length)
-    return _json_artifact(cfg, {
+    return {
         "L": length,
         "N": o["N"],
         "jump_sq": bd.jump_sq,
@@ -348,33 +285,23 @@ def _handle_testfn(cfg: RunConfig) -> str:
         "bound_gap": bd.bound_gap,
         "form_gap_modes": [float(x) for x in bd.form_gap_modes],
         "certifies": bool((bd.form_gap_modes < 0.0).all()),
-    })
+    }
 
 
-def _handle_aux1d(cfg: RunConfig) -> str:
-    o = cfg.options
+def _aux1d(o: dict) -> dict:
     p = _params(o)
-    eps_sq = derived_constants(p).eps_tau ** 2
-    rows = []
-    for gamma in o["gamma"]:
-        res = ground_state(p, gamma)
-        rows.append([gamma, res.k_gamma, res.E_gamma, eps_sq - res.E_gamma])
-    return _csv_artifact(
-        cfg, ["gamma", "k_gamma", "E_gamma", "eps_sq_minus_E"], rows)
+    res = ground_state(p, o["gamma"])
+    return {"k_gamma": res.k_gamma, "E_gamma": res.E_gamma,
+            "eps_sq_minus_E": derived_constants(p).eps_tau_sq - res.E_gamma}
 
 
-def _handle_weyl(cfg: RunConfig) -> str:
-    o = cfg.options
+def _weyl(o: dict) -> dict:
     p = _params(o)
-    rows = []
-    for n in o["n"]:
-        rows.append([n, weyl_norm_sq(p, o["lam"], n),
-                     weyl_residual(p, o["lam"], n)])
-    return _csv_artifact(cfg, ["n", "norm_sq", "residual"], rows)
+    return {"norm_sq": weyl_norm_sq(p, o["lam"], o["n"]),
+            "residual": weyl_residual(p, o["lam"], o["n"])}
 
 
-def _handle_deficiency(cfg: RunConfig) -> str:
-    o = cfg.options
+def _deficiency(o: dict) -> dict:
     p = _params(o)
     root = principal_eigenvalue(p)
     vp = deficiency_element(p, +1, o["r"], o["theta"], root=root)
@@ -382,90 +309,139 @@ def _handle_deficiency(cfg: RunConfig) -> str:
     def _c(v):
         return [[float(v[0].real), float(v[0].imag)],
                 [float(v[1].real), float(v[1].imag)]]
-    return _json_artifact(cfg, {
-        "lambda_star": root.lam,
-        "plus": _c(vp),
-        "minus": _c(vm),
-    })
+    return {"lambda_star": root.lam, "plus": _c(vp), "minus": _c(vm)}
 
 
-def _handle_fem_count(cfg: RunConfig) -> str:
+def _fem_count(o: dict) -> dict:
     # the FEM layer (and scipy.sparse) loads here, not on every CLI call
     from .fem import count_bound_states, export_matrix_market
 
-    o = cfg.options
-    p = _params(o)
     mesh_opts = {k: o[k] for k in _MESH_OPT_NAMES if o.get(k) is not None}
-    report = count_bound_states(p, mesh_opts, k=o["k"])
+    report = count_bound_states(_params(o), mesh_opts, k=o["k"])
     result = report.as_dict()
     if o.get("export"):
-        result["exports"] = export_matrix_market(report.pencil, o["export"])
-    return _json_artifact(cfg, result)
+        try:
+            result["exports"] = export_matrix_market(report.pencil,
+                                                     o["export"])
+        except OSError as exc:
+            raise ParameterError(exc) from None
+    return result
 
 
-def _sweep_gap(tau: float, m: float) -> list:
-    dc = derived_constants(PhysParams(tau=tau, m=m, omega=_PI_4))
-    return [dc.eps_tau, dc.kappa0, dc.kappa_tau, dc.c_tau]
+# ---------------------------------------------------------------------------
+# routes: each turns a resolved config into its artifact text
+# ---------------------------------------------------------------------------
+
+def _report(point):
+    """Route printing ``point(options)`` as a JSON report."""
+    return lambda cfg: _json_artifact(cfg, point(cfg.options))
 
 
-def _sweep_principal(tau: float, m: float, omega: float) -> list:
-    return [principal_eigenvalue(PhysParams(tau=tau, m=m, omega=omega)).lam]
-
-
-def _sweep_critical_angle(tau: float, m: float, n_modes: int) -> list:
-    p = PhysParams(tau=tau, m=m, omega=_PI_4)
-    return list(critical_angle_maximize(p, n_modes))
-
-
-def _sweep_aux1d(tau: float, m: float, gamma: float) -> list:
-    res = ground_state(PhysParams(tau=tau, m=m, omega=_PI_4), gamma)
-    return [res.k_gamma, res.E_gamma]
-
-
-# quantity -> (grid axes, result columns, result of one grid point); each
-# CSV row is the grid point followed by its result
-_SWEEPS = {
-    "gap": (("tau", "m"), ("eps_tau", "kappa0", "kappa_tau", "c_tau"),
-            _sweep_gap),
-    "principal": (("tau", "m", "omega"), ("lambda_star",), _sweep_principal),
-    "critical-angle": (("tau", "m", "N"), ("omega_star", "L_star"),
-                       _sweep_critical_angle),
-    "aux1d": (("tau", "m", "gamma"), ("k_gamma", "E_gamma"), _sweep_aux1d),
-}
-
-
-def _handle_sweep(cfg: RunConfig) -> str:
-    o = cfg.options
-    axes, columns, result = _SWEEPS[o["quantity"]]
-    grid = product(*(o[a] for a in axes))
-    rows = [[*point, *result(*point)] for point in grid]
+def _grid_csv(cfg: RunConfig, base: dict, axes, columns, point) -> str:
+    """One CSV row ``[*values, *result columns]`` per point of the product
+    of the axes' option values; ``point`` sees ``base`` with the point's
+    values put in."""
+    rows = []
+    for values in product(*(cfg.options[a] for a in axes)):
+        result = point({**base, **dict(zip(axes, values))})
+        rows.append([*values, *(result[c] for c in columns)])
     return _csv_artifact(cfg, [*axes, *columns], rows)
 
 
-_HANDLERS = {
-    "gap": _handle_gap,
-    "spin-orbit": _handle_spin_orbit,
-    "critical-angle": _handle_critical_angle,
-    "testfn": _handle_testfn,
-    "aux1d": _handle_aux1d,
-    "weyl": _handle_weyl,
-    "deficiency": _handle_deficiency,
-    "fem-count": _handle_fem_count,
-    "sweep": _handle_sweep,
+def _grid(axes, columns, point):
+    """Route printing a subcommand's grid: its point function sees the
+    subcommand's options."""
+    return lambda cfg: _grid_csv(cfg, cfg.options, axes, columns, point)
+
+
+# quantity -> (grid axes, result columns, point function); a sweep's point
+# function sees only the point, so omega is pi/4 where it is not an axis
+_SWEEPS = {
+    "gap": (("tau", "m"), ("eps_tau", "kappa0", "kappa_tau", "c_tau"), _gap),
+    "principal": (("tau", "m", "omega"), ("lambda_star",), _principal),
+    "critical-angle": (("tau", "m", "N"), ("omega_star", "L_star"),
+                       _critical_angle),
+    "aux1d": (("tau", "m", "gamma"), ("k_gamma", "E_gamma"), _aux1d),
+}
+
+
+def _sweep(cfg: RunConfig) -> str:
+    return _grid_csv(cfg, {}, *_SWEEPS[cfg.options["quantity"]])
+
+
+# subcommand -> (options, route)
+_COMMANDS = {
+    "gap": ((*_COMMON, _OMEGA, _OUT), _report(_gap)),
+    "spin-orbit": ((
+        *_COMMON, _OMEGA,
+        _Opt("lo", float, default=-3.0, help="window lower edge"),
+        _Opt("hi", float, default=3.0, help="window upper edge"),
+        _OUT,
+    ), _report(_spin_orbit)),
+    "critical-angle": ((
+        _Opt("tau", float, required=True, many=True),
+        _Opt("m", float, default=1.0),
+        _Opt("N", int, default=[1], many=True, help="mode counts"),
+        _OUT,
+    ), _grid(("tau", "N"), ("omega_star_closed", "omega_star", "L_star"),
+             _critical_angle)),
+    "testfn": ((
+        *_COMMON, _OMEGA,
+        _Opt("N", int, default=1, help="number of modes"),
+        _Opt("L", float, default=None, help="strip length (default L_star)"),
+        _OUT,
+    ), _report(_testfn)),
+    "aux1d": ((
+        *_COMMON, _OMEGA,
+        _Opt("gamma", float, required=True, many=True, help="half-widths"),
+        _OUT,
+    ), _grid(("gamma",), ("k_gamma", "E_gamma", "eps_sq_minus_E"), _aux1d)),
+    "weyl": ((
+        *_COMMON, _OMEGA,
+        _Opt("lam", float, default=1.5, help="spectral point, |lam| > m"),
+        _Opt("n", int, default=[4, 8, 16], many=True, help="sequence indices"),
+        _OUT,
+    ), _grid(("n",), ("norm_sq", "residual"), _weyl)),
+    "deficiency": ((
+        *_COMMON, _OMEGA,
+        _Opt("r", float, required=True, help="radius"),
+        _Opt("theta", parse_angle, default=0.0, help="polar angle"),
+        _OUT,
+    ), _report(_deficiency)),
+    "fem-count": ((
+        *_COMMON, _OMEGA, *_MESH_OPTS,
+        _Opt("k", int, default=8, help="lowest eigenvalues to report"),
+        _Opt("export", str, default=None,
+             help="prefix for Matrix Market export of (A, B)"),
+        _OUT,
+    ), _report(_fem_count)),
+    "sweep": ((
+        _Opt("quantity", str, required=True, choices=tuple(_SWEEPS)),
+        _Opt("tau", float, required=True, many=True),
+        _Opt("m", float, default=[1.0], many=True),
+        _Opt("omega", parse_angle, default=[_PI_4], many=True),
+        _Opt("gamma", float, default=[10.0], many=True),
+        _Opt("N", int, default=[1], many=True),
+        _OUT,
+    ), _sweep),
 }
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config; writes the artifact, returns exit code."""
     try:
-        text = _HANDLERS[config.subcommand](config)
+        text = _COMMANDS[config.subcommand][1](config)
     except (FemSolveError, _NonFiniteResult) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, ValueError) as exc:
         print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
         return 2
-    _emit(text, config.options.get("output"))
+    try:
+        _emit(text, config.options.get("output"))
+    except OSError as exc:
+        print(f"diracwedge {config.subcommand}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

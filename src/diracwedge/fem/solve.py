@@ -239,7 +239,7 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     count's factorization runs in a forked child while Lanczos runs here,
     or inline after it where ``os.fork`` does not exist.
     """
-    edge = derived_constants(p).eps_tau ** 2
+    edge = derived_constants(p).eps_tau_sq
     margin = _MARGIN_REL * edge
     s = edge - margin
 
@@ -272,7 +272,10 @@ def export_matrix_market(pencil: SymmetricPencil, prefix: str) -> list[str]:
     paths = []
     for name, mat in (("A", pencil.A), ("B", pencil.B)):
         path = f"{prefix}_{name}.mtx"
-        mmwrite(path, mat.tocoo(), field="real", symmetry="symmetric",
-                precision=17)
+        # opened here: mmwrite given a path in a missing directory writes
+        # nothing and raises nothing, while open raises OSError
+        with open(path, "wb") as fh:
+            mmwrite(fh, mat.tocoo(), field="real", symmetry="symmetric",
+                    precision=17)
         paths.append(path)
     return paths

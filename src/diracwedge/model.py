@@ -50,7 +50,8 @@ class PhysParams:
 
     tau : dimensionless shell strength, tau not in {-2, 0, 2}, small enough
         that the derived constants stay finite (|tau| below about 8.2e76)
-    m : mass, m > 0, sets the spectral scale
+    m : mass, m > 0, sets the spectral scale; small enough that eps_tau^2
+        stays finite (m below about 1.3e154 for tau > 0)
     omega : half opening angle in radians, 0 < omega <= pi/2
         (pi/2 is the straight-line reference case)
     """
@@ -115,6 +116,8 @@ class DerivedConstants:
 
     a, b : entries of the transmission matrix M = a sigma_0 + b i sigma_3 (sigma.nu)
     eps_tau : essential-spectrum gap edge (m for tau > 0)
+    eps_tau_sq : eps_tau^2, where the essential spectrum of the squared
+        operator starts
     kappa0 : -4 m tau / (4 + tau^2); the transverse decay rate for tau < 0
     kappa_tau : a^2 + b^2
     c_tau : (a - 1)^2 + b^2, squared norm of the jump of the profile spinor
@@ -123,6 +126,7 @@ class DerivedConstants:
     a: float
     b: float
     eps_tau: float
+    eps_tau_sq: float
     kappa0: float
     kappa_tau: float
     c_tau: float
@@ -141,8 +145,8 @@ def _derive(t: float, m: float) -> DerivedConstants:
     kappa0 = -4.0 * m * t / (4.0 + t * t)
     kappa = ((4.0 + t * t) ** 2 + 16.0 * t * t) / d ** 2
     c = 4.0 * t * t * (t * t + 4.0) / d ** 2
-    return DerivedConstants(a=a, b=b, eps_tau=eps, kappa0=kappa0,
-                            kappa_tau=kappa, c_tau=c)
+    return DerivedConstants(a=a, b=b, eps_tau=eps, eps_tau_sq=eps ** 2,
+                            kappa0=kappa0, kappa_tau=kappa, c_tau=c)
 
 
 def derived_constants(p: PhysParams) -> DerivedConstants:

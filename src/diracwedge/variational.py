@@ -279,6 +279,10 @@ class SingularSeqReport:
     ok: bool
 
 
+def _max_entry(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     """Matrix identities and norm bounds for the shell-aligned sequence.
 
@@ -292,11 +296,19 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     m_l = interface_matrices(p)[0]
     eye = np.eye(2)
     z = -4.0 * m * tau / (tau * tau + 4.0)
-    coef = 8.0 * m * tau / (4.0 - tau * tau)
+    # 4 - tau^2 as (2 - tau)(2 + tau), which does not cancel as tau -> -2
+    coef = 8.0 * m * tau / ((2.0 - tau) * (2.0 + tau))
 
-    res_quad = float(np.max(np.abs(z * (m_l @ m_l + eye) + coef * m_l)))
-    res_jump = float(np.max(np.abs(
-        (2.0 * m / tau) * (eye - m_l) @ (eye - m_l) - coef * m_l)))
+    quad = (z * (m_l @ m_l + eye), coef * m_l)
+    half_jump = (2.0 * m / tau) * (eye - m_l)
+    res_quad = _max_entry(quad[0] + quad[1])
+    res_jump = _max_entry(half_jump @ (eye - m_l) - coef * m_l)
+    # 1e-13 relative to the size of each identity's terms, which grow like
+    # ((4 + tau^2) / (4 - tau^2))^2 as tau -> -2.  I - M cancels as tau -> 0,
+    # so the jump term counts I - M at the size of its operands, 1 + |M|.
+    tol_quad = 1e-13 * max(_max_entry(quad[0]), _max_entry(quad[1]))
+    tol_jump = 1e-13 * max(_max_entry(half_jump) * (1.0 + _max_entry(m_l)),
+                           _max_entry(coef * m_l))
 
     s2w = math.sin(2.0 * p.omega)
     c = 2.0 / s2w if s2w > 1e-12 else 1.0
@@ -326,7 +338,7 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
         ramp = float(np.sum(ramp_w * np.exp(-alpha * t)))
         norms[int(n)] = chi_sq * ab_sq * (n / c) * (flat + ramp)
 
-    ok = (res_quad < 1e-13 and res_jump < 1e-13
+    ok = (res_quad < tol_quad and res_jump < tol_jump
           and all(c_lower <= v <= c_upper for v in norms.values()))
     return SingularSeqReport(
         identity_quadratic=res_quad, identity_jump=res_jump, norm_sq=norms,

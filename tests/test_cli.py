@@ -275,6 +275,31 @@ def test_fem_count_with_export(tmp_path, monkeypatch):
                 "%%MatrixMarket matrix coordinate real symmetric")
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An --output path in a missing directory is refused with a message."""
+    out = tmp_path / "missing" / "gap.json"
+    assert main(["gap", "--tau", "-1", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"diracwedge gap: [Errno 2] No such file or "
+                            f"directory: '{out}'\n")
+
+
+def test_unwritable_export_exits_2(tmp_path, capsys):
+    """An --export prefix in a missing directory is refused, and no artifact
+    names matrices that were never written."""
+    prefix = tmp_path / "missing" / "mats"
+    out = tmp_path / "fem.json"
+    code = main(["fem-count", "--tau", "-1", "--omega", "45deg", "--R", "6",
+                 "--h", "0.8", "--export", str(prefix), "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"diracwedge fem-count: [Errno 2] No such file "
+                            f"or directory: '{prefix}_A.mtx'\n")
+    assert not out.exists()
+
+
 SMALL_STRIP = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
                "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
 
@@ -358,6 +383,43 @@ def test_sweep_rows_follow_grid(tmp_path):
     assert len(lines) == 2 + 6  # header lines + grid
     points = [tuple(float(x) for x in row.split(",")[:2]) for row in lines[2:]]
     assert points == [(t, m) for t in (-1.0, -2.5, -4.0) for m in (1.0, 2.0)]
+
+
+def _csv_rows(text):
+    lines = text.splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+
+def test_sweep_rows_match_subcommands(capsys):
+    """Every sweep row holds, digit for digit, the values its subcommand
+    prints at that point."""
+    def cli(*argv):
+        assert main(list(argv)) == 0, argv
+        return capsys.readouterr().out
+
+    grid = ["--tau", "-1", "-2.7", "--m", "1", "1.9"]
+    for row in _csv_rows(cli("sweep", "--quantity", "gap", *grid)):
+        doc = json.loads(cli("gap", "--tau", row["tau"], "--m", row["m"]))
+        for key in ("eps_tau", "kappa0", "kappa_tau", "c_tau"):
+            assert row[key] == repr(doc["result"][key])
+    for row in _csv_rows(cli("sweep", "--quantity", "principal", *grid,
+                             "--omega", "0.2", "0.9")):
+        doc = json.loads(cli("spin-orbit", "--tau", row["tau"], "--m",
+                             row["m"], "--omega", row["omega"]))
+        assert row["lambda_star"] == repr(doc["result"]["principal_lambda"])
+    for row in _csv_rows(cli("sweep", "--quantity", "critical-angle", *grid,
+                             "--N", "1", "3")):
+        [sub] = _csv_rows(cli("critical-angle", "--tau", row["tau"], "--m",
+                              row["m"], "--N", row["N"]))
+        assert (row["omega_star"], row["L_star"]) == (sub["omega_star"],
+                                                      sub["L_star"])
+    for row in _csv_rows(cli("sweep", "--quantity", "aux1d", *grid,
+                             "--gamma", "0.5", "4")):
+        [sub] = _csv_rows(cli("aux1d", "--tau", row["tau"], "--m", row["m"],
+                              "--gamma", row["gamma"]))
+        assert (row["k_gamma"], row["E_gamma"]) == (sub["k_gamma"],
+                                                    sub["E_gamma"])
 
 
 def test_streams_separate_data_from_diagnostics(child_env):
@@ -472,6 +534,23 @@ def test_overflowing_tau_exits_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tau = -1e+" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--tau", "-1", "--m", "1e200"],
+    ["aux1d", "--tau", "-1", "--m", "1e200", "--gamma", "1"],
+    ["fem-count", "--tau", "-1", "--m", "1e200", "--omega", "0.5", "--R", "4",
+     "--h", "1"],
+    ["sweep", "--quantity", "gap", "--tau", "-1", "--m", "1e200"],
+])
+def test_overflowing_mass_exits_2(argv, tmp_path, capsys):
+    """A mass whose eps_tau^2 overflows is refused as an input, naming m."""
+    out = tmp_path / "never"
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m = 1e+200 overflows" in captured.err
     assert not out.exists()
 
 

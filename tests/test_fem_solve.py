@@ -134,6 +134,13 @@ def test_matrix_market_export_roundtrip(tmp_path):
     with open(paths[0]) as fh:
         header = fh.readline().strip()
     assert header == "%%MatrixMarket matrix coordinate real symmetric"
+    # the bytes are those of a write that scipy opens from the path itself
+    for path, mat in zip(paths, (pencil.A, pencil.B)):
+        ref = str(tmp_path / "ref.mtx")
+        scipy.io.mmwrite(ref, mat.tocoo(), field="real", symmetry="symmetric",
+                         precision=17)
+        with open(ref, "rb") as want, open(path, "rb") as got:
+            assert got.read() == want.read()
     a_back = scipy.io.mmread(paths[0]).tocsr()
     diff = (a_back - pencil.A).tocoo()
     top = np.max(np.abs(diff.data)) if diff.nnz else 0.0

@@ -78,6 +78,11 @@ def test_parameter_validation():
         with pytest.raises(ParameterError, match="tau"):
             PhysParams(tau=tau, m=1.0, omega=0.5)
     PhysParams(tau=-8e76, m=1.0, omega=0.5)
+    # a mass whose eps_tau^2 overflows, on either side of tau = 0
+    for tau, m in ((-1.0, 1e200), (1.0, 1e160)):
+        with pytest.raises(ParameterError, match="m = 1e"):
+            PhysParams(tau=tau, m=m, omega=0.5)
+    PhysParams(tau=1.0, m=1e150, omega=0.5)
     # pi/2 itself is the straight-line reference case and must be accepted
     PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
 

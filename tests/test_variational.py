@@ -311,6 +311,22 @@ def test_singular_sequence_norms_match_split_quad(omega):
         assert rep.norm_sq[n] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("tau", [-1.9, -1.99, -2.0 + 1e-6, -1e-3])
+def test_singular_sequence_identities_relative_near_minus_two(tau,
+                                                              monkeypatch):
+    """The identities hold to rounding relative to their terms, which grow
+    like ((4 + tau^2) / (4 - tau^2))^2 as tau -> -2; an M_l off by 1e-9
+    relative still fails them."""
+    import diracwedge.variational as var
+
+    p = PhysParams(tau=tau, m=1.0, omega=0.6)
+    assert singular_seq_identities(p).ok
+    real = var.interface_matrices
+    monkeypatch.setattr(var, "interface_matrices",
+                        lambda q: (real(q)[0] * (1.0 + 1e-9), real(q)[1]))
+    assert not singular_seq_identities(p).ok
+
+
 def test_singular_sequence_other_strengths():
     for tau in (-0.5, -3.0):
         rep = singular_seq_identities(
