@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..model import ParameterError, PhysParams, interface_matrices
+from ..model import PhysParams, interface_matrices
 from .mesh import SIDE_LEFT, SIDE_RIGHT, Mesh
 
 __all__ = ["SymmetricPencil", "assemble"]
@@ -125,8 +125,6 @@ def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
     m_l, m_r = interface_matrices(p)
     side_mat = np.empty((2, 2, 2))
     for side, m in ((SIDE_LEFT, m_l), (SIDE_RIGHT, m_r)):
-        if not np.all(np.isfinite(m)):
-            raise ParameterError("transmission matrix not finite; bad tau")
         side_mat[side] = (_U.conj().T @ m @ _U).real
 
     # plus copy and ray of every vertex; the identity off the rays

@@ -13,18 +13,18 @@ The modes are form-orthogonal, so the energies of their sum depend on
 (tau, m, omega, N, L) alone.  All four energy pieces of the quadratic form
 have closed forms; their combination gives the exact "form gap" (form value
 minus the squared gap edge times the squared norm) and the working upper
-estimate "bound gap":
+estimate "bound gap", N times the bracket (l = m L)
 
-    bound_gap / N = tan(w) (3 + kappa)(2 N^2 pi^2 + m^2 L^2)
-                    + 4 m L tau / (4 + tau^2)
-                    + 2 N^2 pi^2 kappa / (L kappa0).
+    tan(w) c (b2 + l^2) - q l + g / (q l),
+    q = kappa0 / m,  c = 3 + kappa,  b2 = 2 N^2 pi^2,  g = b2 kappa.
 
-The angle that zeroes this bracket, maximized over the strip length L, is the
-critical angle omega_star below which the modes certify at least N
-eigenvalues in the spectral gap.  Both omega_star and the maximizing length
-L_star have closed forms through the polynomials F, G, H and the unique
-positive solution x_star of a quadratic (m^2 L_star^2 H = F + x_star); the
-tests check them against a numeric maximization of omega(L).
+q, c, b2 and g are the model's constants taken at m = 1, so the bracket
+depends on m only through l.  Its zero in tan(w) is the certificate angle
+omega(L); the maximum of omega(L) over L is the critical angle omega_star
+below which the modes certify at least N eigenvalues in the spectral gap.
+omega_star is mass-independent, and L_star = l_star / m with u = l_star^2
+the positive root of q^2 u^2 - (q^2 b2 + 3 g) u - g b2 = 0, whose terms are
+all positive, so no digits cancel for any admissible tau.
 
 The module also evaluates the two explicit sequences that pin down the
 essential spectrum: a Weyl sequence of cut-off plane waves deep inside the
@@ -46,6 +46,7 @@ from .model import (
     _TAU_GUARD,
     ParameterError,
     PhysParams,
+    _derive,
     derived_constants,
     interface_matrices,
 )
@@ -66,9 +67,10 @@ __all__ = [
 
 
 def _require_attractive(tau: float) -> None:
-    if tau >= 0.0 or abs(tau + 2.0) <= _TAU_GUARD:
+    if not -math.inf < tau < 0.0 or abs(tau + 2.0) <= _TAU_GUARD:
         raise ParameterError(
-            f"certificate machinery requires tau < 0, tau != -2; got {tau}"
+            f"certificate machinery requires finite tau < 0, tau != -2; "
+            f"got {tau}"
         )
 
 
@@ -97,24 +99,22 @@ class EnergyBreakdown:
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     """Energies of the sum of the N modes on the strip [L, 2L]."""
-    if N < 1 or int(N) != N:
-        raise ParameterError(f"N must be a positive integer, got {N}")
+    q, c, b2, g = _bracket(p.tau, N)
     if not L > 0.0:
         raise ParameterError(f"L must be positive, got {L}")
-    _require_attractive(p.tau)
     if p.omega >= math.pi / 2.0:
         raise ParameterError("energy closed forms require omega < pi/2")
     dc = derived_constants(p)
     kap, k0, c_t = dc.kappa_tau, dc.kappa0, dc.c_tau
-    tau, m = p.tau, p.m
+    m = p.m
     tw = math.tan(p.omega)
     cw = math.cos(p.omega)
     ns = np.arange(1, N + 1, dtype=float)
 
     # Cross-section braces shared by the closed forms; the x-weighted and
     # unweighted sine integrals contribute the 3/2 and 1/2 factors.
-    brace_l2 = L * L * tw * (3.0 + kap) / 2.0 + L * kap / (2.0 * k0)
-    brace_gx = L * tw * (3.0 + kap) / 2.0 + kap / (2.0 * k0)
+    brace_l2 = L * L * tw * c / 2.0 + L * kap / (2.0 * k0)
+    brace_gx = L * tw * c / 2.0 + kap / (2.0 * k0)
 
     # the modes are form-orthogonal, so each piece is a sum over modes
     jump_sq = c_t * L / cw * N
@@ -122,25 +122,22 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     gradx_sq = float(np.sum((2.0 * ns * np.pi) ** 2 / L) * brace_gx)
     grady_sq = 0.5 * L * k0 * kap * N
 
-    # Exact pre-estimate gap, mode by mode; the third coefficient equals
-    # m^2 - eps_tau^2 and the last term is (2m/tau) times the jump integral.
+    # Exact pre-estimate gap, mode by mode; kappa0^2 = m^2 - eps_tau^2 and
+    # the last term is (2m/tau) times the jump integral.
     gap_modes = (
         (2.0 * ns * np.pi) ** 2 / L * brace_gx
         + 0.5 * L * k0 * kap
-        + (16.0 * m * m * tau * tau / (tau * tau + 4.0) ** 2) * brace_l2
-        + 2.0 * m * L * c_t / (tau * cw)
+        + k0 * k0 * brace_l2
+        + 2.0 * m * L * c_t / (p.tau * cw)
     )
     form_gap = float(np.sum(gap_modes))
 
-    bound_brace = (
-        tw * (3.0 + kap) * (2.0 * N * N * np.pi ** 2 + m * m * L * L)
-        + 4.0 * m * L * tau / (4.0 + tau * tau)
-        + 2.0 * N * N * np.pi ** 2 * kap / (L * k0)
-    )
+    ell = m * L
+    bound_gap = N * (tw * c * (b2 + ell * ell) - q * ell + g / (q * ell))
 
     return EnergyBreakdown(
         jump_sq=jump_sq, l2_sq=l2_sq, gradx_sq=gradx_sq, grady_sq=grady_sq,
-        form_gap=form_gap, bound_gap=float(bound_brace * N),
+        form_gap=form_gap, bound_gap=bound_gap,
         form_gap_modes=gap_modes,
     )
 
@@ -149,60 +146,46 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
 # Critical angle
 # ---------------------------------------------------------------------------
 
-def _fgh(tau: float, N: int) -> tuple[float, float, float]:
-    t2 = tau * tau
-    plus = 4.0 + t2
-    minus = 4.0 - t2
-    f = N * N * math.pi ** 2 * plus ** 2 * (16.0 * t2 + plus ** 2)
-    g = (minus ** 2 + plus ** 2) * 4.0 * abs(tau) * plus
-    h = 8.0 * t2 * minus ** 2
-    return f, g, h
+def _bracket(tau: float, N: int) -> tuple[float, float, float, float]:
+    """(q, c, b2, g) of the bound-gap bracket, from the constants at m = 1."""
+    _require_attractive(tau)
+    if N < 1 or int(N) != N:
+        raise ParameterError(f"N must be a positive integer, got {N}")
+    dc = _derive(tau, 1.0)
+    b2 = 2.0 * N * N * math.pi ** 2
+    return dc.kappa0, 3.0 + dc.kappa_tau, b2, b2 * dc.kappa_tau
+
+
+def _tan_angle(q: float, c: float, b2: float, g: float, ell: float) -> float:
+    """The tan(w) that zeroes the bracket at l = m L."""
+    return (q * ell - g / (q * ell)) / (c * (b2 + ell * ell))
 
 
 def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
     """The certificate angle omega(L) whose tangent zeroes the bound-gap
-    bracket at strip length L; negative means no certificate at this L.
-
-    tan omega(L) = (m^2 L^2 H - F) / ((2 N^2 pi^2 + m^2 L^2) G m L).
-    """
-    _require_attractive(tau)
-    f, g, h = _fgh(tau, N)
-    mL2 = m * m * L * L
-    return math.atan((mL2 * h - f)
-                     / ((2.0 * N * N * math.pi ** 2 + mL2) * g * m * L))
+    bracket at strip length L; negative means no certificate at this L."""
+    return math.atan(_tan_angle(*_bracket(tau, N), m * L))
 
 
-def _x_star(tau: float, N: int) -> tuple[float, float, float, float]:
-    """(F, G, H, x_star): the polynomials of the critical-angle closed form
-    and the positive root x_star of its quadratic, with m^2 L_star^2 H =
-    F + x_star at the maximizing strip length."""
-    _require_attractive(tau)
-    if N < 1 or int(N) != N:
-        raise ParameterError(f"N must be a positive integer, got {N}")
-    f, g, h = _fgh(tau, int(N))
-    a0 = N * N * math.pi ** 2 * h + 0.5 * f
-    return f, g, h, a0 + math.sqrt(a0 * (a0 + 4.0 * f))
-
-
-def _tan_omega_star(N: int, f: float, g: float, h: float,
-                    x_star: float) -> float:
-    """tan omega_star from the output of ``_x_star``."""
-    return (x_star * h ** 1.5
-            / (g * (2.0 * N * N * math.pi ** 2 * h + f + x_star)
-               * math.sqrt(f + x_star)))
+def _star(tau: float, N: int) -> tuple[float, float]:
+    """(omega_star, l_star = m L_star), l_star^2 the quadratic's root."""
+    q, c, b2, g = _bracket(tau, N)
+    q2 = q * q
+    s = q2 * b2 + 3.0 * g
+    ell = math.sqrt((s + math.sqrt(s * s + 4.0 * q2 * g * b2)) / (2.0 * q2))
+    return math.atan(_tan_angle(q, c, b2, g, ell)), ell
 
 
 def critical_angle_closed(tau: float, N: int) -> float:
     """Closed-form critical angle omega_star(tau, N), mass-independent."""
-    return math.atan(_tan_omega_star(N, *_x_star(tau, N)))
+    return _star(tau, N)[0]
 
 
 def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
     """(omega_star, L_star): the maximum of omega(L) over L > 0 and the
     strip length that attains it, both in closed form."""
-    f, g, h, x_star = _x_star(p.tau, N)
-    return (math.atan(_tan_omega_star(N, f, g, h, x_star)),
-            math.sqrt((f + x_star) / h) / p.m)
+    w_star, ell = _star(p.tau, N)
+    return w_star, ell / p.m
 
 
 def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdown]:
@@ -292,15 +275,13 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     and jumping by M_l across the shell.
     """
     _require_attractive(p.tau)
-    tau, m = p.tau, p.m
+    dc = derived_constants(p)
     m_l = interface_matrices(p)[0]
     eye = np.eye(2)
-    z = -4.0 * m * tau / (tau * tau + 4.0)
-    # 4 - tau^2 as (2 - tau)(2 + tau), which does not cancel as tau -> -2
-    coef = 8.0 * m * tau / ((2.0 - tau) * (2.0 + tau))
+    z, coef = dc.kappa0, 2.0 * p.m * dc.b
 
     quad = (z * (m_l @ m_l + eye), coef * m_l)
-    half_jump = (2.0 * m / tau) * (eye - m_l)
+    half_jump = (2.0 * p.m / p.tau) * (eye - m_l)
     res_quad = _max_entry(quad[0] + quad[1])
     res_jump = _max_entry(half_jump @ (eye - m_l) - coef * m_l)
     # 1e-13 relative to the size of each identity's terms, which grow like
@@ -338,8 +319,11 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
         ramp = float(np.sum(ramp_w * np.exp(-alpha * t)))
         norms[int(n)] = chi_sq * ab_sq * (n / c) * (flat + ramp)
 
+    # each norm tends to c_upper as alpha grows, so the bounds get the same
+    # 1e-13 relative slack as the identities
     ok = (res_quad < tol_quad and res_jump < tol_jump
-          and all(c_lower <= v <= c_upper for v in norms.values()))
+          and all(c_lower * (1.0 - 1e-13) <= v <= c_upper * (1.0 + 1e-13)
+                  for v in norms.values()))
     return SingularSeqReport(
         identity_quadratic=res_quad, identity_jump=res_jump, norm_sq=norms,
         c_lower=c_lower, c_upper=c_upper, ok=ok,

@@ -433,6 +433,41 @@ def critical_angle_numeric(tau: float, m: float, N: int) -> tuple[float, float]:
     return -float(res.fun), float(res.x)
 
 
+def certificate_angles_mp(tau: float, N: int, ell_factor: float,
+                          dps: int = 50) -> tuple[float, float, float]:
+    """(omega_star, m L_star, omega(L) at m L = ell_factor * m L_star) with
+    ``dps`` digits from raw tau, rounded to floats.
+
+    omega_star and L_star come from the critical angle's closed form in the
+    polynomials F, G, H of raw tau and the positive root x_star of its
+    quadratic (m^2 L_star^2 H = F + x_star); omega(L) zeroes the bound-gap
+    bracket with kappa and kappa0 rebuilt from raw tau.  ell_factor * m L_star
+    is rounded to a float first, as a caller passing that L would round it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(tau)
+        plus, minus = 4 + t * t, 4 - t * t
+        n2pi2 = N * N * mpmath.pi ** 2
+        f = n2pi2 * plus ** 2 * (16 * t * t + plus ** 2)
+        g = (minus ** 2 + plus ** 2) * 4 * abs(t) * plus
+        h = 8 * t * t * minus ** 2
+        a0 = n2pi2 * h + f / 2
+        x = a0 + mpmath.sqrt(a0 * (a0 + 4 * f))
+        tan_star = (x * h ** mpmath.mpf(1.5)
+                    / (g * (2 * n2pi2 * h + f + x) * mpmath.sqrt(f + x)))
+        ell_star = mpmath.sqrt((f + x) / h)
+
+        ell = mpmath.mpf(float(ell_factor * float(ell_star)))
+        kap = (plus ** 2 + 16 * t * t) / minus ** 2
+        k0 = -4 * t / plus
+        tan_ell = ((k0 * ell - 2 * n2pi2 * kap / (k0 * ell))
+                   / ((3 + kap) * (2 * n2pi2 + ell * ell)))
+        return (float(mpmath.atan(tan_star)), float(ell_star),
+                float(mpmath.atan(tan_ell)))
+
+
 # ---------------------------------------------------------------------------
 # exact cutoff moments (rational arithmetic)
 # ---------------------------------------------------------------------------

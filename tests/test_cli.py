@@ -77,6 +77,32 @@ def test_fem_mesh_error_exits_2(capsys):
         "diracwedge fem-count: h=5.0 cannot resolve the wedge opening")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["critical-angle", "--tau", "-1", "--N", "0"],
+     "N must be a positive integer, got 0"),
+    (["testfn", "--tau", "-1", "--omega", "90deg"],
+     "energy closed forms require omega < pi/2"),
+    (["fem-count", "--tau", "-1", "--omega", "45deg", "--R", "-1"],
+     "need R > 0 and h > 0, got R=-1.0, h=0.35"),
+    (["fem-count", "--tau", "-1", "--omega", "45deg", "--grading", "0.5"],
+     "grading exponent must be >= 1, got 0.5"),
+    (["fem-count", "--tau", "-1", "--omega", "0.01", "--width", "0"],
+     "need x_max > 0 and width > 0, got "),
+    (["fem-count", "--tau", "-1", "--omega", "0.01", "--nx", "1"],
+     "need nx >= 2, wedge_rows >= 1, outer_rows >= 2; got 1, "),
+    (["fem-count", "--tau", "-1", "--omega", "45deg", "--R", "6", "--h",
+      "0.8", "--k", "0"],
+     "k must be >= 1, got 0"),
+])
+def test_input_check_exits_2(argv, message, capsys):
+    """An input the library refuses exits 2 with one line on stderr."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"diracwedge {argv[0]}: {message}")
+    assert err.count("\n") == 1
+
+
 def test_scalar_subcommands_load_no_scipy_sparse(child_env):
     """Only the subcommands that need scipy load it: the closed-form and
     scalar ones none of it, deficiency scipy.special and no FEM layer."""
@@ -130,7 +156,8 @@ def test_csv_layout_and_precision(tmp_path):
     assert lines[0].startswith("# config ")
     assert lines[1] == "tau,N,omega_star_closed,omega_star,L_star"
     row = lines[2].split(",")
-    # full double precision: closed form survives a text round-trip
+    # full double precision: closed form survives a text round-trip (the
+    # 50-digit value is 0.003288651296915873399..., one ulp below this one)
     assert float(row[2]) == 0.003288651296915874
 
 

@@ -19,8 +19,8 @@ from diracwedge.variational import (
     weyl_residual,
 )
 
-from oracles import (chi_sq_moments, critical_angle_numeric,
-                     energy_pieces_quadrature)
+from oracles import (certificate_angles_mp, chi_sq_moments,
+                     critical_angle_numeric, energy_pieces_quadrature)
 
 RNG = np.random.default_rng(5)
 
@@ -165,10 +165,33 @@ def test_small_angle_limits():
 
 
 def test_critical_angle_rejects_repulsive():
-    with pytest.raises(ParameterError):
-        critical_angle_closed(0.5, 1)
-    with pytest.raises(ParameterError):
-        angle_for_length(1.0, 1.0, 10.0, 1)
+    """A repulsive or non-finite tau is refused, not turned into NaN."""
+    for tau in (0.5, 1.0, math.nan, -math.inf):
+        with pytest.raises(ParameterError):
+            critical_angle_closed(tau, 1)
+        with pytest.raises(ParameterError):
+            angle_for_length(tau, 1.0, 10.0, 1)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("tau", [
+    -1e-4, -0.3, -1.0, -1.9, -1.999, -2.0 + 1e-6, -2.0 - 1e-6, -2.0 + 1e-8,
+    -2.0 - 1e-8, -2.0 + 1.5e-9, -2.0 - 1.5e-9, -2.5, -50.0,
+])
+def test_certificate_angles_match_mp(tau, N):
+    """omega_star, L_star and omega(1.7 L_star) hold to rounding for every
+    admissible tau, against 50 digits of the F, G, H closed form and of the
+    raw bracket; a constant formed as 4 - tau^2 loses 8 digits at
+    tau = -2 +- 1e-8."""
+    w_mp, ell_mp, w_ell_mp = certificate_angles_mp(tau, N, 1.7)
+    m = 0.6
+    w_star, l_star = critical_angle_maximize(
+        PhysParams(tau=tau, m=m, omega=0.01), N)
+    assert critical_angle_closed(tau, N) == pytest.approx(w_mp, rel=2e-15)
+    assert w_star == pytest.approx(w_mp, rel=2e-15)
+    assert m * l_star == pytest.approx(ell_mp, rel=2e-15)
+    assert angle_for_length(tau, 1.0, float(1.7 * ell_mp), N) == pytest.approx(
+        w_ell_mp, rel=2e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +358,14 @@ def test_singular_sequence_other_strengths():
         assert rep.identity_quadratic <= 1e-13
         assert rep.identity_jump <= 1e-13
         assert rep.ok
+
+
+def test_singular_sequence_norms_reach_the_upper_bound():
+    """At large m |tau| every norm but the first tends to the infinite-window
+    bound c_upper, which it meets to rounding (here 1 ulp above it); the
+    bounds allow the identities' 1e-13 relative slack."""
+    rep = singular_seq_identities(
+        PhysParams(tau=-0.9763000989628088, m=37.0, omega=0.6))
+    assert rep.ok
+    for n in (4, 8):
+        assert rep.norm_sq[n] == pytest.approx(rep.c_upper, rel=1e-13)
