@@ -9,16 +9,21 @@ eigenfunction phi_lambda of the spin-orbit operator:
 
     v_pm(r, theta) = K_{lambda-1/2}(r) phi(theta)
                      +/- K_{lambda+1/2}(r) (sigma_1 cos theta + sigma_2 sin theta) phi(theta).
+
+They are evaluated at one point on Python floats.  sigma . n_theta is
+[[0, e^{-i theta}], [e^{i theta}, 0]], so (sigma . n_theta) phi =
+(e^{-i theta} phi_2, e^{i theta} phi_1) needs no matrix.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .model import PhysParams, sigma_dot
-from .spin_orbit import SpinOrbitRoot, angular_profile, principal_eigenvalue
+from .model import PhysParams
+from .spin_orbit import SpinOrbitRoot, principal_eigenvalue
 
 __all__ = ["bessel_k", "deficiency_element"]
 
@@ -49,7 +54,14 @@ def bessel_k(nu: float, x: float) -> float:
 def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
                        root: SpinOrbitRoot | None = None) -> np.ndarray:
     """Deficiency element v_plus (sign=+1) or v_minus (sign=-1) at polar
-    coordinates (r, theta).
+    coordinates (r, theta), a complex array of shape (2,).
+
+    phi(theta) is the exponential pair of ``spin_orbit.angular_profile``
+    (whose docstring states the wrap rule and the choice of arc), built from
+    the root's first coefficient row with ``cmath``, and
+
+        v_pm = K_{lambda-1/2}(r) phi
+               +/- K_{lambda+1/2}(r) (e^{-i theta} phi_2, e^{i theta} phi_1).
 
     ``root`` caches the principal spin-orbit eigenvalue; pass it when
     evaluating on a grid to avoid re-solving the secular problem.
@@ -62,9 +74,15 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
         raise ValueError(f"angle must be finite, got theta={theta}")
     if root is None:
         root = principal_eigenvalue(p)
-    lam = root.lam
-    phi = angular_profile(p, root, theta)
-    radial_a = bessel_k(lam - 0.5, r)
-    radial_b = bessel_k(lam + 0.5, r)
-    spin = sigma_dot((math.cos(theta), math.sin(theta)))
-    return radial_a * phi + sign * radial_b * (spin @ phi)
+    lam, w = root.lam, p.omega
+    a, b, c, d = root.coefficients[0].tolist()
+    t = (theta + w) % (2.0 * math.pi) - w
+    if t > w:
+        a, b = c, d
+    e = cmath.exp(1j * (lam - 0.5) * t)
+    phi1, phi2 = a * e, b * e.conjugate()
+    ka = bessel_k(lam - 0.5, r)
+    kb = sign * bessel_k(lam + 0.5, r)
+    n = complex(math.cos(theta), math.sin(theta))
+    return np.array([ka * phi1 + kb * (n.conjugate() * phi2),
+                     ka * phi2 + kb * (n * phi1)])

@@ -250,14 +250,19 @@ def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:
     """Eigenfunction phi_lambda evaluated at angle(s) theta, extended
     2pi-periodically; on the boundary rays the wedge-side branch is used.
 
-    For a multiplicity-2 root the first null vector is taken.
+    theta is wrapped to t = (theta + omega) mod 2pi - omega in
+    [-omega, 2pi - omega); phi = (A e^{i mu t}, B e^{-i mu t}) where
+    t <= omega (the wedge arc, boundary rays included) and
+    (C e^{i mu t}, D e^{-i mu t}) elsewhere, mu = lambda - 1/2.  For a
+    multiplicity-2 root the first null vector is taken.  This is the array
+    evaluator; ``special.deficiency_element`` applies the same rule at one
+    point on Python floats.
     """
     a, b, c, d = root.coefficients[0]
     mu = root.lam - 0.5
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
-    # Wrap into [-omega, 2pi - omega).
     wrapped = np.mod(th + p.omega, 2.0 * np.pi) - p.omega
     plus = wrapped <= p.omega
     out = np.empty(th.shape + (2,), dtype=complex)

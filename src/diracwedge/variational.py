@@ -43,10 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    _TAU_GUARD,
+    DerivedConstants,
     ParameterError,
     PhysParams,
-    _derive,
     derived_constants,
     interface_matrices,
 )
@@ -66,12 +65,13 @@ __all__ = [
 ]
 
 
-def _require_attractive(tau: float) -> None:
-    if not -math.inf < tau < 0.0 or abs(tau + 2.0) <= _TAU_GUARD:
+def _require_attractive(tau: float) -> DerivedConstants:
+    """The constants at m = 1 of a tau < 0 that ``PhysParams`` accepts (so
+    finite, away from -2 and 0, with finite derived constants)."""
+    if not tau < 0.0:
         raise ParameterError(
-            f"certificate machinery requires finite tau < 0, tau != -2; "
-            f"got {tau}"
-        )
+            f"certificate machinery requires tau < 0; got {tau}")
+    return derived_constants(PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +148,9 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
 
 def _bracket(tau: float, N: int) -> tuple[float, float, float, float]:
     """(q, c, b2, g) of the bound-gap bracket, from the constants at m = 1."""
-    _require_attractive(tau)
+    dc = _require_attractive(tau)
     if N < 1 or int(N) != N:
         raise ParameterError(f"N must be a positive integer, got {N}")
-    dc = _derive(tau, 1.0)
     b2 = 2.0 * N * N * math.pi ** 2
     return dc.kappa0, 3.0 + dc.kappa_tau, b2, b2 * dc.kappa_tau
 

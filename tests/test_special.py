@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from diracwedge.model import PhysParams
+import diracwedge.model as model
+import diracwedge.special as special
+import diracwedge.spin_orbit as spin_orbit
+from diracwedge.model import PhysParams, sigma_dot
 from diracwedge.special import bessel_k, deficiency_element
-from diracwedge.spin_orbit import angular_profile, principal_eigenvalue
+from diracwedge.spin_orbit import (
+    angular_profile,
+    principal_eigenvalue,
+    spectrum_in_window,
+)
 
 P_REF = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 
@@ -76,16 +83,25 @@ def test_bessel_rejects_bad_arguments():
             bessel_k(0.5, bad)
 
 
+def _loaded_after_import(module, env, pattern):
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            f"if {pattern}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_special_unloaded(child_env):
     # kv is imported on first use and the FEM layer on first access, so
-    # importing the package or the CLI pays for none of these scipy modules
+    # importing the package or the CLI pays for none of these scipy modules,
+    # and importing ``special`` itself loads no scipy module at all
     for module in ("diracwedge", "diracwedge.cli"):
-        code = (f"import sys, {module}; print(sorted(m for m in "
-                "('scipy.special', 'scipy.sparse', 'scipy.io') "
-                "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=child_env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]", module
+        assert _loaded_after_import(
+            module, child_env,
+            "m in ('scipy.special', 'scipy.sparse', 'scipy.io')") == "[]", module
+    assert _loaded_after_import(
+        "diracwedge.special", child_env,
+        "m == 'scipy' or m.startswith('scipy.')") == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +177,78 @@ def test_deficiency_argument_validation(principal_root):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="r="):
                 deficiency_element(P_REF, sign, bad, 0.3, root=principal_root)
+
+
+def _deficiency_by_matrix(p, root, sign, r, theta):
+    """v_pm from the array profile and the sigma . n matrix."""
+    phi = angular_profile(p, root, theta)
+    spin = sigma_dot((math.cos(theta), math.sin(theta)))
+    return (bessel_k(root.lam - 0.5, r) * phi
+            + sign * bessel_k(root.lam + 0.5, r) * (spin @ phi))
+
+
+def _agreement_roots():
+    """(p, root): the principal root where omega < pi/2, the positive roots
+    below 2 at omega = pi/2, and the omega = pi/6 double root 3/2."""
+    cases = []
+    for tau, omega in ((-1.0, math.pi / 4.0), (1.0, 0.3), (-3.0, 1.2),
+                       (-0.3, math.pi / 2.0)):
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        if omega < math.pi / 2.0:
+            cases.append((p, principal_eigenvalue(p)))
+        else:
+            cases += [(p, root) for root in spectrum_in_window(p, 0.0, 2.0)]
+    p = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 6.0)
+    (double,) = [root for root in spectrum_in_window(p, 1.4, 1.6)]
+    assert double.multiplicity == 2
+    return cases + [(p, double)]
+
+
+def test_deficiency_point_path_matches_matrix_path():
+    """The point evaluation equals K_a phi +- K_b (sigma . n) phi built from
+    the array profile, on both arcs, on and next to the boundary rays, and
+    for angles wrapped from outside [-omega, 2pi - omega)."""
+    n_cases = 0
+    for p, root in _agreement_roots():
+        w = p.omega
+        thetas = (0.0, w, -w, w + 1e-13, w - 1e-13, math.pi,
+                  2.0 * math.pi - w, -7.0, 20.0)
+        for sign in (1, -1):
+            for r in (1e-4, 0.5, 30.0):
+                for theta in thetas:
+                    got = deficiency_element(p, sign, r, theta, root=root)
+                    want = _deficiency_by_matrix(p, root, sign, r, theta)
+                    assert got.shape == (2,) and got.dtype == complex
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-14 * np.linalg.norm(want)), (p, sign, r, theta)
+                    n_cases += 1
+    assert n_cases == 6 * 2 * 3 * 9
+
+
+def test_deficiency_point_path_needs_no_array_profile(monkeypatch):
+    """With the root given, a call evaluates K twice through the module-level
+    ``special.bessel_k`` and uses neither the array profile, the sigma . n
+    matrix nor the secular solver."""
+    calls = []
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    # every module that holds one of the names, so a name imported into
+    # ``special`` is counted too
+    for name in ("angular_profile", "sigma_dot", "principal_eigenvalue",
+                 "bessel_k"):
+        for module in (model, spin_orbit, special):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    root = principal_eigenvalue(P_REF)
+    special.deficiency_element(P_REF, -1, 0.5, 2.0, root=root)
+    assert calls == ["bessel_k", "bessel_k"]
+    # without a root the principal one is solved first
+    calls.clear()
+    special.deficiency_element(P_REF, 1, 0.5, 2.0)
+    assert calls == ["principal_eigenvalue", "bessel_k", "bessel_k"]

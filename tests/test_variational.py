@@ -165,8 +165,10 @@ def test_small_angle_limits():
 
 
 def test_critical_angle_rejects_repulsive():
-    """A repulsive or non-finite tau is refused, not turned into NaN."""
-    for tau in (0.5, 1.0, math.nan, -math.inf):
+    """A repulsive or non-finite tau is refused, not turned into NaN, and so
+    is one that PhysParams refuses: within 1e-9 of 0, or overflowing the
+    derived constants."""
+    for tau in (0.5, 1.0, math.nan, -math.inf, -1e-200, -1e200):
         with pytest.raises(ParameterError):
             critical_angle_closed(tau, 1)
         with pytest.raises(ParameterError):
