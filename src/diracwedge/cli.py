@@ -277,12 +277,7 @@ def _testfn(o: dict) -> dict:
     return {
         "L": length,
         "N": o["N"],
-        "jump_sq": bd.jump_sq,
-        "l2_sq": bd.l2_sq,
-        "gradx_sq": bd.gradx_sq,
-        "grady_sq": bd.grady_sq,
-        "form_gap": bd.form_gap,
-        "bound_gap": bd.bound_gap,
+        **vars(bd),
         "form_gap_modes": [float(x) for x in bd.form_gap_modes],
         "certifies": bool((bd.form_gap_modes < 0.0).all()),
     }

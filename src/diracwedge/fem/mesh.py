@@ -116,15 +116,21 @@ def _mesh(vertices: np.ndarray, triangles: np.ndarray, iface: np.ndarray,
     )
 
 
-def build_mesh(p: PhysParams, R: float = 10.0, h: float = 0.35,
+def build_mesh(p: PhysParams, R: float | None = None, h: float | None = None,
                grading: float = 2.0) -> Mesh:
     """Radially graded disk of radius R around the corner.
 
     Rings at r_i = R (i/Nr)^grading share one angular subdivision that
     contains both ray angles exactly, so the rays are unions of radial mesh
-    edges.  Raises MeshError when h cannot resolve the wedge opening
-    (thin wedges should use build_strip_mesh instead).
+    edges.  R defaults to ten Compton lengths 10/m and h to 0.35/m, so the
+    default mesh scales with the problem, as the strip's defaults do.
+    Raises MeshError when h cannot resolve the wedge opening (thin wedges
+    should use build_strip_mesh instead).
     """
+    if R is None:
+        R = 10.0 / p.m
+    if h is None:
+        h = 0.35 / p.m
     if R <= 0.0 or h <= 0.0:
         raise MeshError(f"need R > 0 and h > 0, got R={R}, h={h}")
     if grading < 1.0:

@@ -10,7 +10,8 @@ Neither that factorization nor Lanczos needs the other's result, so where
 ``os.fork`` exists the count is factored in a forked child while this process
 runs Lanczos (SuperLU holds the GIL, so threads would take turns); without
 ``os.fork`` the same function runs inline.  Lanczos stops at ARPACK
-``tol`` 3e-11, and every eigenpair must still meet the residual cap 1e-8.
+``tol`` 3e-11, and every eigenpair must still meet the residual cap 1e-8 in
+units of m^2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import inspect
 import json
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -100,15 +101,17 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     The start vector is drawn from ARPACK's own distribution, uniform on
     [-1, 1], but from a fixed seed, so the result does not depend on OS
     entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine precision;
-    the measured residuals ||A x - mu B x|| / ||B x|| must still be at most
-    1e-8, or the solve fails.
+    the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must still be at
+    most 1e-8, or the solve fails.  They are in units of m^2 because mu is:
+    A does not change with m, and B scales like 1/m^2.
     """
     a, b = pencil.A.tocsc(), pencil.B.tocsc()
     n = a.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), n - 1)
-    sigma = -1e-2 * pencil.info["m"] ** 2
+    m_sq = pencil.info["m"] ** 2
+    sigma = -1e-2 * m_sq
     lu = _factor(pencil, sigma)
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
@@ -125,7 +128,7 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
 
     bx = b @ vecs
     residuals = (np.linalg.norm(a @ vecs - bx * vals, axis=0)
-                 / np.linalg.norm(bx, axis=0))
+                 / (m_sq * np.linalg.norm(bx, axis=0)))
     if np.any(residuals > _RESIDUAL_CAP):
         raise FemSolveError(
             f"eigenpair residuals exceed {_RESIDUAL_CAP:g}: "
@@ -254,11 +257,8 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
             f"inertia count {count} disagrees with {ritz} of "
             f"{rep.eigenvalues.size} Ritz values below s = {s:.6g}")
 
-    return SpectralReport(
-        eigenvalues=rep.eigenvalues, gap_edge=edge, margin=float(margin),
-        count_below=count, residuals=rep.residuals, mesh_info=rep.mesh_info,
-        pencil=pencil,
-    )
+    return replace(rep, gap_edge=edge, margin=float(margin),
+                   count_below=count)
 
 
 def export_matrix_market(pencil: SymmetricPencil, prefix: str) -> list[str]:

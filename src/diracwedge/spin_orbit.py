@@ -38,14 +38,17 @@ With C_s = a + s i b e^{-i (2 mu + 1) omega}, the first column of T_s is
 -2i e^{i pi mu} f_s, f_s = a sin(pi mu) + s b cos phi,
 phi = (pi - 2 omega) mu - omega, and det T = 4 f_+ f_-.  A root of f_s
 has the null vector (1, s i, C_s, s i e^{2 pi i mu} C_s) in sector s; this
-holds for any real a and b, so for their rounded values too.  A sector
-counts towards the multiplicity when |f_s| <= 1e-7 (|a| + |b|), the size
-of f_s, so a double root is a common root of f_+ and f_- and no root is
-more than double; at least one sector counts, and the rows are ordered by
-|f_s|, the smaller last.  (A cut on singular values relative to the largest
-one, of T or of T_s, reads simple roots near |tau| = 2 as double or triple:
-the largest grow like 1/|4 - tau^2|, while the other sector's smallest can
-stay of order 1.)
+holds for any real a and b, so for their rounded values too.  Each root
+keeps the sector s whose factor its search refined, and its row goes last;
+sector -s counts towards the multiplicity, its row first, when
+|f_{-s}| <= 1e-7 (|a| + |b|), the size of f_s.  So a double root is a
+common root of f_+ and f_- and no root is more than double.  (A cut on
+singular values relative to the largest one, of T or of T_s, reads simple
+roots near |tau| = 2 as double or triple: the largest grow like
+1/|4 - tau^2|, while the other sector's smallest can stay of order 1.)  The
+cut reads the weak-coupling pair near 1/2 +- |tau| cos(omega) / pi as one
+double root when |tau| cos omega <~ 5e-8: at one member, f_{-s} is about
+2 |tau| cos omega.
 
 The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
 det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
@@ -55,12 +58,11 @@ det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
                      + 4b^2 (pi - 2 omega) sin((2pi - 4 omega) mu - 2 omega)
 
 are negative.  So det T has exactly one root in (0, 1/2), a simple one.
-det T = 4 f_+ f_- only depends on |a| and |b|; on (0, 1/2) the factor
-|a| sin(pi mu) - |b| cos phi stays negative, so the root is the one of
-|a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to |b| cos omega
-at 1/2.  As sgn b = sgn tau sgn a, that factor is +-f_s for s = sgn tau:
-the principal root lies in sector sgn tau.  Bracketed Newton on [0, 1/2]
-refines it down to adjacent floats.
+For s = sgn tau, f_s(0) = -a and f_s(1/2) = s b cos omega, where
+sgn(s b) = sgn a: f_s changes sign on [0, 1/2], so the one root of
+det T = 4 f_+ f_- there is f_s's and lies in sector sgn tau.  Bracketed
+Newton on -sgn(a) f_s, which falls through 0, refines it down to adjacent
+floats; the root is simple, so no cut runs.
 
 Other windows are searched by a |det|^2 minimum scan on a fixed grid, whose
 sin(pi mu) is cached with it.  At each interior minimum the factor nearer 0
@@ -160,25 +162,6 @@ def _sector_row(a: float, b: float, w: float, lam: float,
     return [scale, s * 1j * scale, cs * scale, s * 1j * turn * cs * scale]
 
 
-def _make_roots(p: PhysParams, lams) -> list[SpinOrbitRoot]:
-    """The roots at ``lams``, their multiplicities and null vectors from the
-    two parity sectors of T in closed form (see the module docstring)."""
-    dc, w = derived_constants(p), p.omega
-    a, b = dc.a, dc.b
-    cut = _MULT_CUT * (abs(a) + abs(b))
-    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1.0, -1.0)}
-    roots = []
-    for lam in lams:
-        size = {s: abs(f(lam)[0]) for s, f in factors.items()}
-        # The sector of the smaller |f_s| goes last.
-        order = sorted(size, key=size.get, reverse=True)
-        null = [s for s in order if size[s] <= cut] or order[1:]
-        rows = [_sector_row(a, b, w, lam, s) for s in null]
-        roots.append(SpinOrbitRoot(lam=lam, multiplicity=len(rows),
-                                   coefficients=np.array(rows)))
-    return roots
-
-
 @functools.lru_cache(maxsize=2)
 def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid of [lo, hi] and sin(pi (grid - 1/2)) on it, both
@@ -202,48 +185,53 @@ def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
-    """The unique simple eigenvalue in (0, 1/2): the root of
-    |a| sin(pi mu) + |b| cos phi, which rises from -|a| at 0 to |b| cos omega
-    at 1/2 (see the module docstring), refined by bracketed Newton on
-    [0, 1/2] down to adjacent floats."""
+    """The unique simple eigenvalue in (0, 1/2): the root of f_s,
+    s = sgn tau, which runs from -a at 0 to s b cos omega at 1/2 (see the
+    module docstring), refined by bracketed Newton on [0, 1/2] down to
+    adjacent floats."""
     if p.omega >= np.pi / 2.0:
         raise ValueError("principal eigenvalue requires omega < pi/2")
     dc = derived_constants(p)
-    # a < 0 when |tau| > 2; the sign -1 makes the factor fall through 0.
-    fd = _det_factor(abs(dc.a), abs(dc.b), p.omega, -1.0)
+    s = 1.0 if p.tau > 0.0 else -1.0
+    fd = _det_factor(dc.a, s * dc.b, p.omega, -1.0 if dc.a > 0.0 else 1.0)
     lam = _refine(fd, 0.0, 0.5)
-    # The factor is +-f_s of sector s = sgn tau, as sgn b = sgn tau sgn a.
-    row = _sector_row(dc.a, dc.b, p.omega, lam, 1.0 if p.tau > 0.0 else -1.0)
+    row = _sector_row(dc.a, dc.b, p.omega, lam, s)
     return SpinOrbitRoot(lam=lam, multiplicity=1, coefficients=np.array([row]))
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
     """The secular roots in [lo, hi] that the grid scan brackets, each
-    refined by bracketed Newton on one factor of det T down to adjacent
-    floats (see the module docstring), sorted ascending, with
-    multiplicities; the window may be at most 1000 wide."""
+    refined by bracketed Newton on one factor f_s of det T down to adjacent
+    floats and built in its sector s (see the module docstring), sorted
+    ascending, with multiplicities; the window may be at most 1000 wide."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
     dc, w = derived_constants(p), p.omega
+    a, b = dc.a, dc.b
     grid, sine = _candidate_grid(lo, hi)
-    vals = _det(dc.a, dc.b, w, grid - 0.5, sine) ** 2
+    vals = _det(a, b, w, grid - 0.5, sine) ** 2
     mid = vals[1:-1]
     minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    factors = {b: _det_factor(dc.a, b, w, 1.0) for b in (dc.b, -dc.b)}
-    lams = []
+    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1.0, -1.0)}
+    found = []
     for i in minima.tolist():
         l, x, u = grid[i - 1:i + 2].tolist()
-        b = min(factors, key=lambda s: abs(factors[s](x)[0]))
-        r = 1.0 if factors[b](l)[0] >= 0.0 else -1.0
-        if r * factors[b](u)[0] < 0.0:
-            lams.append(_refine(_det_factor(dc.a, b, w, r), l, u))
-    roots: list[float] = []
-    for x in sorted(lams):
-        if not roots or abs(x - roots[-1]) > _ROOT_DEDUP:
-            roots.append(x)
-    return _make_roots(p, roots) if roots else []
+        s = min(factors, key=lambda t: abs(factors[t](x)[0]))
+        r = 1.0 if factors[s](l)[0] >= 0.0 else -1.0
+        if r * factors[s](u)[0] < 0.0:
+            found.append((_refine(_det_factor(a, s * b, w, r), l, u), s))
+    cut = _MULT_CUT * (abs(a) + abs(b))
+    roots: list[SpinOrbitRoot] = []
+    for lam, s in sorted(found):
+        if roots and lam - roots[-1].lam <= _ROOT_DEDUP:
+            continue
+        sectors = (-s, s) if abs(factors[-s](lam)[0]) <= cut else (s,)
+        rows = [_sector_row(a, b, w, lam, t) for t in sectors]
+        roots.append(SpinOrbitRoot(lam=lam, multiplicity=len(rows),
+                                   coefficients=np.array(rows)))
+    return roots
 
 
 def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:

@@ -32,6 +32,8 @@ from diracwedge.variational import critical_angle_maximize
 
 P_ATTR = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 P_LINE = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
+P_THIN = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
+SMALL_STRIP = {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3}
 
 
 def test_laplacian_sanity_disk():
@@ -118,12 +120,20 @@ def test_unknown_mesh_option_rejected():
 
 
 def test_report_serializes_to_json():
-    rep = count_bound_states(P_LINE, mesh_opts={"kind": "disk", "R": 8.0,
-                                                "h": 0.5})
-    blob = json.dumps(rep.as_dict())
-    back = json.loads(blob)
-    assert back["count_below"] == rep.count_below
-    assert back["eigenvalues"] == list(rep.eigenvalues)
+    """The report is plain JSON; numpy-scalar mesh options serialize as
+    the Python values they equal."""
+    for p, mesh_opts in (
+        (P_LINE, {"kind": "disk", "R": 8.0, "h": 0.5}),
+        (P_THIN, dict(SMALL_STRIP, nx=np.int64(24), x_max=np.float64(3.0))),
+    ):
+        rep = count_bound_states(p, mesh_opts=mesh_opts)
+        blob = json.dumps(rep.as_dict())
+        back = json.loads(blob)
+        assert back["count_below"] == rep.count_below
+        assert back["eigenvalues"] == list(rep.eigenvalues)
+        plain = {k: v.item() if isinstance(v, np.generic) else v
+                 for k, v in mesh_opts.items()}
+        assert blob == json.dumps(count_bound_states(p, plain).as_dict())
 
 
 def test_matrix_market_export_roundtrip(tmp_path):
@@ -145,9 +155,6 @@ def test_matrix_market_export_roundtrip(tmp_path):
     diff = (a_back - pencil.A).tocoo()
     top = np.max(np.abs(diff.data)) if diff.nnz else 0.0
     assert top <= 1e-15
-
-
-SMALL_STRIP = {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3}
 
 
 @pytest.mark.parametrize("tau, mesh_opts", [
@@ -186,16 +193,20 @@ def _partial_pivoting_splu(real_splu):
 @pytest.mark.parametrize("fault, message", [
     ("pivot", r"left the diagonal: \d+ rows pivoted off it"),
     ("residual", r"relative residual \d\.\d{3}e-\d+ > 0"),
+    ("eigenpair", r"eigenpair residuals exceed 0: \d\.\d{3}e-\d+"),
 ])
 def test_count_checks_raise_with_measured_values(monkeypatch, fault,
                                                  message):
-    """Row pivoting and a factor residual above the cap fail the count (an
-    inertia/Ritz disagreement is checked through the CLI)."""
+    """Row pivoting, a factor residual and an eigenpair residual above
+    their caps fail the count (an inertia/Ritz disagreement is checked
+    through the CLI)."""
     if fault == "pivot":
         monkeypatch.setattr(solve.spla, "splu",
                             _partial_pivoting_splu(solve.spla.splu))
-    else:
+    elif fault == "residual":
         monkeypatch.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
+    else:
+        monkeypatch.setattr(solve, "_RESIDUAL_CAP", 0.0)
     p = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
     with pytest.raises(FemSolveError, match=message):
         count_bound_states(p, mesh_opts=SMALL_STRIP)
@@ -204,9 +215,6 @@ def test_count_checks_raise_with_measured_values(monkeypatch, fault,
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-P_THIN = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
 
 
 def test_count_leaves_no_child(monkeypatch):
@@ -313,3 +321,26 @@ def test_builder_defaults_are_the_count_meshes():
     disk = build_mesh(P_ATTR)
     assert same(disk, build_mesh(P_ATTR, R=10.0, h=0.35, grading=2.0))
     assert same(disk, solve._mesh_from_opts(P_ATTR, None))
+
+
+@pytest.mark.parametrize("omega, mesh_opts, count", [
+    (0.2, None, 2),
+    (3.2e-3, SMALL_STRIP, 12),
+])
+def test_count_is_scale_covariant(omega, mesh_opts, count):
+    """Lengths scale like 1/m and the pencil's eigenvalues like m^2: the
+    default disk and the strip's default sizes follow the Compton length,
+    so at every mass the count is the m = 1 count, the eigenvalues over m^2
+    are m = 1's, and the residuals, in units of m^2, stay under the cap."""
+    def count_at(m):
+        return count_bound_states(PhysParams(tau=-1.0, m=m, omega=omega),
+                                  mesh_opts=mesh_opts)
+
+    ref = count_at(1.0)
+    assert ref.count_below == count
+    for m in (0.25, 1000.0):
+        rep = count_at(m)
+        assert rep.count_below == count
+        np.testing.assert_allclose(rep.eigenvalues / m ** 2, ref.eigenvalues,
+                                   rtol=1e-10, atol=0.0)
+        assert np.all(rep.residuals <= solve._RESIDUAL_CAP)

@@ -95,13 +95,25 @@ def test_window_roots_are_null_points_of_matching_matrix():
     assert worst <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the |det|^2 minimum scan misses "
-                   "+-2.4997244542, 6.8e-4 from the kept root +-2.5004023")
-def test_window_keeps_close_root_pair():
-    p = PhysParams(tau=-0.49604, m=1.0, omega=0.942038)
-    lams = [r.lam for r in spectrum_in_window(p, -3.0, 3.0)]
-    for target in (-2.4997244542, 2.4997244542):
-        assert min(abs(lam - target) for lam in lams) <= 1e-8
+@pytest.mark.xfail(strict=True, reason="the |det|^2 minimum scan sees one "
+                   "minimum where two roots share its grid cells")
+@pytest.mark.parametrize("tau, omega, lo, hi, targets, tol", [
+    # misses +-2.4997244542, 6.8e-4 from the kept root +-2.5004023
+    (-0.49604, 0.942038, -3.0, 3.0, (-2.4997244542, 2.4997244542), 1e-8),
+    # misses +-1.5000426626: f_+ and f_- change sign at -1.500043, +1.500042
+    (-1.20971, 0.523679, -3.0, 3.0, (-1.5000426626, 1.5000426626), 1e-8),
+    # weak coupling: lambda* and its partner 4.5e-9 apart; the window reports
+    # only the partner, and the cut reads it as double
+    (-1e-8, math.pi / 4.0, 0.0, 1.0,
+     (0.4999999977492092, 0.5000000022507909), 1e-15),
+])
+def test_window_keeps_close_root_pair(tau, omega, lo, hi, targets, tol):
+    """Each member of a close pair is a simple root of the window."""
+    p = PhysParams(tau=tau, m=1.0, omega=omega)
+    roots = spectrum_in_window(p, lo, hi)
+    for target in targets:
+        near = [r for r in roots if abs(r.lam - target) <= tol]
+        assert [r.multiplicity for r in near] == [1]
 
 
 def test_det_nonzero_at_half():
