@@ -62,5 +62,6 @@ p2 = PhysParams(tau=tau, m=m, omega=w2)
 _, l2 = critical_angle_maximize(p2, 2)
 bd2 = energy_breakdown(p2, 2, l2)
 print("N=2 at omega_star(%g, 2) = %.6e, L_star = %.4f:" % (tau, w2, l2))
-print("  per-mode form gaps: %s" % np.array_str(bd2.form_gap_modes, precision=6))
+modes = np.asarray(bd2.form_gap_modes)
+print("  per-mode form gaps: %s" % np.array_str(modes, precision=6))
 print("  both negative: two eigenvalues certified in the gap")

@@ -10,8 +10,13 @@ Layout:
     fem          P1 discretization of the quadratic form, gap-state counting
     cli          command-line front end (JSON/CSV artifacts)
 
-``fem`` (and with it scipy.sparse) is loaded on first access, so importing
-the package needs only numpy.
+``fem`` (and with it scipy.sparse) is loaded on first access, and the other
+modules import numpy and scipy.special inside the functions that build
+arrays or call scipy, so importing the package loads neither numpy nor
+scipy.  The closed-form and scalar quantities (derived constants, critical
+angle, test-function energies, strip ground state, Weyl sequence) are
+computed on Python floats and never load them; spin-orbit roots, deficiency
+elements and the matrices load numpy, deficiency elements scipy.special.
 """
 
 import importlib

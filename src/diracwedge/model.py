@@ -11,10 +11,13 @@ consumes the constants and matrices built here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ParameterError",
@@ -89,23 +92,32 @@ class PhysParams:
         object.__setattr__(self, "_constants", dc)
 
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+@functools.cache
+def _sigma() -> tuple:
+    """(sigma_0, sigma_1, sigma_2, sigma_3), built on first use: importing
+    the package loads no numpy, which only the matrix routes need.  Callers
+    copy or combine them, never write to them."""
+    import numpy as np
+
+    return (
+        np.eye(2, dtype=complex),
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
 
 
 def pauli(j: int) -> np.ndarray:
     """Return the Pauli matrix sigma_j (sigma_0 is the identity)."""
     if j not in (0, 1, 2, 3):
         raise IndexError(f"Pauli index must be in 0..3, got {j}")
-    return _SIGMA[j].copy()
+    return _sigma()[j].copy()
 
 
 def sigma_dot(v) -> np.ndarray:
     """sigma . v = v1 sigma_1 + v2 sigma_2 for a real 2-vector v."""
+    import numpy as np
+
     v1, v2 = float(v[0]), float(v[1])
     return np.array([[0.0, v1 - 1.0j * v2], [v1 + 1.0j * v2, 0.0]])
 
@@ -203,7 +215,8 @@ def transmission_matrix(p: PhysParams, nu) -> np.ndarray:
     """
     nu = _unit_normal(nu)
     dc = derived_constants(p)
-    return dc.a * _SIGMA[0] + dc.b * 1.0j * (_SIGMA[3] @ sigma_dot(nu))
+    s0, _, _, s3 = _sigma()
+    return dc.a * s0 + dc.b * 1.0j * (s3 @ sigma_dot(nu))
 
 
 def interface_matrices(p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
@@ -227,5 +240,6 @@ def special_matrices(p: PhysParams, nu) -> tuple[np.ndarray, np.ndarray]:
     real, and independent of nu.
     """
     dc = derived_constants(p)
-    theta = (_SIGMA[0] + 1.0j * sigma_dot(_unit_normal(nu))) / math.sqrt(2.0)
-    return dc.a * _SIGMA[0] - dc.b * _SIGMA[3], theta
+    s0, _, _, s3 = _sigma()
+    theta = (s0 + 1.0j * sigma_dot(_unit_normal(nu))) / math.sqrt(2.0)
+    return dc.a * s0 - dc.b * s3, theta

@@ -1,8 +1,8 @@
 r"""Modified Bessel functions of the second kind and deficiency elements.
 
 K_nu comes from ``scipy.special.kv`` (the AMOS routines; Amos 1986, ACM TOMS
-644).  It is imported on first use so that ``import diracwedge`` does not
-load ``scipy.special``.
+644).  It is imported on first use, as numpy is, so that ``import
+diracwedge`` loads neither ``scipy.special`` nor numpy.
 
 The deficiency elements combine K_{lambda -/+ 1/2} radially with the angular
 eigenfunction phi_lambda of the spin-orbit operator:
@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import PhysParams
 from .spin_orbit import SpinOrbitRoot, principal_eigenvalue
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["bessel_k", "deficiency_element"]
 
@@ -66,6 +68,8 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
     ``root`` caches the principal spin-orbit eigenvalue; pass it when
     evaluating on a grid to avoid re-solving the secular problem.
     """
+    import numpy as np
+
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not (r > 0.0 and math.isfinite(r)):

@@ -83,10 +83,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import PhysParams, _refine, derived_constants
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpinOrbitRoot",
@@ -121,8 +123,10 @@ class SpinOrbitRoot:
 def _det(a: float, b: float, w: float, mu: np.ndarray,
          sine: np.ndarray) -> np.ndarray:
     """det T at the array mu = lambda - 1/2, given sine = sin(pi mu)."""
+    import numpy as np
+
     return 4.0 * ((a * sine) ** 2
-                  - (b * np.cos((np.pi - 2.0 * w) * mu - w)) ** 2)
+                  - (b * np.cos((math.pi - 2.0 * w) * mu - w)) ** 2)
 
 
 def _det_factor(a: float, b: float, w: float, sign: float):
@@ -143,9 +147,11 @@ def _det_factor(a: float, b: float, w: float, sign: float):
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:
     """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
+    import numpy as np
+
     mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
     dc = derived_constants(p)
-    return _det(dc.a, dc.b, p.omega, mu, np.sin(np.pi * mu))
+    return _det(dc.a, dc.b, p.omega, mu, np.sin(math.pi * mu))
 
 
 def _sector_row(a: float, b: float, w: float, lam: float,
@@ -166,6 +172,8 @@ def _sector_row(a: float, b: float, w: float, lam: float,
 def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid of [lo, hi] and sin(pi (grid - 1/2)) on it, both
     read-only: built once per window."""
+    import numpy as np
+
     n = int(np.ceil((hi - lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(lo, hi, max(n, 16))
     # Geometric tails resolve roots closer to a window edge than the grid
@@ -178,7 +186,7 @@ def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         tails.append(lo + off)
         tails.append(hi - off)
     grid = np.unique(np.concatenate([grid, np.array(tails)]))
-    sine = np.sin(np.pi * (grid - 0.5))
+    sine = np.sin(math.pi * (grid - 0.5))
     grid.setflags(write=False)
     sine.setflags(write=False)
     return grid, sine
@@ -189,7 +197,9 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
     s = sgn tau, which runs from -a at 0 to s b cos omega at 1/2 (see the
     module docstring), refined by bracketed Newton on [0, 1/2] down to
     adjacent floats."""
-    if p.omega >= np.pi / 2.0:
+    import numpy as np
+
+    if p.omega >= math.pi / 2.0:
         raise ValueError("principal eigenvalue requires omega < pi/2")
     dc = derived_constants(p)
     s = 1.0 if p.tau > 0.0 else -1.0
@@ -204,7 +214,9 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     refined by bracketed Newton on one factor f_s of det T down to adjacent
     floats and built in its sector s (see the module docstring), sorted
     ascending, with multiplicities; the window may be at most 1000 wide."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    import numpy as np
+
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
@@ -246,12 +258,14 @@ def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:
     evaluator; ``special.deficiency_element`` applies the same rule at one
     point on Python floats.
     """
+    import numpy as np
+
     a, b, c, d = root.coefficients[0]
     mu = root.lam - 0.5
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
-    wrapped = np.mod(th + p.omega, 2.0 * np.pi) - p.omega
+    wrapped = np.mod(th + p.omega, 2.0 * math.pi) - p.omega
     plus = wrapped <= p.omega
     out = np.empty(th.shape + (2,), dtype=complex)
     ew = np.exp(1j * mu * wrapped)

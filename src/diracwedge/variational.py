@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     DerivedConstants,
@@ -49,6 +48,9 @@ from .model import (
     derived_constants,
     interface_matrices,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnergyBreakdown",
@@ -80,12 +82,14 @@ def _require_attractive(tau: float) -> DerivedConstants:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Closed-form quadratic-form pieces of the sum of the N modes.
+    """Closed-form quadratic-form pieces of the sum of the N modes, all
+    Python floats.
 
     form_gap is the exact form value minus eps_tau^2 ||u||^2; bound_gap is
     the n-independent upper estimate whose sign drives the certificate;
-    form_gap_modes are the exact per-mode contributions (all negative iff
-    the modes certify N gap eigenvalues).
+    form_gap_modes holds the N exact per-mode contributions, mode n = 1
+    first (all negative iff the modes certify N gap eigenvalues), and
+    form_gap is their sum.
     """
 
     jump_sq: float
@@ -94,14 +98,39 @@ class EnergyBreakdown:
     grady_sq: float
     form_gap: float
     bound_gap: float
-    form_gap_modes: np.ndarray
+    form_gap_modes: tuple[float, ...]
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """Sum of xs in the order of numpy's pairwise ``np.sum``, so it equals
+    that sum bit for bit: fewer than 8 terms in one running sum from 0; up
+    to 128 in 8 running sums of every 8th term, added as a tree, and then
+    the terms left over; more than 128 as two halves split at a multiple
+    of 8."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    if n < 8:
+        head, total = 0, 0.0
+    else:
+        head = n - n % 8
+        r = xs[:8]
+        for i in range(8, head, 8):
+            r = [u + v for u, v in zip(r, xs[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
+                                                   + (r[6] + r[7]))
+    for x in xs[head:]:
+        total += x
+    return total
 
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
-    """Energies of the sum of the N modes on the strip [L, 2L]."""
+    """Energies of the sum of the N modes on the strip [L, 2L], for a finite
+    L > 0."""
     q, c, b2, g = _bracket(p.tau, N)
-    if not L > 0.0:
-        raise ParameterError(f"L must be positive, got {L}")
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ParameterError(f"L must be finite and positive, got {L}")
     if p.omega >= math.pi / 2.0:
         raise ParameterError("energy closed forms require omega < pi/2")
     dc = derived_constants(p)
@@ -109,28 +138,31 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     m = p.m
     tw = math.tan(p.omega)
     cw = math.cos(p.omega)
-    ns = np.arange(1, N + 1, dtype=float)
 
     # Cross-section braces shared by the closed forms; the x-weighted and
     # unweighted sine integrals contribute the 3/2 and 1/2 factors.
     brace_l2 = L * L * tw * c / 2.0 + L * kap / (2.0 * k0)
     brace_gx = L * tw * c / 2.0 + kap / (2.0 * k0)
 
-    # the modes are form-orthogonal, so each piece is a sum over modes
+    # the modes are form-orthogonal, so each piece is a sum over modes;
+    # freqs[n - 1] = (2 n pi)^2 / L
+    ks = [2.0 * n * math.pi for n in range(1, int(N) + 1)]
+    freqs = [k * k / L for k in ks]
     jump_sq = c_t * L / cw * N
     l2_sq = brace_l2 * N
-    gradx_sq = float(np.sum((2.0 * ns * np.pi) ** 2 / L) * brace_gx)
+    gradx_sq = _pairwise_sum(freqs) * brace_gx
     grady_sq = 0.5 * L * k0 * kap * N
 
     # Exact pre-estimate gap, mode by mode; kappa0^2 = m^2 - eps_tau^2 and
     # the last term is (2m/tau) times the jump integral.
-    gap_modes = (
-        (2.0 * ns * np.pi) ** 2 / L * brace_gx
+    gap_modes = [
+        f * brace_gx
         + 0.5 * L * k0 * kap
         + k0 * k0 * brace_l2
         + 2.0 * m * L * c_t / (p.tau * cw)
-    )
-    form_gap = float(np.sum(gap_modes))
+        for f in freqs
+    ]
+    form_gap = _pairwise_sum(gap_modes)
 
     ell = m * L
     bound_gap = N * (tw * c * (b2 + ell * ell) - q * ell + g / (q * ell))
@@ -138,7 +170,7 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     return EnergyBreakdown(
         jump_sq=jump_sq, l2_sq=l2_sq, gradx_sq=gradx_sq, grady_sq=grady_sq,
         form_gap=form_gap, bound_gap=bound_gap,
-        form_gap_modes=gap_modes,
+        form_gap_modes=tuple(gap_modes),
     )
 
 
@@ -162,8 +194,14 @@ def _tan_angle(q: float, c: float, b2: float, g: float, ell: float) -> float:
 
 def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
     """The certificate angle omega(L) whose tangent zeroes the bound-gap
-    bracket at strip length L; negative means no certificate at this L."""
-    return math.atan(_tan_angle(*_bracket(tau, N), m * L))
+    bracket at strip length L; negative means no certificate at this L.
+    m, L and m L must be finite and positive."""
+    bracket = _bracket(tau, N)
+    ell = m * L
+    if not (m > 0.0 and L > 0.0 and 0.0 < ell < math.inf):
+        raise ParameterError(
+            f"m, L and m L must be finite and positive; got m = {m}, L = {L}")
+    return math.atan(_tan_angle(*bracket, ell))
 
 
 def _star(tau: float, N: int) -> tuple[float, float]:
@@ -194,7 +232,7 @@ def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdow
     gap; False is inconclusive (the estimate, not the statement, failed).
     """
     bd = energy_breakdown(p, N, critical_angle_maximize(p, N)[1])
-    return bool(np.all(bd.form_gap_modes < 0.0)), bd
+    return all(g < 0.0 for g in bd.form_gap_modes), bd
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +249,8 @@ def smoothstep_cutoff(s):
     derivatives enter the residual bounds, and the moments below are exact
     rationals.
     """
+    import numpy as np
+
     s = np.asarray(s, dtype=float)
     q = np.clip(2.0 * s - 1.0, 0.0, 1.0)
     return 1.0 - q ** 3 * (10.0 - 15.0 * q + 6.0 * q * q)
@@ -262,7 +302,7 @@ class SingularSeqReport:
 
 
 def _max_entry(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return float(abs(a).max())
 
 
 def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
@@ -273,6 +313,8 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     v(zeta), with the transverse profile v decaying at rate z on both sides
     and jumping by M_l across the shell.
     """
+    import numpy as np
+
     _require_attractive(p.tau)
     dc = derived_constants(p)
     m_l = interface_matrices(p)[0]

@@ -183,7 +183,7 @@ def test_criterion_5_certificate():
         p = PhysParams(tau=-1.0, m=1.0, omega=w_star)
         certified, bd = bound_state_certificate(p, n_modes)
         _, l_star = critical_angle_maximize(p, n_modes)
-        if not (certified and np.all(bd.form_gap_modes < 0.0)
+        if not (certified and np.all(np.asarray(bd.form_gap_modes) < 0.0)
                 and abs(bd.bound_gap) <= 1e-10):
             ok = False
         bd2 = energy_breakdown(p, n_modes, l_star)

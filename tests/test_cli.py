@@ -104,8 +104,9 @@ def test_input_check_exits_2(argv, message, capsys):
 
 
 def test_scalar_subcommands_load_no_scipy_sparse(child_env):
-    """Only the subcommands that need scipy load it: the closed-form and
-    scalar ones none of it, deficiency scipy.special and no FEM layer."""
+    """Only the subcommands that need numpy or scipy load them: the closed-
+    form ones neither, the spin-orbit routes numpy but no scipy, deficiency
+    scipy.special and no FEM layer."""
     code = """
 import contextlib, io, sys
 from diracwedge.cli import main
@@ -115,11 +116,13 @@ def run(*argv):
         assert main(list(argv)) == 0, argv
 
 run("gap", "--tau", "-1")
-run("spin-orbit", "--tau", "-1")
 run("critical-angle", "--tau", "-1", "--N", "1", "2")
 run("testfn", "--tau", "-1", "--omega", "0.1")
+run("testfn", "--tau", "-1", "--omega", "0.01", "--N", "9", "--L", "30")
 run("aux1d", "--tau", "-1", "--gamma", "1", "5")
 run("weyl", "--tau", "-1")
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+run("spin-orbit", "--tau", "-1")
 run("sweep", "--quantity", "principal", "--tau", "-1", "-3",
     "--omega", "0.2", "0.4")
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -128,7 +131,7 @@ print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "True False"]
+    assert out.stdout.splitlines() == ["[]", "[]", "True False"]
 
 
 def test_package_getattr_serves_only_fem():

@@ -92,16 +92,21 @@ def _loaded_after_import(module, env, pattern):
 
 
 def test_import_leaves_scipy_special_unloaded(child_env):
-    # kv is imported on first use and the FEM layer on first access, so
-    # importing the package or the CLI pays for none of these scipy modules,
-    # and importing ``special`` itself loads no scipy module at all
+    # kv and numpy are imported on first use and the FEM layer on first
+    # access, so importing the package, the CLI or a scalar layer module
+    # pays for none of these modules, and importing ``special`` itself
+    # loads no scipy module at all
     for module in ("diracwedge", "diracwedge.cli"):
         assert _loaded_after_import(
             module, child_env,
-            "m in ('scipy.special', 'scipy.sparse', 'scipy.io')") == "[]", module
+            "m in ('numpy', 'scipy.special', 'scipy.sparse', 'scipy.io')"
+        ) == "[]", module
+    assert _loaded_after_import(
+        "diracwedge.model, diracwedge.spin_orbit, diracwedge.variational",
+        child_env, "m == 'numpy'") == "[]"
     assert _loaded_after_import(
         "diracwedge.special", child_env,
-        "m == 'scipy' or m.startswith('scipy.')") == "[]"
+        "m in ('numpy', 'scipy') or m.startswith('scipy.')") == "[]"
 
 
 @pytest.fixture(scope="module")

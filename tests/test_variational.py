@@ -41,8 +41,9 @@ def test_family_validation():
     p = PhysParams(tau=-1.0, m=1.0, omega=0.01)
     with pytest.raises(ParameterError):
         energy_breakdown(p, 0, 10.0)
-    with pytest.raises(ParameterError):
-        energy_breakdown(p, 1, -1.0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            energy_breakdown(p, 1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,21 @@ def test_energy_pieces_match_quadrature_reference_case():
     for name in ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap"):
         got = getattr(bd, name)
         assert got == pytest.approx(orc[name], rel=1e-6), name
+
+
+def test_form_gap_sums_the_modes_in_numpy_order():
+    """The energies are Python floats, and form_gap adds the per-mode gaps
+    in the order of np.sum, so it equals their numpy sum bit for bit on
+    both sides of the 8- and 128-term block edges."""
+    p = PhysParams(tau=-0.7, m=1.3, omega=0.02)
+    for N in (1, 7, 8, 9, 17, 128, 130, 300):
+        bd = energy_breakdown(p, N, 17.0)
+        assert all(type(v) is float for v in vars(bd).values()
+                   if v is not bd.form_gap_modes)
+        assert type(bd.form_gap_modes) is tuple
+        assert len(bd.form_gap_modes) == N
+        assert all(type(g) is float for g in bd.form_gap_modes)
+        assert bd.form_gap == float(np.sum(np.asarray(bd.form_gap_modes)))
 
 
 def test_energy_pieces_match_quadrature_random():
@@ -76,7 +92,8 @@ def test_energy_pieces_match_quadrature_random():
             per_mode = np.diff([0.0] + [getattr(bd, name) for bd in sums])
             assert float(np.sum(wts * per_mode)) == pytest.approx(
                 orc[name], rel=1e-8), name
-        assert float(np.sum(wts * sums[-1].form_gap_modes)) == pytest.approx(
+        modes = np.asarray(sums[-1].form_gap_modes)
+        assert float(np.sum(wts * modes)) == pytest.approx(
             orc["form_gap"], rel=1e-8)
 
 
@@ -94,7 +111,7 @@ def test_bound_gap_dominates_form_gap():
                        omega=float(RNG.uniform(0.002, 0.05)))
         bd = energy_breakdown(p, int(RNG.integers(1, 4)),
                               float(RNG.uniform(5.0, 30.0)))
-        assert bd.bound_gap >= np.max(bd.form_gap_modes) - 1e-12
+        assert bd.bound_gap >= np.max(np.asarray(bd.form_gap_modes)) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +127,18 @@ def test_angle_for_length_zeroes_bound_gap():
         bd = energy_breakdown(p, N, L)
         assert abs(bd.bound_gap) <= 1e-10
         assert bd.form_gap < 0.0
+
+
+def test_angle_for_length_rejects_bad_length_or_mass():
+    """m, L and m L must be finite and positive: zero divides by zero, a
+    negative m or L would give the angle of |m L|, and an infinite or NaN
+    one gives NaN."""
+    for m, L in ((1.0, 0.0), (0.0, 5.0), (1.0, -5.0), (-1.0, 5.0),
+                 (-1.0, -5.0), (1.0, math.inf), (math.inf, 5.0),
+                 (1.0, math.nan), (math.nan, 5.0), (1e-200, 1e-200),
+                 (1e200, 1e200)):
+        with pytest.raises(ParameterError):
+            angle_for_length(-1.0, m, L, 1)
 
 
 def test_angle_for_length_negative_below_numerator_root():
@@ -204,7 +233,7 @@ def test_certificate_true_at_critical_angle():
     p = PhysParams(tau=-1.0, m=1.0, omega=OMEGA_STAR_1)
     ok, bd = bound_state_certificate(p, 1)
     assert ok
-    assert np.all(bd.form_gap_modes < 0.0)
+    assert np.all(np.asarray(bd.form_gap_modes) < 0.0)
     assert abs(bd.bound_gap) <= 1e-10
 
 
