@@ -21,8 +21,8 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .model import PhysParams
-from .spin_orbit import SpinOrbitRoot, principal_eigenvalue
+from .model import PhysParams, derived_constants
+from .spin_orbit import SpinOrbitRoot, _sector_row, principal_eigenvalue
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +60,7 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
 
     phi(theta) is the exponential pair of ``spin_orbit.angular_profile``
     (whose docstring states the wrap rule and the choice of arc), built from
-    the root's first coefficient row with ``cmath``, and
+    the null vector of the root's first sector with ``cmath``, and
 
         v_pm = K_{lambda-1/2}(r) phi
                +/- K_{lambda+1/2}(r) (e^{-i theta} phi_2, e^{i theta} phi_1).
@@ -79,7 +79,8 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
     if root is None:
         root = principal_eigenvalue(p)
     lam, w = root.lam, p.omega
-    a, b, c, d = root.coefficients[0].tolist()
+    dc = derived_constants(p)
+    a, b, c, d = _sector_row(dc.a, dc.b, w, lam, root.sectors[0])
     t = (theta + w) % (2.0 * math.pi) - w
     if t > w:
         a, b = c, d

@@ -38,11 +38,11 @@ With C_s = a + s i b e^{-i (2 mu + 1) omega}, the first column of T_s is
 -2i e^{i pi mu} f_s, f_s = a sin(pi mu) + s b cos phi,
 phi = (pi - 2 omega) mu - omega, and det T = 4 f_+ f_-.  A root of f_s
 has the null vector (1, s i, C_s, s i e^{2 pi i mu} C_s) in sector s; this
-holds for any real a and b, so for their rounded values too.  Each root
-keeps the sector s whose factor its search refined, and its row goes last;
-sector -s counts towards the multiplicity, its row first, when
-|f_{-s}| <= 1e-7 (|a| + |b|), the size of f_s.  So a double root is a
-common root of f_+ and f_- and no root is more than double.  (A cut on
+holds for any real a and b, so for their rounded values too.  A root is
+the record (lambda, sectors): the sector s whose factor its search refined,
+and sector -s too when |f_{-s}| <= 1e-7 (|a| + |b|), the size of f_s.  So a
+double root is a common root of f_+ and f_-, no root is more than double,
+and a double root lists its sectors as (-1, +1).  (A cut on
 singular values relative to the largest one, of T or of T_s, reads simple
 roots near |tau| = 2 as double or triple: the largest grow like
 1/|4 - tau^2|, while the other sector's smallest can stay of order 1.)  The
@@ -109,15 +109,16 @@ _MAX_WINDOW = 1000.0
 
 @dataclass(frozen=True)
 class SpinOrbitRoot:
-    """An eigenvalue of the spin-orbit operator.
-
-    ``coefficients`` holds ``multiplicity`` rows of (A, B, C, D), each scaled
-    so the corresponding eigenfunction has unit L^2 norm over both arcs.
-    """
+    """An eigenvalue of the spin-orbit operator and the reflection sector
+    s = +-1 of each of its null vectors, -1 first for a double root; the
+    null vector of sector s is ``_sector_row(a, b, omega, lam, s)``."""
 
     lam: float
-    multiplicity: int
-    coefficients: np.ndarray  # (multiplicity, 4) complex
+    sectors: tuple[int, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.sectors)
 
 
 def _det(a: float, b: float, w: float, mu: np.ndarray,
@@ -197,16 +198,12 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
     s = sgn tau, which runs from -a at 0 to s b cos omega at 1/2 (see the
     module docstring), refined by bracketed Newton on [0, 1/2] down to
     adjacent floats."""
-    import numpy as np
-
     if p.omega >= math.pi / 2.0:
         raise ValueError("principal eigenvalue requires omega < pi/2")
     dc = derived_constants(p)
-    s = 1.0 if p.tau > 0.0 else -1.0
+    s = 1 if p.tau > 0.0 else -1
     fd = _det_factor(dc.a, s * dc.b, p.omega, -1.0 if dc.a > 0.0 else 1.0)
-    lam = _refine(fd, 0.0, 0.5)
-    row = _sector_row(dc.a, dc.b, p.omega, lam, s)
-    return SpinOrbitRoot(lam=lam, multiplicity=1, coefficients=np.array([row]))
+    return SpinOrbitRoot(lam=_refine(fd, 0.0, 0.5), sectors=(s,))
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
@@ -226,7 +223,7 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     vals = _det(a, b, w, grid - 0.5, sine) ** 2
     mid = vals[1:-1]
     minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1.0, -1.0)}
+    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1, -1)}
     found = []
     for i in minima.tolist():
         l, x, u = grid[i - 1:i + 2].tolist()
@@ -239,10 +236,8 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     for lam, s in sorted(found):
         if roots and lam - roots[-1].lam <= _ROOT_DEDUP:
             continue
-        sectors = (-s, s) if abs(factors[-s](lam)[0]) <= cut else (s,)
-        rows = [_sector_row(a, b, w, lam, t) for t in sectors]
-        roots.append(SpinOrbitRoot(lam=lam, multiplicity=len(rows),
-                                   coefficients=np.array(rows)))
+        sectors = (-1, 1) if abs(factors[-s](lam)[0]) <= cut else (s,)
+        roots.append(SpinOrbitRoot(lam=lam, sectors=sectors))
     return roots
 
 
@@ -254,13 +249,14 @@ def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:
     [-omega, 2pi - omega); phi = (A e^{i mu t}, B e^{-i mu t}) where
     t <= omega (the wedge arc, boundary rays included) and
     (C e^{i mu t}, D e^{-i mu t}) elsewhere, mu = lambda - 1/2.  For a
-    multiplicity-2 root the first null vector is taken.  This is the array
-    evaluator; ``special.deficiency_element`` applies the same rule at one
-    point on Python floats.
+    double root the null vector of its first sector, -1, is taken.  This
+    is the array evaluator; ``special.deficiency_element`` applies the same
+    rule at one point on Python floats.
     """
     import numpy as np
 
-    a, b, c, d = root.coefficients[0]
+    dc = derived_constants(p)
+    a, b, c, d = _sector_row(dc.a, dc.b, p.omega, root.lam, root.sectors[0])
     mu = root.lam - 0.5
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0

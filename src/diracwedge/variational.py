@@ -76,6 +76,13 @@ def _require_attractive(tau: float) -> DerivedConstants:
     return derived_constants(PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0))
 
 
+def _require_count(name: str, n) -> None:
+    """Refuse an n that is not a positive integer (inf and NaN included:
+    their remainder mod 1 is NaN)."""
+    if not (n >= 1 and n % 1 == 0):
+        raise ParameterError(f"{name} must be a positive integer, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # Closed-form energies of the test functions
 # ---------------------------------------------------------------------------
@@ -89,7 +96,7 @@ class EnergyBreakdown:
     the n-independent upper estimate whose sign drives the certificate;
     form_gap_modes holds the N exact per-mode contributions, mode n = 1
     first (all negative iff the modes certify N gap eigenvalues), and
-    form_gap is their sum.
+    form_gap is their correctly rounded sum (``math.fsum``).
     """
 
     jump_sq: float
@@ -99,30 +106,6 @@ class EnergyBreakdown:
     form_gap: float
     bound_gap: float
     form_gap_modes: tuple[float, ...]
-
-
-def _pairwise_sum(xs: list[float]) -> float:
-    """Sum of xs in the order of numpy's pairwise ``np.sum``, so it equals
-    that sum bit for bit: fewer than 8 terms in one running sum from 0; up
-    to 128 in 8 running sums of every 8th term, added as a tree, and then
-    the terms left over; more than 128 as two halves split at a multiple
-    of 8."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    if n < 8:
-        head, total = 0, 0.0
-    else:
-        head = n - n % 8
-        r = xs[:8]
-        for i in range(8, head, 8):
-            r = [u + v for u, v in zip(r, xs[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
-                                                   + (r[6] + r[7]))
-    for x in xs[head:]:
-        total += x
-    return total
 
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
@@ -150,7 +133,7 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     freqs = [k * k / L for k in ks]
     jump_sq = c_t * L / cw * N
     l2_sq = brace_l2 * N
-    gradx_sq = _pairwise_sum(freqs) * brace_gx
+    gradx_sq = math.fsum(freqs) * brace_gx
     grady_sq = 0.5 * L * k0 * kap * N
 
     # Exact pre-estimate gap, mode by mode; kappa0^2 = m^2 - eps_tau^2 and
@@ -162,7 +145,7 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
         + 2.0 * m * L * c_t / (p.tau * cw)
         for f in freqs
     ]
-    form_gap = _pairwise_sum(gap_modes)
+    form_gap = math.fsum(gap_modes)
 
     ell = m * L
     bound_gap = N * (tw * c * (b2 + ell * ell) - q * ell + g / (q * ell))
@@ -181,8 +164,7 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
 def _bracket(tau: float, N: int) -> tuple[float, float, float, float]:
     """(q, c, b2, g) of the bound-gap bracket, from the constants at m = 1."""
     dc = _require_attractive(tau)
-    if N < 1 or int(N) != N:
-        raise ParameterError(f"N must be a positive integer, got {N}")
+    _require_count("N", N)
     b2 = 2.0 * N * N * math.pi ** 2
     return dc.kappa0, 3.0 + dc.kappa_tau, b2, b2 * dc.kappa_tau
 
@@ -264,10 +246,9 @@ _CHI_PRIME_SQ_S = 15.0 / 7.0
 
 def _weyl_spinor_sq(p: PhysParams, lam: float, n: int) -> float:
     """|w|^2 = 2 lam (lam + m) for w = (k sigma_1 + m sigma_3 + lam) e_1."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not abs(lam) > p.m:
-        raise ValueError(f"need |lambda| > m for a free wave, got {lam}")
+    _require_count("n", n)
+    if not (math.isfinite(lam) and abs(lam) > p.m):
+        raise ValueError(f"need finite |lambda| > m for a free wave, got {lam}")
     return 2.0 * lam * (lam + p.m)
 
 
@@ -316,6 +297,8 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     import numpy as np
 
     _require_attractive(p.tau)
+    for n in ns:
+        _require_count("n", n)
     dc = derived_constants(p)
     m_l = interface_matrices(p)[0]
     eye = np.eye(2)

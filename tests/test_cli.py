@@ -105,8 +105,8 @@ def test_input_check_exits_2(argv, message, capsys):
 
 def test_scalar_subcommands_load_no_scipy_sparse(child_env):
     """Only the subcommands that need numpy or scipy load them: the closed-
-    form ones neither, the spin-orbit routes numpy but no scipy, deficiency
-    scipy.special and no FEM layer."""
+    form ones and the principal sweep neither, the spin-orbit window numpy
+    but no scipy, deficiency scipy.special and no FEM layer."""
     code = """
 import contextlib, io, sys
 from diracwedge.cli import main
@@ -121,10 +121,10 @@ run("testfn", "--tau", "-1", "--omega", "0.1")
 run("testfn", "--tau", "-1", "--omega", "0.01", "--N", "9", "--L", "30")
 run("aux1d", "--tau", "-1", "--gamma", "1", "5")
 run("weyl", "--tau", "-1")
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
-run("spin-orbit", "--tau", "-1")
 run("sweep", "--quantity", "principal", "--tau", "-1", "-3",
     "--omega", "0.2", "0.4")
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+run("spin-orbit", "--tau", "-1")
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 run("deficiency", "--tau", "-1", "--r", "1.5")
 print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)

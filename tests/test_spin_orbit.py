@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from diracwedge.model import PhysParams, interface_matrices
+from diracwedge.model import PhysParams, derived_constants, interface_matrices
 from diracwedge.spin_orbit import (
     SpinOrbitRoot,
+    _sector_row,
     angular_profile,
     principal_eigenvalue,
     secular_det,
@@ -37,6 +38,14 @@ LAMBDA_STAR = {
 # Weak coupling: lambda* sits about |tau| cos(omega) / pi below 1/2, and
 # is checked against the 50-digit oracle at omega = pi/4.
 WEAK_TAUS = (-1e-8, 2e-9, -3e-8)
+
+
+def _rows(p, root):
+    """The coefficient rows (A, B, C, D) of ``root``, one per sector in the
+    record's order, as a (multiplicity, 4) array."""
+    dc = derived_constants(p)
+    return np.array([_sector_row(dc.a, dc.b, p.omega, root.lam, s)
+                     for s in root.sectors])
 
 
 def test_secular_matrix_encodes_matching():
@@ -149,7 +158,7 @@ def test_principal_eigenvalue_reference_points():
         assert root.multiplicity == 1
         # T's second-smallest singular value is only about 1.4 |tau| here
         t = secular_matrix(p, root.lam)
-        assert np.linalg.norm(t @ root.coefficients[0]) <= 1e-12
+        assert np.linalg.norm(t @ _rows(p, root)[0]) <= 1e-12
 
 
 def test_det_brackets_one_principal_root():
@@ -294,11 +303,11 @@ def test_weak_coupling_window_roots_match_oracle(tau, lo, hi):
 DOUBLE_ROOT_TAUS = (-1.0, -0.5, 1.0)
 
 
-def _arc_norm_sq(p, row):
-    """L^2 norm squared over both arcs of the profile with coefficients
-    ``row``, by the trapezoid rule (exact up to the trimmed arc ends: |phi|^2
-    is constant on each arc)."""
-    root = SpinOrbitRoot(lam=0.0, multiplicity=1, coefficients=row[None])
+def _arc_norm_sq(p, lam, s):
+    """L^2 norm squared over both arcs of the profile of sector s at lam,
+    by the trapezoid rule (exact up to the trimmed arc ends: |phi|^2 is
+    constant on each arc)."""
+    root = SpinOrbitRoot(lam=lam, sectors=(s,))
     w = p.omega
     total = 0.0
     for lo, hi in ((-w, w), (w, 2.0 * np.pi - w)):
@@ -317,13 +326,14 @@ def test_double_root_null_space(tau):
     for lam in (-1.5, 1.5):
         root = roots[lam]
         assert root.multiplicity == 2
-        assert root.coefficients.shape == (2, 4)
+        rows = _rows(p, root)
+        assert rows.shape == (2, 4)
         t = secular_matrix(p, root.lam)
         t_norm = np.linalg.norm(t, 2)
-        for row in root.coefficients:
+        for s, row in zip(root.sectors, rows):
             assert np.linalg.norm(t @ row) <= 1e-12 * t_norm * np.linalg.norm(row)
-            assert _arc_norm_sq(p, row) == pytest.approx(1.0, abs=1e-10)
-        r0, r1 = root.coefficients
+            assert _arc_norm_sq(p, root.lam, s) == pytest.approx(1.0, abs=1e-10)
+        r0, r1 = rows
         assert abs(np.vdot(r0, r1)) <= 1e-12 * np.linalg.norm(r0) * np.linalg.norm(r1)
 
 
@@ -346,11 +356,11 @@ def test_root_null_vectors_match_mp_null_space():
         p = PhysParams(tau=tau, m=1.0, omega=omega)
         for root in [principal_eigenvalue(p), *spectrum_in_window(p, -3.0, 3.0)]:
             k = len(secular_null_space(p, root.lam))
-            assert root.multiplicity == k == len(root.coefficients)
+            rows = _rows(p, root)
+            assert root.multiplicity == k == len(rows)
             n_double += k == 2
             ref = secular_null_space_mp(tau, omega, root.lam, k)
-            q = root.coefficients / np.linalg.norm(
-                root.coefficients, axis=1, keepdims=True)
+            q = rows / np.linalg.norm(rows, axis=1, keepdims=True)
             worst = max(worst, np.max(np.abs(q.T @ q.conj() - ref.T @ ref.conj())))
     assert n_double == 2 * len(DOUBLE_ROOT_TAUS)
     assert worst <= 1e-13
@@ -387,21 +397,23 @@ def test_root_build_uses_no_svd_or_matching_matrix(monkeypatch):
 def test_coefficient_rows_have_parity():
     """T P = P' T for the reflection parity P (A, B, C, D) =
     (-iB, iA, -iD e^{-2 pi i mu}, iC e^{2 pi i mu}) and its row action P',
-    and every coefficient row v is a parity eigenvector, P v = s v with
-    s = +-1; a double root has one row of each parity, and the principal
-    root's row has s = sgn tau, on both sides of |tau| = 2."""
+    and every coefficient row v is a parity eigenvector, P v = s v, with
+    s the sector the root records for it; a double root lists (-1, +1),
+    and the principal root's sector is sgn tau, on both sides of
+    |tau| = 2."""
     def parity(lam, v):
         a, b, c, d = v
         turn = np.exp(2j * np.pi * (lam - 0.5))
         return np.array([-1j * b, 1j * a, -1j * d / turn, 1j * c * turn])
 
-    def sector_signs(root):
+    def sector_signs(p, root):
         signs = []
-        for v in root.coefficients:
+        for v in _rows(p, root):
             pv = parity(root.lam, v)
-            s = 1.0 if np.vdot(v, pv).real > 0.0 else -1.0
+            s = 1 if np.vdot(v, pv).real > 0.0 else -1
             assert np.linalg.norm(pv - s * v) <= 1e-14 * np.linalg.norm(v)
             signs.append(s)
+        assert tuple(signs) == root.sectors, (p, root.lam)
         return signs
 
     lam = 0.37
@@ -414,12 +426,15 @@ def test_coefficient_rows_have_parity():
     points = _oracle_points() + [(1.0, math.pi / 4.0), (5.0, 0.3),
                                  (-3.0, math.pi / 8.0), (2.0000001, 0.3),
                                  (-2.0000001, 0.3)]
+    n_double = 0
     for tau, omega in points:
         p = PhysParams(tau=tau, m=1.0, omega=omega)
-        assert sector_signs(principal_eigenvalue(p)) == [math.copysign(1.0, tau)]
+        assert sector_signs(p, principal_eigenvalue(p)) == [math.copysign(1.0, tau)]
         for root in spectrum_in_window(p, -3.0, 3.0):
-            signs = sector_signs(root)
-            assert len(set(signs)) == len(signs), (tau, omega, root.lam)
+            signs = sector_signs(p, root)
+            assert signs in ([-1], [1], [-1, 1]), (tau, omega, root.lam)
+            n_double += len(signs) == 2
+    assert n_double == 2 * len(DOUBLE_ROOT_TAUS)
 
 
 NEAR_TAU_2 = (2.0 + 2e-9, -(2.0 + 2e-9), 2.0 + 1e-8, -(2.0 + 1e-8),
@@ -439,8 +454,9 @@ def test_roots_near_tau_2_are_simple(tau, omega):
     roots = [principal_eigenvalue(p), *spectrum_in_window(p, -3.0, 3.0)]
     assert len(roots) == 13
     for root in roots:
-        assert root.multiplicity == len(root.coefficients) == 1
-        t, v = secular_matrix(p, root.lam), root.coefficients[0]
+        (v,) = _rows(p, root)
+        assert root.multiplicity == 1
+        t = secular_matrix(p, root.lam)
         assert np.linalg.norm(t @ v) \
             <= 1e-12 * np.linalg.norm(t, 2) * np.linalg.norm(v)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
@@ -58,10 +59,10 @@ def test_energy_pieces_match_quadrature_reference_case():
         assert got == pytest.approx(orc[name], rel=1e-6), name
 
 
-def test_form_gap_sums_the_modes_in_numpy_order():
-    """The energies are Python floats, and form_gap adds the per-mode gaps
-    in the order of np.sum, so it equals their numpy sum bit for bit on
-    both sides of the 8- and 128-term block edges."""
+def test_form_gap_is_the_correctly_rounded_sum_of_the_modes():
+    """The energies are Python floats, and form_gap is the per-mode gaps'
+    correctly rounded sum: it equals mpmath's exact fsum rounded once, on
+    both sides of numpy's 8- and 128-term block edges."""
     p = PhysParams(tau=-0.7, m=1.3, omega=0.02)
     for N in (1, 7, 8, 9, 17, 128, 130, 300):
         bd = energy_breakdown(p, N, 17.0)
@@ -70,7 +71,7 @@ def test_form_gap_sums_the_modes_in_numpy_order():
         assert type(bd.form_gap_modes) is tuple
         assert len(bd.form_gap_modes) == N
         assert all(type(g) is float for g in bd.form_gap_modes)
-        assert bd.form_gap == float(np.sum(np.asarray(bd.form_gap_modes)))
+        assert bd.form_gap == float(mpmath.fsum(bd.form_gap_modes))
 
 
 def test_energy_pieces_match_quadrature_random():
@@ -313,14 +314,39 @@ def test_weyl_residual_decays_like_one_over_n():
 
 
 def test_weyl_rejects_subcritical_lambda():
+    """|lambda| <= m and a lambda that is not finite are refused, by the
+    residual too."""
     p = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
     with pytest.raises(ValueError):
         weyl_norm_sq(p, 0.5, 4)
+    for lam in (math.inf, -math.inf, math.nan):
+        for f in (weyl_norm_sq, weyl_residual):
+            with pytest.raises(ValueError, match="finite"):
+                f(p, lam, 4)
     for n in (0, 2.5):
         with pytest.raises(ValueError):
             weyl_norm_sq(p, 1.5, n)
         with pytest.raises(ValueError):
             weyl_residual(p, 1.5, n)
+
+
+_P_INT = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: critical_angle_closed(-1.0, n),
+    lambda n: angle_for_length(-1.0, 1.0, 5.0, n),
+    lambda n: weyl_norm_sq(_P_INT, 1.5, n),
+    lambda n: weyl_residual(_P_INT, 1.5, n),
+    lambda n: singular_seq_identities(_P_INT, ns=(2, n)),
+], ids=["critical_angle_closed", "angle_for_length", "weyl_norm_sq",
+        "weyl_residual", "singular_seq_identities"])
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 0, -2, 2.5])
+def test_integer_arguments_must_be_positive_integers(call, n):
+    """N and n are refused with one message unless they are positive
+    integers, rather than overflowing, dividing by zero or being rounded."""
+    with pytest.raises(ParameterError, match="must be a positive integer"):
+        call(n)
 
 
 # ---------------------------------------------------------------------------
