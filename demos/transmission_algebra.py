@@ -15,6 +15,7 @@ from diracwedge import (
     derived_constants,
     interface_matrices,
     pauli,
+    sigma_dot,
     special_matrices,
     transmission_matrix,
 )
@@ -55,6 +56,8 @@ nu = (0.6, 0.8)
 m_nu = transmission_matrix(p, nu)
 m_tilde, theta = special_matrices(p, nu)
 print("diagonalization at nu = %s" % (nu,))
+print("  M - (a s0 + b i s3 (sigma . nu)): %.2e   (M is built in closed form)"
+      % np.max(np.abs(m_nu - (dc.a * s0 + dc.b * 1j * s3 @ sigma_dot(nu)))))
 print("  M_tilde = diag(%g, %g); residual of Theta* M Theta - M_tilde: %.2e"
       % (m_tilde[0, 0].real, m_tilde[1, 1].real,
          np.max(np.abs(theta.conj().T @ m_nu @ theta - m_tilde))))

@@ -38,6 +38,8 @@ def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
     tanh(k gamma) < 1 forces k_gamma > kappa0, and tanh x >= x/(1 + x) gives
     F_gamma(kappa0 + 1/gamma) > kappa0, so the bracket always holds the root.
     In floats k_gamma rounds to kappa0 once gamma kappa0 reaches about 20.
+    A gamma so small that E_gamma, about m^2 - kappa0/gamma, overflows (or
+    1/gamma does) is refused.
     """
     if p.tau >= 0.0:
         raise ParameterError("strip ground state is defined for tau < 0")
@@ -50,4 +52,9 @@ def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:
         th = math.tanh(k * gamma)
         return kap - k * th, -(th + k * gamma * (1.0 - th * th))
     k = _refine(fd, kap, kap + 1.0 / gamma)
-    return Aux1DResult(gamma=gamma, k_gamma=k, E_gamma=p.m * p.m - k * k)
+    energy = p.m * p.m - k * k
+    if not math.isfinite(energy):
+        raise ParameterError(
+            f"gamma = {gamma} is outside the computable range: E_gamma = "
+            f"m^2 - k_gamma^2 overflows at m = {p.m}")
+    return Aux1DResult(gamma=gamma, k_gamma=k, E_gamma=energy)

@@ -7,9 +7,10 @@ report (its embedded config is reused), or a CSV artifact (the "# config"
 header line).  Flags override config-file values.
 
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
-float option, a mass whose eps_tau^2 overflows, and an unwritable --output
-or --export path included), 3 solver failure or a NaN or infinite result,
-which has no JSON form.
+float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
+whose result would overflow, and an unwritable --output or --export path
+included), 3 solver failure or a NaN or infinite result, which has no JSON
+form.
 """
 
 from __future__ import annotations

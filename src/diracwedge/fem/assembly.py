@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..model import PhysParams, interface_matrices
-from .mesh import SIDE_LEFT, SIDE_RIGHT, Mesh
+from .mesh import CORNER, SIDE_LEFT, SIDE_RIGHT, Mesh
 
 __all__ = ["SymmetricPencil", "assemble"]
 
@@ -137,7 +137,7 @@ def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:
     side_of[ends[:, 1]] = np.tile(mesh.interface_sides, 2)
     is_minus = plus_of != np.arange(nv)
     dead = mesh.outer_boundary.copy()
-    dead[mesh.corner_vertex] = True
+    dead[CORNER] = True
     free = ~dead & ~is_minus
     col_of = np.cumsum(free) - 1
 

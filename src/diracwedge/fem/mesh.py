@@ -11,6 +11,11 @@ Dirichlet: the vertices of the outer boundary carry no DOFs, so every
 discrete function extends by zero to the plane and Ritz values stay upper
 bounds.
 
+Every triangle is counter-clockwise.  A mesh whose triangles are not is
+refused with MeshError, not repaired: a folded mesh is no conforming
+Dirichlet subspace, so its Ritz values would not be upper bounds and its
+count no lower bound.
+
 Meshes are built from index arrays.  Vertex 0 is the corner; the other
 vertices are numbered ring by ring (disk) or column by column (strip), with
 the minus copy of a ray vertex right after its plus copy.  Triangles come
@@ -34,6 +39,7 @@ __all__ = ["Mesh", "MeshError", "build_mesh", "build_strip_mesh",
 
 SIDE_LEFT = 0   # upper ray, polar angle +omega
 SIDE_RIGHT = 1  # lower ray, polar angle -omega
+CORNER = 0      # vertex index of the corner, in every mesh
 
 
 class MeshError(ParameterError):
@@ -54,7 +60,6 @@ class Mesh:
     triangles: np.ndarray         # (nt, 3) int, positively oriented
     interface_edges: np.ndarray   # (ne, 4) int
     interface_sides: np.ndarray   # (ne,) int, SIDE_LEFT or SIDE_RIGHT
-    corner_vertex: int
     outer_boundary: np.ndarray    # (nv,) bool, Dirichlet vertices
     info: dict = field(default_factory=dict)
 
@@ -97,23 +102,20 @@ def _ray_edges(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
 
 def _mesh(vertices: np.ndarray, triangles: np.ndarray, iface: np.ndarray,
           sides: np.ndarray, outer: np.ndarray, info: dict) -> Mesh:
-    """Orient the triangles positively and reject degenerate ones."""
-    det = _doubled_areas(vertices, triangles)
-    if np.any(det == 0.0):
-        bad = triangles[np.argmax(det == 0.0)]
-        raise MeshError(f"degenerate triangle {tuple(bad.tolist())}")
+    """The one constructor of a Mesh: refuses a triangle that is not
+    counter-clockwise; ``outer`` indexes the Dirichlet vertices."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        area2 = _doubled_areas(vertices, triangles)
+    bad = ~(area2 > 0.0)   # NaN included
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise MeshError(f"triangle {tuple(triangles[i].tolist())} is "
+                        f"degenerate or clockwise: doubled area {area2[i]:.6g}")
     boundary = np.zeros(vertices.shape[0], dtype=bool)
     boundary[outer] = True
-    return Mesh(
-        vertices=vertices,
-        triangles=np.where((det < 0.0)[:, None], triangles[:, [0, 2, 1]],
-                           triangles),
-        interface_edges=iface.reshape(-1, 4),
-        interface_sides=sides,
-        corner_vertex=0,
-        outer_boundary=boundary,
-        info=info,
-    )
+    return Mesh(vertices=vertices, triangles=triangles,
+                interface_edges=iface.reshape(-1, 4), interface_sides=sides,
+                outer_boundary=boundary, info=info)
 
 
 def build_mesh(p: PhysParams, R: float | None = None, h: float | None = None,
@@ -212,6 +214,9 @@ def build_strip_mesh(p: PhysParams, x_max: float | None = None,
             f"need nx >= 2, wedge_rows >= 1, outer_rows >= 2; "
             f"got {nx}, {wedge_rows}, {outer_rows}"
         )
+    if not outer_grading > 0.0:
+        raise MeshError(
+            f"outer grading exponent must be > 0, got {outer_grading}")
     slope = math.tan(p.omega)
     xs = np.linspace(0.0, x_max, nx + 1)
     s_off = width * (np.arange(1, outer_rows + 1) / outer_rows) ** outer_grading
@@ -295,13 +300,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
 
     info = dict(mesh.info)
     info["refined"] = info.get("refined", 0) + 1
-    return Mesh(
-        vertices=np.concatenate([mesh.vertices,
-                                 (mid_xy[:, 0] + mid_xy[:, 1]) / 2.0]),
-        triangles=tris,
-        interface_edges=iface,
-        interface_sides=np.repeat(mesh.interface_sides, 2),
-        corner_vertex=mesh.corner_vertex,
-        outer_boundary=np.concatenate([mesh.outer_boundary, outer_mid[order]]),
-        info=info,
-    )
+    return _mesh(
+        np.concatenate([mesh.vertices, (mid_xy[:, 0] + mid_xy[:, 1]) / 2.0]),
+        tris, iface, np.repeat(mesh.interface_sides, 2),
+        np.concatenate([mesh.outer_boundary, outer_mid[order]]), info)

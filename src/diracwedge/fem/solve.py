@@ -11,8 +11,12 @@ Neither that factorization nor Lanczos needs the other's result, so where
 runs Lanczos; without ``os.fork`` the same function runs inline.  A thread
 would overlap them as well, since SuperLU releases the GIL (thin wedge,
 2-core VM, scipy 1.17.1: solve plus count in a median 0.96 s threaded and
-0.92 s forked), but the child keeps the count's factor out of this process:
-peak RSS per process is 150.7 MB forked, 240 MB threaded and 169 MB inline.
+0.92 s forked).  The fork lowers the peak RSS of each process, not the
+memory held: at the fork this process holds 86.5 MB and the child 64.0 MB
+(file-backed pages reach the child only when it touches them), and the
+count's factorization adds 85-90 MB in either process.  The child peaks at
+154-158 MB and this process at 146-150 MB, against 171 MB inline and 240 MB
+threaded, while the two processes together hold more than the inline run.
 Lanczos stops at ARPACK ``tol`` 3e-11, and every eigenpair must still meet
 the residual cap 1e-8 in units of m^2.
 """

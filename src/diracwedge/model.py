@@ -11,7 +11,6 @@ consumes the constants and matrices built here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -92,26 +91,18 @@ class PhysParams:
         object.__setattr__(self, "_constants", dc)
 
 
-@functools.cache
-def _sigma() -> tuple:
-    """(sigma_0, sigma_1, sigma_2, sigma_3), built on first use: importing
-    the package loads no numpy, which only the matrix routes need.  Callers
-    copy or combine them, never write to them."""
-    import numpy as np
-
-    return (
-        np.eye(2, dtype=complex),
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    )
+# sigma_0..sigma_3 as nested tuples, so importing the package loads no numpy
+_PAULI = (((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)),
+          ((0.0, -1.0j), (1.0j, 0.0)), ((1.0, 0.0), (0.0, -1.0)))
 
 
 def pauli(j: int) -> np.ndarray:
     """Return the Pauli matrix sigma_j (sigma_0 is the identity)."""
     if j not in (0, 1, 2, 3):
         raise IndexError(f"Pauli index must be in 0..3, got {j}")
-    return _sigma()[j].copy()
+    import numpy as np
+
+    return np.array(_PAULI[j], dtype=complex)
 
 
 def sigma_dot(v) -> np.ndarray:
@@ -208,15 +199,18 @@ def _unit_normal(nu) -> tuple[float, float]:
 
 
 def transmission_matrix(p: PhysParams, nu) -> np.ndarray:
-    """Transmission matrix M(nu) = a sigma_0 + b i sigma_3 (sigma . nu), (2, 2).
+    """Transmission matrix M(nu) = a sigma_0 + b i sigma_3 (sigma . nu), (2, 2),
+    built from its closed form [[a, b (nu2 + i nu1)], [b (nu2 - i nu1), a]].
 
     M(-nu) = sigma_3 M(nu) sigma_3 = M(nu)^{-1}: the condition read in the
     other direction is the matrix of the opposite normal.
     """
-    nu = _unit_normal(nu)
+    import numpy as np
+
+    nu1, nu2 = _unit_normal(nu)
     dc = derived_constants(p)
-    s0, _, _, s3 = _sigma()
-    return dc.a * s0 + dc.b * 1.0j * (s3 @ sigma_dot(nu))
+    return np.array([[dc.a, dc.b * (nu2 + 1.0j * nu1)],
+                     [dc.b * (nu2 - 1.0j * nu1), dc.a]], dtype=complex)
 
 
 def interface_matrices(p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +233,10 @@ def special_matrices(p: PhysParams, nu) -> tuple[np.ndarray, np.ndarray]:
     Theta* M(nu) Theta = M_tilde = a sigma_0 - b sigma_3, which is diagonal,
     real, and independent of nu.
     """
+    import numpy as np
+
+    nu1, nu2 = _unit_normal(nu)
     dc = derived_constants(p)
-    s0, _, _, s3 = _sigma()
-    theta = (s0 + 1.0j * sigma_dot(_unit_normal(nu))) / math.sqrt(2.0)
-    return dc.a * s0 - dc.b * s3, theta
+    theta = np.array([[1.0, nu2 + 1.0j * nu1], [-nu2 + 1.0j * nu1, 1.0]])
+    return (np.array([[dc.a - dc.b, 0.0], [0.0, dc.a + dc.b]], dtype=complex),
+            theta / math.sqrt(2.0))

@@ -38,6 +38,7 @@ Gauss rule over the ramp of chi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,6 +77,11 @@ def _require_attractive(tau: float) -> DerivedConstants:
     return derived_constants(PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0))
 
 
+# Most modes energy_breakdown sums: it builds three N-long lists, and at
+# N = 1e6 takes 0.5 s and peaks at 138 MB (3e6: 1.8 s and 382 MB, 2-core VM).
+_MAX_MODES = 10 ** 6
+
+
 def _require_count(name: str, n) -> None:
     """Refuse an n that is not a positive integer (inf and NaN included:
     their remainder mod 1 is NaN)."""
@@ -110,8 +116,10 @@ class EnergyBreakdown:
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     """Energies of the sum of the N modes on the strip [L, 2L], for a finite
-    L > 0."""
+    L > 0 and N <= 1e6; an L whose energies overflow is refused."""
     q, c, b2, g = _bracket(p.tau, N)
+    if N > _MAX_MODES:
+        raise ParameterError(f"N must be at most {_MAX_MODES}, got {N}")
     if not (L > 0.0 and math.isfinite(L)):
         raise ParameterError(f"L must be finite and positive, got {L}")
     if p.omega >= math.pi / 2.0:
@@ -133,7 +141,6 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     freqs = [k * k / L for k in ks]
     jump_sq = c_t * L / cw * N
     l2_sq = brace_l2 * N
-    gradx_sq = math.fsum(freqs) * brace_gx
     grady_sq = 0.5 * L * k0 * kap * N
 
     # Exact pre-estimate gap, mode by mode; kappa0^2 = m^2 - eps_tau^2 and
@@ -145,10 +152,19 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
         + 2.0 * m * L * c_t / (p.tau * cw)
         for f in freqs
     ]
-    form_gap = math.fsum(gap_modes)
+    try:
+        gradx_sq = math.fsum(freqs) * brace_gx
+        form_gap = math.fsum(gap_modes)
+    except OverflowError:     # finite terms whose sum is past the floats
+        gradx_sq = form_gap = math.inf
 
     ell = m * L
     bound_gap = N * (tw * c * (b2 + ell * ell) - q * ell + g / (q * ell))
+    if not all(map(math.isfinite, (jump_sq, l2_sq, gradx_sq, grady_sq,
+                                   form_gap, bound_gap))):
+        raise ParameterError(
+            f"L = {L} is outside the computable range: the energies "
+            f"overflow at tau = {p.tau}, m = {m}, omega = {p.omega}, N = {N}")
 
     return EnergyBreakdown(
         jump_sq=jump_sq, l2_sq=l2_sq, gradx_sq=gradx_sq, grady_sq=grady_sq,
@@ -162,11 +178,17 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 def _bracket(tau: float, N: int) -> tuple[float, float, float, float]:
-    """(q, c, b2, g) of the bound-gap bracket, from the constants at m = 1."""
+    """(q, c, b2, g) of the bound-gap bracket, from the constants at m = 1;
+    an N whose b2 or g overflows is refused."""
     dc = _require_attractive(tau)
     _require_count("N", N)
-    b2 = 2.0 * N * N * math.pi ** 2
-    return dc.kappa0, 3.0 + dc.kappa_tau, b2, b2 * dc.kappa_tau
+    # an int N past the floats would raise OverflowError in 2.0 * N
+    b2 = 2.0 * N * N * math.pi ** 2 if N <= sys.float_info.max else math.inf
+    g = b2 * dc.kappa_tau
+    if g == math.inf:
+        raise ParameterError(
+            f"N is too large: the bracket constants overflow at tau = {tau}")
+    return dc.kappa0, 3.0 + dc.kappa_tau, b2, g
 
 
 def _tan_angle(q: float, c: float, b2: float, g: float, ell: float) -> float:
@@ -192,6 +214,9 @@ def _star(tau: float, N: int) -> tuple[float, float]:
     q2 = q * q
     s = q2 * b2 + 3.0 * g
     ell = math.sqrt((s + math.sqrt(s * s + 4.0 * q2 * g * b2)) / (2.0 * q2))
+    if ell == math.inf:
+        raise ParameterError(
+            f"N is too large: l_star overflows at tau = {tau}")
     return math.atan(_tan_angle(q, c, b2, g, ell)), ell
 
 
@@ -204,6 +229,8 @@ def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
     """(omega_star, L_star): the maximum of omega(L) over L > 0 and the
     strip length that attains it, both in closed form."""
     w_star, ell = _star(p.tau, N)
+    if ell / p.m == math.inf:
+        raise ParameterError(f"m = {p.m} is too small: L_star overflows")
     return w_star, ell / p.m
 
 
@@ -244,27 +271,32 @@ _CHI_SQ_S = 151.0 / 616.0
 _CHI_PRIME_SQ_S = 15.0 / 7.0
 
 
-def _weyl_spinor_sq(p: PhysParams, lam: float, n: int) -> float:
-    """|w|^2 = 2 lam (lam + m) for w = (k sigma_1 + m sigma_3 + lam) e_1."""
+def weyl_norm_sq(p: PhysParams, lam: float, n: int) -> float:
+    """||psi_n||^2 = 2 pi |w|^2 int_0^1 chi^2 s ds, the same for every n,
+    with |w|^2 = 2 lam (lam + m) for w = (k sigma_1 + m sigma_3 + lam) e_1.
+
+    Refuses a lambda with |lambda| <= m or one whose norm overflows (|lambda|
+    from about 1e154).
+    """
     _require_count("n", n)
     if not (math.isfinite(lam) and abs(lam) > p.m):
         raise ValueError(f"need finite |lambda| > m for a free wave, got {lam}")
-    return 2.0 * lam * (lam + p.m)
-
-
-def weyl_norm_sq(p: PhysParams, lam: float, n: int) -> float:
-    """||psi_n||^2 = 2 pi |w|^2 int_0^1 chi^2 s ds, the same for every n."""
-    return 2.0 * math.pi * _weyl_spinor_sq(p, lam, n) * _CHI_SQ_S
+    norm_sq = 2.0 * math.pi * (2.0 * lam * (lam + p.m)) * _CHI_SQ_S
+    if norm_sq == math.inf:
+        raise ParameterError(f"lambda = {lam} is too large: ||psi_n||^2 "
+                             "overflows")
+    return norm_sq
 
 
 def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
-    """||(S - lambda) psi_n|| / ||psi_n|| = sqrt(1320/151) / n.
+    """||(S - lambda) psi_n|| / ||psi_n|| = sqrt(1320/151) / n, for the
+    (n, lambda) that ``weyl_norm_sq`` accepts.
 
     (k sigma_1 + m sigma_3 - lambda) w = 0 cancels the plane-wave part, so
     (S - lambda) psi_n = -(i/n^2) chi'(r/n) (sigma . r_hat) w e^{i k x_1}
     and the ratio is sqrt(int chi'^2 s ds / int chi^2 s ds) / n.
     """
-    _weyl_spinor_sq(p, lam, n)
+    weyl_norm_sq(p, lam, n)
     return math.sqrt(_CHI_PRIME_SQ_S / _CHI_SQ_S) / n
 
 

@@ -292,20 +292,58 @@ def aux1d_ground_energy(tau: float, m: float, gamma: float,
 # complex FEM pencil in the physical spinor basis
 # ---------------------------------------------------------------------------
 
+def _p1_full_matrices(tau: float, m: float, mesh):
+    """Dense scalar (stiffness + m^2 mass + shell jump, mass) on the mesh
+    vertices, assembled triangle by triangle and ray edge by ray edge.
+
+    On a triangle with doubled area D the barycentric gradients are
+    (y_j - y_k, x_k - x_j) / D over the cyclic triples (i, j, k), and the
+    P1 mass is (D/24) (1 + delta_ij).  The jump (2m/tau) int |u+ - u-|^2
+    over a ray edge of length l is the edge mass (l/6) (1 + delta_ij) on
+    the plus-minus differences at its two ends.
+    """
+    nv = mesh.n_vertices
+    stiff = np.zeros((nv, nv))
+    mass = np.zeros((nv, nv))
+    for tri in mesh.triangles:
+        (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[tri]
+        dbl = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        grads = [((y1 - y2) / dbl, (x2 - x1) / dbl),
+                 ((y2 - y0) / dbl, (x0 - x2) / dbl),
+                 ((y0 - y1) / dbl, (x1 - x0) / dbl)]
+        for i, vi in enumerate(tri):
+            for j, vj in enumerate(tri):
+                gi, gj = grads[i], grads[j]
+                stiff[vi, vj] += 0.5 * dbl * (gi[0] * gj[0] + gi[1] * gj[1])
+                mass[vi, vj] += dbl / 24.0 * (2.0 if i == j else 1.0)
+    jump = np.zeros((nv, nv))
+    coef = 2.0 * m / tau
+    for p0, p1, m0, m1 in mesh.interface_edges:
+        length = math.dist(mesh.vertices[p0], mesh.vertices[p1])
+        ends = ((p0, m0), (p1, m1))
+        for i, (pi, mi) in enumerate(ends):
+            for j, (pj, mj) in enumerate(ends):
+                w = coef * length / 6.0 * (2.0 if i == j else 1.0)
+                jump[pi, pj] += w
+                jump[pi, mj] -= w
+                jump[mi, pj] -= w
+                jump[mi, mj] += w
+    return stiff + m * m * mass + jump, mass
+
+
 def fem_complex_pencil(tau: float, m: float, omega: float, mesh):
     """Reduced Hermitian pencil (Z* A Z, Z* B Z) with a complex Z.
 
-    The full-space element matrices are the library's; the prolongation is
-    rebuilt here in the physical spinor basis from raw-tau transmission
-    matrices: u_minus = M u_plus on each ray, zero at the corner and on the
-    outer boundary.
+    The full-space matrices come from ``_p1_full_matrices``, the same on
+    both spinor components; the prolongation is rebuilt here in the
+    physical spinor basis from raw-tau transmission matrices: u_minus =
+    M u_plus on each ray, zero at the corner and on the outer boundary.
     """
-    from diracwedge.fem.assembly import _full_matrices
-    from diracwedge.fem.mesh import SIDE_LEFT
-    from diracwedge.model import PhysParams
+    from diracwedge.fem.mesh import CORNER, SIDE_LEFT
 
     n = mesh.n_dofs
-    a_full, mass = _full_matrices(PhysParams(tau=tau, m=m, omega=omega), mesh)
+    a_scalar, b_scalar = _p1_full_matrices(tau, m, mesh)
+    a_full, mass = np.kron(a_scalar, _I2), np.kron(b_scalar, _I2)
 
     m_l = _shell_matrix(tau, (-math.sin(omega), math.cos(omega)))
     m_r = _shell_matrix(tau, (-math.sin(omega), -math.cos(omega)))
@@ -317,21 +355,19 @@ def fem_complex_pencil(tau: float, m: float, omega: float, mesh):
             if mv != pv:
                 plus_of[int(mv)] = (int(pv), mat)
 
-    dead = set(np.flatnonzero(mesh.outer_boundary)) | {mesh.corner_vertex}
+    dead = set(np.flatnonzero(mesh.outer_boundary)) | {CORNER}
     kept = [v for v in range(mesh.n_vertices)
             if v not in dead and v not in plus_of]
     col = {v: i for i, v in enumerate(kept)}
-    z = sp.lil_matrix((n, 2 * len(kept)), dtype=complex)
+    z = np.zeros((n, 2 * len(kept)), dtype=complex)
     for v in kept:
-        z[2 * v, 2 * col[v]] = 1.0
-        z[2 * v + 1, 2 * col[v] + 1] = 1.0
+        z[2 * v: 2 * v + 2, 2 * col[v]: 2 * col[v] + 2] = _I2
     for mv, (pv, mat) in plus_of.items():
         if mv in dead or pv not in col:
             continue
         z[2 * mv: 2 * mv + 2, 2 * col[pv]: 2 * col[pv] + 2] = mat
-    z = z.tocsr()
-    a_red = (z.getH() @ a_full @ z).toarray()
-    b_red = (z.getH() @ mass @ z).toarray()
+    a_red = z.conj().T @ a_full @ z
+    b_red = z.conj().T @ mass @ z
     return 0.5 * (a_red + a_red.conj().T), 0.5 * (b_red + b_red.conj().T)
 
 

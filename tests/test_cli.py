@@ -93,6 +93,22 @@ def test_fem_mesh_error_exits_2(capsys):
     (["fem-count", "--tau", "-1", "--omega", "45deg", "--R", "6", "--h",
       "0.8", "--k", "0"],
      "k must be >= 1, got 0"),
+    (["testfn", "--tau", "-1", "--N", "1000001"],
+     "N must be at most 1000000, got 1000001"),
+    (["critical-angle", "--tau", "-1", "--N", "1" + "0" * 172],
+     "N is too large: the bracket constants overflow at tau = -1.0"),
+    (["aux1d", "--tau", "-1", "--gamma", "1e-320"],
+     "gamma = 1e-320 is outside the computable range"),
+    (["weyl", "--tau", "-1", "--lam", "1e200"],
+     "lambda = 1e+200 is too large"),
+    (["testfn", "--tau", "-1", "--L", "1e300"],
+     "L = 1e+300 is outside the computable range"),
+    *((["fem-count", "--tau", "-1", "--omega", "0.01", "--nx", "24",
+        "--wedge-rows", "2", "--outer-rows", "3", "--outer-grading", g],
+       f"outer grading exponent must be > 0, got {float(g)}")
+      for g in ("0", "-1")),
+    (["fem-count", "--tau", "-1", "--omega", "0.01", "--x-max", "1e300"],
+     "triangle (0, 37, 38) is degenerate or clockwise: doubled area nan"),
 ])
 def test_input_check_exits_2(argv, message, capsys):
     """An input the library refuses exits 2 with one line on stderr."""

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 from diracwedge.fem import assemble, build_mesh, build_strip_mesh
 from diracwedge.fem.assembly import _U, _prolongation
+from diracwedge.fem.mesh import CORNER
 from diracwedge.model import PhysParams, interface_matrices, pauli
 from oracles import fem_complex_pencil
 
@@ -60,14 +61,13 @@ def test_constraint_columns_encode_transmission(mesh):
                                       mesh.interface_sides):
         m_mat = m_by_side[side]
         for pv, mv in ((p0, m0), (p1, m1)):
-            if pv == mesh.corner_vertex or mv == mesh.corner_vertex:
+            if pv == CORNER or mv == CORNER:
                 continue
             up = u[2 * pv: 2 * pv + 2]
             um = u[2 * mv: 2 * mv + 2]
             np.testing.assert_allclose(um, m_mat @ up, atol=1e-12)
     # corner and Dirichlet boundary dofs vanish
-    cv = mesh.corner_vertex
-    np.testing.assert_allclose(u[2 * cv: 2 * cv + 2], 0.0, atol=0.0)
+    np.testing.assert_allclose(u[2 * CORNER: 2 * CORNER + 2], 0.0, atol=0.0)
     for i in np.flatnonzero(mesh.outer_boundary):
         np.testing.assert_allclose(u[2 * i: 2 * i + 2], 0.0, atol=0.0)
 

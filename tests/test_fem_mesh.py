@@ -1,6 +1,7 @@
 """Wedge meshes: disk with graded rings, anisotropic strip, refinement."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from diracwedge.fem import (
     build_strip_mesh,
     uniform_refine,
 )
+from diracwedge.fem.mesh import CORNER, _mesh
 from diracwedge.model import PhysParams
 
 P_DISK = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
@@ -45,7 +47,7 @@ def check_common_invariants(mesh: Mesh):
     for p0, p1, m0, m1 in mesh.interface_edges:
         for pv, mv in ((p0, m0), (p1, m1)):
             if pv == mv:
-                assert pv == mesh.corner_vertex
+                assert pv == CORNER
             else:
                 np.testing.assert_allclose(
                     mesh.vertices[pv], mesh.vertices[mv], atol=1e-12
@@ -89,7 +91,7 @@ def test_disk_interface_vertices_have_two_copies():
         keyed[key] = keyed.get(key, 0) + 1
     assert keyed and all(v == 2 for v in keyed.values())
     # corner is a single vertex at the origin
-    np.testing.assert_allclose(coords[mesh.corner_vertex], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(coords[CORNER], [0.0, 0.0], atol=1e-15)
     assert np.sum(np.hypot(coords[:, 0], coords[:, 1]) < tol) == 1
 
 
@@ -111,15 +113,27 @@ def test_disk_rejects_unresolvable_angle():
         build_mesh(P_STRIP, R=10.0, h=0.5)
 
 
+def test_mesh_refuses_a_clockwise_triangle():
+    """The constructor checks orientation and never flips a triangle."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    args = (np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64),
+            [1, 2], {})
+    ccw = _mesh(vertices, np.array([[0, 1, 2]]), *args)
+    np.testing.assert_array_equal(ccw.triangles, [[0, 1, 2]])
+    for tri in ([0, 2, 1], [0, 1, 1]):
+        with pytest.raises(MeshError, match=re.escape(str(tuple(tri)))):
+            _mesh(vertices, np.array([tri]), *args)
+
+
 def test_strip_mesh_invariants():
     mesh = build_strip_mesh(P_STRIP, x_max=60.0, nx=120, wedge_rows=4,
                             outer_rows=8, width=6.0)
     check_common_invariants(mesh)
     assert mesh.info["kind"] == "strip"
     # exactly one corner vertex, on the x=0 Dirichlet edge at the origin
-    np.testing.assert_allclose(mesh.vertices[mesh.corner_vertex], [0.0, 0.0],
+    np.testing.assert_allclose(mesh.vertices[CORNER], [0.0, 0.0],
                                atol=1e-15)
-    assert mesh.outer_boundary[mesh.corner_vertex]
+    assert mesh.outer_boundary[CORNER]
     # interface edges follow y = +- x tan(omega)
     tw = math.tan(P_STRIP.omega)
     for p0, p1, _, _ in mesh.interface_edges:
@@ -157,7 +171,7 @@ def test_uniform_refine_quadruples():
         np.testing.assert_allclose(
             fine.vertices[: mesh.n_vertices], mesh.vertices, atol=0.0
         )
-        assert fine.corner_vertex == mesh.corner_vertex
+        np.testing.assert_array_equal(fine.vertices[CORNER], [0.0, 0.0])
         assert fine.info["refined"] == 1
         assert float(np.sum(triangle_areas(fine))) == pytest.approx(
             float(np.sum(triangle_areas(mesh))), rel=1e-12

@@ -1,12 +1,14 @@
 """Test-function energies, critical angle, Weyl and singular sequences."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
+from diracwedge.aux1d import ground_state
 from diracwedge.model import ParameterError, PhysParams, interface_matrices
 from diracwedge.variational import (
     angle_for_length,
@@ -347,6 +349,37 @@ def test_integer_arguments_must_be_positive_integers(call, n):
     integers, rather than overflowing, dividing by zero or being rounded."""
     with pytest.raises(ParameterError, match="must be a positive integer"):
         call(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: critical_angle_closed(-1.0, 1e100),
+    lambda: critical_angle_closed(-1.0, 10 ** 172),
+    lambda: critical_angle_closed(-1.0, 10 ** 400),
+    lambda: angle_for_length(-1.0, 1.0, 5.0, 1e154),
+    lambda: critical_angle_maximize(
+        PhysParams(tau=-1.0, m=1e-308, omega=0.1), 1),
+    lambda: ground_state(_P_INT, 1e-320),
+    lambda: weyl_norm_sq(_P_INT, 1e200, 4),
+    lambda: weyl_residual(_P_INT, -1e200, 4),
+    lambda: energy_breakdown(_P_INT, 1, 1e300),
+    lambda: energy_breakdown(_P_INT, 1000, 1e-300),
+], ids=["closed-1e100", "closed-1e172", "closed-1e400", "angle_for_length",
+        "maximize-tiny-m", "ground_state", "weyl_norm_sq", "weyl_residual",
+        "energy-large-L", "energy-small-L"])
+def test_inputs_outside_the_computable_range_are_refused(call):
+    """An input whose constants or results overflow is refused, rather than
+    returning NaN or infinity (or raising OverflowError)."""
+    with pytest.raises(ParameterError, match="too large|too small|outside"):
+        call()
+
+
+def test_mode_count_is_capped_before_the_modes_are_built():
+    for f in (lambda n: energy_breakdown(_P_INT, n, 20.0),
+              lambda n: bound_state_certificate(_P_INT, n)):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="N must be at most 1000000"):
+            f(10 ** 6 + 1)
+        assert time.perf_counter() - start < 0.2
 
 
 # ---------------------------------------------------------------------------
