@@ -10,13 +10,14 @@ Layout:
     fem          P1 discretization of the quadratic form, gap-state counting
     cli          command-line front end (JSON/CSV artifacts)
 
-``fem`` (and with it scipy.sparse) is loaded on first access, and the other
-modules import numpy and scipy.special inside the functions that build
-arrays or call scipy, so importing the package loads neither numpy nor
-scipy.  The closed-form and scalar quantities (derived constants, critical
-angle, test-function energies, strip ground state, Weyl sequence) are
-computed on Python floats and never load them; spin-orbit roots, deficiency
-elements and the matrices load numpy, deficiency elements scipy.special.
+``fem`` (and with it scipy) is loaded on first access, and the other
+modules import numpy inside the functions that build arrays, so importing
+the package loads neither numpy nor scipy.  The closed-form and scalar
+quantities (derived constants, critical angle, test-function energies,
+strip ground state, Weyl sequence, principal spin-orbit root, K_nu) are
+computed on Python floats and never load them; the secular determinant,
+the spin-orbit window scan, angular profiles, the matrices and the array
+that ``deficiency_element`` returns load numpy.
 """
 
 import importlib

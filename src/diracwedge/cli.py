@@ -8,8 +8,8 @@ header line).  Flags override config-file values.
 
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
-whose result would overflow, and an unwritable --output or --export path
-included), 3 solver failure or a NaN or infinite result, which has no JSON
+whose result would overflow, a deficiency r whose K_nu(r) overflows, and an
+unwritable --output or --export path included), 3 solver failure or a NaN or infinite result, which has no JSON
 form.
 """
 
@@ -26,7 +26,7 @@ from pathlib import Path
 from .aux1d import ground_state
 from .model import (FemSolveError, ParameterError, PhysParams,
                     derived_constants)
-from .special import deficiency_element
+from .special import _deficiency_point
 from .spin_orbit import principal_eigenvalue, spectrum_in_window
 from .variational import (critical_angle_maximize, energy_breakdown,
                           weyl_norm_sq, weyl_residual)
@@ -299,12 +299,11 @@ def _weyl(o: dict) -> dict:
 def _deficiency(o: dict) -> dict:
     p = _params(o)
     root = principal_eigenvalue(p)
-    vp = deficiency_element(p, +1, o["r"], o["theta"], root=root)
-    vm = deficiency_element(p, -1, o["r"], o["theta"], root=root)
-    def _c(v):
-        return [[float(v[0].real), float(v[0].imag)],
-                [float(v[1].real), float(v[1].imag)]]
-    return {"lambda_star": root.lam, "plus": _c(vp), "minus": _c(vm)}
+
+    def _c(sign):
+        v1, v2 = _deficiency_point(p, sign, o["r"], o["theta"], root)
+        return [[v1.real, v1.imag], [v2.real, v2.imag]]
+    return {"lambda_star": root.lam, "plus": _c(+1), "minus": _c(-1)}
 
 
 def _fem_count(o: dict) -> dict:

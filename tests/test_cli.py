@@ -109,6 +109,8 @@ def test_fem_mesh_error_exits_2(capsys):
       for g in ("0", "-1")),
     (["fem-count", "--tau", "-1", "--omega", "0.01", "--x-max", "1e300"],
      "triangle (0, 37, 38) is degenerate or clockwise: doubled area nan"),
+    (["deficiency", "--tau", "-1", "--omega", "1.5", "--r", "5e-324"],
+     "K_nu(x) overflows at nu = 0.98260397963529"),
 ])
 def test_input_check_exits_2(argv, message, capsys):
     """An input the library refuses exits 2 with one line on stderr."""
@@ -121,8 +123,8 @@ def test_input_check_exits_2(argv, message, capsys):
 
 def test_scalar_subcommands_load_no_scipy_sparse(child_env):
     """Only the subcommands that need numpy or scipy load them: the closed-
-    form ones and the principal sweep neither, the spin-orbit window numpy
-    but no scipy, deficiency scipy.special and no FEM layer."""
+    form ones, the principal sweep and deficiency neither, the spin-orbit
+    window numpy but no scipy."""
     code = """
 import contextlib, io, sys
 from diracwedge.cli import main
@@ -139,15 +141,14 @@ run("aux1d", "--tau", "-1", "--gamma", "1", "5")
 run("weyl", "--tau", "-1")
 run("sweep", "--quantity", "principal", "--tau", "-1", "-3",
     "--omega", "0.2", "0.4")
+run("deficiency", "--tau", "-1", "--r", "1.5")
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 run("spin-orbit", "--tau", "-1")
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-run("deficiency", "--tau", "-1", "--r", "1.5")
-print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "[]", "True False"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_package_getattr_serves_only_fem():
@@ -289,6 +290,22 @@ def test_deficiency_artifact(tmp_path):
     for key in ("plus", "minus"):
         comp = doc["result"][key]
         assert len(comp) == 2 and all(len(c) == 2 for c in comp)
+
+
+def test_deficiency_cli_at_the_smallest_radius(capsys):
+    """At omega = 0.5, K_{lambda+1/2}(5e-324) is about 3e267: the CLI
+    prints the library's finite values, as Python floats."""
+    from diracwedge import PhysParams, deficiency_element
+
+    assert main(["deficiency", "--tau", "-1", "--omega", "0.5", "--r",
+                 "5e-324"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    p = PhysParams(tau=-1.0, m=1.0, omega=0.5)
+    for key, sign in (("plus", 1), ("minus", -1)):
+        v = deficiency_element(p, sign, 5e-324, 0.0)
+        assert doc["result"][key] == [[v[0].real, v[0].imag],
+                                      [v[1].real, v[1].imag]]
+    assert abs(doc["result"]["plus"][0][1]) > 1e266
 
 
 def test_fem_count_with_export(tmp_path, monkeypatch):

@@ -37,18 +37,70 @@ def test_reference_value_order_zero():
 
 
 def test_against_mpmath_grid():
-    # the whole accepted order range |nu| <= 5 on 1e-4 <= x <= 30: a fine
-    # grid on |nu| <= 1.5, where the radial factors live, a coarser one out
-    # to the order cap, and two negative orders beyond 1.5
-    nus = np.concatenate([np.linspace(-1.5, 1.5, 13), np.linspace(0.0, 5.0, 13),
-                          [-5.0, -3.3]])
-    xs = np.concatenate([np.geomspace(1e-4, 30.0, 25), [26.4]])
-    with mpmath.workdps(30):
-        for nu in nus:
-            for x in xs:
-                ref = float(mpmath.besselk(float(nu), float(x)))
-                assert bessel_k(float(nu), float(x)) == pytest.approx(
-                    ref, rel=1e-10, abs=0.0)
+    # the whole accepted order range |nu| <= 5: a fine grid on |nu| <= 1.5,
+    # where the radial factors live, a coarser one out to the order cap, the
+    # half orders and caps, and mu = nu - round(nu) next to 0 (where the
+    # series' gam1 would cancel) and next to +-1/2 (where round(nu) steps);
+    # x from 1e-8 to 700 with points next to and at the series/CF2
+    # crossover.  mpmath's order is the exact nu + 1 of the pair's second
+    # component, which bessel_k(nu + 1) only rounds to.
+    cross = special._X_SERIES
+    nus = np.concatenate([
+        np.linspace(-1.5, 1.5, 13), np.linspace(0.0, 5.0, 13),
+        [-5.0, -4.5, 4.5, -3.3, 1e-12, -1e-12, 1e-9, -1e-9, 1.0 + 1e-12,
+         -1.0 - 1e-9, 0.5 - 1e-12, -0.5 + 1e-12, 2.5 + 1e-9]])
+    xs = np.concatenate([np.geomspace(1e-8, 30.0, 19),
+                         [26.4, 100.0, 700.0, math.nextafter(cross, 0.0),
+                          cross, math.nextafter(cross, math.inf)]])
+    with mpmath.workdps(20):
+        for nu in map(float, nus):
+            for x in map(float, xs):
+                ref = float(mpmath.besselk(nu, x))
+                assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-13,
+                                                        abs=0.0), (nu, x)
+                k0, k1 = special._k_pair(nu, x)
+                assert k0 == bessel_k(nu, x)
+                ref1 = float(mpmath.besselk(mpmath.mpf(nu) + 1, x))
+                assert k1 == pytest.approx(ref1, rel=1e-13, abs=0.0), (nu, x)
+                if abs(nu + 1.0) <= 5.0:
+                    assert k1 == pytest.approx(bessel_k(nu + 1.0, x),
+                                               rel=1e-14, abs=0.0), (nu, x)
+
+
+def test_accuracy_down_to_the_smallest_argument():
+    # (2/x)^mu is formed by pow, so the error stays at rounding (3e-16
+    # measured) where ln(2/x) is 745; exp(mu ln(2/x)) would carry 6e-14.
+    # Orders whose K overflows there are refused.
+    with mpmath.workdps(20):
+        for x in (1e-300, 1e-310, 5e-324):
+            for nu in (0.0, 0.3, -0.3, 0.5, -0.5, 0.9, -0.9):
+                ref = float(mpmath.besselk(nu, x))
+                assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-14,
+                                                        abs=0.0), (nu, x)
+
+
+def test_accuracy_down_to_the_underflow():
+    # mpmath values; K is a normal double up to x of about 705, then a
+    # subnormal, then 0.0
+    assert bessel_k(0.3, 700.0) == pytest.approx(4.670076427132578e-306,
+                                                 rel=1e-13, abs=0.0)
+    assert bessel_k(0.3, 705.0) == pytest.approx(3.1354970137146185e-308,
+                                                 rel=1e-13, abs=0.0)
+    assert bessel_k(0.3, 740.0) == pytest.approx(2e-323, rel=0.0,
+                                                 abs=5e-324)
+    for x in (746.0, 1e300, sys.float_info.max):
+        assert bessel_k(5.0, x) == 0.0
+
+
+def test_overflow_is_refused():
+    # K_5(1e-300) is about 1e1500, K_1.5(5e-324) about 1e485
+    for nu, x in ((5.0, 1e-300), (-5.0, 1e-300), (1.5, 5e-324)):
+        with pytest.raises(model.ParameterError,
+                           match=f"nu = {nu}, x = {x}"):
+            bessel_k(nu, x)
+    # the largest finite values are returned, not refused
+    assert math.isfinite(bessel_k(5.0, 1e-60))
+    assert math.isfinite(bessel_k(0.9, 5e-324))
 
 
 def test_recurrence_grid():
@@ -83,19 +135,19 @@ def test_bessel_rejects_bad_arguments():
             bessel_k(0.5, bad)
 
 
-def _loaded_after_import(module, env, pattern):
-    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-            f"if {pattern}))")
+def _loaded_after_import(module, env, pattern, then="pass"):
+    code = (f"import sys, {module}; {then}; print(sorted(m for m in "
+            f"sys.modules if {pattern}))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
 def test_import_leaves_scipy_special_unloaded(child_env):
-    # kv and numpy are imported on first use and the FEM layer on first
-    # access, so importing the package, the CLI or a scalar layer module
-    # pays for none of these modules, and importing ``special`` itself
-    # loads no scipy module at all
+    # numpy is imported on first use and the FEM layer on first access, so
+    # importing the package, the CLI or a scalar layer module pays for none
+    # of these modules, and importing ``special`` and evaluating K load no
+    # numpy or scipy module at all
     for module in ("diracwedge", "diracwedge.cli"):
         assert _loaded_after_import(
             module, child_env,
@@ -106,7 +158,8 @@ def test_import_leaves_scipy_special_unloaded(child_env):
         child_env, "m == 'numpy'") == "[]"
     assert _loaded_after_import(
         "diracwedge.special", child_env,
-        "m in ('numpy', 'scipy') or m.startswith('scipy.')") == "[]"
+        "m in ('numpy', 'scipy') or m.startswith('scipy.')",
+        then="diracwedge.special.bessel_k(0.3, 1.0)") == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +284,9 @@ def test_deficiency_point_path_matches_matrix_path():
 
 
 def test_deficiency_point_path_needs_no_array_profile(monkeypatch):
-    """With the root given, a call evaluates K twice through the module-level
-    ``special.bessel_k`` and uses neither the array profile, the sigma . n
-    matrix nor the secular solver."""
+    """With the root given, a call evaluates the pair (K_{lambda-1/2},
+    K_{lambda+1/2}) once and uses neither ``bessel_k``, the array profile,
+    the sigma . n matrix nor the secular solver."""
     calls = []
 
     def counted(name, orig):
@@ -245,15 +298,35 @@ def test_deficiency_point_path_needs_no_array_profile(monkeypatch):
     # every module that holds one of the names, so a name imported into
     # ``special`` is counted too
     for name in ("angular_profile", "sigma_dot", "principal_eigenvalue",
-                 "bessel_k"):
+                 "bessel_k", "_k_pair"):
         for module in (model, spin_orbit, special):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
     root = principal_eigenvalue(P_REF)
     special.deficiency_element(P_REF, -1, 0.5, 2.0, root=root)
-    assert calls == ["bessel_k", "bessel_k"]
+    assert calls == ["_k_pair"]
     # without a root the principal one is solved first
     calls.clear()
     special.deficiency_element(P_REF, 1, 0.5, 2.0)
-    assert calls == ["principal_eigenvalue", "bessel_k", "bessel_k"]
+    assert calls == ["principal_eigenvalue", "_k_pair"]
+
+
+def test_deficiency_at_the_smallest_radius():
+    """v+ - v- = 2 K_{lam+1/2}(r) (sigma . n) phi keeps its accuracy at the
+    smallest double r, and an r whose K_{lam+1/2} overflows is refused."""
+    p = PhysParams(tau=-1.0, m=1.0, omega=0.5)
+    root = principal_eigenvalue(p)
+    r, theta = 5e-324, 0.3
+    half_diff = (deficiency_element(p, 1, r, theta, root=root)
+                 - deficiency_element(p, -1, r, theta, root=root)) / 2.0
+    phi = angular_profile(p, root, theta)
+    with mpmath.workdps(20):
+        kb = float(mpmath.besselk(mpmath.mpf(root.lam) + 0.5, r))
+    # math.hypot: squaring components of 1e266 would overflow
+    assert math.hypot(*map(abs, half_diff)) == pytest.approx(
+        kb * math.hypot(*map(abs, phi)), rel=1e-13)
+    # lambda near 1/2: K_{lambda+1/2}(5e-324) is about 5e317
+    p = PhysParams(tau=-1.0, m=1.0, omega=1.5)
+    with pytest.raises(model.ParameterError, match="x = 5e-324"):
+        deficiency_element(p, 1, r, theta)
