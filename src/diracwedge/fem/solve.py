@@ -6,19 +6,31 @@ below the gap edge is a lower bound on the number of gap states.  That number
 is the inertia (Sylvester) of one diagonal-pivot LDL^T factorization of
 A - sB at s = edge (1 - 1e-6), checked against the Ritz values below s.
 
-Neither that factorization nor Lanczos needs the other's result, so where
-``os.fork`` exists the count is factored in a forked child while this process
-runs Lanczos; without ``os.fork`` the same function runs inline.  A thread
-would overlap them as well, since SuperLU releases the GIL (thin wedge,
-2-core VM, scipy 1.17.1: solve plus count in a median 0.96 s threaded and
-0.92 s forked).  The fork lowers the peak RSS of each process, not the
+The two shifts take different factors.  Lanczos inverts A - sigma B at
+sigma = -1e-2 m^2, below the spectrum, where it is positive definite.  If
+A's half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
+(LAPACK ``dpbtrf``) in the pencil's own numbering, and a factor that
+succeeds proves sigma lies below the spectrum.  The strip is numbered
+column by column (bw 106 on the thin wedge's 48 858 DOFs) and takes the
+band: on a 2-core VM with one BLAS thread it factors in 0.12-0.13 s and
+solves in 5.0-6.9 ms, against 0.35-0.47 s and 8.4-11.9 ms for SuperLU.  The
+disk is numbered ring by ring, its band would hold about 7 times SuperLU's
+fill, and it keeps SuperLU.  The count's A - sB is indefinite, so it is
+always SuperLU's LDL^T with diagonal pivots.
+
+Neither factorization needs the other's result, so where ``os.fork`` exists
+the count is factored in a forked child while this process runs Lanczos;
+without ``os.fork`` the same function runs inline.  A thread would overlap
+them as well, since SuperLU releases the GIL (thin wedge, same VM, scipy
+1.17.1: solve plus count in a median 0.69 s threaded, 0.60 s forked and
+1.06 s inline).  The fork lowers the peak RSS of each process, not the
 memory held: at the fork this process holds 86.5 MB and the child 64.0 MB
 (file-backed pages reach the child only when it touches them), and the
 count's factorization adds 85-90 MB in either process.  The child peaks at
-154-158 MB and this process at 146-150 MB, against 171 MB inline and 240 MB
-threaded, while the two processes together hold more than the inline run.
-Lanczos stops at ARPACK ``tol`` 3e-11, and every eigenpair must still meet
-the residual cap 1e-8 in units of m^2.
+154-157 MB and this process at 138-140 MB, against 171 MB inline and
+233-236 MB threaded, while the two processes together hold more than the
+inline run.  Lanczos stops at ARPACK ``tol`` 3e-11, and every eigenpair must
+still meet the residual cap 1e-8 in units of m^2.
 """
 
 from __future__ import annotations
@@ -31,8 +43,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack   # loaded by scipy.sparse.linalg already
 
-from ..model import FemSolveError, PhysParams, derived_constants
+from ..model import (FemSolveError, ParameterError, PhysParams,
+                     derived_constants)
 from .assembly import SymmetricPencil, assemble
 from .mesh import Mesh, build_mesh, build_strip_mesh
 
@@ -40,6 +54,7 @@ __all__ = ["FemSolveError", "SpectralReport", "solve_lowest",
            "count_bound_states", "export_matrix_market"]
 
 _RESIDUAL_CAP = 1e-8
+_SHIFT_REL = -1e-2   # Lanczos shift in units of m^2, below the spectrum
 # ARPACK's stopping tolerance; residuals stay 1e-3 under _RESIDUAL_CAP on the
 # test meshes (1e-10 left one at 6.8e-11)
 _ARPACK_TOL = 3e-11
@@ -47,6 +62,11 @@ _FACTOR_RESIDUAL_CAP = 1e-10
 _START_SEED = 0   # fixed Lanczos start and probe vectors: runs agree bit for bit
 _MARGIN_REL = 1e-6
 _THIN_WEDGE = 0.05
+# Most bytes ARPACK's Lanczos basis may take.  scipy sizes it n x
+# max(2k + 1, 20) float64 before it clips ncv to n, so k = 100000 on the
+# thin-wedge strip (48 858 DOFs) asks for 35.6 GiB; the default k = 8 takes
+# 7.8 MB there.
+_MAX_BASIS_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,51 @@ def _factor(pencil: SymmetricPencil, s: float):
     return lu
 
 
+def _half_bandwidth(mat) -> int:
+    """Largest j - i over the stored entries (i, j) of the CSR matrix
+    ``mat``: the half-bandwidth of a symmetric one."""
+    starts = mat.indptr[:-1]
+    rows = np.flatnonzero(starts < mat.indptr[1:])
+    if rows.size == 0:
+        return 0
+    last = np.maximum.reduceat(mat.indices, starts[rows])
+    return max(0, int((last - rows).max()))
+
+
+def _band_solver(pencil: SymmetricPencil, sigma: float):
+    """Solve with A - sigma B by its band Cholesky factor U^T U (LAPACK
+    ``dpbtrf``/``dpbtrs``) in the pencil's own numbering; a pivot that is
+    not positive, so a sigma not below the spectrum, raises FemSolveError."""
+    c = (pencil.A - sigma * pencil.B).tocsr()   # no duplicate entries
+    n, bw = c.shape[0], _half_bandwidth(c)
+    # upper band storage, band[bw + i - j, j] = c[i, j] for i <= j, in
+    # Fortran order so that dpbtrf factors it in place, not in a copy
+    band = np.zeros((bw + 1, n), order="F")
+    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    upper = c.indices >= rows
+    cols = c.indices[upper].astype(np.int64)
+    band.reshape(-1, order="F")[rows[upper] + bw * (cols + 1)] = c.data[upper]
+    del c, rows, upper, cols
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise FemSolveError(
+            f"A - sB at s = {sigma:.6g} is not positive definite: band "
+            f"Cholesky pivot {info} of {n} is not positive")
+    return lambda rhs: lapack.dpbtrs(factor, rhs)[0]
+
+
+def _shift_solver(pencil: SymmetricPencil, sigma: float):
+    """Solve with A - sigma B for shift-invert Lanczos, sigma below the
+    spectrum: by a band Cholesky factor where A's half-bandwidth bw has
+    bw^2 <= 4n (the strip, numbered column by column), else by `_factor`
+    (the disk, numbered ring by ring, whose band would hold several times
+    SuperLU's fill)."""
+    bw = _half_bandwidth(pencil.A.tocsr())
+    if bw * bw <= 4 * pencil.n_reduced:
+        return _band_solver(pencil, sigma)
+    return _factor(pencil, sigma).solve
+
+
 def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
 
@@ -105,22 +170,30 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
     lies below the spectrum, since the reduced A is positive semidefinite,
     and close to its bottom, so Lanczos converges in few shift-invert solves.
-    The start vector is drawn from ARPACK's own distribution, uniform on
-    [-1, 1], but from a fixed seed, so the result does not depend on OS
-    entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine precision;
-    the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must still be at
-    most 1e-8, or the solve fails.  They are in units of m^2 because mu is:
-    A does not change with m, and B scales like 1/m^2.
+    A - sigma B is then positive definite, and `_shift_solver` picks its
+    factor.  The start vector is drawn from ARPACK's own distribution,
+    uniform on [-1, 1], but from a fixed seed, so the result does not depend
+    on OS entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine
+    precision; the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must
+    still be at most 1e-8, or the solve fails.  They are in units of m^2
+    because mu is: A does not change with m, and B scales like 1/m^2.
+    A k whose Lanczos basis would exceed 1 GiB raises ParameterError.
     """
-    a, b = pencil.A.tocsc(), pencil.B.tocsc()
-    n = a.shape[0]
+    n = pencil.n_reduced
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), n - 1)
+    basis = 8 * n * max(2 * k_eff + 1, 20)
+    if basis > _MAX_BASIS_BYTES:
+        raise ParameterError(
+            f"k = {k} on {n} DOFs needs a Lanczos basis of "
+            f"{basis / 2 ** 30:.3g} GiB ({basis} bytes), more than "
+            f"{_MAX_BASIS_BYTES / 2 ** 30:g} GiB")
+    a, b = pencil.A.tocsc(), pencil.B.tocsc()
     m_sq = pencil.info["m"] ** 2
-    sigma = -1e-2 * m_sq
-    lu = _factor(pencil, sigma)
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    sigma = _SHIFT_REL * m_sq
+    op_inv = spla.LinearOperator((n, n), matvec=_shift_solver(pencil, sigma),
+                                 dtype=np.float64)
     try:
         vals, vecs = spla.eigsh(a, k=k_eff, M=b, sigma=sigma, which="LM",
                                 v0=_start_vector(n), OPinv=op_inv,

@@ -111,6 +111,9 @@ def test_fem_mesh_error_exits_2(capsys):
      "triangle (0, 37, 38) is degenerate or clockwise: doubled area nan"),
     (["deficiency", "--tau", "-1", "--omega", "1.5", "--r", "5e-324"],
      "K_nu(x) overflows at nu = 0.98260397963529"),
+    (["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--k", "100000"],
+     "k = 100000 on 48858 DOFs needs a Lanczos basis of 35.6 GiB "
+     "(38193275760 bytes), more than 1 GiB"),
 ])
 def test_input_check_exits_2(argv, message, capsys):
     """An input the library refuses exits 2 with one line on stderr."""
@@ -149,6 +152,31 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_fem_count_loads_only_linalg_and_sparse(child_env):
+    """A strip count (band Cholesky) and a disk count (SuperLU) load no
+    public scipy package but scipy.linalg, scipy.sparse and
+    scipy.sparse.linalg; scipy.sparse.csgraph in particular stays out."""
+    code = f"""
+import contextlib, io, sys
+from diracwedge.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({SMALL_STRIP!r}) == 0
+    assert main(["fem-count", "--tau", "-1", "--omega", "45deg", "--R", "6",
+                 "--h", "0.8"]) == 0
+print(sorted(name for name, mod in sys.modules.items()
+             if name.startswith("scipy.") and hasattr(mod, "__path__")
+             and not any(part.startswith("_")
+                         for part in name.split(".")[1:])))
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "['scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg']", "False"]
 
 
 def test_package_getattr_serves_only_fem():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -210,6 +211,106 @@ def test_count_checks_raise_with_measured_values(monkeypatch, fault,
     p = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
     with pytest.raises(FemSolveError, match=message):
         count_bound_states(p, mesh_opts=SMALL_STRIP)
+
+
+def test_parent_pivot_check_on_disk(monkeypatch):
+    """A disk's Lanczos factors A - sigma B with SuperLU in this process, so
+    a row pivot fails the solve here even when the count's child reports
+    a result without factoring."""
+    monkeypatch.setattr(solve.spla, "splu",
+                        _partial_pivoting_splu(solve.spla.splu))
+    monkeypatch.setattr(solve, "_inertia", lambda pencil, s: (0, 0.0))
+    with pytest.raises(FemSolveError,
+                       match=r"at s = -0.01 left the diagonal: \d+ rows "
+                             r"pivoted off it"):
+        count_bound_states(P_ATTR, mesh_opts={"kind": "disk", "R": 8.0,
+                                              "h": 0.5})
+
+
+def _counted(monkeypatch):
+    """Count the calls of the band Cholesky and of SuperLU, and record
+    whether each band reached dpbtrf Fortran-ordered (factored in place)."""
+    calls = {"dpbtrf": 0, "splu": 0, "fortran": []}
+    real_dpbtrf, real_splu = solve.lapack.dpbtrf, solve.spla.splu
+
+    def dpbtrf(ab, **kwargs):
+        calls["dpbtrf"] += 1
+        calls["fortran"].append(ab.flags.f_contiguous)
+        return real_dpbtrf(ab, **kwargs)
+
+    def splu(*args, **kwargs):
+        calls["splu"] += 1
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(solve.lapack, "dpbtrf", dpbtrf)
+    monkeypatch.setattr(solve.spla, "splu", splu)
+    return calls
+
+
+def test_shift_solver_routes_by_bandwidth(monkeypatch):
+    """The column-numbered strips, whose half-bandwidth bw has
+    bw^2 <= 4n, take the band Cholesky; the disks and a refined strip take
+    SuperLU.  Either solve inverts A - sigma B."""
+    small = solve._mesh_from_opts(P_THIN, SMALL_STRIP)
+    p_session = PhysParams(tau=-1.0, m=1.0, omega=math.radians(55.0))
+    cases = [
+        (P_THIN, small, "dpbtrf"),
+        (P_THIN, build_strip_mesh(P_THIN), "dpbtrf"),
+        (P_ATTR, build_mesh(P_ATTR, R=8.0, h=0.5), "splu"),
+        (p_session, build_mesh(p_session), "splu"),
+        (P_THIN, uniform_refine(small), "splu"),
+    ]
+    for p, mesh, route in cases:
+        calls = _counted(monkeypatch)
+        pencil = assemble(p, mesh)
+        sigma = -1e-2 * p.m ** 2
+        shift_solve = solve._shift_solver(pencil, sigma)
+        assert (calls["dpbtrf"], calls["splu"]) == (
+            (1, 0) if route == "dpbtrf" else (0, 1)), mesh.info
+        assert all(calls["fortran"])
+        rhs = solve._start_vector(pencil.n_reduced)
+        x = shift_solve(rhs)
+        resid = pencil.A @ x - sigma * (pencil.B @ x) - rhs
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(rhs)
+        monkeypatch.undo()
+
+
+def test_band_route_agrees_with_superlu(monkeypatch):
+    """On the small strip the band Cholesky's Ritz values are SuperLU's to
+    1e-12, and both leave the residuals three decades under their cap."""
+    pencil = assemble(P_THIN, solve._mesh_from_opts(P_THIN, SMALL_STRIP))
+    calls = _counted(monkeypatch)
+    band = solve_lowest(pencil, 8)
+    assert (calls["dpbtrf"], calls["splu"]) == (1, 0)
+    monkeypatch.setattr(solve, "_shift_solver",
+                        lambda pencil, sigma: solve._factor(pencil,
+                                                            sigma).solve)
+    lu = solve_lowest(pencil, 8)
+    assert (calls["dpbtrf"], calls["splu"]) == (1, 1)
+    np.testing.assert_allclose(band.eigenvalues, lu.eigenvalues, rtol=1e-12,
+                               atol=0.0)
+    for rep in (band, lu):
+        assert np.all(rep.residuals <= 1e-3 * solve._RESIDUAL_CAP)
+
+
+def test_band_factor_not_positive_definite_exits_3(monkeypatch, capsys):
+    """A shift above the lowest eigenvalue leaves A - sigma B indefinite:
+    the band Cholesky fails at a named pivot, and the CLI exits 3."""
+    from diracwedge.cli import main
+
+    monkeypatch.setattr(solve, "_SHIFT_REL", 1.0)
+    message = (r"A - sB at s = 1 is not positive definite: band Cholesky "
+               r"pivot \d+ of 414 is not positive")
+    pencil = assemble(P_THIN, solve._mesh_from_opts(P_THIN, SMALL_STRIP))
+    with pytest.raises(FemSolveError, match=message):
+        solve_lowest(pencil, 8)
+    argv = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
+            "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"diracwedge fem-count: {message}\n", err)
+    _assert_no_child_left()
 
 
 def _assert_no_child_left():
