@@ -8,9 +8,10 @@ header line).  Flags override config-file values.
 
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
-whose result would overflow, a deficiency r whose K_nu(r) overflows, and an
-unwritable --output or --export path included), 3 solver failure or a NaN or infinite result, which has no JSON
-form.
+whose result would overflow, a deficiency r whose K_nu(r) overflows, a
+fem-count k or mesh above its size cap, and an unwritable --output or
+--export path included), 3 solver failure or a NaN or infinite result,
+which has no JSON form.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def _testfn(o: dict) -> dict:
         "L": length,
         "N": o["N"],
         **vars(bd),
-        "certifies": all(g < 0.0 for g in bd.form_gap_modes),
+        "certifies": bd.certifies,
     }
 
 

@@ -78,41 +78,31 @@ def _scatter(tris: np.ndarray, loc: np.ndarray, n: int) -> sp.csr_matrix:
 
 
 # node order (p0, p1, m0, m1) of an interface edge: the edge mass
-# (len/6) [[2, 1], [1, 2]] with the plus/minus difference pattern, on both
-# spinor components
-_JUMP_PATTERN = np.kron(np.array([
+# (len/6) [[2, 1], [1, 2]] with the plus/minus difference pattern
+_JUMP_PATTERN = np.array([
     [2.0, 1.0, -2.0, -1.0],
     [1.0, 2.0, -1.0, -2.0],
     [-2.0, -1.0, 2.0, 1.0],
     [-1.0, -2.0, 1.0, 2.0],
-]), np.eye(2))
-
-
-def _jump_matrix(p: PhysParams, mesh: Mesh) -> sp.coo_matrix:
-    coef = 2.0 * p.m / p.tau
-    edges = mesh.interface_edges
-    v = mesh.vertices
-    length = np.hypot(*(v[edges[:, 1]] - v[edges[:, 0]]).T)
-    local = (coef * length / 6.0)[:, None, None] * _JUMP_PATTERN
-    dofs = (2 * edges[:, :, None] + np.arange(2)).reshape(-1, 8)
-    rows = np.broadcast_to(dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(dofs[:, None, :], local.shape)
-    n = mesh.n_dofs
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n))
+])
 
 
 def _full_matrices(p: PhysParams, mesh: Mesh):
     """(A, B) on the duplicated-DOF space: stiffness + m^2 mass + shell jump,
     and mass.  Both spinor components see the same scalar matrices, so these
-    are scattered once on vertex indices and lifted by kron(., I_2)."""
+    are scattered on vertex indices and lifted by kron(., I_2)."""
     k_loc, m_loc = _scalar_element_matrices(mesh)
+    edges = mesh.interface_edges
+    v = mesh.vertices
+    length = np.hypot(*(v[edges[:, 1]] - v[edges[:, 0]]).T)
+    coef = 2.0 * p.m / p.tau
+    jump = (coef * length / 6.0)[:, None, None] * _JUMP_PATTERN
     nv = mesh.n_vertices
     eye = sp.identity(2, format="csr")
-    a_full = sp.kron(_scatter(mesh.triangles, k_loc + p.m ** 2 * m_loc, nv),
-                     eye, format="csr")
-    b_full = sp.kron(_scatter(mesh.triangles, m_loc, nv), eye, format="csr")
-    return a_full + _jump_matrix(p, mesh).tocsr(), b_full
+    a = (_scatter(mesh.triangles, k_loc + p.m ** 2 * m_loc, nv)
+         + _scatter(edges, jump, nv))
+    return (sp.kron(a, eye, format="csr"),
+            sp.kron(_scatter(mesh.triangles, m_loc, nv), eye, format="csr"))
 
 
 def _prolongation(p: PhysParams, mesh: Mesh) -> sp.csr_matrix:

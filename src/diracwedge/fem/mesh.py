@@ -14,7 +14,8 @@ bounds.
 Every triangle is counter-clockwise.  A mesh whose triangles are not is
 refused with MeshError, not repaired: a folded mesh is no conforming
 Dirichlet subspace, so its Ritz values would not be upper bounds and its
-count no lower bound.
+count no lower bound.  A mesh of more than 2^20 vertices is refused with
+MeshError too, from its vertex count, before any of its arrays is built.
 
 Meshes are built from index arrays.  Vertex 0 is the corner; the other
 vertices are numbered ring by ring (disk) or column by column (strip), with
@@ -40,6 +41,10 @@ __all__ = ["Mesh", "MeshError", "build_mesh", "build_strip_mesh",
 SIDE_LEFT = 0   # upper ray, polar angle +omega
 SIDE_RIGHT = 1  # lower ray, polar angle -omega
 CORNER = 0      # vertex index of the corner, in every mesh
+# Most vertices a builder makes: assembly peaks at about 1.3 kB per vertex
+# (1.27 kB on a 264 037-vertex strip), so 2^20 vertices take about 1.3 GB.
+# The thin-wedge default strip has 26 437.
+_MAX_VERTICES = 2 ** 20
 
 
 class MeshError(ParameterError):
@@ -77,6 +82,14 @@ def _doubled_areas(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     d1 = v[t[:, 1]] - v[t[:, 0]]
     d2 = v[t[:, 2]] - v[t[:, 0]]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _check_size(kind: str, n_vertices) -> None:
+    """Refuse a mesh of more than _MAX_VERTICES vertices, called with a
+    lower bound on its vertex count before any of its arrays is made."""
+    if n_vertices > _MAX_VERTICES:
+        raise MeshError(f"the {kind} mesh needs at least {n_vertices:.6g} "
+                        f"vertices, more than {_MAX_VERTICES}")
 
 
 def _split_cells(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -143,15 +156,17 @@ def build_mesh(p: PhysParams, R: float | None = None, h: float | None = None,
             f"h={h} cannot resolve the wedge opening; need h <= omega*R = "
             f"{w * R:.6g} (or the strip mesh for thin wedges)"
         )
+    _check_size("disk", R / h)   # rings alone: keeps the counts below finite
 
     n1 = max(2, int(math.ceil(2.0 * w * R / h)))          # arc [-w, w]
     n2 = max(4, int(math.ceil((2.0 * math.pi - 2.0 * w) * R / h)))
+    ntheta = n1 + n2                                       # distinct angles
+    nr = max(2, int(math.ceil(R / h)))
+    _check_size("disk", 1 + nr * (ntheta + 2))
     ang = np.concatenate([
         np.linspace(-w, w, n1 + 1),
         np.linspace(w, 2.0 * math.pi - w, n2 + 1)[1:-1],
     ])
-    ntheta = ang.size                                      # distinct angles
-    nr = max(2, int(math.ceil(R / h)))
     radii = R * (np.arange(1, nr + 1) / nr) ** grading
 
     # Each ring lists its vertices by angle, the ray angles j = 0 (theta=-w)
@@ -217,6 +232,8 @@ def build_strip_mesh(p: PhysParams, x_max: float | None = None,
     if not outer_grading > 0.0:
         raise MeshError(
             f"outer grading exponent must be > 0, got {outer_grading}")
+    _check_size("strip", 1 + 2 * outer_rows
+                + nx * (2 * wedge_rows + 3 + 2 * outer_rows))
     slope = math.tan(p.omega)
     xs = np.linspace(0.0, x_max, nx + 1)
     s_off = width * (np.arange(1, outer_rows + 1) / outer_rows) ** outer_grading

@@ -8,29 +8,25 @@ A - sB at s = edge (1 - 1e-6), checked against the Ritz values below s.
 
 The two shifts take different factors.  Lanczos inverts A - sigma B at
 sigma = -1e-2 m^2, below the spectrum, where it is positive definite.  If
-A's half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
+its half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
 (LAPACK ``dpbtrf``) in the pencil's own numbering, and a factor that
 succeeds proves sigma lies below the spectrum.  The strip is numbered
 column by column (bw 106 on the thin wedge's 48 858 DOFs) and takes the
-band: on a 2-core VM with one BLAS thread it factors in 0.12-0.13 s and
-solves in 5.0-6.9 ms, against 0.35-0.47 s and 8.4-11.9 ms for SuperLU.  The
-disk is numbered ring by ring, its band would hold about 7 times SuperLU's
-fill, and it keeps SuperLU.  The count's A - sB is indefinite, so it is
-always SuperLU's LDL^T with diagonal pivots.
+band, which factors and solves faster than SuperLU there.  The disk is
+numbered ring by ring, its band would hold about 7 times SuperLU's fill,
+and it keeps SuperLU.  The count's A - sB is indefinite, so it is always
+SuperLU's LDL^T with diagonal pivots.  Each shift's matrix is formed once.
 
 Neither factorization needs the other's result, so where ``os.fork`` exists
 the count is factored in a forked child while this process runs Lanczos;
-without ``os.fork`` the same function runs inline.  A thread would overlap
-them as well, since SuperLU releases the GIL (thin wedge, same VM, scipy
-1.17.1: solve plus count in a median 0.69 s threaded, 0.60 s forked and
-1.06 s inline).  The fork lowers the peak RSS of each process, not the
-memory held: at the fork this process holds 86.5 MB and the child 64.0 MB
-(file-backed pages reach the child only when it touches them), and the
-count's factorization adds 85-90 MB in either process.  The child peaks at
-154-157 MB and this process at 138-140 MB, against 171 MB inline and
-233-236 MB threaded, while the two processes together hold more than the
-inline run.  Lanczos stops at ARPACK ``tol`` 3e-11, and every eigenpair must
-still meet the residual cap 1e-8 in units of m^2.
+without ``os.fork`` the same function runs inline.  The overlap saves the
+count's time, and the fork rather than a thread (SuperLU releases the GIL,
+so a thread would overlap them as well) keeps the peak RSS of each process
+below that of the inline run, while the two processes together hold more.
+A k that Lanczos would refuse is refused before the fork.  Lanczos stops at
+ARPACK ``tol`` 3e-11, and every eigenpair must still meet the residual cap
+1e-8 in units of m^2.  The measured times behind these choices are in the
+project's change log.
 """
 
 from __future__ import annotations
@@ -102,11 +98,11 @@ def _plain(obj):
     return obj
 
 
-def _factor(pencil: SymmetricPencil, s: float):
-    """SuperLU factor P (A - sB) P^T = L U with diagonal pivots, so that
-    U = D L^T and U's diagonal is the D of an LDL^T factorization."""
-    lu = spla.splu((pencil.A - s * pencil.B).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+def _factor(shifted, s: float):
+    """SuperLU factor P C P^T = L U of the CSC matrix C = A - sB with
+    diagonal pivots, so that U = D L^T and U's diagonal is the D of an
+    LDL^T factorization."""
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FemSolveError(
@@ -115,27 +111,24 @@ def _factor(pencil: SymmetricPencil, s: float):
     return lu
 
 
-def _half_bandwidth(mat) -> int:
-    """Largest j - i over the stored entries (i, j) of the CSR matrix
-    ``mat``: the half-bandwidth of a symmetric one."""
-    starts = mat.indptr[:-1]
-    rows = np.flatnonzero(starts < mat.indptr[1:])
-    if rows.size == 0:
-        return 0
-    last = np.maximum.reduceat(mat.indices, starts[rows])
-    return max(0, int((last - rows).max()))
-
-
-def _band_solver(pencil: SymmetricPencil, sigma: float):
-    """Solve with A - sigma B by its band Cholesky factor U^T U (LAPACK
-    ``dpbtrf``/``dpbtrs``) in the pencil's own numbering; a pivot that is
-    not positive, so a sigma not below the spectrum, raises FemSolveError."""
-    c = (pencil.A - sigma * pencil.B).tocsr()   # no duplicate entries
-    n, bw = c.shape[0], _half_bandwidth(c)
+def _shift_solver(pencil: SymmetricPencil, sigma: float):
+    """Solve with c = A - sigma B for shift-invert Lanczos, sigma below the
+    spectrum.  If c's half-bandwidth bw, the largest j - i over its entries,
+    has bw^2 <= 4n (the strip, numbered column by column), the solve uses
+    c's band Cholesky factor U^T U (LAPACK ``dpbtrf``/``dpbtrs``) in the
+    pencil's own numbering, and a pivot that is not positive, so a sigma not
+    below the spectrum, raises FemSolveError.  Otherwise (the disk, numbered
+    ring by ring, whose band would hold several times SuperLU's fill) it
+    uses `_factor`."""
+    c = pencil.A - sigma * pencil.B   # CSR without duplicate entries
+    n = c.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    bw = int((c.indices - rows).max())
+    if bw * bw > 4 * n:
+        return _factor(c.tocsc(), sigma).solve
     # upper band storage, band[bw + i - j, j] = c[i, j] for i <= j, in
     # Fortran order so that dpbtrf factors it in place, not in a copy
     band = np.zeros((bw + 1, n), order="F")
-    rows = np.repeat(np.arange(n), np.diff(c.indptr))
     upper = c.indices >= rows
     cols = c.indices[upper].astype(np.int64)
     band.reshape(-1, order="F")[rows[upper] + bw * (cols + 1)] = c.data[upper]
@@ -148,38 +141,14 @@ def _band_solver(pencil: SymmetricPencil, sigma: float):
     return lambda rhs: lapack.dpbtrs(factor, rhs)[0]
 
 
-def _shift_solver(pencil: SymmetricPencil, sigma: float):
-    """Solve with A - sigma B for shift-invert Lanczos, sigma below the
-    spectrum: by a band Cholesky factor where A's half-bandwidth bw has
-    bw^2 <= 4n (the strip, numbered column by column), else by `_factor`
-    (the disk, numbered ring by ring, whose band would hold several times
-    SuperLU's fill)."""
-    bw = _half_bandwidth(pencil.A.tocsr())
-    if bw * bw <= 4 * pencil.n_reduced:
-        return _band_solver(pencil, sigma)
-    return _factor(pencil, sigma).solve
-
-
 def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
 
 
-def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
-    """k lowest eigenpairs of A x = mu B x by shift-invert Lanczos.
-
-    The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
-    lies below the spectrum, since the reduced A is positive semidefinite,
-    and close to its bottom, so Lanczos converges in few shift-invert solves.
-    A - sigma B is then positive definite, and `_shift_solver` picks its
-    factor.  The start vector is drawn from ARPACK's own distribution,
-    uniform on [-1, 1], but from a fixed seed, so the result does not depend
-    on OS entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine
-    precision; the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must
-    still be at most 1e-8, or the solve fails.  They are in units of m^2
-    because mu is: A does not change with m, and B scales like 1/m^2.
-    A k whose Lanczos basis would exceed 1 GiB raises ParameterError.
-    """
-    n = pencil.n_reduced
+def _lanczos_k(k: int, n: int) -> int:
+    """The number of eigenpairs Lanczos computes for ``k`` on n DOFs,
+    min(k, n - 1): a k below 1 raises ValueError, and one whose Lanczos
+    basis would exceed 1 GiB raises ParameterError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), n - 1)
@@ -189,15 +158,38 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
             f"k = {k} on {n} DOFs needs a Lanczos basis of "
             f"{basis / 2 ** 30:.3g} GiB ({basis} bytes), more than "
             f"{_MAX_BASIS_BYTES / 2 ** 30:g} GiB")
-    a, b = pencil.A.tocsc(), pencil.B.tocsc()
+    return k_eff
+
+
+def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
+    """k lowest eigenpairs of A x = mu B x by shift-invert Lanczos.
+
+    The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
+    lies below the spectrum, since the reduced A is positive semidefinite,
+    and close to its bottom, so Lanczos converges in few shift-invert solves.
+    A - sigma B is then positive definite, and `_shift_solver` picks its
+    factor.  Lanczos runs on the pencil (A, m^2 B) at the shift -1e-2: the
+    same A - sigma B, with eigenvalues mu / m^2 that do not scale with m and
+    are multiplied by m^2 at the end.  On (A, B) ARPACK's Ritz values scale
+    like 1/m^2, so its convergence test, relative only above eps^(2/3),
+    turned absolute at large m, and B's small entries failed its start.
+    The start vector is drawn from ARPACK's own distribution, uniform on
+    [-1, 1], but from a fixed seed, so the result does not depend on OS
+    entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine precision;
+    the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must still be
+    at most 1e-8, or the solve fails.  `_lanczos_k` refuses k.
+    """
+    n = pencil.n_reduced
+    k_eff = _lanczos_k(k, n)
     m_sq = pencil.info["m"] ** 2
-    sigma = _SHIFT_REL * m_sq
-    op_inv = spla.LinearOperator((n, n), matvec=_shift_solver(pencil, sigma),
-                                 dtype=np.float64)
+    op_inv = spla.LinearOperator(
+        (n, n), matvec=_shift_solver(pencil, _SHIFT_REL * m_sq),
+        dtype=np.float64)
+    mb = m_sq * pencil.B
     try:
-        vals, vecs = spla.eigsh(a, k=k_eff, M=b, sigma=sigma, which="LM",
-                                v0=_start_vector(n), OPinv=op_inv,
-                                tol=_ARPACK_TOL)
+        vals, vecs = spla.eigsh(pencil.A, k=k_eff, M=mb, sigma=_SHIFT_REL,
+                                which="LM", v0=_start_vector(n),
+                                OPinv=op_inv, tol=_ARPACK_TOL)
     except spla.ArpackNoConvergence as exc:
         raise FemSolveError(
             f"eigensolver did not converge: {len(exc.eigenvalues)} of "
@@ -206,16 +198,16 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
-    bx = b @ vecs
-    residuals = (np.linalg.norm(a @ vecs - bx * vals, axis=0)
-                 / (m_sq * np.linalg.norm(bx, axis=0)))
+    bx = mb @ vecs
+    residuals = (np.linalg.norm(pencil.A @ vecs - bx * vals, axis=0)
+                 / np.linalg.norm(bx, axis=0))
     if np.any(residuals > _RESIDUAL_CAP):
         raise FemSolveError(
             f"eigenpair residuals exceed {_RESIDUAL_CAP:g}: "
             f"{residuals.max():.3e}"
         )
     return SpectralReport(
-        eigenvalues=vals, gap_edge=None, margin=0.0, count_below=None,
+        eigenvalues=vals * m_sq, gap_edge=None, margin=0.0, count_below=None,
         residuals=residuals, mesh_info=dict(pencil.info), pencil=pencil,
     )
 
@@ -242,7 +234,7 @@ def _mesh_from_opts(p: PhysParams, mesh_opts: dict | None) -> Mesh:
 def _inertia(pencil: SymmetricPencil, s: float) -> tuple[int, float]:
     """(number of pencil eigenvalues below s, relative residual of one solve
     with the factor): the negative pivots of the LDL^T factor of A - sB."""
-    lu = _factor(pencil, s)
+    lu = _factor((pencil.A - s * pencil.B).tocsc(), s)
     count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     rhs = _start_vector(pencil.n_reduced)
     x = lu.solve(rhs)
@@ -320,13 +312,15 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     and does not depend on ``k``, which sets only how many of the lowest
     eigenvalues are reported.  The report carries the counted pencil.  The
     count's factorization runs in a forked child while Lanczos runs here,
-    or inline after it where ``os.fork`` does not exist.
+    or inline after it where ``os.fork`` does not exist; a k that
+    `_lanczos_k` refuses raises before either starts.
     """
     edge = derived_constants(p).eps_tau_sq
     margin = _MARGIN_REL * edge
     s = edge - margin
 
     pencil = assemble(p, _mesh_from_opts(p, mesh_opts))
+    _lanczos_k(k, pencil.n_reduced)   # a refused k starts no child
     rep, (count, resid) = _solve_and_count(pencil, k, s)
     if resid > _FACTOR_RESIDUAL_CAP:
         raise FemSolveError(f"factor of A - sB at s = {s:.6g}: relative "

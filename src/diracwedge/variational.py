@@ -101,8 +101,8 @@ class EnergyBreakdown:
     form_gap is the exact form value minus eps_tau^2 ||u||^2; bound_gap is
     the n-independent upper estimate whose sign drives the certificate;
     form_gap_modes holds the N exact per-mode contributions, mode n = 1
-    first (all negative iff the modes certify N gap eigenvalues), and
-    form_gap is their correctly rounded sum (``math.fsum``).
+    first (all negative iff ``certifies``), and form_gap is their correctly
+    rounded sum (``math.fsum``).
     """
 
     jump_sq: float
@@ -112,6 +112,12 @@ class EnergyBreakdown:
     form_gap: float
     bound_gap: float
     form_gap_modes: tuple[float, ...]
+
+    @property
+    def certifies(self) -> bool:
+        """True when every mode's form gap is negative: then the modes
+        certify at least N eigenvalues (with multiplicity) in the gap."""
+        return all(g < 0.0 for g in self.form_gap_modes)
 
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
@@ -241,7 +247,7 @@ def bound_state_certificate(p: PhysParams, N: int) -> tuple[bool, EnergyBreakdow
     gap; False is inconclusive (the estimate, not the statement, failed).
     """
     bd = energy_breakdown(p, N, critical_angle_maximize(p, N)[1])
-    return all(g < 0.0 for g in bd.form_gap_modes), bd
+    return bd.certifies, bd
 
 
 # ---------------------------------------------------------------------------

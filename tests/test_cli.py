@@ -114,9 +114,26 @@ def test_fem_mesh_error_exits_2(capsys):
     (["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--k", "100000"],
      "k = 100000 on 48858 DOFs needs a Lanczos basis of 35.6 GiB "
      "(38193275760 bytes), more than 1 GiB"),
+    (["fem-count", "--tau", "-1", "--omega", "0.5", "--h", "1e-4", "--R",
+      "10"],
+     "the disk mesh needs at least 6.28321e+10 vertices, more than 1048576"),
+    (["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--nx", "100000000"],
+     "the strip mesh needs at least 5.5e+09 vertices, more than 1048576"),
+    (["fem-count", "--tau", "-1", "--omega", "0.5", "--h", "1e-300", "--R",
+      "1"],
+     "the disk mesh needs at least 1e+300 vertices, more than 1048576"),
+    (["fem-count", "--tau", "-1", "--omega", "0.5", "--R", "1e308"],
+     "the disk mesh needs at least inf vertices, more than 1048576"),
 ])
-def test_input_check_exits_2(argv, message, capsys):
-    """An input the library refuses exits 2 with one line on stderr."""
+def test_input_check_exits_2(argv, message, monkeypatch, capsys):
+    """An input the library refuses exits 2 with one line on stderr, and a
+    refused fem-count input, k included, never starts the inertia child."""
+    from diracwedge.fem import solve
+
+    def no_fork():
+        raise AssertionError("forked for a refused input")
+
+    monkeypatch.setattr(solve.os, "fork", no_fork)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -393,6 +410,18 @@ def test_unwritable_export_exits_2(tmp_path, capsys):
 
 SMALL_STRIP = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
                "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
+
+
+def test_mesh_options_match_the_builders():
+    """fem-count's mesh options are ``kind`` and the keyword parameters of
+    the two mesh builders, in order, so neither list can drift silently."""
+    import inspect
+
+    from diracwedge.fem import build_mesh, build_strip_mesh
+
+    keywords = [name for build in (build_mesh, build_strip_mesh)
+                for name in list(inspect.signature(build).parameters)[1:]]
+    assert [opt.name for opt in cli._MESH_OPTS] == ["kind", *keywords]
 
 
 def test_fem_count_is_not_capped_by_k(capsys):

@@ -113,6 +113,24 @@ def test_disk_rejects_unresolvable_angle():
         build_mesh(P_STRIP, R=10.0, h=0.5)
 
 
+@pytest.mark.parametrize("build, p, kwargs", [
+    (build_mesh, P_DISK, {}),
+    (build_strip_mesh, P_STRIP, {"nx": 24, "wedge_rows": 2, "outer_rows": 3}),
+])
+def test_vertex_cap_uses_the_exact_count(monkeypatch, build, p, kwargs):
+    """The count a builder checks before its first array is the vertex count
+    of the mesh it builds: a cap of that count builds, one less refuses."""
+    from diracwedge.fem import mesh as mesh_module
+
+    n = build(p, **kwargs).n_vertices
+    monkeypatch.setattr(mesh_module, "_MAX_VERTICES", n - 1)
+    with pytest.raises(MeshError, match=f"at least {n} vertices, more than "
+                                        f"{n - 1}"):
+        build(p, **kwargs)
+    monkeypatch.setattr(mesh_module, "_MAX_VERTICES", n)
+    assert build(p, **kwargs).n_vertices == n
+
+
 def test_mesh_refuses_a_clockwise_triangle():
     """The constructor checks orientation and never flips a triangle."""
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
