@@ -14,7 +14,7 @@ from diracwedge import (
     PhysParams,
     derived_constants,
     ground_state,
-    singular_seq_identities,
+    singular_sequence,
     weyl_norm_sq,
     weyl_residual,
 )
@@ -47,11 +47,10 @@ print("Constant norms + vanishing residuals: every |lambda| > m belongs to")
 print("the essential spectrum, with exact 1/n decay from the cutoff scaling.")
 print()
 
-rep = singular_seq_identities(p)
+rep = singular_sequence(p)
 print("shell-aligned singular sequence (reaches the gap edge itself):")
-print("  quadratic profile identity residual : %.2e" % rep.identity_quadratic)
-print("  jump identity residual              : %.2e" % rep.identity_jump)
 print("  norm window [c1, c2] = [%.6f, %.6f]" % (rep.c_lower, rep.c_upper))
 for n, v in sorted(rep.norm_sq.items()):
     print("  ||psi_%d||^2 = %.6f" % (n, v))
-print("  all inside the window: %s" % rep.ok)
+inside = all(rep.c_lower <= v <= rep.c_upper for v in rep.norm_sq.values())
+print("  all inside the window: %s" % inside)

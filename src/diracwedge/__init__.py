@@ -6,7 +6,8 @@ Layout:
     spin_orbit   angular secular problem on the two arcs
     special      modified Bessel functions and deficiency elements
     aux1d        transverse 1-D comparison problem on a finite width
-    variational  test-function certificates, critical angle, Weyl sequences
+    variational  test-function certificates, critical angle, Weyl and
+                 shell-aligned singular sequences
     fem          P1 discretization of the quadratic form, gap-state counting
     cli          command-line front end (JSON/CSV artifacts)
 
@@ -50,7 +51,7 @@ from .variational import (
     critical_angle_closed,
     critical_angle_maximize,
     energy_breakdown,
-    singular_seq_identities,
+    singular_sequence,
     weyl_norm_sq,
     weyl_residual,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "Aux1DResult", "ground_state",
     "EnergyBreakdown", "SingularSeqReport",
     "angle_for_length", "bound_state_certificate", "critical_angle_closed",
-    "critical_angle_maximize", "energy_breakdown", "singular_seq_identities",
+    "critical_angle_maximize", "energy_breakdown", "singular_sequence",
     "weyl_norm_sq", "weyl_residual",
     "fem",
     "__version__",

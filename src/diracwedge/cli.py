@@ -9,9 +9,9 @@ header line).  Flags override config-file values.
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
 whose result would overflow, a deficiency r whose K_nu(r) overflows, a
-fem-count k or mesh above its size cap, and an unwritable --output or
---export path included), 3 solver failure or a NaN or infinite result,
-which has no JSON form.
+fem-count k or mesh above its size cap or a mass outside its range, and an
+unwritable --output or --export path included), 3 solver failure or a NaN
+or infinite result, which has no JSON form.
 """
 
 from __future__ import annotations

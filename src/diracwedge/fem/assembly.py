@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..model import PhysParams, interface_matrices
+from ..model import ParameterError, PhysParams, interface_matrices
 from .mesh import CORNER, SIDE_LEFT, SIDE_RIGHT, Mesh
 
 __all__ = ["SymmetricPencil", "assemble"]
@@ -91,7 +91,15 @@ def _full_matrices(p: PhysParams, mesh: Mesh):
     """(A, B) on the duplicated-DOF space: stiffness + m^2 mass + shell jump,
     and mass.  Both spinor components see the same scalar matrices, so these
     are scattered on vertex indices and lifted by kron(., I_2)."""
-    k_loc, m_loc = _scalar_element_matrices(mesh)
+    # the default meshes scale like 1/m, so their gradient coefficients grow
+    # like m and their areas like 1/m^2: the stiffness overflows from m of
+    # about 1e150, and the areas below about 1e-153
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_loc, m_loc = _scalar_element_matrices(mesh)
+    if not (np.isfinite(k_loc).all() and np.isfinite(m_loc).all()):
+        raise ParameterError(
+            f"m = {p.m} is outside the FEM's mass range: the element "
+            "matrices of this mesh are not finite")
     edges = mesh.interface_edges
     v = mesh.vertices
     length = np.hypot(*(v[edges[:, 1]] - v[edges[:, 0]]).T)

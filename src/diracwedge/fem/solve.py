@@ -101,9 +101,14 @@ def _plain(obj):
 def _factor(shifted, s: float):
     """SuperLU factor P C P^T = L U of the CSC matrix C = A - sB with
     diagonal pivots, so that U = D L^T and U's diagonal is the D of an
-    LDL^T factorization."""
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                   options={"SymmetricMode": True})
+    LDL^T factorization.  SuperLU's own failure, such as an exactly
+    singular factor, raises FemSolveError."""
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FemSolveError(
+            f"factor of A - sB at s = {s:.6g} failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FemSolveError(
             f"factor of A - sB at s = {s:.6g} left the diagonal: "

@@ -28,11 +28,10 @@ all positive, so no digits cancel for any admissible tau.
 
 The module also evaluates the two explicit sequences that pin down the
 essential spectrum: a Weyl sequence of cut-off plane waves deep inside the
-exterior region, and the matrix identities behind the singular sequence that
-travels along the shell.  The Weyl norms and residuals are closed forms in
-the exact moments of the quintic cutoff chi, and so are the shell-aligned
-sequence's norm bounds; its per-n norms are closed forms apart from one
-Gauss rule over the ramp of chi.
+exterior region, and the singular sequence that travels along the shell.
+The Weyl norms and residuals are closed forms in the exact moments of the
+quintic cutoff chi, and so are the shell-aligned sequence's norm bounds; its
+per-n norms are closed forms apart from one Gauss rule over the ramp of chi.
 """
 
 from __future__ import annotations
@@ -40,18 +39,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .model import (
-    DerivedConstants,
-    ParameterError,
-    PhysParams,
-    derived_constants,
-    interface_matrices,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .model import (DerivedConstants, ParameterError, PhysParams,
+                    derived_constants)
 
 __all__ = [
     "EnergyBreakdown",
@@ -64,7 +54,7 @@ __all__ = [
     "weyl_norm_sq",
     "weyl_residual",
     "SingularSeqReport",
-    "singular_seq_identities",
+    "singular_sequence",
 ]
 
 
@@ -122,17 +112,21 @@ class EnergyBreakdown:
 
 def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     """Energies of the sum of the N modes on the strip [L, 2L], for a finite
-    L > 0 and N <= 1e6; an L whose energies overflow is refused."""
+    L > 0 and N <= 1e6; an L whose energies overflow, or that
+    `_bracket_length` refuses, is refused."""
     q, c, b2, g = _bracket(p.tau, N)
     if N > _MAX_MODES:
         raise ParameterError(f"N must be at most {_MAX_MODES}, got {N}")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ParameterError(f"L must be finite and positive, got {L}")
+    m = p.m
+    ell = _bracket_length(q, m, L)
     if p.omega >= math.pi / 2.0:
         raise ParameterError("energy closed forms require omega < pi/2")
     dc = derived_constants(p)
     kap, k0, c_t = dc.kappa_tau, dc.kappa0, dc.c_tau
-    m = p.m
+    if not k0 > 0.0:    # the braces divide by kappa0 = m q
+        raise ParameterError(
+            f"m = {m} is outside the computable range: kappa0 = m q "
+            f"underflows to 0 at tau = {p.tau}")
     tw = math.tan(p.omega)
     cw = math.cos(p.omega)
 
@@ -164,7 +158,6 @@ def energy_breakdown(p: PhysParams, N: int, L: float) -> EnergyBreakdown:
     except OverflowError:     # finite terms whose sum is past the floats
         gradx_sq = form_gap = math.inf
 
-    ell = m * L
     bound_gap = N * (tw * c * (b2 + ell * ell) - q * ell + g / (q * ell))
     if not all(map(math.isfinite, (jump_sq, l2_sq, gradx_sq, grady_sq,
                                    form_gap, bound_gap))):
@@ -197,6 +190,21 @@ def _bracket(tau: float, N: int) -> tuple[float, float, float, float]:
     return dc.kappa0, 3.0 + dc.kappa_tau, b2, g
 
 
+def _bracket_length(q: float, m: float, L: float) -> float:
+    """l = m L of the bracket at strip length L, for finite positive m and
+    L.  The bracket divides by q l, so an l that overflows, or whose q l
+    underflows to 0, is refused."""
+    if not (0.0 < m < math.inf and 0.0 < L < math.inf):
+        raise ParameterError(
+            f"m and L must be finite and positive; got m = {m}, L = {L}")
+    ell = m * L
+    if not (ell < math.inf and q * ell > 0.0):
+        raise ParameterError(
+            f"m L = {m} * {L} is outside the computable range: the bracket "
+            f"needs 0 < q m L < inf, q = {q}")
+    return ell
+
+
 def _tan_angle(q: float, c: float, b2: float, g: float, ell: float) -> float:
     """The tan(w) that zeroes the bracket at l = m L."""
     return (q * ell - g / (q * ell)) / (c * (b2 + ell * ell))
@@ -205,13 +213,10 @@ def _tan_angle(q: float, c: float, b2: float, g: float, ell: float) -> float:
 def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
     """The certificate angle omega(L) whose tangent zeroes the bound-gap
     bracket at strip length L; negative means no certificate at this L.
-    m, L and m L must be finite and positive."""
+    m and L must be finite and positive, and `_bracket_length` refuses an
+    m L outside the bracket's range."""
     bracket = _bracket(tau, N)
-    ell = m * L
-    if not (m > 0.0 and L > 0.0 and 0.0 < ell < math.inf):
-        raise ParameterError(
-            f"m, L and m L must be finite and positive; got m = {m}, L = {L}")
-    return math.atan(_tan_angle(*bracket, ell))
+    return math.atan(_tan_angle(*bracket, _bracket_length(bracket[0], m, L)))
 
 
 def _star(tau: float, N: int) -> tuple[float, float]:
@@ -312,25 +317,20 @@ def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SingularSeqReport:
-    identity_quadratic: float     # residual of z (M_l^2 + I) = -(8 m tau/(4-tau^2)) M_l
-    identity_jump: float          # residual of (2m/tau)(I - M_l)^2 = (8 m tau/(4-tau^2)) M_l
     norm_sq: dict[int, float]     # ||psi_n||^2
     c_lower: float
     c_upper: float
-    ok: bool
 
 
-def _max_entry(a: np.ndarray) -> float:
-    return float(abs(a).max())
-
-
-def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
-    """Matrix identities and norm bounds for the shell-aligned sequence.
+def singular_sequence(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
+    """Norms ||psi_n||^2 of the shell-aligned sequence and the constants
+    c_lower <= ||psi_n||^2 <= c_upper that bound them for every n (the
+    norms tend to c_upper as m |tau| n grows and meet it to rounding).
 
     The sequence lives in rotated coordinates (xi, zeta) aligned with the
     upper ray: psi_n = n^{-1/2} chi((xi - x_n)/n) chi(c zeta / n) e^{i lam xi}
-    v(zeta), with the transverse profile v decaying at rate z on both sides
-    and jumping by M_l across the shell.
+    v(zeta), with the transverse profile v decaying at rate z = kappa0 on
+    both sides and jumping by M_l across the shell.
     """
     import numpy as np
 
@@ -338,55 +338,31 @@ def singular_seq_identities(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:
     for n in ns:
         _require_count("n", n)
     dc = derived_constants(p)
-    m_l = interface_matrices(p)[0]
-    eye = np.eye(2)
-    z, coef = dc.kappa0, 2.0 * p.m * dc.b
-
-    quad = (z * (m_l @ m_l + eye), coef * m_l)
-    half_jump = (2.0 * p.m / p.tau) * (eye - m_l)
-    res_quad = _max_entry(quad[0] + quad[1])
-    res_jump = _max_entry(half_jump @ (eye - m_l) - coef * m_l)
-    # 1e-13 relative to the size of each identity's terms, which grow like
-    # ((4 + tau^2) / (4 - tau^2))^2 as tau -> -2.  I - M cancels as tau -> 0,
-    # so the jump term counts I - M at the size of its operands, 1 + |M|.
-    tol_quad = 1e-13 * max(_max_entry(quad[0]), _max_entry(quad[1]))
-    tol_jump = 1e-13 * max(_max_entry(half_jump) * (1.0 + _max_entry(m_l)),
-                           _max_entry(coef * m_l))
-
+    z = dc.kappa0
     s2w = math.sin(2.0 * p.omega)
     c = 2.0 / s2w if s2w > 1e-12 else 1.0
 
     # chi^2 over one unit of the longitudinal cutoff, and the transverse
     # |v|^2 = |a|^2 e^{-2 z zeta} above the shell, |b|^2 e^{2 z zeta} below
-    # it (a = e_1, b = M_l e_1), integrated over [-l, l] for l = 1/c and 60/z
-    chi_sq = 2.0 * _CHI_SQ
-    ab_sq = 1.0 + float(np.sum(np.abs(m_l[:, 0]) ** 2))
-    c_lower, c_upper = (
-        chi_sq * ab_sq * (1.0 - math.exp(-2.0 * z * ell)) / (2.0 * z)
-        for ell in (1.0 / c, 60.0 / z))
+    # it (a = e_1, b = M_l e_1, so |a|^2 + |b|^2 = 1 + kappa_tau), integrated
+    # over [-l, l] for l = 1/c and 60/z
+    weight = 2.0 * _CHI_SQ * (1.0 + dc.kappa_tau)
+    c_lower, c_upper = (weight * (1.0 - math.exp(-2.0 * z * ell)) / (2.0 * z)
+                        for ell in (1.0 / c, 60.0 / z))
 
     # |v|^2 is symmetric in zeta up to |a|^2 and |b|^2, so with zeta = n t / c
-    # the n-th norm is chi_sq (|a|^2 + |b|^2) (n / c) times the integral of
-    # chi(t)^2 e^{-alpha t} over [0, 1], alpha = 2 z n / c: exact on [0, 1/2]
-    # where chi = 1, one Gauss rule on the ramp [1/2, 1]
+    # the n-th norm is weight (n / c) times the integral of chi(t)^2
+    # e^{-alpha t} over [0, 1], alpha = 2 z n / c: exact on [0, 1/2] where
+    # chi = 1, one Gauss rule on the ramp [1/2, 1].  The support, centred at
+    # xi = n^2 + 1, clears the lower ray for every n: that needs
+    # n^2 - 1.5 n + 1 > 0, true for all real n.
     gl_x, gl_w = np.polynomial.legendre.leggauss(32)
     t = 0.75 + 0.25 * gl_x
     ramp_w = 0.25 * gl_w * smoothstep_cutoff(t) ** 2
     norms: dict[int, float] = {}
     for n in ns:
-        # the support, centred at xi = n^2 + 1, clears the lower ray for
-        # every n: that needs n^2 - 1.5 n + 1 > 0, true for all real n
         alpha = 2.0 * z * n / c
         flat = -math.expm1(-0.5 * alpha) / alpha
         ramp = float(np.sum(ramp_w * np.exp(-alpha * t)))
-        norms[int(n)] = chi_sq * ab_sq * (n / c) * (flat + ramp)
-
-    # each norm tends to c_upper as alpha grows, so the bounds get the same
-    # 1e-13 relative slack as the identities
-    ok = (res_quad < tol_quad and res_jump < tol_jump
-          and all(c_lower * (1.0 - 1e-13) <= v <= c_upper * (1.0 + 1e-13)
-                  for v in norms.values()))
-    return SingularSeqReport(
-        identity_quadratic=res_quad, identity_jump=res_jump, norm_sq=norms,
-        c_lower=c_lower, c_upper=c_upper, ok=ok,
-    )
+        norms[int(n)] = weight * (n / c) * (flat + ramp)
+    return SingularSeqReport(norm_sq=norms, c_lower=c_lower, c_upper=c_upper)

@@ -66,14 +66,27 @@ def _random_valid_params(rng, n):
     return out
 
 
+# Fixed (tau, m) at omega = 0.6, among them strengths on both sides of the
+# excluded -2 and close to the excluded 0, where the two profile identities
+# of the shell-aligned singular sequence have large or cancelling terms.
+_IDENTITY_CASES = (
+    (-1.9, 1.0), (-1.99, 1.0), (-2.0 + 1e-6, 1.0), (-2.0 - 1e-6, 1.0),
+    (-1e-3, 1.0), (-0.5, 1.3), (-3.0, 1.3), (-0.9763000989628088, 37.0),
+)
+
+
 def test_criterion_1_matrix_algebra():
     # Residuals are measured relative to each identity's own term magnitude;
     # the strength identities scale like coef * |M_l| and would otherwise
     # drown in their own ulps for strengths near the excluded values.
+    # coef = 8 m tau / (4 - tau^2) is formed with 4 - tau^2 = (2 - tau)(2 + tau)
+    # as the library forms it: 4 - tau * tau loses 5 digits at tau = -2 +- 1e-6.
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     worst = 0.0
-    for p in _random_valid_params(rng, 100):
+    params = _random_valid_params(rng, 100) + [
+        PhysParams(tau=t, m=m, omega=0.6) for t, m in _IDENTITY_CASES]
+    for p in params:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         nu = (math.cos(phi), math.sin(phi))
         m = transmission_matrix(p, nu)
@@ -81,7 +94,7 @@ def test_criterion_1_matrix_algebra():
         m_l = interface_matrices(p)[0]
         t, mass = p.tau, p.m
         z = -4.0 * mass * t / (t * t + 4.0)
-        coef = 8.0 * mass * t / (4.0 - t * t)
+        coef = 8.0 * mass * t / ((2.0 - t) * (2.0 + t))
         scale_m = float(np.max(np.abs(m)))
         scale_c = max(1.0, abs(coef) * scale_m)
         residuals = [
@@ -97,7 +110,8 @@ def test_criterion_1_matrix_algebra():
         ]
         worst = max(worst, max(residuals))
     elapsed = time.perf_counter() - t0
-    _report(1, "matrix algebra over 100 random (tau, omega)",
+    _report(1, f"matrix algebra over 100 random (tau, omega) and "
+               f"{len(_IDENTITY_CASES)} fixed (tau, m)",
             worst <= 1e-14, elapsed, 1.0, f"worst scaled residual {worst:.2e}")
 
 

@@ -1,10 +1,12 @@
 """Command-line front end: dispatch, artifacts, determinism, round-trips."""
 
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -124,6 +126,9 @@ def test_fem_mesh_error_exits_2(capsys):
      "the disk mesh needs at least 1e+300 vertices, more than 1048576"),
     (["fem-count", "--tau", "-1", "--omega", "0.5", "--R", "1e308"],
      "the disk mesh needs at least inf vertices, more than 1048576"),
+    (["fem-count", "--tau", "-1", "--m", "1e152", "--omega", "0.5"],
+     "m = 1e+152 is outside the FEM's mass range: the element matrices of "
+     "this mesh are not finite"),
 ])
 def test_input_check_exits_2(argv, message, monkeypatch, capsys):
     """An input the library refuses exits 2 with one line on stderr, and a
@@ -707,3 +712,44 @@ def test_aux1d_root_beyond_512_returns(m, gamma, child_env):
     kappa0 = 0.8 * float(m)
     assert k > 512.0
     assert k * math.tanh(k * g) == pytest.approx(kappa0, rel=1e-12)
+
+
+_EXTREME_TAUS = ("-1e70", "-1e30", "-1", "-1e-300")
+_EXTREME_MASSES = ("1e-300", "1e-150", "1", "1e150")
+
+
+def _extreme_argvs():
+    """Scalar subcommands over the extreme (tau, m) grid; testfn also over
+    extreme strip lengths and angles."""
+    for tau, m in itertools.product(_EXTREME_TAUS, _EXTREME_MASSES):
+        common = ["--tau", tau, "--m", m]
+        yield ["gap", *common]
+        yield ["critical-angle", *common, "--N", "1", "2"]
+        yield ["aux1d", *common, "--gamma", "1e-300", "1", "1e300"]
+        yield ["weyl", *common, "--lam", "-1e300", "--n", "4"]
+        yield ["deficiency", *common, "--r", "1e-300"]
+        yield ["deficiency", *common, "--r", "1", "--theta", "3"]
+        for quantity in cli._SWEEPS:
+            yield ["sweep", "--quantity", quantity, "--tau", tau, "--m", m]
+        yield ["testfn", *common, "--N", "2"]
+        for length, omega in itertools.product(
+                ("1e-300", "1e-150", "1e150", "1e300"),
+                ("1e-5", "0.5", "1.5")):
+            yield ["testfn", *common, "--omega", omega, "--N", "2",
+                   "--L", length]
+
+
+def test_extreme_inputs_exit_0_2_or_3(capsys):
+    """Every scalar subcommand, over inputs at the ends of the float range,
+    ends in exit 0, 2 or 3 with at most one line on stderr, never in an
+    exception (exit 1).  Any warning fails the test as well."""
+    start = time.perf_counter()
+    codes = set()
+    for argv in _extreme_argvs():
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert err.count("\n") == (code != 0), (argv, err)
+        codes.add(code)
+    assert {0, 2} <= codes
+    assert time.perf_counter() - start < 2.0

@@ -213,6 +213,14 @@ def test_count_checks_raise_with_measured_values(monkeypatch, fault,
         count_bound_states(p, mesh_opts=SMALL_STRIP)
 
 
+def test_superlu_failure_is_a_solve_error():
+    """SuperLU's RuntimeError, here for an exactly singular matrix, leaves
+    `_factor` as FemSolveError, so the run exits 3 rather than 1."""
+    with pytest.raises(FemSolveError, match="at s = 0.5 failed: Factor is "
+                                            "exactly singular"):
+        solve._factor(sp.csc_matrix((3, 3)), 0.5)
+
+
 def test_parent_pivot_check_on_disk(monkeypatch):
     """A disk's Lanczos factors A - sigma B with SuperLU in this process, so
     a row pivot fails the solve here even when the count's child reports
