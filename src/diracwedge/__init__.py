@@ -11,73 +11,56 @@ Layout:
     fem          P1 discretization of the quadratic form, gap-state counting
     cli          command-line front end (JSON/CSV artifacts)
 
-``fem`` (and with it scipy) is loaded on first access, and the other
-modules import numpy inside the functions that build arrays, so importing
-the package loads neither numpy nor scipy.  The closed-form and scalar
-quantities (derived constants, critical angle, test-function energies,
-strip ground state, Weyl sequence, principal spin-orbit root, K_nu) are
-computed on Python floats and never load them; the secular determinant,
-the spin-orbit window scan, angular profiles, the matrices and the array
-that ``deficiency_element`` returns load numpy.
+Importing the package loads no layer: each exported name, and each layer
+module, is imported on first access and then bound here, so a later lookup
+is a plain attribute hit.  The layers import numpy inside the functions
+that build arrays, and only ``fem`` loads scipy.  The closed-form and
+scalar quantities (derived constants, critical angle, test-function
+energies, strip ground state, Weyl sequence, principal spin-orbit root,
+K_nu) are computed on Python floats and never load either; the secular
+determinant, the spin-orbit window scan, angular profiles, the matrices and
+the array that ``deficiency_element`` returns load numpy.
 """
 
 import importlib
 
-from .model import (
-    DerivedConstants,
-    ParameterError,
-    PhysParams,
-    derived_constants,
-    interface_matrices,
-    pauli,
-    sigma_dot,
-    special_matrices,
-    transmission_matrix,
-)
-from .spin_orbit import (
-    SpinOrbitRoot,
-    angular_profile,
-    principal_eigenvalue,
-    secular_det,
-    spectrum_in_window,
-)
-from .special import bessel_k, deficiency_element
-from .aux1d import Aux1DResult, ground_state
-from .variational import (
-    EnergyBreakdown,
-    SingularSeqReport,
-    angle_for_length,
-    bound_state_certificate,
-    critical_angle_closed,
-    critical_angle_maximize,
-    energy_breakdown,
-    singular_sequence,
-    weyl_norm_sq,
-    weyl_residual,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "DerivedConstants", "ParameterError", "PhysParams", "derived_constants",
-    "interface_matrices", "pauli", "sigma_dot", "special_matrices",
-    "transmission_matrix",
-    "SpinOrbitRoot", "angular_profile", "principal_eigenvalue",
-    "secular_det", "spectrum_in_window",
-    "bessel_k", "deficiency_element",
-    "Aux1DResult", "ground_state",
-    "EnergyBreakdown", "SingularSeqReport",
-    "angle_for_length", "bound_state_certificate", "critical_angle_closed",
-    "critical_angle_maximize", "energy_breakdown", "singular_sequence",
-    "weyl_norm_sq", "weyl_residual",
-    "fem",
-    "__version__",
-]
+# exported name -> the layer module that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "DerivedConstants", "ParameterError", "PhysParams",
+        "derived_constants", "interface_matrices", "pauli", "sigma_dot",
+        "special_matrices", "transmission_matrix"), "model"),
+    **dict.fromkeys((
+        "SpinOrbitRoot", "angular_profile", "principal_eigenvalue",
+        "secular_det", "spectrum_in_window"), "spin_orbit"),
+    **dict.fromkeys(("bessel_k", "deficiency_element"), "special"),
+    **dict.fromkeys(("Aux1DResult", "ground_state"), "aux1d"),
+    **dict.fromkeys((
+        "EnergyBreakdown", "SingularSeqReport", "angle_for_length",
+        "bound_state_certificate", "critical_angle_closed",
+        "critical_angle_maximize", "energy_breakdown", "singular_sequence",
+        "weyl_norm_sq", "weyl_residual"), "variational"),
+}
+_LAYERS = ("model", "spin_orbit", "special", "aux1d", "variational", "fem")
+
+__all__ = [*_EXPORTS, "fem", "__version__"]
 
 
 def __getattr__(name):
     # import_module, not ``from . import fem``: the fromlist lookup would
     # call this hook again before the submodule is bound
-    if name == "fem":
-        return importlib.import_module(".fem", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _LAYERS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _EXPORTS:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -9,9 +9,10 @@ header line).  Flags override config-file values.
 Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
 whose result would overflow, a deficiency r whose K_nu(r) overflows, a
-fem-count k or mesh above its size cap or a mass outside its range, and an
-unwritable --output or --export path included), 3 solver failure or a NaN
-or infinite result, which has no JSON form.
+fem-count k or mesh above its size cap, a k of at least the pencil's DOF
+count or a mass outside its range, and an unwritable --output or --export
+path included), 3 solver failure or a NaN or infinite result, which has no
+JSON form.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .aux1d import ground_state
+# the layers load in the point functions that use them, so a call loads
+# only its own subcommand's layer
 from .model import (FemSolveError, ParameterError, PhysParams,
                     derived_constants)
-from .special import _deficiency_point
-from .spin_orbit import principal_eigenvalue, spectrum_in_window
-from .variational import (critical_angle_maximize, energy_breakdown,
-                          weyl_norm_sq, weyl_residual)
 
 __all__ = ["main", "run", "RunConfig", "load_config", "parse_angle"]
 
@@ -142,14 +140,24 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given the name of a subcommand, with only that
+    subparser, whose usage lines and errors read as the full parser's."""
     parser = _Parser(
         prog="diracwedge",
         description="spectral toolkit for a Dirac operator with a "
                     "Lorentz-scalar shell on a wedge boundary",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    for name, (opts, _) in _COMMANDS.items():
+    names = list(_COMMANDS)
+    if subcommand in _COMMANDS:
+        # the full list, which argparse would otherwise shorten to this one
+        # name in usage lines; the full parser sets no metavar, so its
+        # invalid-choice error still reads "argument subcommand"
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [subcommand]
+    for name in names:
+        opts = _COMMANDS[name][0]
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file; flags override")
@@ -250,6 +258,8 @@ def _gap(o: dict) -> dict:
 
 
 def _spin_orbit(o: dict) -> dict:
+    from .spin_orbit import principal_eigenvalue, spectrum_in_window
+
     p = _params(o)
     roots = spectrum_in_window(p, o["lo"], o["hi"])
     return {
@@ -260,10 +270,14 @@ def _spin_orbit(o: dict) -> dict:
 
 
 def _principal(o: dict) -> dict:
+    from .spin_orbit import principal_eigenvalue
+
     return {"lambda_star": principal_eigenvalue(_params(o)).lam}
 
 
 def _critical_angle(o: dict) -> dict:
+    from .variational import critical_angle_maximize
+
     w_star, l_star = critical_angle_maximize(_params(o), o["N"])
     # the subcommand prints the closed form twice, once as omega_star_closed
     return {"omega_star_closed": w_star, "omega_star": w_star,
@@ -271,6 +285,8 @@ def _critical_angle(o: dict) -> dict:
 
 
 def _testfn(o: dict) -> dict:
+    from .variational import critical_angle_maximize, energy_breakdown
+
     p = _params(o)
     length = o["L"]
     if length is None:
@@ -285,6 +301,8 @@ def _testfn(o: dict) -> dict:
 
 
 def _aux1d(o: dict) -> dict:
+    from .aux1d import ground_state
+
     p = _params(o)
     res = ground_state(p, o["gamma"])
     return {"k_gamma": res.k_gamma, "E_gamma": res.E_gamma,
@@ -292,12 +310,17 @@ def _aux1d(o: dict) -> dict:
 
 
 def _weyl(o: dict) -> dict:
+    from .variational import weyl_norm_sq, weyl_residual
+
     p = _params(o)
     return {"norm_sq": weyl_norm_sq(p, o["lam"], o["n"]),
             "residual": weyl_residual(p, o["lam"], o["n"])}
 
 
 def _deficiency(o: dict) -> dict:
+    from .special import _deficiency_point
+    from .spin_orbit import principal_eigenvalue
+
     p = _params(o)
     root = principal_eigenvalue(p)
 
@@ -308,7 +331,6 @@ def _deficiency(o: dict) -> dict:
 
 
 def _fem_count(o: dict) -> dict:
-    # the FEM layer (and scipy.sparse) loads here, not on every CLI call
     from .fem import count_bound_states, export_matrix_market
 
     mesh_opts = {k: o[k] for k in _MESH_OPT_NAMES if o.get(k) is not None}
@@ -442,7 +464,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.subcommand and args.config:

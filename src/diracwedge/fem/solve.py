@@ -35,6 +35,7 @@ import inspect
 import json
 import os
 import signal
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,20 +151,20 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
 
 
-def _lanczos_k(k: int, n: int) -> int:
-    """The number of eigenpairs Lanczos computes for ``k`` on n DOFs,
-    min(k, n - 1): a k below 1 raises ValueError, and one whose Lanczos
-    basis would exceed 1 GiB raises ParameterError."""
+def _check_k(k: int, n: int) -> None:
+    """Refuse a k that Lanczos cannot serve on n DOFs: a k below 1 raises
+    ValueError; one whose Lanczos basis, sized for at most n - 1 pairs,
+    would exceed 1 GiB, or one of at least n, raises ParameterError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k_eff = min(int(k), n - 1)
-    basis = 8 * n * max(2 * k_eff + 1, 20)
+    basis = 8 * n * max(2 * min(k, n - 1) + 1, 20)
     if basis > _MAX_BASIS_BYTES:
         raise ParameterError(
             f"k = {k} on {n} DOFs needs a Lanczos basis of "
             f"{basis / 2 ** 30:.3g} GiB ({basis} bytes), more than "
             f"{_MAX_BASIS_BYTES / 2 ** 30:g} GiB")
-    return k_eff
+    if k >= n:
+        raise ParameterError(f"k = {k} must be below the pencil's {n} DOFs")
 
 
 def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
@@ -182,23 +183,23 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     [-1, 1], but from a fixed seed, so the result does not depend on OS
     entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine precision;
     the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must still be
-    at most 1e-8, or the solve fails.  `_lanczos_k` refuses k.
+    at most 1e-8, or the solve fails.  `_check_k` refuses k.
     """
     n = pencil.n_reduced
-    k_eff = _lanczos_k(k, n)
+    _check_k(k, n)
     m_sq = pencil.info["m"] ** 2
     op_inv = spla.LinearOperator(
         (n, n), matvec=_shift_solver(pencil, _SHIFT_REL * m_sq),
         dtype=np.float64)
     mb = m_sq * pencil.B
     try:
-        vals, vecs = spla.eigsh(pencil.A, k=k_eff, M=mb, sigma=_SHIFT_REL,
+        vals, vecs = spla.eigsh(pencil.A, k=k, M=mb, sigma=_SHIFT_REL,
                                 which="LM", v0=_start_vector(n),
                                 OPinv=op_inv, tol=_ARPACK_TOL)
     except spla.ArpackNoConvergence as exc:
         raise FemSolveError(
             f"eigensolver did not converge: {len(exc.eigenvalues)} of "
-            f"{k_eff} pairs found"
+            f"{k} pairs found"
         ) from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -318,14 +319,20 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     eigenvalues are reported.  The report carries the counted pencil.  The
     count's factorization runs in a forked child while Lanczos runs here,
     or inline after it where ``os.fork`` does not exist; a k that
-    `_lanczos_k` refuses raises before either starts.
+    `_check_k` refuses raises before either starts.  A mass whose s is
+    not a normal float (m below about 2.5e-154 at tau = -1) raises
+    ParameterError before the mesh is built.
     """
     edge = derived_constants(p).eps_tau_sq
     margin = _MARGIN_REL * edge
     s = edge - margin
+    if not s >= sys.float_info.min:
+        raise ParameterError(
+            f"m = {p.m} is outside the FEM's mass range: the count's shift "
+            f"s = {s:.6g} is not a normal float")
 
     pencil = assemble(p, _mesh_from_opts(p, mesh_opts))
-    _lanczos_k(k, pencil.n_reduced)   # a refused k starts no child
+    _check_k(k, pencil.n_reduced)   # a refused k starts no child
     rep, (count, resid) = _solve_and_count(pencil, k, s)
     if resid > _FACTOR_RESIDUAL_CAP:
         raise FemSolveError(f"factor of A - sB at s = {s:.6g}: relative "

@@ -14,6 +14,11 @@ from diracwedge import cli
 from diracwedge.cli import RunConfig, load_config, main, parse_angle, run
 
 
+# 414 reduced DOFs, 12 pencil eigenvalues below the gap edge
+SMALL_STRIP = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
+               "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
+
+
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
@@ -129,6 +134,13 @@ def test_fem_mesh_error_exits_2(capsys):
     (["fem-count", "--tau", "-1", "--m", "1e152", "--omega", "0.5"],
      "m = 1e+152 is outside the FEM's mass range: the element matrices of "
      "this mesh are not finite"),
+    *((["fem-count", "--tau", "-1", "--m", m, "--omega", omega],
+       f"m = {float(m)!r} is outside the FEM's mass range: the count's shift "
+       f"s = {0.36 * float(m) ** 2 * (1 - 1e-6):.6g} is not a normal float")
+      for m in ("1e-154", "1e-155") for omega in ("3.2e-3", "0.5")),
+    *((SMALL_STRIP + ["--k", k],
+       f"k = {k} must be below the pencil's 414 DOFs")
+      for k in ("414", "100000")),
 ])
 def test_input_check_exits_2(argv, message, monkeypatch, capsys):
     """An input the library refuses exits 2 with one line on stderr, and a
@@ -201,14 +213,80 @@ print("scipy.sparse.csgraph" in sys.modules)
         "['scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg']", "False"]
 
 
-def test_package_getattr_serves_only_fem():
-    import importlib
+@pytest.mark.parametrize("argv, layers", [
+    (["gap", "--tau", "-1"], []),
+    (["spin-orbit", "--tau", "-1"], ["spin_orbit"]),
+    (["critical-angle", "--tau", "-1"], ["variational"]),
+    (["testfn", "--tau", "-1"], ["variational"]),
+    (["aux1d", "--tau", "-1", "--gamma", "1"], ["aux1d"]),
+    (["weyl", "--tau", "-1"], ["variational"]),
+    # the deficiency element is built on the principal spin-orbit root
+    (["deficiency", "--tau", "-1", "--r", "1.5"], ["special", "spin_orbit"]),
+    (["sweep", "--quantity", "gap", "--tau", "-1"], []),
+    (["sweep", "--quantity", "principal", "--tau", "-1"], ["spin_orbit"]),
+], ids=["gap", "spin-orbit", "critical-angle", "testfn", "aux1d", "weyl",
+        "deficiency", "sweep-gap", "sweep-principal"])
+def test_subcommand_loads_only_its_layer(argv, layers, child_env):
+    """A CLI call loads the model and its own subcommand's layers, no
+    other package module."""
+    code = f"""
+import contextlib, io, sys
+from diracwedge.cli import main
 
-    import diracwedge
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+print(sorted(m for m in sys.modules if m.startswith("diracwedge.")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    want = sorted(f"diracwedge.{m}" for m in ("cli", "model", *layers))
+    assert out.stdout.splitlines() == [str(want)]
 
-    assert diracwedge.fem is importlib.import_module("diracwedge.fem")
-    with pytest.raises(AttributeError):
-        diracwedge.frobnicate
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert ("{gap,spin-orbit,critical-angle,testfn,aux1d,weyl,deficiency,"
+            "fem-count,sweep}") in out
+
+
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (int(exc.value.code or 0), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+@pytest.mark.parametrize("tail", [["--help"], ["--frobnicate", "1"],
+                                  ["--tau", "-1", "extra"]],
+                         ids=["help", "unknown-flag", "extra-argument"])
+def test_single_subparser_parse_matches_the_full_parser(subcommand, tail,
+                                                        capsys):
+    """main builds only the named subcommand's parser; its help and its
+    errors read byte for byte as the full parser's."""
+    single = cli.build_parser(subcommand)
+    assert list(single._subparsers._group_actions[0].choices) == [subcommand]
+    argv = [subcommand, *tail]
+    want = _exit_of(cli.build_parser().parse_args, argv, capsys)
+    assert _exit_of(single.parse_args, argv, capsys) == want
+    assert (main(argv), *capsys.readouterr()) == want
+
+
+def test_config_reparse_with_one_subparser(tmp_path):
+    """A --config file re-parses through the one subparser main built, and
+    the flags after it still override it."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"quantity": "gap", "tau": [-1.0, -3.0],
+                               "m": [5.0]}))
+    _, from_config = run_to_file(
+        tmp_path, "c.csv", ["sweep", "--config", str(cfg), "--m", "2"])
+    _, from_flags = run_to_file(
+        tmp_path, "f.csv",
+        ["sweep", "--quantity", "gap", "--tau", "-1", "-3", "--m", "2"])
+    assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -411,10 +489,6 @@ def test_unwritable_export_exits_2(tmp_path, capsys):
     assert captured.err == (f"diracwedge fem-count: [Errno 2] No such file "
                             f"or directory: '{prefix}_A.mtx'\n")
     assert not out.exists()
-
-
-SMALL_STRIP = ["fem-count", "--tau", "-1", "--omega", "3.2e-3", "--kind",
-               "strip", "--nx", "24", "--wedge-rows", "2", "--outer-rows", "3"]
 
 
 def test_mesh_options_match_the_builders():
