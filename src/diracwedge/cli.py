@@ -64,16 +64,22 @@ _OUT = _Opt("output", str, default=None, help="artifact path (default stdout)")
 
 # fem-count's mesh options; the mesh builders own their defaults
 _MESH_OPTS = (
-    _Opt("kind", str, choices=("auto", "disk", "strip")),
+    _Opt("kind", str, choices=("auto", "disk", "strip"),
+         help="mesh kind (default auto: a strip for omega < 0.05, else a "
+              "disk)"),
     _Opt("R", float, help="disk radius"),
     _Opt("h", float, help="disk target size"),
     _Opt("grading", float, help="disk corner grading"),
     _Opt("x_max", float, help="strip length"),
     _Opt("nx", int, help="strip columns"),
-    _Opt("wedge_rows", int),
-    _Opt("outer_rows", int),
+    _Opt("wedge_rows", int,
+         help="strip rows on each side of the wedge axis, fanning out from "
+              "the corner"),
+    _Opt("outer_rows", int, help="strip rows outside each ray"),
     _Opt("width", float, help="strip outer width"),
-    _Opt("outer_grading", float),
+    _Opt("outer_grading", float,
+         help="strip outer row grading: row j sits at "
+              "width (j/outer_rows)^outer_grading off the ray"),
 )
 _MESH_OPT_NAMES = tuple(opt.name for opt in _MESH_OPTS)
 
@@ -396,8 +402,9 @@ _COMMANDS = {
         _OUT,
     ), _report(_spin_orbit)),
     "critical-angle": ((
-        _Opt("tau", float, required=True, many=True),
-        _Opt("m", float, default=1.0),
+        _Opt("tau", float, required=True, many=True,
+             help="shell coupling strengths"),
+        _Opt("m", float, default=1.0, help="mass"),
         _Opt("N", int, default=[1], many=True, help="mode counts"),
         _OUT,
     ), _grid(("tau", "N"), ("omega_star_closed", "omega_star", "L_star"),
@@ -433,12 +440,17 @@ _COMMANDS = {
         _OUT,
     ), _report(_fem_count)),
     "sweep": ((
-        _Opt("quantity", str, required=True, choices=tuple(_SWEEPS)),
-        _Opt("tau", float, required=True, many=True),
-        _Opt("m", float, default=[1.0], many=True),
-        _Opt("omega", parse_angle, default=[_PI_4], many=True),
-        _Opt("gamma", float, default=[10.0], many=True),
-        _Opt("N", int, default=[1], many=True),
+        _Opt("quantity", str, required=True, choices=tuple(_SWEEPS),
+             help="the subcommand whose quantity is swept"),
+        _Opt("tau", float, required=True, many=True,
+             help="shell coupling strengths"),
+        _Opt("m", float, default=[1.0], many=True, help="masses"),
+        _Opt("omega", parse_angle, default=[_PI_4], many=True,
+             help="wedge half-angles, principal only (radians or e.g. 12deg)"),
+        _Opt("gamma", float, default=[10.0], many=True,
+             help="half-widths, aux1d only"),
+        _Opt("N", int, default=[1], many=True,
+             help="mode counts, critical-angle only"),
         _OUT,
     ), _sweep),
 }

@@ -25,19 +25,18 @@ eigenfunction phi_lambda of the spin-orbit operator:
                      +/- K_{lambda+1/2}(r) (sigma_1 cos theta + sigma_2 sin theta) phi(theta).
 
 The two orders differ by one, so one pair evaluation gives both.  They are
-evaluated at one point on Python floats.  sigma . n_theta is
-[[0, e^{-i theta}], [e^{i theta}, 0]], so (sigma . n_theta) phi =
-(e^{-i theta} phi_2, e^{i theta} phi_1) needs no matrix.
+evaluated at one point on Python floats, with ``spin_orbit``'s point
+evaluator of phi.  sigma . n_theta is [[0, e^{-i theta}], [e^{i theta}, 0]],
+so (sigma . n_theta) phi = (e^{-i theta} phi_2, e^{i theta} phi_1).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .model import ParameterError, PhysParams, derived_constants
-from .spin_orbit import SpinOrbitRoot, _sector_row, principal_eigenvalue
+from .model import ParameterError, PhysParams
+from .spin_orbit import SpinOrbitRoot, _profile, principal_eigenvalue
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,23 +203,15 @@ def _deficiency_point(p: PhysParams, sign: int, r: float, theta: float,
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be finite and positive, got r={r}")
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got theta={theta}")
     if root is None:
         root = principal_eigenvalue(p)
-    lam, w = root.lam, p.omega
+    phi1, phi2 = _profile(p, root)(theta)
+    lam = root.lam
     _check_order(abs(lam) + 0.5)
     ka, kb = _k_pair(lam - 0.5, r)
     if ka == math.inf or kb == math.inf:
         raise _overflow(lam - 0.5 if ka == math.inf else lam + 0.5, r)
     kb *= sign
-    dc = derived_constants(p)
-    a, b, c, d = _sector_row(dc.a, dc.b, w, lam, root.sectors[0])
-    t = (theta + w) % (2.0 * math.pi) - w
-    if t > w:
-        a, b = c, d
-    e = cmath.exp(1j * (lam - 0.5) * t)
-    phi1, phi2 = a * e, b * e.conjugate()
     n = complex(math.cos(theta), math.sin(theta))
     return (ka * phi1 + kb * (n.conjugate() * phi2),
             ka * phi2 + kb * (n * phi1))
@@ -231,9 +222,9 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
     """Deficiency element v_plus (sign=+1) or v_minus (sign=-1) at polar
     coordinates (r, theta), a complex array of shape (2,).
 
-    phi(theta) is the exponential pair of ``spin_orbit.angular_profile``
-    (whose docstring states the wrap rule and the choice of arc), built from
-    the null vector of the root's first sector with ``cmath``, and
+    phi(theta) is ``spin_orbit.angular_profile`` at one angle, from the
+    same point evaluator (which states the wrap rule and the choice of
+    arc; a non-finite theta is refused), and
 
         v_pm = K_{lambda-1/2}(r) phi
                +/- K_{lambda+1/2}(r) (e^{-i theta} phi_2, e^{i theta} phi_1),

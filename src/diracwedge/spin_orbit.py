@@ -15,10 +15,9 @@ The determinant is real and has the closed form
 
     det T = 4a^2 sin^2(pi mu) - 4b^2 cos^2((pi - 2 omega) mu - omega),
 
-a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2), which ``secular_det``
-evaluates.  By a^2 - 1 = b^2 and the half-angle formulas it equals
-2 - 2a^2 cos(2 pi mu) - 2b^2 cos((2pi - 4 omega) mu - 2 omega), but no
-difference in it cancels at weak coupling.
+a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2).  It factors as
+4 f_+ f_- (below), the form ``secular_det`` evaluates: no difference in
+it cancels at weak coupling.
 
 The null vectors at the roots (multiplicity and the coefficients behind
 ``angular_profile``) are closed form too.  The reflection theta -> -theta
@@ -42,13 +41,12 @@ holds for any real a and b, so for their rounded values too.  A root is
 the record (lambda, sectors): the sector s whose factor its search refined,
 and sector -s too when |f_{-s}| <= 1e-7 (|a| + |b|), the size of f_s.  So a
 double root is a common root of f_+ and f_-, no root is more than double,
-and a double root lists its sectors as (-1, +1).  (A cut on
-singular values relative to the largest one, of T or of T_s, reads simple
-roots near |tau| = 2 as double or triple: the largest grow like
-1/|4 - tau^2|, while the other sector's smallest can stay of order 1.)  The
-cut reads the weak-coupling pair near 1/2 +- |tau| cos(omega) / pi as one
-double root when |tau| cos omega <~ 5e-8: at one member, f_{-s} is about
-2 |tau| cos omega.
+and a double root lists its sectors as (-1, +1).  (A cut on singular
+values relative to the largest one, of T or of T_s, reads simple roots near
+|tau| = 2 as double or triple: the largest grow like 1/|4 - tau^2|, while
+the other sector's smallest can stay of order 1.)  The cut reads the
+weak-coupling pair near 1/2 +- |tau| cos(omega) / pi as one double root
+when |tau| cos omega <~ 5e-8: at one member, f_{-s} is 2 |tau| cos omega.
 
 The principal eigenvalue needs no search: det T(0) = 4a^2 > 0,
 det T(1/2) = -4b^2 cos^2 omega < 0, and on (0, 1/2), where mu lies in
@@ -64,14 +62,17 @@ det T = 4 f_+ f_- there is f_s's and lies in sector sgn tau.  Bracketed
 Newton on -sgn(a) f_s, which falls through 0, refines it down to adjacent
 floats; the root is simple, so no cut runs.
 
-Other windows are searched by a |det|^2 minimum scan on a fixed grid, whose
-sin(pi mu) is cached with it.  At each interior minimum the factor nearer 0
-is refined by bracketed Newton down to adjacent floats if it changes sign
-across the minimum's two grid cells; a minimum where it does not holds no
-root.  The scan misses roots that share a minimum's cells with another root
-(two close pairs, and one member of each weak-coupling pair); sign-change
-bracketing of the whole window would find them, and waits until the
-benchmark reference, which froze the scan's windows, is corrected.
+Other windows are searched by a |f_+ f_-|^2 minimum scan of f_+ and f_-
+on a fixed grid of step 1/2000, whose sin(pi mu) is cached with it.  At
+each interior minimum the factor nearer 0 (f_+ on a tie) is refined by
+bracketed Newton down to adjacent floats if its grid values change sign
+across the minimum's two cells.  A window edge where adjacent floats lie
+farther apart than the grid step (|lambda| >= 2^42) is refused: the grid
+would merge points there and lose roots.  The scan misses roots that share
+a minimum's cells with another root (two close pairs, and one member of
+each weak-coupling pair); sign-change bracketing of the whole window would
+find them once the benchmark reference, which froze the scan's windows,
+is corrected.
 
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
@@ -99,7 +100,7 @@ __all__ = [
 ]
 
 # Scan density fixed at 2000 points per unit spectral interval; each minimum
-# of |det|^2 on the grid brackets at most one refined root.
+# of |f_+ f_-|^2 on the grid brackets at most one refined root.
 _SCAN_DENSITY = 2000
 _MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
@@ -121,13 +122,14 @@ class SpinOrbitRoot:
         return len(self.sectors)
 
 
-def _det(a: float, b: float, w: float, mu: np.ndarray,
-         sine: np.ndarray) -> np.ndarray:
-    """det T at the array mu = lambda - 1/2, given sine = sin(pi mu)."""
+def _factors(a: float, b: float, w: float, mu: np.ndarray,
+             sine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_+, f_-) at the array mu = lambda - 1/2, given sine = sin(pi mu)."""
     import numpy as np
 
-    return 4.0 * ((a * sine) ** 2
-                  - (b * np.cos((math.pi - 2.0 * w) * mu - w)) ** 2)
+    asin = a * sine
+    bcos = b * np.cos((math.pi - 2.0 * w) * mu - w)
+    return asin + bcos, asin - bcos
 
 
 def _det_factor(a: float, b: float, w: float, sign: float):
@@ -147,12 +149,13 @@ def _det_factor(a: float, b: float, w: float, sign: float):
 
 
 def secular_det(p: PhysParams, lams) -> np.ndarray:
-    """det T(lambda), real float64, vectorized over ``lams`` (closed form)."""
+    """det T(lambda) = 4 f_+ f_-, real float64, vectorized over ``lams``."""
     import numpy as np
 
     mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
     dc = derived_constants(p)
-    return _det(dc.a, dc.b, p.omega, mu, np.sin(math.pi * mu))
+    f_plus, f_minus = _factors(dc.a, dc.b, p.omega, mu, np.sin(math.pi * mu))
+    return 4.0 * f_plus * f_minus
 
 
 def _sector_row(a: float, b: float, w: float, lam: float,
@@ -210,63 +213,77 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     """The secular roots in [lo, hi] that the grid scan brackets, each
     refined by bracketed Newton on one factor f_s of det T down to adjacent
     floats and built in its sector s (see the module docstring), sorted
-    ascending, with multiplicities; the window may be at most 1000 wide."""
+    ascending, with multiplicities; the window may be at most 1000 wide,
+    and its edges must lie below 2^42 in magnitude."""
     import numpy as np
 
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be bounded with lo < hi, got [{lo}, {hi}]")
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
+    edge = max(abs(lo), abs(hi))
+    if math.ulp(edge) > 1.0 / _SCAN_DENSITY:
+        raise ValueError(
+            f"window [{lo}, {hi}] is too far out to scan: adjacent floats at "
+            f"{edge:g} are {math.ulp(edge):g} apart, more than the scan step "
+            f"{1.0 / _SCAN_DENSITY:g}")
     dc, w = derived_constants(p), p.omega
     a, b = dc.a, dc.b
     grid, sine = _candidate_grid(lo, hi)
-    vals = _det(a, b, w, grid - 0.5, sine) ** 2
+    f_plus, f_minus = _factors(a, b, w, grid - 0.5, sine)
+    vals = (f_plus * f_minus) ** 2
     mid = vals[1:-1]
-    minima = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    factors = {s: _det_factor(a, s * b, w, 1.0) for s in (1, -1)}
+    i = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
+    # the factor nearer 0 at each minimum, f_+ on a tie, at both cell ends
+    minus = np.abs(f_minus[i]) < np.abs(f_plus[i])
+    f_lo, f_hi = (np.where(minus, f_minus[j], f_plus[j]) for j in (i - 1, i + 1))
     found = []
-    for i in minima.tolist():
-        l, x, u = grid[i - 1:i + 2].tolist()
-        s = min(factors, key=lambda t: abs(factors[t](x)[0]))
-        r = 1.0 if factors[s](l)[0] >= 0.0 else -1.0
-        if r * factors[s](u)[0] < 0.0:
+    for l, u, s, fl, fu in zip(grid[i - 1].tolist(), grid[i + 1].tolist(),
+                               np.where(minus, -1, 1).tolist(),
+                               f_lo.tolist(), f_hi.tolist()):
+        r = 1.0 if fl >= 0.0 else -1.0
+        if r * fu < 0.0:
             found.append((_refine(_det_factor(a, s * b, w, r), l, u), s))
     cut = _MULT_CUT * (abs(a) + abs(b))
     roots: list[SpinOrbitRoot] = []
     for lam, s in sorted(found):
         if roots and lam - roots[-1].lam <= _ROOT_DEDUP:
             continue
-        sectors = (-1, 1) if abs(factors[-s](lam)[0]) <= cut else (s,)
+        other = _det_factor(a, -s * b, w, 1.0)(lam)[0]
+        sectors = (-1, 1) if abs(other) <= cut else (s,)
         roots.append(SpinOrbitRoot(lam=lam, sectors=sectors))
     return roots
 
 
-def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:
-    """Eigenfunction phi_lambda evaluated at angle(s) theta, extended
-    2pi-periodically; on the boundary rays the wedge-side branch is used.
+def _profile(p: PhysParams, root: SpinOrbitRoot):
+    """theta -> phi_lambda(theta) on Python floats, 2pi-periodic: theta is
+    wrapped to t = (theta + omega) mod 2pi - omega in [-omega, 2pi - omega),
+    and phi = (A e^{i mu t}, B e^{-i mu t}) where t <= omega (the wedge
+    arc, boundary rays included), (C e^{i mu t}, D e^{-i mu t}) elsewhere,
+    mu = lambda - 1/2, (A, B, C, D) the null vector of the root's first
+    sector (-1 for a double root).  A non-finite theta raises ValueError."""
+    dc, w = derived_constants(p), p.omega
+    a, b, c, d = _sector_row(dc.a, dc.b, w, root.lam, root.sectors[0])
+    mu = root.lam - 0.5
 
-    theta is wrapped to t = (theta + omega) mod 2pi - omega in
-    [-omega, 2pi - omega); phi = (A e^{i mu t}, B e^{-i mu t}) where
-    t <= omega (the wedge arc, boundary rays included) and
-    (C e^{i mu t}, D e^{-i mu t}) elsewhere, mu = lambda - 1/2.  For a
-    double root the null vector of its first sector, -1, is taken.  This
-    is the array evaluator; ``special.deficiency_element`` applies the same
-    rule at one point on Python floats.
-    """
+    def phi(theta: float) -> tuple[complex, complex]:
+        if not math.isfinite(theta):
+            raise ValueError(f"angle must be finite, got theta={theta}")
+        t = (theta + w) % (2.0 * math.pi) - w
+        e = cmath.exp(1j * mu * t)
+        if t <= w:
+            return a * e, b * e.conjugate()
+        return c * e, d * e.conjugate()
+    return phi
+
+
+def angular_profile(p: PhysParams, root: SpinOrbitRoot, theta) -> np.ndarray:
+    """Eigenfunction phi_lambda at angle(s) theta, a complex array of shape
+    theta.shape + (2,): ``_profile`` (which states the wrap rule and the
+    choice of arc) at each angle.  A non-finite theta raises ValueError."""
     import numpy as np
 
-    dc = derived_constants(p)
-    a, b, c, d = _sector_row(dc.a, dc.b, p.omega, root.lam, root.sectors[0])
-    mu = root.lam - 0.5
+    phi = _profile(p, root)
     th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    wrapped = np.mod(th + p.omega, 2.0 * math.pi) - p.omega
-    plus = wrapped <= p.omega
-    out = np.empty(th.shape + (2,), dtype=complex)
-    ew = np.exp(1j * mu * wrapped)
-    out[plus, 0] = a * ew[plus]
-    out[plus, 1] = b * np.conj(ew[plus])
-    out[~plus, 0] = c * ew[~plus]
-    out[~plus, 1] = d * np.conj(ew[~plus])
-    return out[0] if scalar else out
+    out = np.array([phi(t) for t in th.ravel().tolist()], dtype=complex)
+    return out.reshape(th.shape + (2,))

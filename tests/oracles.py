@@ -225,6 +225,30 @@ def secular_null_space_mp(tau: float, omega: float, lam: float, k: int,
                          for j in order])
 
 
+def decoupled_arc_roots(omega: float, lo: float, hi: float) -> list[float]:
+    """The spin-orbit roots in [lo, hi] of the limit |tau| -> 2, sorted, a
+    root of both arcs listed twice.
+
+    There b/a -> sgn(tau) and f_+- / a -> sin(pi mu) +- sgn(tau) cos phi,
+    whose product vanishes where cos(pi mu + phi) cos(pi mu - phi) does:
+    each arc on its own, the wedge arc at 2 omega mu = -omega +- pi/2 +
+    2 pi k and the exterior arc at (2pi - 2 omega) mu = omega +- pi/2 +
+    2 pi k, lambda = mu + 1/2.  Both read length * mu - phase = pi/2 + pi j.
+    """
+    roots = []
+    for length, phase in ((2.0 * omega, -omega),
+                          (2.0 * math.pi - 2.0 * omega, omega)):
+        def lam(j):
+            return (phase + math.pi / 2.0 + math.pi * j) / length + 0.5
+
+        j = math.floor(((lo - 0.5) * length - phase) / math.pi) - 1
+        while lam(j) <= hi:
+            if lam(j) >= lo:
+                roots.append(lam(j))
+            j += 1
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # 1-D transverse comparison oracle
 # ---------------------------------------------------------------------------

@@ -141,6 +141,10 @@ def test_fem_mesh_error_exits_2(capsys):
     *((SMALL_STRIP + ["--k", k],
        f"k = {k} must be below the pencil's 414 DOFs")
       for k in ("414", "100000")),
+    (["spin-orbit", "--tau", "-1", "--omega", "0.3", "--lo", "1e16", "--hi",
+      "1.00000000000001e16"],
+     "window [1e+16, 1.00000000000001e+16] is too far out to scan: adjacent "
+     "floats at 1e+16 are 2 apart, more than the scan step 0.0005"),
 ])
 def test_input_check_exits_2(argv, message, monkeypatch, capsys):
     """An input the library refuses exits 2 with one line on stderr, and a
@@ -242,6 +246,12 @@ print(sorted(m for m in sys.modules if m.startswith("diracwedge.")))
     assert out.returncode == 0, out.stderr
     want = sorted(f"diracwedge.{m}" for m in ("cli", "model", *layers))
     assert out.stdout.splitlines() == [str(want)]
+
+
+def test_every_option_has_a_help_line():
+    missing = [(name, opt.name) for name, (opts, _) in cli._COMMANDS.items()
+               for opt in opts if not opt.help]
+    assert missing == []
 
 
 def test_top_level_help_lists_every_subcommand(capsys):

@@ -19,9 +19,9 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
-from oracles import (secular_det_matrix, secular_matrix, secular_null_space,
-                     secular_null_space_mp, secular_root_mp,
-                     spin_orbit_eigenvalue_near)
+from oracles import (decoupled_arc_roots, secular_det_matrix, secular_matrix,
+                     secular_null_space, secular_null_space_mp,
+                     secular_root_mp, spin_orbit_eigenvalue_near)
 
 RNG = np.random.default_rng(11)
 
@@ -461,6 +461,30 @@ def test_roots_near_tau_2_are_simple(tau, omega):
             <= 1e-12 * np.linalg.norm(t, 2) * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("omega", (0.3, 0.9, 1.3))
+@pytest.mark.parametrize("sign", (-1.0, 1.0))
+def test_roots_tend_to_decoupled_arcs_near_tau_2(sign, omega):
+    """At tau = +-(2 - eps) the window [-2, 2] holds the 8 roots of the
+    decoupled arcs (oracle), counted with multiplicity, and the principal
+    root is the oracle's one in (0, 1/2).  f_+- / a differ from their limits
+    by O(eps^2), and so do the roots: the largest deviation falls by
+    100 +- 10 per decade of eps (measured: 0.106, 0.172 and 0.072 eps^2
+    for the three omega)."""
+    want = decoupled_arc_roots(omega, -2.0, 2.0)
+    assert len(want) == 8
+    (star,) = [lam for lam in want if 0.0 < lam < 0.5]
+    devs = []
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        p = PhysParams(tau=sign * (2.0 - eps), m=1.0, omega=omega)
+        got = [r.lam for r in spectrum_in_window(p, -2.0, 2.0)
+               for _ in r.sectors]
+        assert len(got) == len(want), eps
+        devs.append(max(abs(principal_eigenvalue(p).lam - star),
+                        *(abs(g - w) for g, w in zip(got, want))))
+    for coarse, fine in zip(devs, devs[1:]):
+        assert coarse / fine == pytest.approx(100.0, abs=10.0), devs
+
+
 def test_candidate_grid_is_cached_read_only():
     """The scan grid and its sin(pi mu) are built once per window, shared
     read-only, and the sine is the one the grid gives."""
@@ -488,6 +512,17 @@ def test_window_rejects_bad_bounds(monkeypatch):
     monkeypatch.setattr(so, "_candidate_grid", no_grid)
     with pytest.raises(ValueError, match="wider than 1000"):
         spectrum_in_window(P_REF, -1e9, 1e9)
+    # from |lambda| = 2^42 on, adjacent floats lie farther apart than the
+    # grid step 1/2000, and the grid would merge points
+    for lo, hi in ((2.0 ** 42, 2.0 ** 42 + 10.0), (-2.0 ** 42, -2.0 ** 42 + 1.0),
+                   (1e16, 1.00000000000001e16)):
+        with pytest.raises(ValueError, match="too far out to scan"):
+            spectrum_in_window(P_REF, lo, hi)
+    # just below, a window 10 wide holds its 20 roots at tau = -1, omega = 0.3
+    monkeypatch.undo()
+    top = math.nextafter(2.0 ** 42, 0.0)
+    p = PhysParams(tau=-1.0, m=1.0, omega=0.3)
+    assert len(spectrum_in_window(p, top - 10.0, top)) == 20
 
 
 def test_principal_rejects_straight_line():
@@ -516,6 +551,28 @@ def test_profile_satisfies_matching_and_norm():
         else:
             total += trapezoid(dens, th)
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf,
+                                   np.array([0.1, math.nan, 2.0])],
+                         ids=["nan", "inf", "-inf", "array-with-nan"])
+def test_profile_refuses_non_finite_angle(theta):
+    """angular_profile refuses a non-finite angle as deficiency_element
+    does: both evaluate phi with the same point function."""
+    root = principal_eigenvalue(P_REF)
+    with pytest.raises(ValueError, match="^angle must be finite, got theta="):
+        angular_profile(P_REF, root, theta)
+
+
+def test_profile_keeps_the_shape_of_theta():
+    root = principal_eigenvalue(P_REF)
+    assert angular_profile(P_REF, root, 0.3).shape == (2,)
+    th = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+    got = angular_profile(P_REF, root, th)
+    assert got.shape == (3, 4, 2) and got.dtype == complex
+    np.testing.assert_array_equal(got[1, 2], angular_profile(P_REF, root,
+                                                             th[1, 2]))
+    assert angular_profile(P_REF, root, np.empty(0)).shape == (0, 2)
 
 
 def test_profile_periodicity():
