@@ -16,18 +16,18 @@ m=1); the only hard bound asserted here is E < m^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import ParameterError, PhysParams, _refine, derived_constants
+from .model import (ParameterError, PhysParams, _Record, _refine,
+                    derived_constants)
 
 __all__ = ["Aux1DResult", "ground_state"]
 
 
-@dataclass(frozen=True)
-class Aux1DResult:
-    gamma: float
-    k_gamma: float
-    E_gamma: float
+class Aux1DResult(_Record):
+    _fields = ("gamma", "k_gamma", "E_gamma")
+
+    def __init__(self, gamma: float, k_gamma: float, E_gamma: float) -> None:
+        self.__dict__.update(gamma=gamma, k_gamma=k_gamma, E_gamma=E_gamma)
 
 
 def ground_state(p: PhysParams, gamma: float) -> Aux1DResult:

@@ -10,24 +10,24 @@ Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
 whose result would overflow, a deficiency r whose K_nu(r) overflows, a
 fem-count k or mesh above its size cap, a k of at least the pencil's DOF
-count or a mass outside its range, and an unwritable --output or --export
-path included), 3 solver failure or a NaN or infinite result, which has no
-JSON form.
+count or a mass outside its range, a sweep axis that its quantity does not
+read, and an unwritable --output or --export path included), 3 solver
+failure or a NaN or infinite result, which has no JSON form.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 # the layers load in the point functions that use them, so a call loads
 # only its own subcommand's layer
-from .model import (FemSolveError, ParameterError, PhysParams,
+from .model import (FemSolveError, ParameterError, PhysParams, _Record,
                     derived_constants)
 
 __all__ = ["main", "run", "RunConfig", "load_config", "parse_angle"]
@@ -41,15 +41,16 @@ def parse_angle(text: str) -> float:
     return float(s)
 
 
-@dataclass(frozen=True)
-class _Opt:
-    name: str
-    type: object = float
-    default: object = None
-    required: bool = False
-    many: bool = False
-    choices: tuple = ()
-    help: str = ""
+class _Opt(_Record):
+    _fields = ("name", "type", "default", "required", "many", "choices",
+               "help")
+
+    def __init__(self, name: str, type: object = float, default: object = None,
+                 required: bool = False, many: bool = False,
+                 choices: tuple = (), help: str = "") -> None:
+        self.__dict__.update(name=name, type=type, default=default,
+                             required=required, many=many, choices=choices,
+                             help=help)
 
 
 _PI_4 = math.pi / 4.0
@@ -84,10 +85,11 @@ _MESH_OPTS = (
 _MESH_OPT_NAMES = tuple(opt.name for opt in _MESH_OPTS)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    options: dict
+class RunConfig(_Record):
+    _fields = ("subcommand", "options")
+
+    def __init__(self, subcommand: str, options: dict) -> None:
+        self.__dict__.update(subcommand=subcommand, options=options)
 
     def as_dict(self) -> dict:
         # the artifact destination is not part of the artifact
@@ -178,9 +180,28 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_opts(flags: dict) -> list:
+    """sweep's options for its quantity, whose axes are the only list
+    options kept; a list option given that is not one of them is refused."""
+    quantity = flags["quantity"]
+    axes = _SWEEPS[quantity][0]
+    opts = _COMMANDS["sweep"][0]
+    unused = [o.name for o in opts if o.many and o.name not in axes
+              and flags.get(o.name) is not None]
+    if unused:
+        raise ParameterError(
+            f"sweep: quantity {quantity} has the axes "
+            f"{', '.join('--' + a for a in axes)} only; got "
+            f"{', '.join('--' + a for a in unused)}")
+    return [o for o in opts if not o.many or o.name in axes]
+
+
 def _resolve(subcommand: str, flags: dict) -> RunConfig:
+    opts = _COMMANDS[subcommand][0]
+    if subcommand == "sweep" and flags.get("quantity") is not None:
+        opts = _sweep_opts(flags)
     options: dict = {}
-    for opt in _COMMANDS[subcommand][0]:
+    for opt in opts:
         val = flags.get(opt.name)
         if val is None:
             val = opt.default
@@ -497,5 +518,16 @@ def main(argv=None) -> int:
     return run(config)
 
 
+def entry() -> None:
+    """Process entry of ``python -m diracwedge.cli`` and of the
+    ``diracwedge`` script: exits with ``main``'s code.  The artifact is
+    written and closed by then, so the heap is frozen first: the exit then
+    skips the collector's passes over every loaded module's objects, and
+    finalizers of objects left in reference cycles do not run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

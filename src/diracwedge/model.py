@@ -12,7 +12,6 @@ consumes the constants and matrices built here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -46,8 +45,40 @@ class FemSolveError(RuntimeError):
     in the message); defined here so it is caught without loading scipy."""
 
 
-@dataclass(frozen=True)
-class PhysParams:
+class _Record:
+    """Immutable record of the fields named in ``_fields``, as a frozen
+    dataclass would be, without importing ``dataclasses`` (which loads
+    ``inspect``) or building methods with ``exec``: equality on the same
+    type, the field-tuple hash, the dataclass repr, and no assignment or
+    deletion.  Each subclass's ``__init__`` fills ``self.__dict__`` in field
+    order, so ``vars()`` and pickling see the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PhysParams(_Record):
     """Interaction strength, mass, and wedge half-angle.
 
     tau : dimensionless shell strength, tau not in {-2, 0, 2}, small enough
@@ -58,37 +89,34 @@ class PhysParams:
         (pi/2 is the straight-line reference case)
     """
 
-    tau: float
-    m: float
-    omega: float
+    _fields = ("tau", "m", "omega")
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.tau, self.m, self.omega)):
+    def __init__(self, tau: float, m: float, omega: float) -> None:
+        if not all(math.isfinite(v) for v in (tau, m, omega)):
             raise ParameterError("parameters must be finite")
         for bad in _EXCLUDED_TAU:
-            if abs(self.tau - bad) <= _TAU_GUARD:
+            if abs(tau - bad) <= _TAU_GUARD:
                 raise ParameterError(
-                    f"tau = {self.tau} is within {_TAU_GUARD} of the excluded "
+                    f"tau = {tau} is within {_TAU_GUARD} of the excluded "
                     f"value {bad}"
                 )
-        if self.m <= 0.0:
-            raise ParameterError(f"mass must be positive, got {self.m}")
-        if not (_OMEGA_MIN < self.omega <= math.pi / 2.0):
+        if m <= 0.0:
+            raise ParameterError(f"mass must be positive, got {m}")
+        if not (_OMEGA_MIN < omega <= math.pi / 2.0):
             raise ParameterError(
-                f"omega must lie in ({_OMEGA_MIN}, pi/2], got {self.omega}"
+                f"omega must lie in ({_OMEGA_MIN}, pi/2], got {omega}"
             )
         # Computed once here: every secular evaluation reads them.  Stored
         # outside the fields, so equality, hashing and repr are unchanged.
         try:
-            dc = _derive(self.tau, self.m)
+            dc = _derive(tau, m)
         except OverflowError:
             dc = None
         if dc is None or not all(map(math.isfinite, vars(dc).values())):
             raise ParameterError(
-                f"tau = {self.tau}, m = {self.m} overflows the derived "
-                "constants"
+                f"tau = {tau}, m = {m} overflows the derived constants"
             )
-        object.__setattr__(self, "_constants", dc)
+        self.__dict__.update(tau=tau, m=m, omega=omega, _constants=dc)
 
 
 # sigma_0..sigma_3 as nested tuples, so importing the package loads no numpy
@@ -113,8 +141,7 @@ def sigma_dot(v) -> np.ndarray:
     return np.array([[0.0, v1 - 1.0j * v2], [v1 + 1.0j * v2, 0.0]])
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(_Record):
     """Scalar constants derived from (tau, m).
 
     a, b : entries of the transmission matrix M = a sigma_0 + b i sigma_3 (sigma.nu)
@@ -126,13 +153,13 @@ class DerivedConstants:
     c_tau : (a - 1)^2 + b^2, squared norm of the jump of the profile spinor
     """
 
-    a: float
-    b: float
-    eps_tau: float
-    eps_tau_sq: float
-    kappa0: float
-    kappa_tau: float
-    c_tau: float
+    _fields = ("a", "b", "eps_tau", "eps_tau_sq", "kappa0", "kappa_tau",
+               "c_tau")
+
+    def __init__(self, a: float, b: float, eps_tau: float, eps_tau_sq: float,
+                 kappa0: float, kappa_tau: float, c_tau: float) -> None:
+        self.__dict__.update(a=a, b=b, eps_tau=eps_tau, eps_tau_sq=eps_tau_sq,
+                             kappa0=kappa0, kappa_tau=kappa_tau, c_tau=c_tau)
 
 
 def _derive(t: float, m: float) -> DerivedConstants:

@@ -83,10 +83,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import PhysParams, _refine, derived_constants
+from .model import PhysParams, _Record, _refine, derived_constants
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,14 +107,15 @@ _ROOT_DEDUP = 1e-7
 _MAX_WINDOW = 1000.0
 
 
-@dataclass(frozen=True)
-class SpinOrbitRoot:
+class SpinOrbitRoot(_Record):
     """An eigenvalue of the spin-orbit operator and the reflection sector
     s = +-1 of each of its null vectors, -1 first for a double root; the
     null vector of sector s is ``_sector_row(a, b, omega, lam, s)``."""
 
-    lam: float
-    sectors: tuple[int, ...]
+    _fields = ("lam", "sectors")
+
+    def __init__(self, lam: float, sectors: tuple[int, ...]) -> None:
+        self.__dict__.update(lam=lam, sectors=sectors)
 
     @property
     def multiplicity(self) -> int:

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .model import (DerivedConstants, ParameterError, PhysParams,
+from .model import (DerivedConstants, ParameterError, PhysParams, _Record,
                     derived_constants)
 
 __all__ = [
@@ -83,8 +82,7 @@ def _require_count(name: str, n) -> None:
 # Closed-form energies of the test functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(_Record):
     """Closed-form quadratic-form pieces of the sum of the N modes, all
     Python floats.
 
@@ -95,13 +93,16 @@ class EnergyBreakdown:
     rounded sum (``math.fsum``).
     """
 
-    jump_sq: float
-    l2_sq: float
-    gradx_sq: float
-    grady_sq: float
-    form_gap: float
-    bound_gap: float
-    form_gap_modes: tuple[float, ...]
+    _fields = ("jump_sq", "l2_sq", "gradx_sq", "grady_sq", "form_gap",
+               "bound_gap", "form_gap_modes")
+
+    def __init__(self, jump_sq: float, l2_sq: float, gradx_sq: float,
+                 grady_sq: float, form_gap: float, bound_gap: float,
+                 form_gap_modes: tuple[float, ...]) -> None:
+        self.__dict__.update(jump_sq=jump_sq, l2_sq=l2_sq, gradx_sq=gradx_sq,
+                             grady_sq=grady_sq, form_gap=form_gap,
+                             bound_gap=bound_gap,
+                             form_gap_modes=form_gap_modes)
 
     @property
     def certifies(self) -> bool:
@@ -315,11 +316,14 @@ def weyl_residual(p: PhysParams, lam: float, n: int) -> float:
 # Singular sequence along the shell
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularSeqReport:
-    norm_sq: dict[int, float]     # ||psi_n||^2
-    c_lower: float
-    c_upper: float
+class SingularSeqReport(_Record):
+    """norm_sq maps n to ||psi_n||^2."""
+
+    _fields = ("norm_sq", "c_lower", "c_upper")
+
+    def __init__(self, norm_sq: dict[int, float], c_lower: float,
+                 c_upper: float) -> None:
+        self.__dict__.update(norm_sq=norm_sq, c_lower=c_lower, c_upper=c_upper)
 
 
 def singular_sequence(p: PhysParams, ns=(2, 4, 8)) -> SingularSeqReport:

@@ -249,6 +249,64 @@ def decoupled_arc_roots(omega: float, lo: float, hi: float) -> list[float]:
     return sorted(roots)
 
 
+def weak_coupling_roots(tau: float, omega: float, lo: float,
+                        hi: float) -> list[tuple[float, int]]:
+    """The first-order spin-orbit roots (lambda, sector) in [lo, hi] as
+    tau -> 0, sorted.
+
+    At tau = 0 every lambda = k + 1/2 is a double root.  Near it
+    f_s = a sin(pi mu) + s b cos phi, mu = lambda - 1/2, phi = (pi - 2 omega)
+    mu - omega, reads a (-1)^k pi (mu - k) + s b cos phi_k to first order,
+    so lambda_{k,s} = k + 1/2 - s (-1)^k (b/a) cos((pi - 2 omega) k - omega)
+    / pi, with b/a from raw tau; the error is O(tau^2).
+    """
+    a, b = _ab(tau)
+    roots = []
+    for k in range(math.floor(lo) - 1, math.ceil(hi) + 1):
+        split = (b / a) * math.cos((math.pi - 2.0 * omega) * k - omega)
+        split /= math.pi
+        for s in (-1, 1):
+            lam = k + 0.5 - s * (-1) ** k * split
+            if lo <= lam <= hi:
+                roots.append((lam, s))
+    return sorted(roots)
+
+
+def angular_profile_at(p, lam: float, sector: int, theta: float) -> np.ndarray:
+    """phi_lambda(theta), (2,) complex, from the SVD null space of the
+    matching matrix T(lambda), for any finite theta.
+
+    The null vector (A, B, C, D) is the one with B = sector i A (the
+    reflection sector; a double root has a two-dimensional null space),
+    scaled to unit L^2 norm over both arcs with A real and positive.  The
+    wedge arc is cos theta >= cos omega, its boundary rays included to
+    rounding; theta is reduced through (cos theta, sin theta) by atan2 to
+    (-pi, pi] on that arc and to (omega, 2 pi - omega) off it.
+    """
+    null = secular_null_space(p, lam)
+    if len(null) == 1:
+        v = null[0]
+    else:
+        n1, n2 = null[:2]
+        v = ((n2[1] - sector * 1j * n2[0]) * n1
+             - (n1[1] - sector * 1j * n1[0]) * n2)
+    assert abs(v[1] - sector * 1j * v[0]) <= 1e-8 * np.linalg.norm(v)
+    w = p.omega
+    v = v * (abs(v[0]) / v[0])
+    v = v / math.sqrt((abs(v[0]) ** 2 + abs(v[1]) ** 2) * 2.0 * w
+                      + (abs(v[2]) ** 2 + abs(v[3]) ** 2)
+                      * (2.0 * math.pi - 2.0 * w))
+    mu = lam - 0.5
+    t = math.atan2(math.sin(theta), math.cos(theta))
+    if math.cos(theta) >= math.cos(w) - 4.0 * np.finfo(float).eps:
+        first, second = v[0], v[1]
+    else:
+        first, second = v[2], v[3]
+        t %= 2.0 * math.pi
+    e = np.exp(1j * mu * t)
+    return np.array([first * e, second / e])
+
+
 # ---------------------------------------------------------------------------
 # 1-D transverse comparison oracle
 # ---------------------------------------------------------------------------

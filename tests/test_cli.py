@@ -1,17 +1,21 @@
 """Command-line front end: dispatch, artifacts, determinism, round-trips."""
 
+import ast
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from diracwedge import cli
 from diracwedge.cli import RunConfig, load_config, main, parse_angle, run
+from diracwedge.model import DerivedConstants
 
 
 # 414 reduced DOFs, 12 pencil eigenvalues below the gap edge
@@ -240,12 +244,100 @@ from diracwedge.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv!r}) == 0
 print(sorted(m for m in sys.modules if m.startswith("diracwedge.")))
+print([m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules])
 """
     out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     want = sorted(f"diracwedge.{m}" for m in ("cli", "model", *layers))
-    assert out.stdout.splitlines() == [str(want)]
+    # numpy's own import (numpy._core.overrides) loads inspect
+    heavy = ["inspect", "numpy"] if argv[0] == "spin-orbit" else []
+    assert out.stdout.splitlines() == [str(want), str(heavy)]
+
+
+def _child_run(args, env):
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_module_run_exits_with_a_complete_artifact(code, tmp_path, capsys,
+                                                    child_env):
+    """``python -m diracwedge.cli`` exits with main's code, its artifact
+    complete and its stdout and stderr flushed.  Exit 3 runs the module
+    the same way, with the constants made NaN first."""
+    argv = {0: ["sweep", "--quantity", "principal", "--tau", "-1", "-2.5",
+                "-3", "--omega", "0.2", "0.5", "0.9"],
+            2: ["gap", "--tau", "2"],
+            3: ["gap", "--tau", "-1"]}[code]
+    nan_constants = f"""
+import math, runpy, sys
+import diracwedge.model as model
+model.derived_constants = lambda p: model.DerivedConstants(*[math.nan] * 7)
+sys.argv[1:1] = {argv!r}
+runpy.run_module("diracwedge.cli", run_name="__main__", alter_sys=True)
+"""
+    launch = (["-c", nan_constants] if code == 3
+              else ["-m", "diracwedge.cli", *argv])
+    artifact = tmp_path / "artifact"
+    to_file = _child_run([*launch, "--output", str(artifact)], child_env)
+    to_stdout = _child_run(launch, child_env)
+    for out in (to_file, to_stdout):
+        assert out.returncode == code, out.stderr
+    assert to_file.stdout == ""
+    if code == 0:
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert want.count("\n") == 2 + 9
+        assert artifact.read_text() == to_stdout.stdout == want
+        assert to_file.stderr == to_stdout.stderr == ""
+    else:
+        assert not artifact.exists()
+        assert to_stdout.stdout == ""
+        lead = {2: "diracwedge gap: tau = 2.0 is within",
+                3: "diracwedge gap: non-finite result in eps_tau, "}[code]
+        for out in (to_file, to_stdout):
+            assert out.stderr.startswith(lead) and out.stderr.endswith("\n")
+            assert out.stderr.count("\n") == 1
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys, child_env):
+    """An in-process main() leaves the collector as it was; entry() freezes
+    the heap before it exits."""
+    frozen = gc.get_freeze_count()
+    assert main(["gap", "--tau", "-1"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    code = """
+import contextlib, gc, io, sys
+from diracwedge.cli import entry
+
+sys.argv[1:] = ["gap", "--tau", "-1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        entry()
+    except SystemExit as exc:
+        code = exc.code
+print(code, gc.get_freeze_count() > 0)
+"""
+    out = _child_run(["-c", code], child_env)
+    assert out.stdout == "0 True\n", out.stderr
+
+
+def test_console_script_is_the_module_entry():
+    """The ``diracwedge`` script of pyproject.toml and ``python -m
+    diracwedge.cli`` call the same function."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["diracwedge"]
+    module, _, func = target.partition(":")
+    assert module == "diracwedge.cli"
+    tree = ast.parse((root / "src" / "diracwedge" / "cli.py").read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{func}()"]
+    assert callable(getattr(cli, func))
 
 
 def test_every_option_has_a_help_line():
@@ -594,6 +686,44 @@ def test_sweep_rows_follow_grid(tmp_path):
     assert points == [(t, m) for t in (-1.0, -2.5, -4.0) for m in (1.0, 2.0)]
 
 
+def test_sweep_refuses_an_axis_its_quantity_does_not_read(capsys):
+    """A list option given to sweep that its quantity does not read exits 2,
+    and the message names the quantity's axes."""
+    assert main(["sweep", "--quantity", "gap", "--tau", "-1", "--omega",
+                 "0.1", "0.2", "--gamma", "3", "--N", "4"]) == 2
+    assert capsys.readouterr() == ("", (
+        "diracwedge: sweep: quantity gap has the axes --tau, --m only; got "
+        "--omega, --gamma, --N\n"))
+    for quantity, (axes, _, _) in cli._SWEEPS.items():
+        for name in ("omega", "gamma", "N"):
+            if name not in axes:
+                code = main(["sweep", "--quantity", quantity, "--tau", "-1",
+                             f"--{name}", "1"])
+                err = capsys.readouterr().err
+                assert code == 2 and f"quantity {quantity} has the axes" in err
+
+
+def test_sweep_config_records_only_its_axes(tmp_path, capsys):
+    """A sweep artifact's config holds its quantity's axes only and replays
+    to the same bytes; an older artifact, which recorded every axis, is
+    refused on replay."""
+    for quantity, (axes, _, _) in cli._SWEEPS.items():
+        _, out = run_to_file(tmp_path, f"{quantity}.csv",
+                             ["sweep", "--quantity", quantity, "--tau", "-1"])
+        config = load_config(str(out))
+        assert list(config) == ["subcommand", "quantity", *axes]
+        _, again = run_to_file(tmp_path, f"{quantity}-replay.csv",
+                               ["sweep", "--config", str(out)])
+        assert again.read_bytes() == out.read_bytes()
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({
+        "subcommand": "sweep", "quantity": "gap", "tau": [-1.0], "m": [1.0],
+        "omega": [math.pi / 4], "gamma": [10.0], "N": [1]}))
+    assert main(["sweep", "--config", str(older)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "got --omega, --gamma, --N\n")
+
+
 def _csv_rows(text):
     lines = text.splitlines()
     header = lines[1].split(",")
@@ -773,7 +903,7 @@ def test_non_finite_result_exits_3(argv, field, monkeypatch, tmp_path, capsys):
     real = cli.derived_constants
 
     def nan_edge(p):
-        return dataclasses.replace(real(p), eps_tau=math.nan)
+        return DerivedConstants(**{**vars(real(p)), "eps_tau": math.nan})
 
     monkeypatch.setattr(cli, "derived_constants", nan_edge)
     out = tmp_path / "never"

@@ -118,15 +118,64 @@ def test_derived_constants_near_two_match_mpmath(tau):
 
 def test_derived_constants_built_once_per_params():
     """derived_constants returns the constants built with the parameters;
-    a replaced or unpickled copy carries its own, equal where it should be."""
+    a copy with another tau or an unpickled copy carries its own, equal
+    where it should be."""
     p = PhysParams(tau=-1.0, m=1.0, omega=0.7)
     assert derived_constants(p) is derived_constants(p)
-    q = dataclasses.replace(p, tau=-0.5)
+    q = PhysParams(-0.5, p.m, omega=p.omega)
+    assert q != p
     assert derived_constants(q).a == pytest.approx(4.25 / 3.75, abs=1e-15)
     assert derived_constants(p).a == pytest.approx(5.0 / 3.0, abs=1e-15)
     r = pickle.loads(pickle.dumps(p))
     assert r == p and hash(r) == hash(p) and repr(r) == repr(p)
     assert derived_constants(r) == derived_constants(p)
+
+
+def _records():
+    """(class, field values) of each record on the scalar path."""
+    from diracwedge.aux1d import Aux1DResult
+    from diracwedge.cli import RunConfig, _Opt
+    from diracwedge.model import DerivedConstants
+    from diracwedge.spin_orbit import SpinOrbitRoot
+    from diracwedge.variational import EnergyBreakdown, SingularSeqReport
+
+    return [
+        (PhysParams, (-1.0, 1.0, 0.7)),
+        (DerivedConstants, (5 / 3, -4 / 3, 0.6, 0.36, 0.8, 41 / 9, 32 / 9)),
+        (_Opt, ("tau", float, None, True, False, ("a",), "coupling")),
+        (RunConfig, ("gap", {"tau": -1.0, "m": 1.0})),
+        (SpinOrbitRoot, (1.5, (-1, 1))),
+        (EnergyBreakdown, (0.1, 1.0, 0.2, 0.3, -0.01, -0.02, (-0.01,))),
+        (SingularSeqReport, ({2: 0.9, 4: 1.0}, 0.5, 1.1)),
+        (Aux1DResult, (1.0, 0.9, 0.19)),
+    ]
+
+
+@pytest.mark.parametrize("cls, args", _records(),
+                         ids=[cls.__name__ for cls, _ in _records()])
+def test_records_keep_the_frozen_dataclass_contract(cls, args):
+    """Each record behaves as the frozen dataclass of its fields did:
+    positional and keyword construction, equality on the same type only,
+    the field-tuple hash, its repr, no assignment or deletion, a pickle
+    round trip and the fields first in vars()."""
+    fields = cls._fields
+    twin = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+    x, want = cls(*args), twin(*args)
+    assert x == cls(**dict(zip(fields, args))) and x != want
+    assert repr(x) == repr(want)
+    assert list(vars(x))[:len(fields)] == list(fields)
+    if any(isinstance(v, dict) for v in args):
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(want)
+    for change in (lambda: setattr(x, fields[0], args[0]),
+                   lambda: setattr(x, "extra", 1),
+                   lambda: delattr(x, fields[-1])):
+        with pytest.raises(AttributeError):
+            change()
+    y = pickle.loads(pickle.dumps(x))
+    assert vars(y) == vars(x) and repr(y) == repr(x)
 
 
 def test_gap_edge_identity_attractive():

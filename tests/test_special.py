@@ -20,6 +20,8 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
+from oracles import angular_profile_at
+
 P_REF = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 
 
@@ -265,12 +267,18 @@ def _agreement_roots():
 def test_deficiency_point_path_matches_matrix_path():
     """The point evaluation equals K_a phi +- K_b (sigma . n) phi built from
     the array profile, on both arcs, on and next to the boundary rays, and
-    for angles wrapped from outside [-omega, 2pi - omega)."""
+    for angles wrapped from outside [-omega, 2pi - omega); the array
+    profile there equals the oracle's, built from the SVD null space of T
+    with its own reduction of the angle and choice of arc."""
     n_cases = 0
     for p, root in _agreement_roots():
         w = p.omega
         thetas = (0.0, w, -w, w + 1e-13, w - 1e-13, math.pi,
                   2.0 * math.pi - w, -7.0, 20.0)
+        for theta in thetas:
+            want = angular_profile_at(p, root.lam, root.sectors[0], theta)
+            assert (np.linalg.norm(angular_profile(p, root, theta) - want)
+                    <= 1e-14 * np.linalg.norm(want)), (p, theta)
         for sign in (1, -1):
             for r in (1e-4, 0.5, 30.0):
                 for theta in thetas:

@@ -21,7 +21,8 @@ from diracwedge.spin_orbit import (
 
 from oracles import (decoupled_arc_roots, secular_det_matrix, secular_matrix,
                      secular_null_space, secular_null_space_mp,
-                     secular_root_mp, spin_orbit_eigenvalue_near)
+                     secular_root_mp, spin_orbit_eigenvalue_near,
+                     weak_coupling_roots)
 
 RNG = np.random.default_rng(11)
 
@@ -296,6 +297,49 @@ def test_weak_coupling_window_roots_match_oracle(tau, lo, hi):
     for root in roots:
         expected = secular_root_mp(tau, omega, root.lam - half, root.lam + half)
         assert root.lam == pytest.approx(expected, abs=1e-15)
+
+
+# Weak-coupling angles and the deviation of the first-order roots from the
+# true ones measured there: 0.126, 0.087 and 0.030 tau^2 at tau = +-1e-2.
+WEAK_OMEGAS = (0.3, 0.7, 1.2)
+WEAK_BOUND = 0.15
+
+
+def test_weak_coupling_oracle_matches_dense_oracle():
+    """The 12 first-order roots of [-3, 3] at |tau| = 1e-2 lie within
+    0.15 tau^2 of the dense two-arc pencil's, and the null vector there lies
+    in the oracle's sector."""
+    for tau in (-1e-2, 1e-2):
+        for omega in WEAK_OMEGAS:
+            p = PhysParams(tau=tau, m=1.0, omega=omega)
+            roots = weak_coupling_roots(tau, omega, -3.0, 3.0)
+            assert len(roots) == 12
+            for lam, s in roots:
+                dense = spin_orbit_eigenvalue_near(tau, omega, lam,
+                                                   n_nodes=1000)
+                assert abs(dense - lam) <= WEAK_BOUND * tau * tau
+                [v] = secular_null_space(p, dense)
+                assert abs(v[1] - s * 1j * v[0]) <= 1e-6 * abs(v[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the grid scan keeps one root of each weak-coupling "
+                          "pair whose split is below its step")
+def test_weak_coupling_windows_are_complete():
+    """Every [-3, 3] window at |tau| in {1e-6, 1e-4, 1e-3} holds the 12
+    first-order roots, counted with multiplicity, each in its sector and
+    within 0.15 tau^2."""
+    for tau in (-1e-6, 1e-6, -1e-4, 1e-4, -1e-3, 1e-3):
+        for omega in WEAK_OMEGAS:
+            p = PhysParams(tau=tau, m=1.0, omega=omega)
+            got = sorted((root.lam, s) for root in
+                         spectrum_in_window(p, -3.0, 3.0)
+                         for s in root.sectors)
+            want = weak_coupling_roots(tau, omega, -3.0, 3.0)
+            assert len(got) == len(want) == 12, (tau, omega, len(got))
+            for (lam, s), (lam_want, s_want) in zip(got, want):
+                assert s == s_want
+                assert abs(lam - lam_want) <= WEAK_BOUND * tau * tau
 
 
 # omega = pi/6, lambda = +-3/2: 6 omega mu = pi, so det T and its derivative
