@@ -74,6 +74,17 @@ each weak-coupling pair); sign-change bracketing of the whole window would
 find them once the benchmark reference, which froze the scan's windows,
 is corrected.
 
+The scan evaluates the factors only where a root can be.  Both factors
+have |f_+-'| <= D = |a| pi + |b| (pi - 2 omega), and
+min(|f_+|, |f_-|) = m = ||a sin(pi mu)| - |b cos phi||.  Every 16th grid
+point (and the last) is a coarse point; a coarse cell of width h with
+m(left) + m(right) > D h holds no root of either factor, since a root at
+x would give |f_s| <= D |x - end| at both ends.  With a rounding margin
+(see ``spectrum_in_window``) the test also proves that no computed grid
+value of f_s changes sign inside the cell, so every minimum the full scan
+refines lies in or next to a kept cell, and is found there from the same
+floats: the roots are those of the full scan, bit for bit.
+
 The secular solver here is the product of record; a dense discretization of J
 lives in the test suite as an independent oracle.
 """
@@ -105,6 +116,11 @@ _MULT_CUT = 1e-7
 _ROOT_DEDUP = 1e-7
 # Widest window the scan accepts: 2e6 grid points.
 _MAX_WINDOW = 1000.0
+# Every 16th grid point bounds a cell of the root-free exclusion pass.  Of
+# 8, 12, 16, 24, 32 and 48, 16 was best or within 2% of best at widths 0.3
+# to 100; 8 and 48 were 10-11% slower on [-50, 50] (in process, best of 6,
+# 30 reference points, 2-core VM).
+_COARSE_STEP = 16
 
 
 class SpinOrbitRoot(_Record):
@@ -173,10 +189,17 @@ def _sector_row(a: float, b: float, w: float, lam: float,
 
 
 @functools.lru_cache(maxsize=2)
-def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid of [lo, hi] and sin(pi (grid - 1/2)) on it, both
-    read-only: built once per window."""
+def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """(rows, sine, mu, abs_sine, width), all read-only and built once per
+    window.  The coarse points are every ``_COARSE_STEP``-th point of the
+    scan grid of [lo, hi] and its last one; ``mu`` and ``abs_sine`` are
+    mu = lambda - 1/2 and |sin(pi mu)| at them, and ``width`` is the width
+    of the widest coarse cell between them.  Row j of ``rows`` holds the scan
+    points left - 1 .. right + 1 of cell j (NaN past either end of the
+    grid), and ``sine`` holds sin(pi (rows - 1/2)); consecutive rows share
+    three points, and both are views of one padded array each."""
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     n = int(np.ceil((hi - lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(lo, hi, max(n, 16))
@@ -190,10 +213,32 @@ def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         tails.append(lo + off)
         tails.append(hi - off)
     grid = np.unique(np.concatenate([grid, np.array(tails)]))
-    sine = np.sin(math.pi * (grid - 0.5))
-    grid.setflags(write=False)
-    sine.setflags(write=False)
-    return grid, sine
+    coarse = np.append(grid[::_COARSE_STEP], grid[-1])
+    padded = np.full((coarse.size - 1) * _COARSE_STEP + 3, np.nan)
+    padded[1:grid.size + 1] = grid
+    layout = tuple(sliding_window_view(x, _COARSE_STEP + 3)[::_COARSE_STEP]
+                   for x in (padded, np.sin(math.pi * (padded - 0.5))))
+    mu = coarse - 0.5
+    abs_sine = np.abs(np.sin(math.pi * mu))
+    for arr in (mu, abs_sine):
+        arr.setflags(write=False)
+    return layout + (mu, abs_sine, float(np.max(np.diff(coarse))))
+
+
+def _root_cells(a: float, b: float, w: float, lo: float,
+                hi: float) -> np.ndarray:
+    """Per coarse cell of ``_candidate_grid(lo, hi)``: False where no
+    computed grid value of either factor can change sign inside the cell
+    (see ``spectrum_in_window``)."""
+    import numpy as np
+
+    mu, abs_sine, width = _candidate_grid(lo, hi)[2:]
+    c = math.pi - 2.0 * w
+    slope = abs(a) * math.pi + abs(b) * c
+    near = np.abs(abs(a) * abs_sine - np.abs(b * np.cos(c * mu - w)))
+    top = max(abs(lo - 0.5), abs(hi - 0.5))
+    margin = 2.0 ** -46 * (abs(a) + abs(b)) * (1.0 + 2.0 * math.pi * top)
+    return near[:-1] + near[1:] <= width * (slope * (1.0 + 1e-12)) + margin
 
 
 def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
@@ -214,7 +259,29 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     refined by bracketed Newton on one factor f_s of det T down to adjacent
     floats and built in its sector s (see the module docstring), sorted
     ascending, with multiplicities; the window may be at most 1000 wide,
-    and its edges must lie below 2^42 in magnitude."""
+    and its edges must lie below 2^42 in magnitude.
+
+    The scan runs only on the coarse cells that ``_root_cells`` keeps, and
+    its roots are those of the scan over the whole grid.  With u = 2^-53,
+    every computed f_s at a grid point, and every computed
+    m = min(|f_+|, |f_-|) at a coarse point, lies within
+    E = 8u (|a| + |b|) (1 + 2 pi |mu|) of its exact value: pi mu and
+    (pi - 2 omega) mu - omega are rounded to within about 14u |mu| + 2u,
+    and sin and cos to within 2 ulp.  A minimum is refined only if the
+    computed f_s changes sign between two adjacent grid points of one coarse
+    cell.  So some x between them has |f_s(x)| <= E, |f_s| <= E + D |x - end|
+    at both ends of the cell, and the computed m(left) + m(right) is at
+    most D h + 4E for a cell of width h.  A cell is dropped only above
+    D h_max (1 + 1e-12) + 2^-46 (|a| + |b|) (1 + 2 pi max |mu|), h_max the
+    widest cell's width: the margin is 4 times 4E, and the factor
+    1 + 1e-12 covers the rounding of D h_max.
+    Row j of the gathered grid holds the points left - 1 .. right + 1 of
+    cell j and tests left .. right for a minimum, with both neighbours in
+    the row; a point tested in two kept rows is refined once.  The factors
+    are evaluated by ``_factors``, elementwise as on the whole grid, so
+    every minimum, factor choice, sign test and bracket is the whole
+    grid's.  At the benchmark's [-3, 3] window about 3% of the cells are
+    kept."""
     import numpy as np
 
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -229,18 +296,25 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
             f"{1.0 / _SCAN_DENSITY:g}")
     dc, w = derived_constants(p), p.omega
     a, b = dc.a, dc.b
-    grid, sine = _candidate_grid(lo, hi)
-    f_plus, f_minus = _factors(a, b, w, grid - 0.5, sine)
+    rows, sine = _candidate_grid(lo, hi)[:2]
+    keep = _root_cells(a, b, w, lo, hi)
+    grid = rows[keep]
+    f_plus, f_minus = _factors(a, b, w, grid - 0.5, sine[keep])
     vals = (f_plus * f_minus) ** 2
-    mid = vals[1:-1]
-    i = np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    # the factor nearer 0 at each minimum, f_+ on a tie, at both cell ends
-    minus = np.abs(f_minus[i]) < np.abs(f_plus[i])
-    f_lo, f_hi = (np.where(minus, f_minus[j], f_plus[j]) for j in (i - 1, i + 1))
+    lower = vals[:, 1:-1] <= np.minimum(vals[:, :-2], vals[:, 2:])
+    row, col = lower.nonzero()
+    # flat positions of each minimum's left neighbour, itself, right neighbour
+    trio = (row * vals.shape[1] + col)[:, None] + np.arange(3)
     found = []
-    for l, u, s, fl, fu in zip(grid[i - 1].tolist(), grid[i + 1].tolist(),
-                               np.where(minus, -1, 1).tolist(),
-                               f_lo.tolist(), f_hi.tolist()):
+    last = None
+    for (l, _, u), (pl, pm, pr), (ml, mm, mr) in zip(
+            grid.ravel()[trio].tolist(), f_plus.ravel()[trio].tolist(),
+            f_minus.ravel()[trio].tolist()):
+        if l == last:   # a cell's right end, tested in the next row as well
+            continue
+        last = l
+        # the factor nearer 0 at the minimum, f_+ on a tie, at both cell ends
+        s, fl, fu = (-1, ml, mr) if abs(mm) < abs(pm) else (1, pl, pr)
         r = 1.0 if fl >= 0.0 else -1.0
         if r * fu < 0.0:
             found.append((_refine(_det_factor(a, s * b, w, r), l, u), s))
@@ -261,7 +335,12 @@ def _profile(p: PhysParams, root: SpinOrbitRoot):
     and phi = (A e^{i mu t}, B e^{-i mu t}) where t <= omega (the wedge
     arc, boundary rays included), (C e^{i mu t}, D e^{-i mu t}) elsewhere,
     mu = lambda - 1/2, (A, B, C, D) the null vector of the root's first
-    sector (-1 for a double root).  A non-finite theta raises ValueError."""
+    sector (-1 for a double root).  The float 2pi is not 2pi, and theta
+    itself is rounded, so t lies within 2^-50 (|theta| + 2pi) of the exact
+    reduction; an angle that close to a ray, however many turns out, takes
+    the wedge arc as the ray does (from 2pi - omega, t - 2pi is used).  So
+    only angles within 8.9e-13 of a ray (for |theta| <= 1000) differ from
+    the plain rule.  A non-finite theta raises ValueError."""
     dc, w = derived_constants(p), p.omega
     a, b, c, d = _sector_row(dc.a, dc.b, w, root.lam, root.sectors[0])
     mu = root.lam - 0.5
@@ -270,8 +349,11 @@ def _profile(p: PhysParams, root: SpinOrbitRoot):
         if not math.isfinite(theta):
             raise ValueError(f"angle must be finite, got theta={theta}")
         t = (theta + w) % (2.0 * math.pi) - w
+        slack = 2.0 ** -50 * (abs(theta) + 2.0 * math.pi)
+        if t >= 2.0 * math.pi - w - slack:
+            t -= 2.0 * math.pi
         e = cmath.exp(1j * mu * t)
-        if t <= w:
+        if t <= w + slack:
             return a * e, b * e.conjugate()
         return c * e, d * e.conjugate()
     return phi

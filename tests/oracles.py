@@ -272,6 +272,61 @@ def weak_coupling_roots(tau: float, omega: float, lo: float,
     return sorted(roots)
 
 
+def full_grid_grid(lo: float, hi: float) -> np.ndarray:
+    """The window scan's grid of [lo, hi]: 2000 points per unit and
+    geometric tails 10^-4 .. 10^-12 of the width inside both edges."""
+    n = int(np.ceil((hi - lo) * 2000)) + 1
+    span = hi - lo
+    tails = [edge for k in range(4, 13)
+             for edge in (lo + 10.0 ** (-k) * span, hi - 10.0 ** (-k) * span)]
+    return np.unique(np.concatenate([np.linspace(lo, hi, max(n, 16)),
+                                     np.array(tails)]))
+
+
+def full_grid_window(p, lo: float, hi: float) -> list[tuple[float, tuple]]:
+    """(lambda, sectors) of the window scan over its whole grid, sorted.
+
+    This is the exactness reference of ``spectrum_in_window``, which skips
+    the coarse cells that hold no root, not an independent route: it
+    evaluates f_+- at every grid point with the same float operations and
+    refines with the package's ``_refine`` on the same ``_det_factor``, so
+    a correct skip gives the same bits.  Each interior minimum of
+    |f_+ f_-|^2 refines its factor nearer 0 (f_+ on a tie) where that
+    factor's grid values change sign across the minimum's two cells;
+    roots within 1e-7 of the previous one are dropped, and a root whose
+    other factor is within 1e-7 (|a| + |b|) of 0 is double, (-1, 1).
+    """
+    from diracwedge.model import _refine, derived_constants
+    from diracwedge.spin_orbit import _det_factor
+
+    dc, w = derived_constants(p), p.omega
+    a, b = dc.a, dc.b
+    grid = full_grid_grid(lo, hi)
+    mu = grid - 0.5
+    asin = a * np.sin(math.pi * mu)
+    bcos = b * np.cos((math.pi - 2.0 * w) * mu - w)
+    f_plus, f_minus = asin + bcos, asin - bcos
+    vals = (f_plus * f_minus) ** 2
+    mid = vals[1:-1]
+    found = []
+    for i in (np.flatnonzero((mid <= vals[:-2]) & (mid <= vals[2:])) + 1):
+        s, f = ((-1, f_minus) if abs(f_minus[i]) < abs(f_plus[i])
+                else (1, f_plus))
+        r = 1.0 if f[i - 1] >= 0.0 else -1.0
+        if r * f[i + 1] < 0.0:
+            fd = _det_factor(a, s * b, w, r)
+            found.append((_refine(fd, float(grid[i - 1]),
+                                  float(grid[i + 1])), s))
+    roots = []
+    for lam, s in sorted(found):
+        if roots and lam - roots[-1][0] <= 1e-7:
+            continue
+        other = _det_factor(a, -s * b, w, 1.0)(lam)[0]
+        double = abs(other) <= 1e-7 * (abs(a) + abs(b))
+        roots.append((lam, (-1, 1) if double else (s,)))
+    return roots
+
+
 def angular_profile_at(p, lam: float, sector: int, theta: float) -> np.ndarray:
     """phi_lambda(theta), (2,) complex, from the SVD null space of the
     matching matrix T(lambda), for any finite theta.

@@ -19,7 +19,8 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
-from oracles import (decoupled_arc_roots, secular_det_matrix, secular_matrix,
+from oracles import (angular_profile_at, decoupled_arc_roots, full_grid_grid,
+                     full_grid_window, secular_det_matrix, secular_matrix,
                      secular_null_space, secular_null_space_mp,
                      secular_root_mp, spin_orbit_eigenvalue_near,
                      weak_coupling_roots)
@@ -530,17 +531,100 @@ def test_roots_tend_to_decoupled_arcs_near_tau_2(sign, omega):
 
 
 def test_candidate_grid_is_cached_read_only():
-    """The scan grid and its sin(pi mu) are built once per window, shared
-    read-only, and the sine is the one the grid gives."""
+    """The scan grid, its sin(pi mu) and its coarse layout are built once
+    per window and shared read-only.  Row j holds the grid points
+    left - 1 .. right + 1 of coarse cell j (NaN past the grid's ends), the
+    coarse points are every 16th grid point and the last one, and the
+    width is that of the widest coarse cell."""
+    from diracwedge.spin_orbit import _COARSE_STEP as k
     from diracwedge.spin_orbit import _candidate_grid
 
-    grid, sine = _candidate_grid(-3.0, 3.0)
-    again = _candidate_grid(-3.0, 3.0)
-    assert again[0] is grid and again[1] is sine
-    for arr in (grid, sine):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    np.testing.assert_array_equal(sine, np.sin(np.pi * (grid - 0.5)))
+    assert k == 16
+    for lo, hi in ((-3.0, 3.0), (0.4, 0.45), (-7.25, 5.5)):
+        layout = _candidate_grid(lo, hi)
+        again = _candidate_grid(lo, hi)
+        assert all(x is y for x, y in zip(layout, again, strict=True))
+        rows, sine, mu, abs_sine, width = layout
+        for arr in (rows, sine, mu, abs_sine):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        grid = full_grid_grid(lo, hi)
+        n = grid.size
+        assert rows.shape == (mu.size - 1, k + 3)
+        padded = np.concatenate([rows[:, :k].ravel(), rows[-1, k:]])
+        assert np.isnan(padded[0]) and np.isnan(padded[n + 1:]).all()
+        np.testing.assert_array_equal(padded[1:n + 1], grid)
+        np.testing.assert_array_equal(sine, np.sin(np.pi * (rows - 0.5)))
+        coarse = np.append(grid[::k], grid[-1])
+        np.testing.assert_array_equal(mu, coarse - 0.5)
+        np.testing.assert_array_equal(abs_sine, np.abs(np.sin(np.pi * mu)))
+        assert width == np.max(np.diff(coarse))
+
+
+def _random_window(rng):
+    """(tau, omega, lo, hi): |tau| log-uniform in [1e-9, 3.9] of either
+    sign, omega in (0.01, 1.5), width log-uniform in [0.3, 13]."""
+    tau = math.exp(rng.uniform(math.log(1e-9), math.log(3.9)))
+    lo = rng.uniform(-8.0, 8.0)
+    return (tau * rng.choice((-1.0, 1.0)), rng.uniform(0.01, 1.5), lo,
+            lo + math.exp(rng.uniform(math.log(0.3), math.log(13.0))))
+
+
+def test_window_matches_full_grid_scan():
+    """Skipping the cells that hold no root changes no root: the window's
+    (lambda bits, sectors) equal those of the scan over the whole grid at
+    300 seeded windows and at the omega = pi/6 double roots +-3/2."""
+    rng = np.random.default_rng(37)
+    w = math.pi / 6.0
+    cases = [(-1.0, w, 1.4, 1.6), (-1.0, w, -1.6, -1.4)]
+    cases += [_random_window(rng) for _ in range(300)]
+    n_roots = 0
+    for tau, omega, lo, hi in cases:
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        got = [(r.lam.hex(), r.sectors) for r in spectrum_in_window(p, lo, hi)]
+        want = [(lam.hex(), sectors)
+                for lam, sectors in full_grid_window(p, lo, hi)]
+        assert got == want, (tau, omega, lo, hi)
+        n_roots += len(got)
+    for tau, omega, lo, hi in cases[:2]:
+        (root,) = spectrum_in_window(PhysParams(tau=tau, m=1.0, omega=omega),
+                                     lo, hi)
+        assert root.sectors == (-1, 1)
+        assert abs(abs(root.lam) - 1.5) <= 1e-15
+    assert n_roots > 1000
+
+
+def test_dropped_cells_hold_no_sign_change():
+    """Where ``_root_cells`` drops a coarse cell, neither factor changes
+    sign at its ends and 64 interior samples, and
+    D = |a| pi + |b| (pi - 2 omega) bounds the sampled |f_+-'| (up to the
+    rounding of the samples, 1e-12 relative)."""
+    from diracwedge.spin_orbit import _candidate_grid, _root_cells
+
+    rng = np.random.default_rng(41)
+    cases = [_random_window(rng) for _ in range(12)]
+    cases += [(-1.999, 0.2, -3.0, 3.0), (1e-8, math.pi / 4.0, -3.0, 3.0),
+              (-1.0, math.pi / 2.0, -6.0, 6.0), (-3.9, 1.4, 0.0, 13.0)]
+    t = np.linspace(0.0, 1.0, 66)
+    n_dropped = 0
+    for tau, omega, lo, hi in cases:
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        dc = derived_constants(p)
+        a, b, c = dc.a, dc.b, math.pi - 2.0 * omega
+        ends = _candidate_grid(lo, hi)[2]
+        dropped = np.flatnonzero(~_root_cells(a, b, omega, lo, hi))
+        assert dropped.size > 0
+        n_dropped += dropped.size
+        left = ends[dropped][:, None]
+        mu = left + (ends[dropped + 1][:, None] - left) * t
+        phi = c * mu - omega
+        for s in (1.0, -1.0):
+            f = a * np.sin(np.pi * mu) + s * b * np.cos(phi)
+            assert np.all((f > 0.0).all(axis=1) | (f < 0.0).all(axis=1))
+            slope = a * np.pi * np.cos(np.pi * mu) - s * b * c * np.sin(phi)
+            d = abs(a) * math.pi + abs(b) * c
+            assert np.abs(slope).max() <= d * (1.0 + 1e-12)
+    assert n_dropped > 5000
 
 
 def test_window_rejects_bad_bounds(monkeypatch):
@@ -617,6 +701,36 @@ def test_profile_keeps_the_shape_of_theta():
     np.testing.assert_array_equal(got[1, 2], angular_profile(P_REF, root,
                                                              th[1, 2]))
     assert angular_profile(P_REF, root, np.empty(0)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("tau", (-1.0, -3.0))
+@pytest.mark.parametrize("omega", (math.pi / 6.0, 1.2))
+def test_profile_on_wrapped_rays_matches_oracle(tau, omega):
+    """On a boundary ray one or two turns out, and 1e-13 to either side of
+    it, the profile is the oracle's, whose arc comes from cos theta: the
+    float angle 2pi k +- omega takes the wedge arc, as the ray does, and
+    so do the floats next to it."""
+    p = PhysParams(tau=tau, m=1.0, omega=omega)
+    n_cases = 0
+    for root in [principal_eigenvalue(p), *spectrum_in_window(p, 0.6, 2.0)]:
+        for k in (-2, -1, 1, 2):
+            for ray in (omega, -omega):
+                for off in (0.0, 1e-13, -1e-13):
+                    theta = 2.0 * math.pi * k + ray + off
+                    want = angular_profile_at(p, root.lam, root.sectors[0],
+                                              theta)
+                    got = angular_profile(p, root, theta)
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-14 * np.linalg.norm(want)), (root, theta)
+                    n_cases += 1
+                # the float angles next to the ray's take the ray's value
+                on_ray = angular_profile(p, root, ray)
+                for side in (-math.inf, math.inf):
+                    theta = math.nextafter(2.0 * math.pi * k + ray, side)
+                    got = angular_profile(p, root, theta)
+                    assert (np.linalg.norm(got - on_ray)
+                            <= 1e-14 * np.linalg.norm(on_ray)), (root, theta)
+    assert n_cases >= 2 * 4 * 2 * 3
 
 
 def test_profile_periodicity():
