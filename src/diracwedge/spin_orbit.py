@@ -17,7 +17,18 @@ The determinant is real and has the closed form
 
 a = (4 + tau^2)/(4 - tau^2), b = 4 tau/(4 - tau^2).  It factors as
 4 f_+ f_- (below), the form ``secular_det`` evaluates: no difference in
-it cancels at weak coupling.
+it cancels at weak coupling.  With c = pi - 2 omega, sin(pi mu) =
+-cos(pi lambda) and cos phi = sin(c lambda) (phi below), so
+
+    f_s(lambda) = s b sin(c lambda) - a cos(pi lambda),
+    f_s'(lambda) = a pi sin(pi lambda) + s b c cos(c lambda),
+
+the lambda-form in which every factor here is evaluated; f_s(0) = -a is
+exact.  Negating lambda negates pi lambda and c lambda exactly, sin is odd
+and cos even, so the computed f_s(-lambda) is the computed f_{-s}(lambda),
+bit for bit, and f_s' changes sign: the spectrum is symmetric under
+lambda -> -lambda with the sectors swapped, in floats as in exact
+arithmetic.
 
 The null vectors at the roots (multiplicity and the coefficients behind
 ``angular_profile``) are closed form too.  The reflection theta -> -theta
@@ -60,26 +71,34 @@ For s = sgn tau, f_s(0) = -a and f_s(1/2) = s b cos omega, where
 sgn(s b) = sgn a: f_s changes sign on [0, 1/2], so the one root of
 det T = 4 f_+ f_- there is f_s's and lies in sector sgn tau.  Bracketed
 Newton on -sgn(a) f_s, which falls through 0, refines it down to adjacent
-floats; the root is simple, so no cut runs.
+floats; the root is simple, so no cut runs.  The computed f_s(1/2) also
+holds -a cos(pi/2) of the rounded pi/2, about -6.1e-17 a; it can take the
+wrong sign only where |b| cos omega < 6.2e-17 |a|, and then the root lies
+within 2e-17 of 1/2, and the refinement ends at 1/2 or the float below.
 
-Other windows are searched by a |f_+ f_-|^2 minimum scan of f_+ and f_-
-on a fixed grid of step 1/2000, whose sin(pi mu) is cached with it.  At
-each interior minimum the factor nearer 0 (f_+ on a tie) is refined by
-bracketed Newton down to adjacent floats if its grid values change sign
-across the minimum's two cells.  A window edge where adjacent floats lie
-farther apart than the grid step (|lambda| >= 2^42) is refused: the grid
-would merge points there and lose roots.  The scan misses roots that share
-a minimum's cells with another root (two close pairs, and one member of
-each weak-coupling pair); sign-change bracketing of the whole window would
-find them once the benchmark reference, which froze the scan's windows,
-is corrected.
+Other windows are folded onto lambda >= 0: the scan runs on
+S = [max(lo, -hi, 0), max(-lo, hi)], and each root x of f_s found there is
+reported as (x, s) if it lies in the window and as (-x, -s) if -x does (a
+double root stays double), with no second scan and no second refinement.
+S is searched by a |f_+ f_-|^2 minimum scan of f_+ and f_- on a fixed grid
+of step 1/2000, whose cos(pi lambda) is cached with it.  At each interior
+minimum the factor nearer 0 (f_+ on a tie) is refined by bracketed Newton
+down to adjacent floats if its grid values change sign across the
+minimum's two cells.  A window edge where adjacent floats lie more than a
+quarter of the grid step apart (|lambda| >= 2^40) is refused: beyond it
+the rounded phases pi lambda and c lambda can be off by more than a
+quarter of their step between grid points, and windows just below 2^42
+lost roots.  The scan misses roots that share a minimum's cells with
+another root (two close pairs, and one member of each weak-coupling pair);
+sign-change bracketing of the whole window would find them once the
+benchmark reference, which froze the scan's windows, is corrected.
 
 The scan evaluates the factors only where a root can be.  Both factors
 have |f_+-'| <= D = |a| pi + |b| (pi - 2 omega), and
-min(|f_+|, |f_-|) = m = ||a sin(pi mu)| - |b cos phi||.  Every 16th grid
-point (and the last) is a coarse point; a coarse cell of width h with
-m(left) + m(right) > D h holds no root of either factor, since a root at
-x would give |f_s| <= D |x - end| at both ends.  With a rounding margin
+min(|f_+|, |f_-|) = m = ||a cos(pi lambda)| - |b sin(c lambda)||.  Every
+16th grid point (and the last) is a coarse point; a coarse cell of width h
+with m(left) + m(right) > D h holds no root of either factor, since a root
+at x would give |f_s| <= D |x - end| at both ends.  With a rounding margin
 (see ``spectrum_in_window``) the test also proves that no computed grid
 value of f_s changes sign inside the cell, so every minimum the full scan
 refines lies in or next to a kept cell, and is found there from the same
@@ -121,6 +140,9 @@ _MAX_WINDOW = 1000.0
 # to 100; 8 and 48 were 10-11% slower on [-50, 50] (in process, best of 6,
 # 30 reference points, 2-core VM).
 _COARSE_STEP = 16
+# Widest gap between adjacent floats at a window edge: a quarter of the scan
+# step, so edges lie below 2^40 (see ``spectrum_in_window``).
+_FLOAT_GAP = 0.25 / _SCAN_DENSITY
 
 
 class SpinOrbitRoot(_Record):
@@ -138,29 +160,28 @@ class SpinOrbitRoot(_Record):
         return len(self.sectors)
 
 
-def _factors(a: float, b: float, w: float, mu: np.ndarray,
-             sine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_+, f_-) at the array mu = lambda - 1/2, given sine = sin(pi mu)."""
+def _factors(a: float, b: float, w: float, lam: np.ndarray,
+             cosine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_+, f_-) at the array lambda, given cosine = cos(pi lambda)."""
     import numpy as np
 
-    asin = a * sine
-    bcos = b * np.cos((math.pi - 2.0 * w) * mu - w)
-    return asin + bcos, asin - bcos
+    acos = a * cosine
+    bsin = b * np.sin((math.pi - 2.0 * w) * lam)
+    return bsin - acos, -bsin - acos
 
 
 def _det_factor(a: float, b: float, w: float, sign: float):
     """lambda -> (f, f') on Python floats for
-    f = sign (a sin(pi mu) + b cos((pi - 2 omega) mu - omega)),
-    mu = lambda - 1/2: det T is 4 times the product of the factors with b
-    and -b."""
+    f = sign (b sin((pi - 2 omega) lambda) - a cos(pi lambda)): det T is 4
+    times the product of the factors with b and -b, and the factor with -b
+    at -lambda is (f, -f') of the factor with b at lambda, bit for bit."""
     c = math.pi - 2.0 * w
     sa, sb = sign * a, sign * b
 
     def factor(lam: float) -> tuple[float, float]:
-        mu = lam - 0.5
-        phi = c * mu - w
-        return (sa * math.sin(math.pi * mu) + sb * math.cos(phi),
-                sa * math.pi * math.cos(math.pi * mu) - sb * c * math.sin(phi))
+        x, y = math.pi * lam, c * lam
+        return (sb * math.sin(y) - sa * math.cos(x),
+                sa * math.pi * math.sin(x) + sb * c * math.cos(y))
     return factor
 
 
@@ -168,9 +189,9 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
     """det T(lambda) = 4 f_+ f_-, real float64, vectorized over ``lams``."""
     import numpy as np
 
-    mu = np.atleast_1d(np.asarray(lams, dtype=float)) - 0.5
+    lam = np.atleast_1d(np.asarray(lams, dtype=float))
     dc = derived_constants(p)
-    f_plus, f_minus = _factors(dc.a, dc.b, p.omega, mu, np.sin(math.pi * mu))
+    f_plus, f_minus = _factors(dc.a, dc.b, p.omega, lam, np.cos(math.pi * lam))
     return 4.0 * f_plus * f_minus
 
 
@@ -190,14 +211,14 @@ def _sector_row(a: float, b: float, w: float, lam: float,
 
 @functools.lru_cache(maxsize=2)
 def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, ...]:
-    """(rows, sine, mu, abs_sine, width), all read-only and built once per
-    window.  The coarse points are every ``_COARSE_STEP``-th point of the
-    scan grid of [lo, hi] and its last one; ``mu`` and ``abs_sine`` are
-    mu = lambda - 1/2 and |sin(pi mu)| at them, and ``width`` is the width
-    of the widest coarse cell between them.  Row j of ``rows`` holds the scan
+    """(rows, cosine, lam, abs_cos, width), all read-only and built once per
+    scanned interval.  The coarse points are every ``_COARSE_STEP``-th point
+    of the scan grid of [lo, hi] and its last one; ``lam`` and ``abs_cos``
+    are lambda and |cos(pi lambda)| at them, and ``width`` is the width of
+    the widest coarse cell between them.  Row j of ``rows`` holds the scan
     points left - 1 .. right + 1 of cell j (NaN past either end of the
-    grid), and ``sine`` holds sin(pi (rows - 1/2)); consecutive rows share
-    three points, and both are views of one padded array each."""
+    grid), and ``cosine`` holds cos(pi rows); consecutive rows share three
+    points, and both are views of one padded array each."""
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
@@ -217,12 +238,11 @@ def _candidate_grid(lo: float, hi: float) -> tuple[np.ndarray, ...]:
     padded = np.full((coarse.size - 1) * _COARSE_STEP + 3, np.nan)
     padded[1:grid.size + 1] = grid
     layout = tuple(sliding_window_view(x, _COARSE_STEP + 3)[::_COARSE_STEP]
-                   for x in (padded, np.sin(math.pi * (padded - 0.5))))
-    mu = coarse - 0.5
-    abs_sine = np.abs(np.sin(math.pi * mu))
-    for arr in (mu, abs_sine):
+                   for x in (padded, np.cos(math.pi * padded)))
+    abs_cos = np.abs(np.cos(math.pi * coarse))
+    for arr in (coarse, abs_cos):
         arr.setflags(write=False)
-    return layout + (mu, abs_sine, float(np.max(np.diff(coarse))))
+    return layout + (coarse, abs_cos, float(np.max(np.diff(coarse))))
 
 
 def _root_cells(a: float, b: float, w: float, lo: float,
@@ -232,11 +252,11 @@ def _root_cells(a: float, b: float, w: float, lo: float,
     (see ``spectrum_in_window``)."""
     import numpy as np
 
-    mu, abs_sine, width = _candidate_grid(lo, hi)[2:]
+    lam, abs_cos, width = _candidate_grid(lo, hi)[2:]
     c = math.pi - 2.0 * w
     slope = abs(a) * math.pi + abs(b) * c
-    near = np.abs(abs(a) * abs_sine - np.abs(b * np.cos(c * mu - w)))
-    top = max(abs(lo - 0.5), abs(hi - 0.5))
+    near = np.abs(abs(a) * abs_cos - np.abs(b * np.sin(c * lam)))
+    top = max(abs(lo), abs(hi))
     margin = 2.0 ** -46 * (abs(a) + abs(b)) * (1.0 + 2.0 * math.pi * top)
     return near[:-1] + near[1:] <= width * (slope * (1.0 + 1e-12)) + margin
 
@@ -259,29 +279,44 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     refined by bracketed Newton on one factor f_s of det T down to adjacent
     floats and built in its sector s (see the module docstring), sorted
     ascending, with multiplicities; the window may be at most 1000 wide,
-    and its edges must lie below 2^42 in magnitude.
+    and its edges must lie below 2^40 in magnitude.
 
-    The scan runs only on the coarse cells that ``_root_cells`` keeps, and
-    its roots are those of the scan over the whole grid.  With u = 2^-53,
-    every computed f_s at a grid point, and every computed
+    The scan runs on the folded interval S = [max(lo, -hi, 0), max(-lo, hi)]
+    and reports each root x of f_s it finds there as (x, s) if x lies in
+    the window and as (-x, -s) if -x does (a double root stays double):
+    the computed f_{-s}(-x) is f_s(x), bit for bit, so -x is an
+    adjacent-float sign change of f_{-s} as x is of f_s.
+
+    The scan runs only on the coarse cells of S that ``_root_cells`` keeps,
+    and its roots are those of the scan over the whole grid of S.  With
+    u = 2^-53, every computed f_s at a grid point, and every computed
     m = min(|f_+|, |f_-|) at a coarse point, lies within
-    E = 8u (|a| + |b|) (1 + 2 pi |mu|) of its exact value: pi mu and
-    (pi - 2 omega) mu - omega are rounded to within about 14u |mu| + 2u,
-    and sin and cos to within 2 ulp.  A minimum is refined only if the
-    computed f_s changes sign between two adjacent grid points of one coarse
-    cell.  So some x between them has |f_s(x)| <= E, |f_s| <= E + D |x - end|
-    at both ends of the cell, and the computed m(left) + m(right) is at
-    most D h + 4E for a cell of width h.  A cell is dropped only above
-    D h_max (1 + 1e-12) + 2^-46 (|a| + |b|) (1 + 2 pi max |mu|), h_max the
-    widest cell's width: the margin is 4 times 4E, and the factor
+    E = 8u (|a| + |b|) (1 + 2 pi |lambda|) of its exact value for the float
+    constants: pi lambda and (pi - 2 omega) lambda are rounded to within
+    4u |lambda|, and sin and cos to within 2 ulp.  A minimum is refined
+    only if the computed f_s changes sign between two adjacent grid points
+    of one coarse cell.  So some x between them has |f_s(x)| <= E,
+    |f_s| <= E + D |x - end| at both ends of the cell, and the computed
+    m(left) + m(right) is at most D h + 4E for a cell of width h.  A cell
+    is dropped only above
+    D h_max (1 + 1e-12) + 2^-46 (|a| + |b|) (1 + 2 pi max |lambda|), h_max
+    the widest cell's width: the margin is 4 times 4E, and the factor
     1 + 1e-12 covers the rounding of D h_max.
     Row j of the gathered grid holds the points left - 1 .. right + 1 of
     cell j and tests left .. right for a minimum, with both neighbours in
     the row; a point tested in two kept rows is refined once.  The factors
     are evaluated by ``_factors``, elementwise as on the whole grid, so
     every minimum, factor choice, sign test and bracket is the whole
-    grid's.  At the benchmark's [-3, 3] window about 3% of the cells are
-    kept."""
+    grid's.  At the benchmark's [-3, 3] window, S = [0, 3], about 3% of the
+    cells are kept.
+
+    A window edge is refused where adjacent floats lie more than a quarter
+    of the grid step h = 1/2000 apart (|lambda| >= 2^40).  A phase
+    x = pi lambda or (pi - 2 omega) lambda is rounded by at most u |x|,
+    less than ulp(lambda) / h times its own step between grid points; so
+    below 2^40 the computed phases are off by less than a quarter step.
+    Just below 2^42, where they can be off by a whole step, windows 10
+    wide lost 2 to 4 of the 20 roots that a 40-digit count finds."""
     import numpy as np
 
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -289,17 +324,18 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
     if not hi - lo <= _MAX_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] is wider than {_MAX_WINDOW:g}")
     edge = max(abs(lo), abs(hi))
-    if math.ulp(edge) > 1.0 / _SCAN_DENSITY:
+    if math.ulp(edge) > _FLOAT_GAP:
         raise ValueError(
             f"window [{lo}, {hi}] is too far out to scan: adjacent floats at "
             f"{edge:g} are {math.ulp(edge):g} apart, more than the scan step "
-            f"{1.0 / _SCAN_DENSITY:g}")
+            f"{1.0 / _SCAN_DENSITY:g} allows ({_FLOAT_GAP:g})")
     dc, w = derived_constants(p), p.omega
     a, b = dc.a, dc.b
-    rows, sine = _candidate_grid(lo, hi)[:2]
-    keep = _root_cells(a, b, w, lo, hi)
+    s_lo, s_hi = max(lo, -hi, 0.0), max(-lo, hi)
+    rows, cosine = _candidate_grid(s_lo, s_hi)[:2]
+    keep = _root_cells(a, b, w, s_lo, s_hi)
     grid = rows[keep]
-    f_plus, f_minus = _factors(a, b, w, grid - 0.5, sine[keep])
+    f_plus, f_minus = _factors(a, b, w, grid, cosine[keep])
     vals = (f_plus * f_minus) ** 2
     lower = vals[:, 1:-1] <= np.minimum(vals[:, :-2], vals[:, 2:])
     row, col = lower.nonzero()
@@ -319,13 +355,17 @@ def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoo
         if r * fu < 0.0:
             found.append((_refine(_det_factor(a, s * b, w, r), l, u), s))
     cut = _MULT_CUT * (abs(a) + abs(b))
-    roots: list[SpinOrbitRoot] = []
+    folded: list[tuple[float, tuple[int, ...]]] = []
     for lam, s in sorted(found):
-        if roots and lam - roots[-1].lam <= _ROOT_DEDUP:
+        if folded and lam - folded[-1][0] <= _ROOT_DEDUP:
             continue
         other = _det_factor(a, -s * b, w, 1.0)(lam)[0]
-        sectors = (-1, 1) if abs(other) <= cut else (s,)
-        roots.append(SpinOrbitRoot(lam=lam, sectors=sectors))
+        folded.append((lam, (-1, 1) if abs(other) <= cut else (s,)))
+    # negated and reversed, (s,) becomes (-s,) and (-1, 1) stays
+    roots = [SpinOrbitRoot(lam=-lam, sectors=tuple(-t for t in sectors[::-1]))
+             for lam, sectors in reversed(folded) if lo <= -lam <= hi]
+    roots += [SpinOrbitRoot(lam=lam, sectors=sectors)
+              for lam, sectors in folded if lo <= lam <= hi]
     return roots
 
 

@@ -283,29 +283,16 @@ def full_grid_grid(lo: float, hi: float) -> np.ndarray:
                                      np.array(tails)]))
 
 
-def full_grid_window(p, lo: float, hi: float) -> list[tuple[float, tuple]]:
-    """(lambda, sectors) of the window scan over its whole grid, sorted.
+def _grid_scan(a: float, b: float, grid: np.ndarray, f_plus: np.ndarray,
+               f_minus: np.ndarray, factor) -> list[tuple[float, tuple]]:
+    """(lambda, sectors) of the |f_+ f_-|^2 minimum scan of f_+- given on
+    ``grid``, sorted.  Each interior minimum refines its factor nearer 0
+    (f_+ on a tie) with the package's ``_refine`` on ``factor(s b, r)``
+    where that factor's grid values change sign across the minimum's two
+    cells; roots within 1e-7 of the previous one are dropped, and a root
+    whose other factor is within 1e-7 (|a| + |b|) of 0 is double, (-1, 1)."""
+    from diracwedge.model import _refine
 
-    This is the exactness reference of ``spectrum_in_window``, which skips
-    the coarse cells that hold no root, not an independent route: it
-    evaluates f_+- at every grid point with the same float operations and
-    refines with the package's ``_refine`` on the same ``_det_factor``, so
-    a correct skip gives the same bits.  Each interior minimum of
-    |f_+ f_-|^2 refines its factor nearer 0 (f_+ on a tie) where that
-    factor's grid values change sign across the minimum's two cells;
-    roots within 1e-7 of the previous one are dropped, and a root whose
-    other factor is within 1e-7 (|a| + |b|) of 0 is double, (-1, 1).
-    """
-    from diracwedge.model import _refine, derived_constants
-    from diracwedge.spin_orbit import _det_factor
-
-    dc, w = derived_constants(p), p.omega
-    a, b = dc.a, dc.b
-    grid = full_grid_grid(lo, hi)
-    mu = grid - 0.5
-    asin = a * np.sin(math.pi * mu)
-    bcos = b * np.cos((math.pi - 2.0 * w) * mu - w)
-    f_plus, f_minus = asin + bcos, asin - bcos
     vals = (f_plus * f_minus) ** 2
     mid = vals[1:-1]
     found = []
@@ -314,17 +301,117 @@ def full_grid_window(p, lo: float, hi: float) -> list[tuple[float, tuple]]:
                 else (1, f_plus))
         r = 1.0 if f[i - 1] >= 0.0 else -1.0
         if r * f[i + 1] < 0.0:
-            fd = _det_factor(a, s * b, w, r)
-            found.append((_refine(fd, float(grid[i - 1]),
+            found.append((_refine(factor(s * b, r), float(grid[i - 1]),
                                   float(grid[i + 1])), s))
     roots = []
     for lam, s in sorted(found):
         if roots and lam - roots[-1][0] <= 1e-7:
             continue
-        other = _det_factor(a, -s * b, w, 1.0)(lam)[0]
+        other = factor(-s * b, 1.0)(lam)[0]
         double = abs(other) <= 1e-7 * (abs(a) + abs(b))
         roots.append((lam, (-1, 1) if double else (s,)))
     return roots
+
+
+def full_grid_window(p, lo: float, hi: float) -> list[tuple[float, tuple]]:
+    """(lambda, sectors) of the window scan over the whole grid of [lo, hi],
+    sorted, unfolded: compose it with ``fold_window``.
+
+    This is the exactness reference of ``spectrum_in_window``, which skips
+    the coarse cells that hold no root, not an independent route: it
+    evaluates f_s = s b sin((pi - 2 omega) lambda) - a cos(pi lambda) at
+    every grid point with the same float operations and refines with the
+    package's ``_det_factor``, so a correct skip gives the same bits.
+    """
+    from diracwedge.model import derived_constants
+    from diracwedge.spin_orbit import _det_factor
+
+    dc, w = derived_constants(p), p.omega
+    a, b = dc.a, dc.b
+    grid = full_grid_grid(lo, hi)
+    acos = a * np.cos(math.pi * grid)
+    bsin = b * np.sin((math.pi - 2.0 * w) * grid)
+    return _grid_scan(a, b, grid, bsin - acos, -bsin - acos,
+                      lambda sb, r: _det_factor(a, sb, w, r))
+
+
+def mu_form_grid_window(p, lo: float, hi: float) -> list[tuple[float, tuple]]:
+    """(lambda, sectors) of the whole-grid scan of [lo, hi] itself, unfolded,
+    with the factors in the mu-form f_s = a sin(pi mu) + s b cos phi,
+    mu = lambda - 1/2, phi = (pi - 2 omega) mu - omega, on the grid and in
+    the refinement: a float route that shares neither the fold nor the
+    lambda-form with ``spectrum_in_window``, so its roots agree with the
+    window's only to rounding."""
+    from diracwedge.model import derived_constants
+
+    dc, w = derived_constants(p), p.omega
+    a, b = dc.a, dc.b
+    c = math.pi - 2.0 * w
+
+    def factor(sb, r):
+        def fd(lam):
+            mu = lam - 0.5
+            phi = c * mu - w
+            return (r * (a * math.sin(math.pi * mu) + sb * math.cos(phi)),
+                    r * (a * math.pi * math.cos(math.pi * mu)
+                         - sb * c * math.sin(phi)))
+        return fd
+
+    grid = full_grid_grid(lo, hi)
+    mu = grid - 0.5
+    asin = a * np.sin(math.pi * mu)
+    bcos = b * np.cos(c * mu - w)
+    return _grid_scan(a, b, grid, asin + bcos, asin - bcos, factor)
+
+
+def fold_window(scan, p, lo: float, hi: float) -> list[tuple[float, tuple]]:
+    """``scan(p, S_lo, S_hi)`` on the folded interval S = [lo, hi] if
+    lo >= 0, [-hi, -lo] if hi <= 0 and [0, max(-lo, hi)] otherwise, with
+    each root x reported as (x, sectors) if lo <= x <= hi and as
+    (-x, negated sectors) if lo <= -x <= hi, sorted."""
+    if lo >= 0.0:
+        s_lo, s_hi = lo, hi
+    elif hi <= 0.0:
+        s_lo, s_hi = -hi, -lo
+    else:
+        s_lo, s_hi = 0.0, max(-lo, hi)
+    out = []
+    for lam, sectors in scan(p, s_lo, s_hi):
+        if lo <= lam <= hi:
+            out.append((lam, sectors))
+        if lo <= -lam <= hi:
+            out.append((-lam, tuple(sorted(-s for s in sectors))))
+    return sorted(out)
+
+
+def window_count_mp(tau: float, omega: float, lo: float, hi: float,
+                    step: float = 1.0 / 4000.0, dps: int = 40) -> int:
+    """Sign changes of f_+ and of f_- on the points lo, lo + step, ..., hi,
+    counted together, with ``dps`` digits from raw tau: the number of
+    roots in [lo, hi] with multiplicity, where no two roots of one factor
+    lie within ``step`` of each other.  f_s = a sin(pi mu) + s b cos phi,
+    mu = lambda - 1/2, phi = (pi - 2 omega) mu - omega, is the closed
+    form of det T = 4 f_+ f_-, evaluated exactly at the float lo plus
+    multiples of ``step``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = _shell_constants_mp(mpmath.mpf(tau))
+        w = mpmath.mpf(omega)
+        c = mpmath.pi - 2 * w
+        start, h = mpmath.mpf(lo), mpmath.mpf(step)
+        n = int(math.ceil((hi - lo) / step))
+        count = 0
+        prev = None
+        for j in range(n + 1):
+            mu = (start + j * h if j < n else mpmath.mpf(hi)) - mpmath.mpf(0.5)
+            asin = a * mpmath.sin(mpmath.pi * mu)
+            bcos = b * mpmath.cos(c * mu - w)
+            signs = (asin + bcos > 0, asin - bcos > 0)
+            if prev is not None:
+                count += (signs[0] != prev[0]) + (signs[1] != prev[1])
+            prev = signs
+        return count
 
 
 def angular_profile_at(p, lam: float, sector: int, theta: float) -> np.ndarray:
@@ -335,8 +422,11 @@ def angular_profile_at(p, lam: float, sector: int, theta: float) -> np.ndarray:
     reflection sector; a double root has a two-dimensional null space),
     scaled to unit L^2 norm over both arcs with A real and positive.  The
     wedge arc is cos theta >= cos omega, its boundary rays included to
-    rounding; theta is reduced through (cos theta, sin theta) by atan2 to
-    (-pi, pi] on that arc and to (omega, 2 pi - omega) off it.
+    rounding: one float step of theta moves cos theta by up to
+    ulp(theta) |sin theta|, so the cut allows four such steps besides
+    4 eps, and the floats next to a ray many turns out stay on it.  theta
+    is reduced through (cos theta, sin theta) by atan2 to (-pi, pi] on that
+    arc and to (omega, 2 pi - omega) off it.
     """
     null = secular_null_space(p, lam)
     if len(null) == 1:
@@ -353,7 +443,9 @@ def angular_profile_at(p, lam: float, sector: int, theta: float) -> np.ndarray:
                       * (2.0 * math.pi - 2.0 * w))
     mu = lam - 0.5
     t = math.atan2(math.sin(theta), math.cos(theta))
-    if math.cos(theta) >= math.cos(w) - 4.0 * np.finfo(float).eps:
+    slack = 4.0 * (np.finfo(float).eps
+                   + math.ulp(theta) * abs(math.sin(theta)))
+    if math.cos(theta) >= math.cos(w) - slack:
         first, second = v[0], v[1]
     else:
         first, second = v[2], v[3]

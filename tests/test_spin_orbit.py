@@ -19,11 +19,12 @@ from diracwedge.spin_orbit import (
     spectrum_in_window,
 )
 
-from oracles import (angular_profile_at, decoupled_arc_roots, full_grid_grid,
-                     full_grid_window, secular_det_matrix, secular_matrix,
-                     secular_null_space, secular_null_space_mp,
-                     secular_root_mp, spin_orbit_eigenvalue_near,
-                     weak_coupling_roots)
+from oracles import (angular_profile_at, decoupled_arc_roots, fold_window,
+                     full_grid_grid, full_grid_window, mu_form_grid_window,
+                     secular_det_matrix, secular_matrix, secular_null_space,
+                     secular_null_space_mp, secular_root_mp,
+                     spin_orbit_eigenvalue_near, weak_coupling_roots,
+                     window_count_mp)
 
 RNG = np.random.default_rng(11)
 
@@ -214,10 +215,18 @@ def test_window_structure_reference():
 
 
 def test_window_symmetry_under_negation():
-    for tau, omega in ((-1.0, math.pi / 4.0), (0.5, math.pi / 8.0)):
+    """On [-L, L] the roots come in pairs (lambda, sectors) and
+    (-lambda, negated sectors), bit for bit."""
+    for tau, omega in ((-1.0, math.pi / 4.0), (0.5, math.pi / 8.0),
+                       (-1.0, math.pi / 6.0), (-3.0, 1.2)):
         p = PhysParams(tau=tau, m=1.0, omega=omega)
-        lams = np.array([r.lam for r in spectrum_in_window(p, -2.0, 2.0)])
-        np.testing.assert_allclose(np.sort(lams), np.sort(-lams), atol=1e-8)
+        for half in (2.0, 3.0, 7.25):
+            roots = spectrum_in_window(p, -half, half)
+            assert roots
+            got = [(r.lam.hex(), r.sectors) for r in roots]
+            mirrored = [((-r.lam).hex(), tuple(sorted(-s for s in r.sectors)))
+                        for r in reversed(roots)]
+            assert got == mirrored, (tau, omega, half)
 
 
 def test_empty_window():
@@ -230,25 +239,26 @@ BATCH_POINTS = ((-1.0, math.pi / 4.0), (-1e-6, math.pi / 4.0),
                 (0.5, math.pi / 6.0), (-3.0, math.pi / 8.0))
 
 
-def _is_factor_sign_change(tau, omega, lam):
-    """det T = 4 f(b) f(-b), f(b) = a sin(pi mu) + b cos((pi - 2w) mu - w):
-    whether one factor changes sign between lam and an adjacent float."""
+def _is_factor_sign_change(tau, omega, lam, sectors=(-1, 1)):
+    """det T = 4 f(b) f(-b), f(b) = b sin((pi - 2w) lambda) - a cos(pi lambda):
+    whether the factor f(s b) of a sector s in ``sectors`` changes sign
+    between lam and an adjacent float."""
     a = (4.0 + tau * tau) / (4.0 - tau * tau)
     b = 4.0 * tau / (4.0 - tau * tau)
 
     def factor(x, b):
-        mu = x - 0.5
-        return (a * math.sin(math.pi * mu)
-                + b * math.cos((math.pi - 2.0 * omega) * mu - omega))
+        return (b * math.sin((math.pi - 2.0 * omega) * x)
+                - a * math.cos(math.pi * x))
 
     near = [math.nextafter(lam, to) for to in (-math.inf, math.inf)]
-    return any(factor(lam, s) * factor(x, s) <= 0.0
-               for s in (b, -b) for x in near)
+    return any(factor(lam, s * b) * factor(x, s * b) <= 0.0
+               for s in sectors for x in near)
 
 
 def test_window_roots_are_factor_sign_changes():
-    """At every window root one factor of det T changes sign between the
-    root and an adjacent float."""
+    """At every window root, mirrored ones included, the factor of its
+    sector (of one of its sectors for a double root) changes sign between
+    the root and an adjacent float."""
     points = [(tau, omega) for tau in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0)
               for omega in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)]
     points += BATCH_POINTS + tuple((tau, math.pi / 6.0)
@@ -258,21 +268,24 @@ def test_window_roots_are_factor_sign_changes():
                                    -3.0, 3.0)
         assert roots
         for root in roots:
-            assert _is_factor_sign_change(tau, omega, root.lam), \
-                (tau, omega, root.lam)
+            assert _is_factor_sign_change(tau, omega, root.lam,
+                                          root.sectors), (tau, omega, root.lam)
 
 
 def test_principal_is_factor_sign_change_over_tau_range():
     """For both signs of tau, |tau| from 1e-9 to 100 (a < 0 beyond 2), and
     omega in [1e-4, pi/2 - 1e-4], the principal root lies in (0, 1/2) and
-    one factor of det T changes sign between it and an adjacent float."""
+    the factor of its sector sgn tau changes sign between it and an
+    adjacent float."""
     rng = np.random.default_rng(20232)
     for _ in range(400):
         tau = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-9.0, 2.0)
         omega = rng.uniform(1e-4, math.pi / 2.0 - 1e-4)
         lam = principal_eigenvalue(PhysParams(tau=tau, m=1.0, omega=omega)).lam
         assert 0.0 < lam < 0.5, (tau, omega)
-        assert _is_factor_sign_change(tau, omega, lam), (tau, omega, lam)
+        sector = math.copysign(1.0, tau)
+        assert _is_factor_sign_change(tau, omega, lam, (sector,)), \
+            (tau, omega, lam)
 
 
 @pytest.mark.parametrize("tau, omega", [(-3.0, math.pi / 8.0), (5.0, 0.3),
@@ -531,40 +544,46 @@ def test_roots_tend_to_decoupled_arcs_near_tau_2(sign, omega):
 
 
 def test_candidate_grid_is_cached_read_only():
-    """The scan grid, its sin(pi mu) and its coarse layout are built once
-    per window and shared read-only.  Row j holds the grid points
-    left - 1 .. right + 1 of coarse cell j (NaN past the grid's ends), the
-    coarse points are every 16th grid point and the last one, and the
-    width is that of the widest coarse cell."""
+    """The scan grid, its cos(pi lambda) and its coarse layout are built
+    once per scanned interval and shared read-only; the window [-3, 3]
+    scans S = [0, 3].  Row j holds the grid points left - 1 .. right + 1 of
+    coarse cell j (NaN past the grid's ends), the coarse points are every
+    16th grid point and the last one, and the width is that of the widest
+    coarse cell."""
     from diracwedge.spin_orbit import _COARSE_STEP as k
     from diracwedge.spin_orbit import _candidate_grid
 
     assert k == 16
-    for lo, hi in ((-3.0, 3.0), (0.4, 0.45), (-7.25, 5.5)):
+    spectrum_in_window(P_REF, -3.0, 3.0)
+    hits = _candidate_grid.cache_info().hits
+    _candidate_grid(0.0, 3.0)
+    assert _candidate_grid.cache_info().hits == hits + 1
+    for lo, hi in ((0.0, 3.0), (0.4, 0.45), (-7.25, 5.5)):
         layout = _candidate_grid(lo, hi)
         again = _candidate_grid(lo, hi)
         assert all(x is y for x, y in zip(layout, again, strict=True))
-        rows, sine, mu, abs_sine, width = layout
-        for arr in (rows, sine, mu, abs_sine):
+        rows, cosine, lam, abs_cos, width = layout
+        for arr in (rows, cosine, lam, abs_cos):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         grid = full_grid_grid(lo, hi)
         n = grid.size
-        assert rows.shape == (mu.size - 1, k + 3)
+        assert rows.shape == (lam.size - 1, k + 3)
         padded = np.concatenate([rows[:, :k].ravel(), rows[-1, k:]])
         assert np.isnan(padded[0]) and np.isnan(padded[n + 1:]).all()
         np.testing.assert_array_equal(padded[1:n + 1], grid)
-        np.testing.assert_array_equal(sine, np.sin(np.pi * (rows - 0.5)))
+        np.testing.assert_array_equal(cosine, np.cos(np.pi * rows))
         coarse = np.append(grid[::k], grid[-1])
-        np.testing.assert_array_equal(mu, coarse - 0.5)
-        np.testing.assert_array_equal(abs_sine, np.abs(np.sin(np.pi * mu)))
+        np.testing.assert_array_equal(lam, coarse)
+        np.testing.assert_array_equal(abs_cos, np.abs(np.cos(np.pi * lam)))
         assert width == np.max(np.diff(coarse))
 
 
-def _random_window(rng):
-    """(tau, omega, lo, hi): |tau| log-uniform in [1e-9, 3.9] of either
-    sign, omega in (0.01, 1.5), width log-uniform in [0.3, 13]."""
-    tau = math.exp(rng.uniform(math.log(1e-9), math.log(3.9)))
+def _random_window(rng, tau_min=1e-9):
+    """(tau, omega, lo, hi): |tau| log-uniform in [tau_min, 3.9] of either
+    sign, omega in (0.01, 1.5), lo in [-8, 8], width log-uniform in
+    [0.3, 13]."""
+    tau = math.exp(rng.uniform(math.log(tau_min), math.log(3.9)))
     lo = rng.uniform(-8.0, 8.0)
     return (tau * rng.choice((-1.0, 1.0)), rng.uniform(0.01, 1.5), lo,
             lo + math.exp(rng.uniform(math.log(0.3), math.log(13.0))))
@@ -572,8 +591,9 @@ def _random_window(rng):
 
 def test_window_matches_full_grid_scan():
     """Skipping the cells that hold no root changes no root: the window's
-    (lambda bits, sectors) equal those of the scan over the whole grid at
-    300 seeded windows and at the omega = pi/6 double roots +-3/2."""
+    (lambda bits, sectors) equal those of the scan over the whole grid of
+    the folded interval S, mirrored, at 300 seeded windows and at the
+    omega = pi/6 double roots +-3/2."""
     rng = np.random.default_rng(37)
     w = math.pi / 6.0
     cases = [(-1.0, w, 1.4, 1.6), (-1.0, w, -1.6, -1.4)]
@@ -583,7 +603,7 @@ def test_window_matches_full_grid_scan():
         p = PhysParams(tau=tau, m=1.0, omega=omega)
         got = [(r.lam.hex(), r.sectors) for r in spectrum_in_window(p, lo, hi)]
         want = [(lam.hex(), sectors)
-                for lam, sectors in full_grid_window(p, lo, hi)]
+                for lam, sectors in fold_window(full_grid_window, p, lo, hi)]
         assert got == want, (tau, omega, lo, hi)
         n_roots += len(got)
     for tau, omega, lo, hi in cases[:2]:
@@ -594,11 +614,56 @@ def test_window_matches_full_grid_scan():
     assert n_roots > 1000
 
 
+def test_folded_window_matches_mu_form_scan():
+    """Away from weak coupling (|tau| >= 0.1) the folded window holds the
+    roots, sectors and multiplicities of the unfolded whole-grid scan with
+    the factors in the mu-form, each within 1e-12 relative, at 120 seeded
+    windows and at the omega = pi/6 double roots +-3/2."""
+    rng = np.random.default_rng(38)
+    cases = [(-1.0, math.pi / 6.0, -2.0, 2.0)]
+    cases += [_random_window(rng, tau_min=0.1) for _ in range(120)]
+    n_roots = 0
+    for tau, omega, lo, hi in cases:
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        got = spectrum_in_window(p, lo, hi)
+        want = mu_form_grid_window(p, lo, hi)
+        assert [r.sectors for r in got] == [sectors for _, sectors in want], \
+            (tau, omega, lo, hi)
+        for root, (lam, _) in zip(got, want):
+            assert abs(root.lam - lam) <= 1e-12 * abs(lam), (tau, omega, lam)
+        n_roots += len(got)
+    assert n_roots > 500
+
+
+def test_factor_is_reflection_exact():
+    """The factor with -b at -lambda is the factor with b at lambda, with
+    its derivative negated, bit for bit: seeded lambda of every magnitude
+    up to the far limit 2^40, tau on both sides of |tau| = 2, either
+    sign of the factor."""
+    from diracwedge.spin_orbit import _det_factor
+
+    rng = np.random.default_rng(39)
+    for _ in range(100):
+        tau = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-9.0, 1.0)
+        p = PhysParams(tau=tau, m=1.0, omega=rng.uniform(1e-3, math.pi / 2.0))
+        dc, w = derived_constants(p), p.omega
+        a, b = dc.a, dc.b
+        sign = float(rng.choice((-1.0, 1.0)))
+        plus, minus = _det_factor(a, b, w, sign), _det_factor(a, -b, w, sign)
+        lams = 2.0 ** rng.uniform(-10.0, 40.0, 50)
+        lams *= rng.choice((-1.0, 1.0), 50)
+        for lam in lams.tolist():
+            f, d = plus(-lam)
+            g, e = minus(lam)
+            assert (f.hex(), (-d).hex()) == (g.hex(), e.hex()), (tau, lam)
+
+
 def test_dropped_cells_hold_no_sign_change():
-    """Where ``_root_cells`` drops a coarse cell, neither factor changes
-    sign at its ends and 64 interior samples, and
-    D = |a| pi + |b| (pi - 2 omega) bounds the sampled |f_+-'| (up to the
-    rounding of the samples, 1e-12 relative)."""
+    """Where ``_root_cells`` drops a coarse cell, neither factor
+    f_s = s b sin((pi - 2 omega) lambda) - a cos(pi lambda) changes sign at
+    its ends and 64 interior samples, and D = |a| pi + |b| (pi - 2 omega)
+    bounds the sampled |f_+-'| (up to the rounding of the samples, 1e-12
+    relative)."""
     from diracwedge.spin_orbit import _candidate_grid, _root_cells
 
     rng = np.random.default_rng(41)
@@ -616,12 +681,12 @@ def test_dropped_cells_hold_no_sign_change():
         assert dropped.size > 0
         n_dropped += dropped.size
         left = ends[dropped][:, None]
-        mu = left + (ends[dropped + 1][:, None] - left) * t
-        phi = c * mu - omega
+        lam = left + (ends[dropped + 1][:, None] - left) * t
         for s in (1.0, -1.0):
-            f = a * np.sin(np.pi * mu) + s * b * np.cos(phi)
+            f = s * b * np.sin(c * lam) - a * np.cos(np.pi * lam)
             assert np.all((f > 0.0).all(axis=1) | (f < 0.0).all(axis=1))
-            slope = a * np.pi * np.cos(np.pi * mu) - s * b * c * np.sin(phi)
+            slope = (a * np.pi * np.sin(np.pi * lam)
+                     + s * b * c * np.cos(c * lam))
             d = abs(a) * math.pi + abs(b) * c
             assert np.abs(slope).max() <= d * (1.0 + 1e-12)
     assert n_dropped > 5000
@@ -641,16 +706,31 @@ def test_window_rejects_bad_bounds(monkeypatch):
     with pytest.raises(ValueError, match="wider than 1000"):
         spectrum_in_window(P_REF, -1e9, 1e9)
     # from |lambda| = 2^42 on, adjacent floats lie farther apart than the
-    # grid step 1/2000, and the grid would merge points
+    # grid step 1/2000, and the grid would merge points; from 2^40 on, more
+    # than a quarter step, and the rounded phases could move a grid value
+    # by up to a whole step (windows 10 wide below 2^42 lost roots)
+    far = (2.0 ** 41.5, 2.0 ** 41.95, math.nextafter(2.0 ** 42, 0.0))
     for lo, hi in ((2.0 ** 42, 2.0 ** 42 + 10.0), (-2.0 ** 42, -2.0 ** 42 + 1.0),
-                   (1e16, 1.00000000000001e16)):
+                   (1e16, 1.00000000000001e16), (2.0 ** 40, 2.0 ** 40 + 1.0),
+                   (-2.0 ** 40 - 1.0, -2.0 ** 40 + 1.0),
+                   *((e - 10.0, e) for e in far),
+                   *((-e, -e + 10.0) for e in far)):
         with pytest.raises(ValueError, match="too far out to scan"):
             spectrum_in_window(P_REF, lo, hi)
-    # just below, a window 10 wide holds its 20 roots at tau = -1, omega = 0.3
-    monkeypatch.undo()
-    top = math.nextafter(2.0 ** 42, 0.0)
-    p = PhysParams(tau=-1.0, m=1.0, omega=0.3)
-    assert len(spectrum_in_window(p, top - 10.0, top)) == 20
+
+
+@pytest.mark.parametrize("tau, omega", [(-3.0, 1.2), (0.7, 0.4), (-0.5, 0.9)])
+def test_window_below_far_limit_holds_its_roots(tau, omega):
+    """Just below the far limit 2^40, a window 2 wide, and its mirror image,
+    hold as many roots, counted with multiplicity, as a 40-digit
+    sign-change count of f_+ and f_- finds at step 1/4000."""
+    top = math.nextafter(2.0 ** 40, 0.0)
+    p = PhysParams(tau=tau, m=1.0, omega=omega)
+    want = window_count_mp(tau, omega, top - 2.0, top)
+    assert want >= 3
+    for lo, hi in ((top - 2.0, top), (-top, -top + 2.0)):
+        roots = spectrum_in_window(p, lo, hi)
+        assert sum(r.multiplicity for r in roots) == want, (lo, hi)
 
 
 def test_principal_rejects_straight_line():
@@ -709,7 +789,8 @@ def test_profile_on_wrapped_rays_matches_oracle(tau, omega):
     """On a boundary ray one or two turns out, and 1e-13 to either side of
     it, the profile is the oracle's, whose arc comes from cos theta: the
     float angle 2pi k +- omega takes the wedge arc, as the ray does, and
-    so do the floats next to it."""
+    so do the floats next to it, which match both the oracle and the
+    ray's own value."""
     p = PhysParams(tau=tau, m=1.0, omega=omega)
     n_cases = 0
     for root in [principal_eigenvalue(p), *spectrum_in_window(p, 0.6, 2.0)]:
@@ -728,9 +809,13 @@ def test_profile_on_wrapped_rays_matches_oracle(tau, omega):
                 for side in (-math.inf, math.inf):
                     theta = math.nextafter(2.0 * math.pi * k + ray, side)
                     got = angular_profile(p, root, theta)
-                    assert (np.linalg.norm(got - on_ray)
-                            <= 1e-14 * np.linalg.norm(on_ray)), (root, theta)
-    assert n_cases >= 2 * 4 * 2 * 3
+                    want = angular_profile_at(p, root.lam, root.sectors[0],
+                                              theta)
+                    for ref in (on_ray, want):
+                        assert (np.linalg.norm(got - ref)
+                                <= 1e-14 * np.linalg.norm(ref)), (root, theta)
+                    n_cases += 1
+    assert n_cases >= 2 * 4 * 2 * 5
 
 
 def test_profile_periodicity():
