@@ -28,10 +28,18 @@ The two orders differ by one, so one pair evaluation gives both.  They are
 evaluated at one point on Python floats, with ``spin_orbit``'s point
 evaluator of phi.  sigma . n_theta is [[0, e^{-i theta}], [e^{i theta}, 0]],
 so (sigma . n_theta) phi = (e^{-i theta} phi_2, e^{i theta} phi_1).
+
+Each per-root and per-radius quantity is computed once: the pair is cached
+on (lambda - 1/2, r), and phi's coefficient row on (a, b, omega, lambda,
+sector) in ``spin_orbit``.  So a grid of (sign, r, theta) for one root
+evaluates the pair once per radius and the row once.  Both caches are small
+bounded LRU caches keyed on Python floats; a cached value is the tuple a
+fresh evaluation gives, bit for bit, and a refusal is never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -142,12 +150,15 @@ def _steed(mu: float, x: float) -> tuple[float, float]:
     return k0, k0 * (mu + x + 0.5 - a1 * h) / x
 
 
+@functools.lru_cache(maxsize=16)
 def _k_pair(nu: float, x: float) -> tuple[float, float]:
     """(K_nu(x), K_{nu+1}(x)) for finite nu and finite x > 0; the callers
-    keep |nu| <= 5.
+    keep |nu| <= 5 and pass Python floats (the cache key).
 
     A value that overflows is inf; one past the underflow is a subnormal or
-    0.0.  The callers check what they use.
+    0.0.  The callers check what they use.  The pair is a deterministic
+    function of (nu, x), so the cache returns the same bits a fresh
+    evaluation would.
     """
     if nu < -0.5:
         k1, k0 = _k_pair(-nu - 1.0, x)      # K_{-nu} = K_nu
@@ -206,9 +217,9 @@ def _deficiency_point(p: PhysParams, sign: int, r: float, theta: float,
     if root is None:
         root = principal_eigenvalue(p)
     phi1, phi2 = _profile(p, root)(theta)
-    lam = root.lam
+    lam = float(root.lam)
     _check_order(abs(lam) + 0.5)
-    ka, kb = _k_pair(lam - 0.5, r)
+    ka, kb = _k_pair(lam - 0.5, float(r))
     if ka == math.inf or kb == math.inf:
         raise _overflow(lam - 0.5 if ka == math.inf else lam + 0.5, r)
     kb *= sign
@@ -234,7 +245,10 @@ def deficiency_element(p: PhysParams, sign: int, r: float, theta: float,
     overflows is refused with a ``ParameterError``.
 
     ``root`` caches the principal spin-orbit eigenvalue; pass it when
-    evaluating on a grid to avoid re-solving the secular problem.
+    evaluating on a grid to avoid re-solving the secular problem.  The
+    root's coefficient row and each radius's Bessel pair are cached as
+    well, so on a grid they are computed once per root and once per radius
+    (see the module docstring).
     """
     v = _deficiency_point(p, sign, r, theta, root)
 

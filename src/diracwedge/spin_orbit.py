@@ -74,7 +74,11 @@ Newton on -sgn(a) f_s, which falls through 0, refines it down to adjacent
 floats; the root is simple, so no cut runs.  The computed f_s(1/2) also
 holds -a cos(pi/2) of the rounded pi/2, about -6.1e-17 a; it can take the
 wrong sign only where |b| cos omega < 6.2e-17 |a|, and then the root lies
-within 2e-17 of 1/2, and the refinement ends at 1/2 or the float below.
+within 2e-17 of 1/2.  The refinement ends on a bracket end, and may end on
+1/2 itself (at tau = +-1.0000001e-9, omega = pi/2 - 1e-7, where the root is
+nearer 1/2 - 2^-54 than 1/2); the root lies strictly below 1/2, so 1/2 is
+returned as the float below it, 1/2 - 2^-54, and the result always lies in
+the open (0, 1/2).
 
 Other windows are folded onto lambda >= 0: the scan runs on
 S = [max(lo, -hi, 0), max(-lo, hi)], and each root x of f_s found there is
@@ -195,18 +199,20 @@ def secular_det(p: PhysParams, lams) -> np.ndarray:
     return 4.0 * f_plus * f_minus
 
 
+@functools.lru_cache(maxsize=16)
 def _sector_row(a: float, b: float, w: float, lam: float,
-                s: float) -> list[complex]:
+                s: float) -> tuple[complex, ...]:
     """The null vector (1, s i, C_s, s i e^{2 pi i mu} C_s) of sector s at
     lambda, C_s = a + s i b e^{-i (2 mu + 1) omega}, on Python floats and
-    scaled to unit L^2 norm over both arcs."""
+    scaled to unit L^2 norm over both arcs.  Cached on all five inputs, as
+    an immutable tuple: a root's profile is evaluated at many angles."""
     mu = lam - 0.5
     cs = a + s * 1j * b * cmath.exp(-1j * (2.0 * mu + 1.0) * w)
     turn = cmath.exp(2j * math.pi * mu)
     # |phi|^2 integrates to (|A|^2+|B|^2) 2 omega + (|C|^2+|D|^2)(2pi-2 omega):
     # the angular exponentials are unimodular.
     scale = 1.0 / math.sqrt(4.0 * w + abs(cs) ** 2 * (4.0 * math.pi - 4.0 * w))
-    return [scale, s * 1j * scale, cs * scale, s * 1j * turn * cs * scale]
+    return (scale, s * 1j * scale, cs * scale, s * 1j * turn * cs * scale)
 
 
 @functools.lru_cache(maxsize=2)
@@ -265,13 +271,17 @@ def principal_eigenvalue(p: PhysParams) -> SpinOrbitRoot:
     """The unique simple eigenvalue in (0, 1/2): the root of f_s,
     s = sgn tau, which runs from -a at 0 to s b cos omega at 1/2 (see the
     module docstring), refined by bracketed Newton on [0, 1/2] down to
-    adjacent floats."""
+    adjacent floats.  A refinement that ends on 1/2 returns the float below
+    it, so the result lies in the open (0, 1/2)."""
     if p.omega >= math.pi / 2.0:
         raise ValueError("principal eigenvalue requires omega < pi/2")
     dc = derived_constants(p)
     s = 1 if p.tau > 0.0 else -1
     fd = _det_factor(dc.a, s * dc.b, p.omega, -1.0 if dc.a > 0.0 else 1.0)
-    return SpinOrbitRoot(lam=_refine(fd, 0.0, 0.5), sectors=(s,))
+    lam = _refine(fd, 0.0, 0.5)
+    if lam == 0.5:
+        lam = math.nextafter(0.5, 0.0)
+    return SpinOrbitRoot(lam=lam, sectors=(s,))
 
 
 def spectrum_in_window(p: PhysParams, lo: float, hi: float) -> list[SpinOrbitRoot]:
@@ -382,7 +392,8 @@ def _profile(p: PhysParams, root: SpinOrbitRoot):
     only angles within 8.9e-13 of a ray (for |theta| <= 1000) differ from
     the plain rule.  A non-finite theta raises ValueError."""
     dc, w = derived_constants(p), p.omega
-    a, b, c, d = _sector_row(dc.a, dc.b, w, root.lam, root.sectors[0])
+    a, b, c, d = _sector_row(float(dc.a), float(dc.b), float(w),
+                             float(root.lam), root.sectors[0])
     mu = root.lam - 0.5
 
     def phi(theta: float) -> tuple[complex, complex]:

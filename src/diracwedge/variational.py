@@ -36,6 +36,7 @@ per-n norms are closed forms apart from one Gauss rule over the ramp of chi.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -57,12 +58,16 @@ __all__ = [
 ]
 
 
-def _require_attractive(tau: float) -> DerivedConstants:
-    """The constants at m = 1 of a tau < 0 that ``PhysParams`` accepts (so
-    finite, away from -2 and 0, with finite derived constants)."""
+def _require_negative(tau: float) -> None:
     if not tau < 0.0:
         raise ParameterError(
             f"certificate machinery requires tau < 0; got {tau}")
+
+
+def _require_attractive(tau: float) -> DerivedConstants:
+    """The constants at m = 1 of a tau < 0 that ``PhysParams`` accepts (so
+    finite, away from -2 and 0, with finite derived constants)."""
+    _require_negative(tau)
     return derived_constants(PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0))
 
 
@@ -221,7 +226,19 @@ def angle_for_length(tau: float, m: float, L: float, N: int) -> float:
 
 
 def _star(tau: float, N: int) -> tuple[float, float]:
-    """(omega_star, l_star = m L_star), l_star^2 the quadratic's root."""
+    """(omega_star, l_star = m L_star), l_star^2 the quadratic's root.
+
+    The sign of tau and N are checked here, and the closed form is cached
+    on the Python float tau and int N (so a numpy scalar or a 0-d array is
+    a key too); a refusal raises on every call, since no exception is
+    cached."""
+    _require_negative(tau)
+    _require_count("N", N)
+    return _star_at(float(tau), int(N))
+
+
+@functools.lru_cache(maxsize=16)
+def _star_at(tau: float, N: int) -> tuple[float, float]:
     q, c, b2, g = _bracket(tau, N)
     q2 = q * q
     s = q2 * b2 + 3.0 * g
@@ -233,13 +250,17 @@ def _star(tau: float, N: int) -> tuple[float, float]:
 
 
 def critical_angle_closed(tau: float, N: int) -> float:
-    """Closed-form critical angle omega_star(tau, N), mass-independent."""
+    """Closed-form critical angle omega_star(tau, N), mass-independent;
+    the same cached closed form as ``critical_angle_maximize``, so the two
+    agree bit for bit and a second call at the same (tau, N) costs a
+    lookup."""
     return _star(tau, N)[0]
 
 
 def critical_angle_maximize(p: PhysParams, N: int) -> tuple[float, float]:
     """(omega_star, L_star): the maximum of omega(L) over L > 0 and the
-    strip length that attains it, both in closed form."""
+    strip length that attains it, both in closed form, from the cached
+    (omega_star, m L_star) that ``critical_angle_closed`` shares."""
     w_star, ell = _star(p.tau, N)
     if ell / p.m == math.inf:
         raise ParameterError(f"m = {p.m} is too small: L_star overflows")

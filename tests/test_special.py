@@ -1,8 +1,10 @@
 """Modified Bessel evaluation and the deficiency elements built from it."""
 
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.integrate import trapezoid
 import diracwedge.model as model
 import diracwedge.special as special
 import diracwedge.spin_orbit as spin_orbit
+import diracwedge.variational as variational
 from diracwedge.model import PhysParams, sigma_dot
 from diracwedge.special import bessel_k, deficiency_element
 from diracwedge.spin_orbit import (
@@ -338,3 +341,70 @@ def test_deficiency_at_the_smallest_radius():
     p = PhysParams(tau=-1.0, m=1.0, omega=1.5)
     with pytest.raises(model.ParameterError, match="x = 5e-324"):
         deficiency_element(p, 1, r, theta)
+
+
+def _clear_scalar_caches():
+    """Empty every cache of the scalar path."""
+    special._k_pair.cache_clear()
+    spin_orbit._sector_row.cache_clear()
+    variational._star_at.cache_clear()
+
+
+def test_deficiency_cached_matches_uncached_at_scan_points():
+    """At every benchmark scan point, each of the scan's 8 (sign, r, theta)
+    evaluations gives the same bits with warm caches as with every cache
+    cleared before the call."""
+    scan = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "reference.json").read_text())["scan"]
+    assert len(scan) == 480
+    calls = [(s, r, th) for s in (1, -1)
+             for r, th in ((0.5, 0.3), (0.5, 2.0), (2.0, 0.3), (2.0, 2.0))]
+    for pt in scan:
+        p = PhysParams(tau=pt["tau"], m=1.0, omega=pt["omega"])
+        root = principal_eigenvalue(p)
+        warm = [deficiency_element(p, *c, root=root) for c in calls]
+        for c, v in zip(calls, warm):
+            _clear_scalar_caches()
+            cold = deficiency_element(p, *c, root=root)
+            assert cold.tobytes() == v.tobytes(), (pt["tau"], pt["omega"], c)
+
+
+def test_k_pair_cache_is_bounded_and_holds_tuples():
+    """The pair cache keeps at most its fixed number of entries, each a
+    tuple, however many distinct pairs are asked for."""
+    _clear_scalar_caches()
+    info = special._k_pair.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    for i in range(4 * info.maxsize):
+        pair = special._k_pair(0.1 + 1e-3 * i, 0.5)
+        assert type(pair) is tuple and len(pair) == 2
+    assert special._k_pair.cache_info().currsize == info.maxsize
+    # the recursion for nu < -1/2 goes through the cache as well
+    assert special._k_pair(-1.25, 0.5) == special._k_pair(0.25, 0.5)[::-1]
+
+
+def test_deficiency_takes_numpy_scalars_and_0d_arrays():
+    """A numpy scalar or 0-d array radius, and a numpy root, are accepted as
+    before the caches and give the bits of the Python-float call."""
+    root = principal_eigenvalue(P_REF)
+    want = deficiency_element(P_REF, 1, 0.5, 0.3, root=root).tobytes()
+    for r in (np.float64(0.5), np.array(0.5)):
+        got = deficiency_element(P_REF, 1, r, 0.3, root=root)
+        assert got.tobytes() == want
+    np_root = spin_orbit.SpinOrbitRoot(lam=np.float64(root.lam),
+                                       sectors=root.sectors)
+    assert (deficiency_element(P_REF, 1, 0.5, 0.3, root=np_root).tobytes()
+            == want)
+
+
+def test_refusals_raise_on_every_call():
+    """A refused radius or order raises again on a repeated call: no
+    refusal is served from a cache."""
+    p = PhysParams(tau=-1.0, m=1.0, omega=1.5)
+    for _ in range(2):
+        with pytest.raises(model.ParameterError, match="x = 5e-324"):
+            deficiency_element(p, 1, 5e-324, 0.3)
+        with pytest.raises(model.ParameterError, match="nu = 5.0"):
+            bessel_k(5.0, 1e-300)
+        with pytest.raises(ValueError, match="radius"):
+            deficiency_element(p, 1, 0.0, 0.3)

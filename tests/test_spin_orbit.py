@@ -276,7 +276,7 @@ def test_principal_is_factor_sign_change_over_tau_range():
     """For both signs of tau, |tau| from 1e-9 to 100 (a < 0 beyond 2), and
     omega in [1e-4, pi/2 - 1e-4], the principal root lies in (0, 1/2) and
     the factor of its sector sgn tau changes sign between it and an
-    adjacent float."""
+    adjacent float; for omega up to pi/2 - 1e-12 it lies in (0, 1/2)."""
     rng = np.random.default_rng(20232)
     for _ in range(400):
         tau = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-9.0, 2.0)
@@ -286,6 +286,26 @@ def test_principal_is_factor_sign_change_over_tau_range():
         sector = math.copysign(1.0, tau)
         assert _is_factor_sign_change(tau, omega, lam, (sector,)), \
             (tau, omega, lam)
+    # Up to pi/2 - 1e-12 the root stays in the open (0, 1/2).  The rounded
+    # cos(pi/2) can flip the computed factor's sign at 1/2 there (see the
+    # module docstring), so only the interval is checked.
+    for _ in range(200):
+        tau = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-9.0, 2.0)
+        omega = math.pi / 2.0 - 10.0 ** rng.uniform(-12.0, -4.0)
+        lam = principal_eigenvalue(PhysParams(tau=tau, m=1.0, omega=omega)).lam
+        assert 0.0 < lam < 0.5, (tau, omega)
+
+
+@pytest.mark.parametrize("tau", [1.0000001e-9, -1.0000001e-9])
+def test_principal_below_one_half_near_right_angle(tau):
+    """At omega = pi/2 - 1e-7 the refinement ends on the bracket end 1/2;
+    the root lies below it, and the float below 1/2 is within 1 ulp of the
+    60-digit oracle."""
+    omega = math.pi / 2.0 - 1e-7
+    lam = principal_eigenvalue(PhysParams(tau=tau, m=1.0, omega=omega)).lam
+    assert lam < 0.5
+    expected = secular_root_mp(tau, omega, 0.0, 0.5, dps=60)
+    assert abs(lam - expected) <= math.ulp(expected)
 
 
 @pytest.mark.parametrize("tau, omega", [(-3.0, math.pi / 8.0), (5.0, 0.3),
@@ -826,3 +846,33 @@ def test_profile_periodicity():
         angular_profile(P_REF, root, th + 2.0 * np.pi),
         atol=1e-12,
     )
+
+
+def test_sector_rows_are_cached_per_root():
+    """Two roots that differ only in sector, and two parameter sets that
+    differ only in omega, get their own rows, each equal to a fresh
+    evaluation; the row cache is bounded and holds tuples."""
+    info = _sector_row.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    _sector_row.cache_clear()
+    lam = 1.2345
+    profiles = {}
+    for omega in (0.7, 0.9):
+        p = PhysParams(tau=-1.0, m=1.0, omega=omega)
+        dc = derived_constants(p)
+        for s in (1, -1):
+            root = SpinOrbitRoot(lam=lam, sectors=(s,))
+            got = _sector_row(dc.a, dc.b, omega, lam, s)
+            assert type(got) is tuple
+            assert got == _sector_row.__wrapped__(dc.a, dc.b, omega, lam, s)
+            profiles[omega, s] = angular_profile(p, root, [0.3, 2.0]).tobytes()
+    assert len(set(profiles.values())) == 4
+    assert _sector_row.cache_info().currsize == 4
+    # a repeat, in the other order, reads the same rows from the cache
+    for (omega, s), want in reversed(profiles.items()):
+        p = PhysParams(tau=-1.0, m=1.0, omega=omega)
+        root = SpinOrbitRoot(lam=lam, sectors=(s,))
+        assert angular_profile(p, root, [0.3, 2.0]).tobytes() == want
+    for i in range(4 * info.maxsize):
+        _sector_row(1.25, 0.75, 0.7, lam + 1e-3 * i, 1)
+    assert _sector_row.cache_info().currsize == info.maxsize

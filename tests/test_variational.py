@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
+import diracwedge.variational as variational
 from diracwedge.aux1d import ground_state
 from diracwedge.model import ParameterError, PhysParams, interface_matrices
 from diracwedge.variational import (
@@ -449,3 +450,38 @@ def test_singular_sequence_norms_reach_the_upper_bound():
     assert _inside(rep, slack=1e-13)
     for n in (4, 8):
         assert rep.norm_sq[n] == pytest.approx(rep.c_upper, rel=1e-13)
+
+
+def test_critical_angle_cache_keys_and_refusals():
+    """The closed form is cached on the Python float tau and int N: a numpy
+    scalar or a 0-d array tau or N gives the bits of the float call, the
+    cache is bounded and holds tuples, the two public routes share one
+    entry, and every refusal raises again on a repeated call."""
+    info = variational._star_at.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    variational._star_at.cache_clear()
+    want = critical_angle_closed(-1.0, 1)
+    for tau in (np.float64(-1.0), np.array(-1.0)):
+        assert critical_angle_closed(tau, 1) == want
+    for n in (np.int64(1), np.array(1), 1.0):
+        assert critical_angle_closed(-1.0, n) == want
+    p = PhysParams(tau=-1.0, m=2.0, omega=0.3)
+    assert critical_angle_maximize(p, 1)[0] == want
+    assert variational._star_at.cache_info().currsize == 1
+    star = variational._star_at(-1.0, 1)
+    assert type(star) is tuple and star == variational._star_at.__wrapped__(
+        -1.0, 1)
+    for i in range(4 * info.maxsize):
+        critical_angle_closed(-1.0 - 1e-3 * i, 1)
+    assert variational._star_at.cache_info().currsize == info.maxsize
+    refused = [(0.5, 1), (math.nan, 1), (-math.inf, 1), (-2.0, 1),
+               (-1e-200, 1), (-1.0, 0), (-1.0, 2.5), (-1.0, 1e100),
+               (-1.0, 10 ** 400)]
+    for tau, n in refused:
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                critical_angle_closed(tau, n)
+    tiny = PhysParams(tau=-1.0, m=1e-308, omega=0.1)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="too small"):
+            critical_angle_maximize(tiny, 1)
