@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 invalid parameters or config (a NaN or infinite
 float option, a mass whose eps_tau^2 overflows, an N, L, gamma or lambda
 whose result would overflow, a deficiency r whose K_nu(r) overflows, a
 fem-count k or mesh above its size cap, a k of at least the pencil's DOF
-count or a mass outside its range, a sweep axis that its quantity does not
-read, and an unwritable --output or --export path included), 3 solver
-failure or a NaN or infinite result, which has no JSON form.
+count, a sweep axis that its quantity does not read, and an unwritable
+--output or --export path included), 3 solver failure or a NaN or infinite
+result, which has no JSON form.
 """
 
 from __future__ import annotations

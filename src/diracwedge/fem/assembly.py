@@ -91,15 +91,12 @@ def _full_matrices(p: PhysParams, mesh: Mesh):
     """(A, B) on the duplicated-DOF space: stiffness + m^2 mass + shell jump,
     and mass.  Both spinor components see the same scalar matrices, so these
     are scattered on vertex indices and lifted by kron(., I_2)."""
-    # the default meshes scale like 1/m, so their gradient coefficients grow
-    # like m and their areas like 1/m^2: the stiffness overflows from m of
-    # about 1e150, and the areas below about 1e-153
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
         k_loc, m_loc = _scalar_element_matrices(mesh)
     if not (np.isfinite(k_loc).all() and np.isfinite(m_loc).all()):
         raise ParameterError(
-            f"m = {p.m} is outside the FEM's mass range: the element "
-            "matrices of this mesh are not finite")
+            "the element matrices of this mesh are not finite: its "
+            "triangles are too small or too large for float64")
     edges = mesh.interface_edges
     v = mesh.vertices
     length = np.hypot(*(v[edges[:, 1]] - v[edges[:, 0]]).T)

@@ -146,7 +146,7 @@ def build_mesh(p: PhysParams, R: float | None = None, h: float | None = None,
         R = 10.0 / p.m
     if h is None:
         h = 0.35 / p.m
-    if R <= 0.0 or h <= 0.0:
+    if not (0.0 < R < math.inf and 0.0 < h < math.inf):
         raise MeshError(f"need R > 0 and h > 0, got R={R}, h={h}")
     if grading < 1.0:
         raise MeshError(f"grading exponent must be >= 1, got {grading}")
@@ -222,7 +222,7 @@ def build_strip_mesh(p: PhysParams, x_max: float | None = None,
                  else 3.0 * critical_angle_maximize(p, 1)[1])
     if width is None:
         width = 5.0 / abs(derived_constants(p).kappa0)
-    if x_max <= 0.0 or width <= 0.0:
+    if not (0.0 < x_max < math.inf and 0.0 < width < math.inf):
         raise MeshError(f"need x_max > 0 and width > 0, got {x_max}, {width}")
     if nx < 2 or wedge_rows < 1 or outer_rows < 2:
         raise MeshError(

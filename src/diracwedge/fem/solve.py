@@ -6,9 +6,12 @@ below the gap edge is a lower bound on the number of gap states.  That number
 is the inertia (Sylvester) of one diagonal-pivot LDL^T factorization of
 A - sB at s = edge (1 - 1e-6), checked against the Ritz values below s.
 
+The mass is the unit: the broken line is a cone, so `count_bound_states`
+solves at m = 1, where the pencil's scale is 1, and scales its report.
+
 The two shifts take different factors.  Lanczos inverts A - sigma B at
-sigma = -1e-2 m^2, below the spectrum, where it is positive definite.  If
-its half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
+sigma = -1e-2, below the spectrum, where it is positive definite.  If its
+half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
 (LAPACK ``dpbtrf``) in the pencil's own numbering, and a factor that
 succeeds proves sigma lies below the spectrum.  The strip is numbered
 column by column (bw 106 on the thin wedge's 48 858 DOFs) and takes the
@@ -25,8 +28,8 @@ so a thread would overlap them as well) keeps the peak RSS of each process
 below that of the inline run, while the two processes together hold more.
 A k that Lanczos would refuse is refused before the fork.  Lanczos stops at
 ARPACK ``tol`` 3e-11, and every eigenpair must still meet the residual cap
-1e-8 in units of m^2.  The measured times behind these choices are in the
-project's change log.
+1e-8.  The measured times behind these choices are in the project's change
+log.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import inspect
 import json
 import os
 import signal
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +53,7 @@ __all__ = ["FemSolveError", "SpectralReport", "solve_lowest",
            "count_bound_states", "export_matrix_market"]
 
 _RESIDUAL_CAP = 1e-8
-_SHIFT_REL = -1e-2   # Lanczos shift in units of m^2, below the spectrum
+_SHIFT = -1e-2   # Lanczos shift, below the spectrum
 # ARPACK's stopping tolerance; residuals stay 1e-3 under _RESIDUAL_CAP on the
 # test meshes (1e-10 left one at 6.8e-11)
 _ARPACK_TOL = 3e-11
@@ -170,30 +172,23 @@ def _check_k(k: int, n: int) -> None:
 def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
     """k lowest eigenpairs of A x = mu B x by shift-invert Lanczos.
 
-    The shift -1e-2 m^2 (m from ``pencil.info``, which `assemble` fills in)
-    lies below the spectrum, since the reduced A is positive semidefinite,
-    and close to its bottom, so Lanczos converges in few shift-invert solves.
-    A - sigma B is then positive definite, and `_shift_solver` picks its
-    factor.  Lanczos runs on the pencil (A, m^2 B) at the shift -1e-2: the
-    same A - sigma B, with eigenvalues mu / m^2 that do not scale with m and
-    are multiplied by m^2 at the end.  On (A, B) ARPACK's Ritz values scale
-    like 1/m^2, so its convergence test, relative only above eps^(2/3),
-    turned absolute at large m, and B's small entries failed its start.
-    The start vector is drawn from ARPACK's own distribution, uniform on
-    [-1, 1], but from a fixed seed, so the result does not depend on OS
-    entropy.  ARPACK stops at ``tol`` 3e-11 rather than machine precision;
-    the measured residuals ||A x - mu B x|| / (m^2 ||B x||) must still be
-    at most 1e-8, or the solve fails.  `_check_k` refuses k.
+    The shift -1e-2 lies below the spectrum, since the reduced A is positive
+    semidefinite, and, on a pencil assembled at m = 1, close to its bottom,
+    so Lanczos converges in few shift-invert solves.  A - sigma B is then
+    positive definite, and `_shift_solver` picks its factor.  The start
+    vector is drawn from ARPACK's own distribution, uniform on [-1, 1], but
+    from a fixed seed, so the result does not depend on OS entropy.  ARPACK
+    stops at ``tol`` 3e-11 rather than machine precision; the measured
+    residuals ||A x - mu B x|| / ||B x|| must still be at most 1e-8, or the
+    solve fails.  ARPACK's own failure raises FemSolveError.  `_check_k`
+    refuses k.
     """
     n = pencil.n_reduced
     _check_k(k, n)
-    m_sq = pencil.info["m"] ** 2
     op_inv = spla.LinearOperator(
-        (n, n), matvec=_shift_solver(pencil, _SHIFT_REL * m_sq),
-        dtype=np.float64)
-    mb = m_sq * pencil.B
+        (n, n), matvec=_shift_solver(pencil, _SHIFT), dtype=np.float64)
     try:
-        vals, vecs = spla.eigsh(pencil.A, k=k, M=mb, sigma=_SHIFT_REL,
+        vals, vecs = spla.eigsh(pencil.A, k=k, M=pencil.B, sigma=_SHIFT,
                                 which="LM", v0=_start_vector(n),
                                 OPinv=op_inv, tol=_ARPACK_TOL)
     except spla.ArpackNoConvergence as exc:
@@ -201,10 +196,12 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
             f"eigensolver did not converge: {len(exc.eigenvalues)} of "
             f"{k} pairs found"
         ) from exc
+    except spla.ArpackError as exc:
+        raise FemSolveError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
-    bx = mb @ vecs
+    bx = pencil.B @ vecs
     residuals = (np.linalg.norm(pencil.A @ vecs - bx * vals, axis=0)
                  / np.linalg.norm(bx, axis=0))
     if np.any(residuals > _RESIDUAL_CAP):
@@ -213,7 +210,7 @@ def solve_lowest(pencil: SymmetricPencil, k: int) -> SpectralReport:
             f"{residuals.max():.3e}"
         )
     return SpectralReport(
-        eigenvalues=vals * m_sq, gap_edge=None, margin=0.0, count_below=None,
+        eigenvalues=vals, gap_edge=None, margin=0.0, count_below=None,
         residuals=residuals, mesh_info=dict(pencil.info), pencil=pencil,
     )
 
@@ -319,26 +316,29 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
     (the default: a strip for omega < 0.05, else a disk), and the other keys
     are keyword arguments of `build_mesh` or `build_strip_mesh`, whose
     defaults fill in the rest.  An unknown kind or key raises ValueError.
-    ``mesh_info`` of the report holds the mesh's resolved values.
+
+    The dilation x -> x/m maps the operator of mass m unitarily onto m times
+    the operator of mass 1.  So the length options R, h, x_max and width are
+    multiplied by m, and the mesh is built, solved and counted at m = 1;
+    only the report depends on m.  Its eigenvalues are the Ritz values times
+    m^2, which underflow to 0 below m of about 1e-154, and its ``gap_edge``
+    and ``margin`` are those of ``p``.  Its ``mesh_info`` and pencil
+    describe the m = 1 problem, with lengths in units of 1/m.
 
     The count is a lower bound (up to roundoff) on the number of gap states
     and does not depend on ``k``, which sets only how many of the lowest
-    eigenvalues are reported.  The report carries the counted pencil.  The
-    count's factorization runs in a forked child while Lanczos runs here,
-    or inline after it where ``os.fork`` does not exist; a k that
-    `_check_k` refuses raises before either starts.  A mass whose s is
-    not a normal float (m below about 2.5e-154 at tau = -1) raises
-    ParameterError before the mesh is built.
+    eigenvalues are reported.  A k that `_check_k` refuses raises before
+    the count's factorization starts.
     """
     edge = derived_constants(p).eps_tau_sq
-    margin = _MARGIN_REL * edge
-    s = edge - margin
-    if not s >= sys.float_info.min:
-        raise ParameterError(
-            f"m = {p.m} is outside the FEM's mass range: the count's shift "
-            f"s = {s:.6g} is not a normal float")
+    unit = PhysParams(p.tau, 1.0, p.omega)
+    unit_edge = derived_constants(unit).eps_tau_sq
+    s = unit_edge - _MARGIN_REL * unit_edge
+    opts = {key: value * p.m
+            if key in ("R", "h", "x_max", "width") and value is not None
+            else value for key, value in (mesh_opts or {}).items()}
 
-    pencil = assemble(p, _mesh_from_opts(p, mesh_opts))
+    pencil = assemble(unit, _mesh_from_opts(unit, opts))
     _check_k(k, pencil.n_reduced)   # a refused k starts no child
     rep, (count, resid) = _solve_and_count(pencil, k, s)
     if resid > _FACTOR_RESIDUAL_CAP:
@@ -350,8 +350,10 @@ def count_bound_states(p: PhysParams, mesh_opts: dict | None = None,
             f"inertia count {count} disagrees with {ritz} of "
             f"{rep.eigenvalues.size} Ritz values below s = {s:.6g}")
 
-    return replace(rep, gap_edge=edge, margin=float(margin),
-                   count_below=count)
+    with np.errstate(over="ignore"):   # inf from m of about 1e154 on
+        return replace(rep, eigenvalues=rep.eigenvalues * (p.m * p.m),
+                       gap_edge=edge, margin=_MARGIN_REL * edge,
+                       count_below=count)
 
 
 def export_matrix_market(pencil: SymmetricPencil, prefix: str) -> list[str]:

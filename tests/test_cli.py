@@ -135,13 +135,24 @@ def test_fem_mesh_error_exits_2(capsys):
      "the disk mesh needs at least 1e+300 vertices, more than 1048576"),
     (["fem-count", "--tau", "-1", "--omega", "0.5", "--R", "1e308"],
      "the disk mesh needs at least inf vertices, more than 1048576"),
-    (["fem-count", "--tau", "-1", "--m", "1e152", "--omega", "0.5"],
-     "m = 1e+152 is outside the FEM's mass range: the element matrices of "
-     "this mesh are not finite"),
-    *((["fem-count", "--tau", "-1", "--m", m, "--omega", omega],
-       f"m = {float(m)!r} is outside the FEM's mass range: the count's shift "
-       f"s = {0.36 * float(m) ** 2 * (1 - 1e-6):.6g} is not a normal float")
-      for m in ("1e-154", "1e-155") for omega in ("3.2e-3", "0.5")),
+    (["fem-count", "--tau", "-1", "--omega", "0.5", "--R", "1e-155", "--h",
+      "1e-156"],
+     "the element matrices of this mesh are not finite: its triangles are "
+     "too small or too large for float64"),
+    # lengths are taken in units of 1/m, so a mass fails where a converted
+    # length underflows to 0 or overflows to inf
+    (["fem-count", "--tau", "-1", "--m", "1e-300", "--omega", "0.5", "--R",
+      "1e-100", "--h", "1e-101"],
+     "need R > 0 and h > 0, got R=0.0, h=0.0"),
+    (["fem-count", "--tau", "-1", "--m", "1e150", "--omega", "0.5", "--R",
+      "6e300", "--h", "8e299"],
+     "need R > 0 and h > 0, got R=inf, h=inf"),
+    (["fem-count", "--tau", "-1", "--m", "1e-300", "--omega", "0.01",
+      "--width", "1e-100"],
+     "need x_max > 0 and width > 0, got 63.45917598675648, 0.0"),
+    (["fem-count", "--tau", "-1", "--m", "1e150", "--omega", "3.2e-3",
+      "--x-max", "3e300"],
+     "need x_max > 0 and width > 0, got inf, 6.25"),
     *((SMALL_STRIP + ["--k", k],
        f"k = {k} must be below the pencil's 414 DOFs")
       for k in ("414", "100000")),
@@ -164,6 +175,29 @@ def test_input_check_exits_2(argv, message, monkeypatch, capsys):
     assert out == ""
     assert err.startswith(f"diracwedge {argv[0]}: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("R", ["1e-100", "1e-80", "1e-60"])
+def test_fem_count_arpack_error_exits_3(R, capsys):
+    """On a disk this small B's entries are of order R^2, and ARPACK's own
+    error, not only its no-convergence, is a solver failure."""
+    code = main(["fem-count", "--tau", "-1", "--omega", "0.5", "--R", R,
+                 "--h", repr(float(R) / 10.0), "--k", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == ("diracwedge fem-count: eigensolver failed: ARPACK error "
+                   "-9: Starting vector is zero.\n")
+
+
+def test_fem_count_eigenvalues_overflow_exits_3(capsys):
+    """At m = 2e154 the count runs at m = 1, and eps_tau^2 is finite, but m^2
+    times the Ritz values is not: the run exits 3 without an artifact."""
+    code = main(SMALL_STRIP + ["--m", "2e154"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "diracwedge fem-count: non-finite result in eigenvalues\n"
 
 
 def test_scalar_subcommands_load_no_scipy_sparse(child_env):
@@ -967,3 +1001,32 @@ def test_extreme_inputs_exit_0_2_or_3(capsys):
         codes.add(code)
     assert {0, 2} <= codes
     assert time.perf_counter() - start < 2.0
+
+
+# a small strip and a small disk, with their length options
+_EXTREME_MESHES = (
+    (["--omega", "3.2e-3", "--nx", "24", "--wedge-rows", "2", "--outer-rows",
+      "3"], {"--x-max": 3.0, "--width": 6.25}),
+    (["--omega", "0.5", "--kind", "disk"], {"--R": 6.0, "--h": 0.8}),
+)
+
+
+def test_fem_count_extreme_inputs_exit_0_2_or_3(capsys):
+    """fem-count on a small strip and a small disk over extreme masses and
+    length options scaled to the ends of the float range ends in exit 0, 2
+    or 3 with at most one line on stderr, never in an exception (exit 1),
+    and without a warning."""
+    start = time.perf_counter()
+    codes = set()
+    for (argv, lengths), m, scale in itertools.product(
+            _EXTREME_MESHES, _EXTREME_MASSES, (1e-100, 1.0, 1e100, 1e300)):
+        argv = ["fem-count", "--tau", "-1", "--m", m, *argv, "--k", "2"]
+        for flag, length in lengths.items():
+            argv += [flag, repr(length * scale)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert err.count("\n") == (code != 0), (argv, err)
+        codes.add(code)
+    assert {0, 2, 3} <= codes
+    assert time.perf_counter() - start < 10.0

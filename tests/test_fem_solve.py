@@ -307,7 +307,7 @@ def test_band_factor_not_positive_definite_exits_3(monkeypatch, capsys):
     the band Cholesky fails at a named pivot, and the CLI exits 3."""
     from diracwedge.cli import main
 
-    monkeypatch.setattr(solve, "_SHIFT_REL", 1.0)
+    monkeypatch.setattr(solve, "_SHIFT", 1.0)
     message = (r"A - sB at s = 1 is not positive definite: band Cholesky "
                r"pivot \d+ of 414 is not positive")
     pencil = assemble(P_THIN, solve._mesh_from_opts(P_THIN, SMALL_STRIP))
@@ -433,26 +433,37 @@ def test_builder_defaults_are_the_count_meshes():
     assert same(disk, solve._mesh_from_opts(P_ATTR, None))
 
 
-@pytest.mark.parametrize("omega, mesh_opts, count", [
-    (0.2, None, 2),
-    (3.2e-3, SMALL_STRIP, 12),
-])
-def test_count_is_scale_covariant(omega, mesh_opts, count):
-    """Lengths scale like 1/m and the pencil's eigenvalues like m^2: the
-    default disk and the strip's default sizes follow the Compton length,
-    so at every mass the count is the m = 1 count, the eigenvalues over m^2
-    are m = 1's, and the residuals, in units of m^2, stay under the cap.
-    Lanczos runs on (A, m^2 B), so this holds far from m = 1, where ARPACK
-    on (A, B) saw Ritz values of order 1/m^2 and failed."""
+_MASSES = (1e-300, 1e-155, 1e-154, 1e-20, 0.25, 1e8, 1e60, 1e152, 1e154)
+
+
+@pytest.mark.parametrize("omega, mesh_opts, lengths, count, masses", [
+    (0.2, None, {}, 2, _MASSES),
+    (3.2e-3, SMALL_STRIP, {}, 12, _MASSES),
+    # at mass m the count shift (1e-154, 1e-155) or the stiffness (1e152)
+    # of these meshes is not a normal float
+    (0.5, None, {}, 1, (1e152, 1e-154, 1e-155)),
+    (3.2e-3, None, {}, 20, (1e-154, 1e-155)),
+    # at m = 2^k the lengths given in units of 1/m convert back exactly
+    (0.2, {"kind": "disk"}, {"R": 8.0, "h": 0.5}, 1,
+     tuple(2.0 ** k for k in (-500, -3, 10, 400))),
+], ids=["0.2-None-2", "0.0032-mesh_opts1-12", "0.5-None-1", "0.0032-None-20",
+        "0.2-disk-R-h-1"])
+def test_count_is_scale_covariant(omega, mesh_opts, lengths, count, masses):
+    """Lengths scale like 1/m and the pencil's eigenvalues like m^2, and
+    count_bound_states solves at m = 1: with the default lengths, or lengths
+    that convert back exactly, the count, the residuals and the eigenvalues
+    over m^2 are m = 1's bit for bit at every mass, even where m^2 times an
+    eigenvalue is subnormal or 0."""
     def count_at(m):
+        opts = dict(mesh_opts or {}, **{key: length / m
+                                        for key, length in lengths.items()})
         return count_bound_states(PhysParams(tau=-1.0, m=m, omega=omega),
-                                  mesh_opts=mesh_opts)
+                                  mesh_opts=opts)
 
     ref = count_at(1.0)
     assert ref.count_below == count
-    for m in (1e-20, 0.25, 1000.0, 1e8, 1e60):
+    for m in masses:
         rep = count_at(m)
         assert rep.count_below == count
-        np.testing.assert_allclose(rep.eigenvalues / m ** 2, ref.eigenvalues,
-                                   rtol=1e-10, atol=0.0)
-        assert np.all(rep.residuals <= solve._RESIDUAL_CAP)
+        assert np.array_equal(rep.eigenvalues, ref.eigenvalues * (m * m))
+        assert np.array_equal(rep.residuals, ref.residuals)
