@@ -190,6 +190,27 @@ def test_fem_count_arpack_error_exits_3(R, capsys):
                    "-9: Starting vector is zero.\n")
 
 
+@pytest.mark.parametrize("m, omega, count", [
+    ("1e-154", "3.2e-3", 20), ("1e-154", "0.5", 1),
+    ("1e-155", "3.2e-3", 20), ("1e-155", "0.5", 1),
+], ids=["1e-154-3.2e-3", "1e-154-0.5", "1e-155-3.2e-3", "1e-155-0.5"])
+def test_fem_count_tiny_mass_exits_0(m, omega, count, tmp_path):
+    """Below m ~ 1e-154 the count's shift eps_tau^2 (1 - 1e-6) is subnormal,
+    but the count runs at m = 1: the run exits 0 with the m = 1 count, and
+    mesh_info describes the m = 1 problem."""
+    code, out = run_to_file(tmp_path, "tiny.json", [
+        "fem-count", "--tau", "-1", "--m", m, "--omega", omega])
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["count_below"] == count
+    assert result["mesh_info"]["m"] == 1.0
+    assert result["gap_edge"] == 0.36 * float(m) ** 2
+    eigenvalues = result["eigenvalues"]
+    assert eigenvalues == sorted(eigenvalues) and eigenvalues[0] > 0.0
+    assert (sum(ev < result["gap_edge"] for ev in eigenvalues)
+            == min(count, len(eigenvalues)))
+
+
 def test_fem_count_eigenvalues_overflow_exits_3(capsys):
     """At m = 2e154 the count runs at m = 1, and eps_tau^2 is finite, but m^2
     times the Ritz values is not: the run exits 3 without an artifact."""
