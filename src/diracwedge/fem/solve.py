@@ -3,21 +3,24 @@
 Every mesh is conforming with a Dirichlet outer boundary, so each Ritz value
 is an upper bound on its min-max value and the number of pencil eigenvalues
 below the gap edge is a lower bound on the number of gap states.  That number
-is the inertia (Sylvester) of one diagonal-pivot LDL^T factorization of
-A - sB at s = edge (1 - 1e-6), checked against the Ritz values below s.
+is the inertia (Sylvester) of one LDL^T factorization of A - sB at
+s = edge (1 - 1e-6), checked against the Ritz values below s.
 
 The mass is the unit: the broken line is a cone, so `count_bound_states`
 solves at m = 1, where the pencil's scale is 1, and scales its report.
 
-The two shifts take different factors.  Lanczos inverts A - sigma B at
-sigma = -1e-2, below the spectrum, where it is positive definite.  If its
-half-bandwidth bw has bw^2 <= 4n it is factored by band Cholesky
-(LAPACK ``dpbtrf``) in the pencil's own numbering, and a factor that
-succeeds proves sigma lies below the spectrum.  The strip is numbered
-column by column (bw 106 on the thin wedge's 48 858 DOFs) and takes the
-band, which factors and solves faster than SuperLU there.  The disk is
-numbered ring by ring, its band would hold about 7 times SuperLU's fill,
-and it keeps SuperLU.  The count's A - sB is indefinite, so it is always
+Both shifts route by the half-bandwidth bw of their matrix.  The strip is
+numbered column by column (bw 106 on the thin wedge's 48 858 DOFs), so
+bw^2 <= 4n, and both its matrices are factored in the pencil's own
+numbering.  The disk is numbered ring by ring, its band would hold about 7
+times SuperLU's fill, and it keeps SuperLU for both; so does a refined
+strip.  Lanczos inverts A - sigma B at sigma = -1e-2, below the spectrum,
+where it is positive definite: the strip's band Cholesky (LAPACK
+``dpbtrf``) factors and solves faster than SuperLU, and a factor that
+succeeds proves sigma lies below the spectrum.  The count's A - sB is
+indefinite.  On the strip it is block tridiagonal in blocks of width bw,
+and a block LDL^T counts it: the inertias of its dense Schur complements,
+each factored by LAPACK ``dsytrf``, add up (Haynsworth).  On the disk it is
 SuperLU's LDL^T with diagonal pivots.  Each shift's matrix is formed once.
 
 Neither factorization needs the other's result, so where ``os.fork`` exists
@@ -26,6 +29,8 @@ without ``os.fork`` the same function runs inline.  The overlap saves the
 count's time, and the fork rather than a thread (SuperLU releases the GIL,
 so a thread would overlap them as well) keeps the peak RSS of each process
 below that of the inline run, while the two processes together hold more.
+On the thin wedge the child peaks at 110 MB and this process at 132 MB
+(SuperLU's count took the child to 153 MB).
 A k that Lanczos would refuse is refused before the fork.  Lanczos stops at
 ARPACK ``tol`` 3e-11, and every eigenpair must still meet the residual cap
 1e-8.  The measured times behind these choices are in the project's change
@@ -41,6 +46,7 @@ import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack   # loaded by scipy.sparse.linalg already
 
@@ -119,21 +125,29 @@ def _factor(shifted, s: float):
     return lu
 
 
+def _narrow_bandwidth(c) -> int | None:
+    """The half-bandwidth bw of the symmetric CSR matrix c, the largest
+    j - i over its entries, if bw^2 <= 4n (the strip, numbered column by
+    column); None otherwise (the disk, numbered ring by ring, whose band
+    would hold several times SuperLU's fill, and a refined strip)."""
+    n = c.shape[0]
+    bw = int((c.indices - np.repeat(np.arange(n), np.diff(c.indptr))).max())
+    return bw if bw * bw <= 4 * n else None
+
+
 def _shift_solver(pencil: SymmetricPencil, sigma: float):
     """Solve with c = A - sigma B for shift-invert Lanczos, sigma below the
-    spectrum.  If c's half-bandwidth bw, the largest j - i over its entries,
-    has bw^2 <= 4n (the strip, numbered column by column), the solve uses
-    c's band Cholesky factor U^T U (LAPACK ``dpbtrf``/``dpbtrs``) in the
-    pencil's own numbering, and a pivot that is not positive, so a sigma not
-    below the spectrum, raises FemSolveError.  Otherwise (the disk, numbered
-    ring by ring, whose band would hold several times SuperLU's fill) it
-    uses `_factor`."""
+    spectrum.  If `_narrow_bandwidth` finds c's half-bandwidth bw, the
+    solve uses c's band Cholesky factor U^T U (LAPACK ``dpbtrf``/``dpbtrs``)
+    in the pencil's own numbering, and a pivot that is not positive, so a
+    sigma not below the spectrum, raises FemSolveError.  Otherwise it uses
+    `_factor`."""
     c = pencil.A - sigma * pencil.B   # CSR without duplicate entries
+    bw = _narrow_bandwidth(c)
+    if bw is None:
+        return _factor(c.tocsc(), sigma).solve
     n = c.shape[0]
     rows = np.repeat(np.arange(n), np.diff(c.indptr))
-    bw = int((c.indices - rows).max())
-    if bw * bw > 4 * n:
-        return _factor(c.tocsc(), sigma).solve
     # upper band storage, band[bw + i - j, j] = c[i, j] for i <= j, in
     # Fortran order so that dpbtrf factors it in place, not in a copy
     band = np.zeros((bw + 1, n), order="F")
@@ -234,20 +248,112 @@ def _mesh_from_opts(p: PhysParams, mesh_opts: dict | None) -> Mesh:
     return build(p, **opts)
 
 
+def _negative_eigenvalues(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of the block diagonal D of ``dsytrf``'s lower
+    factor ``ldu``, ``ipiv``: a 1x1 pivot adds one when it is negative; a
+    2x2 pivot, whose two ``ipiv`` entries are negative, adds one if its
+    determinant is negative, two if its determinant is positive and its
+    trace negative, and none otherwise."""
+    d = ldu.diagonal()
+    k = np.flatnonzero(ipiv < 0)[::2]   # first rows of the 2x2 pivots
+    a, b, c = d[k], ldu[k + 1, k], d[k + 1]
+    det = a * c - b * b
+    return int(np.count_nonzero(d[ipiv > 0] < 0.0)
+               + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero((det > 0.0) & (a + c < 0.0)))
+
+
+def _block_entries(c, lo: int, hi: int):
+    """(row - lo, column, value) of the entries of rows lo..hi-1 of the CSR
+    matrix c."""
+    a, b = c.indptr[lo], c.indptr[hi]
+    rows = np.repeat(np.arange(hi - lo), np.diff(c.indptr[lo:hi + 1]))
+    return rows, c.indices[a:b], c.data[a:b]
+
+
+def _strip_inertia(c, bw: int, s: float,
+                   rhs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of negative eigenvalues of the CSR matrix c = A - sB of
+    half-bandwidth bw, c^-1 rhs) by a block LDL^T.
+
+    In consecutive index blocks of width bw, c is block tridiagonal, so its
+    inertia is the sum of the inertias of the dense Schur complements
+    S_1 = C_11, S_i+1 = C_i+1,i+1 - C_i+1,i S_i^-1 C_i,i+1 (Haynsworth).
+    LAPACK ``dsytrf`` (Bunch-Kaufman) factors each S_i, whose D gives its
+    inertia; a block it reports singular raises FemSolveError.  The
+    coupling blocks C_i+1,i stay sparse (about 2 entries a row on the
+    strip), so each update is two sparse products with S_i^-1 (``dsytri``).
+    The forward sweep on rhs runs with the recursion, and one backward sweep
+    through the kept block factors (about 41 MB on the thin wedge) solves
+    c x = rhs.
+
+    Every LAPACK call here is blocked or small enough that OpenBLAS runs it
+    on one thread.  Beside Lanczos, with default threads on a 2-core VM, a
+    threaded call (a bw^3 product, a solve with bw + 1 right-hand sides, an
+    unblocked ``dsytrf``) waited for its worker thread each time, and the
+    thin wedge's count took 7-24 s instead of 0.3 s.
+    """
+    n = c.shape[0]
+    lwork = int(lapack.dsytrf_lwork(bw, lower=1)[0])
+    upper = np.triu_indices(bw, 1)
+    y = rhs.copy()
+    count = 0
+    factors = []
+    for lo in range(0, n, bw):
+        hi = min(lo + bw, n)
+        rows, cols, vals = _block_entries(c, lo, hi)
+        cols = cols - lo   # from -bw, the block before, to 2 bw
+        own = (cols >= 0) & (cols < hi - lo)
+        schur = np.zeros((hi - lo, hi - lo), order="F")
+        schur[rows[own], cols[own]] = vals[own]
+        if lo:
+            left = cols < 0
+            coupling = sp.csr_matrix(
+                (vals[left], (rows[left], cols[left] + bw)),
+                shape=(hi - lo, bw))
+            schur -= coupling @ (coupling @ inverse).T
+            y[lo:hi] -= coupling @ solved
+        ldu, ipiv, info = lapack.dsytrf(schur, lower=1, lwork=lwork)
+        if info > 0:
+            raise FemSolveError(
+                f"block LDL^T of A - sB at s = {s:.6g} is singular: the "
+                f"block from row {lo} of {n} has a zero pivot")
+        count += _negative_eigenvalues(ldu, ipiv)
+        factors.append((lo, hi, ldu, ipiv))
+        solved = lapack.dsytrs(ldu, ipiv, y[lo:hi], lower=1)[0]
+        if hi < n:
+            inverse = lapack.dsytri(ldu, ipiv, lower=1)[0]   # lower half
+            inverse[upper] = inverse.T[upper]
+    # x_i = S_i^-1 (y_i - C_i,i+1 x_i+1): the row block's product with x
+    # reads only block i+1, since x is still zero up to hi
+    x = np.zeros(n)
+    for lo, hi, ldu, ipiv in reversed(factors):
+        rows, cols, vals = _block_entries(c, lo, hi)
+        coupled = np.bincount(rows, vals * x[cols], minlength=hi - lo)
+        x[lo:hi] = lapack.dsytrs(ldu, ipiv, y[lo:hi] - coupled, lower=1)[0]
+    return count, x
+
+
 def _inertia(pencil: SymmetricPencil, s: float) -> tuple[int, float]:
     """(number of pencil eigenvalues below s, relative residual of one solve
-    with the factor): the negative pivots of the LDL^T factor of A - sB.
+    with the factor): the negative eigenvalues of an LDL^T factor of
+    A - sB (Sylvester).
 
-    Reading ``lu.U`` makes SuperLU build CSC copies of both L and U: on
-    the thin wedge (tau = -1, omega = 3.2e-3, 4.32 M nonzeros in L and U)
-    tracemalloc sees 52 MB.  This runs in the forked child, which peaks at
-    154 MB against 136 MB for the parent, so it sets the peak RSS of a
-    thin-wedge count; a count that reads the pivots without ``lu.U``
-    would lower it."""
-    lu = _factor((pencil.A - s * pencil.B).tocsc(), s)
-    count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    A pencil that `_narrow_bandwidth` accepts (the strip) is counted by
+    `_strip_inertia`; any other keeps SuperLU's `_factor`, whose ``lu.U``
+    makes CSC copies of both L and U.  On the thin wedge (tau = -1,
+    omega = 3.2e-3) those copies took 52 MB, and the forked child that
+    counts peaked at 153 MB against 132 MB for the parent; the block
+    factors take 41 MB, and the child peaks at 110 MB."""
+    c = pencil.A - s * pencil.B   # CSR without duplicate entries
     rhs = _start_vector(pencil.n_reduced)
-    x = lu.solve(rhs)
+    bw = _narrow_bandwidth(c)
+    if bw is not None:
+        count, x = _strip_inertia(c, bw, s, rhs)
+    else:
+        lu = _factor(c.tocsc(), s)
+        count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        x = lu.solve(rhs)
     resid = (np.linalg.norm(pencil.A @ x - s * (pencil.B @ x) - rhs)
              / np.linalg.norm(rhs))
     return count, float(resid)

@@ -94,12 +94,7 @@ class PhysParams(_Record):
     def __init__(self, tau: float, m: float, omega: float) -> None:
         if not all(math.isfinite(v) for v in (tau, m, omega)):
             raise ParameterError("parameters must be finite")
-        for bad in _EXCLUDED_TAU:
-            if abs(tau - bad) <= _TAU_GUARD:
-                raise ParameterError(
-                    f"tau = {tau} is within {_TAU_GUARD} of the excluded "
-                    f"value {bad}"
-                )
+        _require_admissible_tau(tau)
         if m <= 0.0:
             raise ParameterError(f"mass must be positive, got {m}")
         if not (_OMEGA_MIN < omega <= math.pi / 2.0):
@@ -108,15 +103,32 @@ class PhysParams(_Record):
             )
         # Computed once here: every secular evaluation reads them.  Stored
         # outside the fields, so equality, hashing and repr are unchanged.
-        try:
-            dc = _derive(tau, m)
-        except OverflowError:
-            dc = None
-        if dc is None or not all(map(math.isfinite, vars(dc).values())):
-            raise ParameterError(
-                f"tau = {tau}, m = {m} overflows the derived constants"
-            )
+        dc = _finite_constants(tau, m)
         self.__dict__.update(tau=tau, m=m, omega=omega, _constants=dc)
+
+
+def _require_admissible_tau(tau: float) -> None:
+    """Refuse a finite tau within the guard of an excluded strength."""
+    for bad in _EXCLUDED_TAU:
+        if abs(tau - bad) <= _TAU_GUARD:
+            raise ParameterError(
+                f"tau = {tau} is within {_TAU_GUARD} of the excluded "
+                f"value {bad}"
+            )
+
+
+def _finite_constants(tau: float, m: float) -> DerivedConstants:
+    """``_derive(tau, m)`` of an admissible finite tau and m > 0; constants
+    that overflow raise ParameterError."""
+    try:
+        dc = _derive(tau, m)
+    except OverflowError:
+        dc = None
+    if dc is None or not all(map(math.isfinite, vars(dc).values())):
+        raise ParameterError(
+            f"tau = {tau}, m = {m} overflows the derived constants"
+        )
+    return dc
 
 
 # sigma_0..sigma_3 as nested tuples, so importing the package loads no numpy

@@ -41,6 +41,7 @@ import math
 import sys
 
 from .model import (DerivedConstants, ParameterError, PhysParams, _Record,
+                    _finite_constants, _require_admissible_tau,
                     derived_constants)
 
 __all__ = [
@@ -66,9 +67,13 @@ def _require_negative(tau: float) -> None:
 
 def _require_attractive(tau: float) -> DerivedConstants:
     """The constants at m = 1 of a tau < 0 that ``PhysParams`` accepts (so
-    finite, away from -2 and 0, with finite derived constants)."""
+    finite, away from -2 and 0, with finite derived constants), refused
+    with ``PhysParams``'s messages."""
     _require_negative(tau)
-    return derived_constants(PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0))
+    if tau == -math.inf:
+        raise ParameterError("parameters must be finite")
+    _require_admissible_tau(tau)
+    return _finite_constants(tau, 1.0)
 
 
 # Most modes energy_breakdown sums: it builds three N-long lists, and at

@@ -28,13 +28,19 @@ from diracwedge.fem import (
 )
 from diracwedge.fem import solve
 from diracwedge.fem.assembly import _scalar_element_matrices
-from diracwedge.model import PhysParams
+from diracwedge.model import PhysParams, derived_constants
 from diracwedge.variational import critical_angle_maximize
 
 P_ATTR = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 4.0)
 P_LINE = PhysParams(tau=-1.0, m=1.0, omega=math.pi / 2.0)
 P_THIN = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
 SMALL_STRIP = {"kind": "strip", "nx": 24, "wedge_rows": 2, "outer_rows": 3}
+SMALL_DISK = {"kind": "disk", "R": 6.0, "h": 0.8}
+
+
+def _count_shift(p):
+    edge = derived_constants(p).eps_tau_sq
+    return edge - solve._MARGIN_REL * edge
 
 
 def test_laplacian_sanity_disk():
@@ -162,6 +168,7 @@ def test_matrix_market_export_roundtrip(tmp_path):
     (-1.0, {"kind": "disk", "R": 6.0, "h": 0.8}),
     (1.0, {"kind": "disk", "R": 6.0, "h": 0.8}),
     (-1.0, SMALL_STRIP),
+    (1.0, SMALL_STRIP),
 ])
 def test_inertia_count_matches_dense(tau, mesh_opts):
     """The inertia count is the dense count of pencil eigenvalues below
@@ -181,7 +188,9 @@ def test_inertia_count_matches_dense(tau, mesh_opts):
     lowest = np.sum(v * (a @ v), axis=0) / np.sum(v * (b @ v), axis=0)
     np.testing.assert_allclose(rep.eigenvalues, lowest, rtol=1e-12, atol=0.0)
     assert np.all(rep.residuals <= 1e-3 * solve._RESIDUAL_CAP)
-    if mesh_opts is SMALL_STRIP:
+    if mesh_opts is SMALL_STRIP and tau > 0:
+        assert rep.count_below == 0
+    elif mesh_opts is SMALL_STRIP:
         assert rep.count_below > rep.eigenvalues.size == 8
 
 
@@ -198,19 +207,100 @@ def _partial_pivoting_splu(real_splu):
 ])
 def test_count_checks_raise_with_measured_values(monkeypatch, fault,
                                                  message):
-    """Row pivoting, a factor residual and an eigenpair residual above
-    their caps fail the count (an inertia/Ritz disagreement is checked
-    through the CLI)."""
+    """Row pivoting in SuperLU's count of the disk, and a factor residual
+    and an eigenpair residual above their caps on the strip, fail the count
+    (an inertia/Ritz disagreement is checked through the CLI)."""
+    p, mesh_opts = P_THIN, SMALL_STRIP
     if fault == "pivot":
-        monkeypatch.setattr(solve.spla, "splu",
-                            _partial_pivoting_splu(solve.spla.splu))
+        # only the forked count's factor pivots: the disk's Lanczos factor
+        # in this process keeps its diagonal pivots
+        p, mesh_opts = P_ATTR, SMALL_DISK
+        parent, real_splu = os.getpid(), solve.spla.splu
+        pivoting = _partial_pivoting_splu(real_splu)
+        monkeypatch.setattr(
+            solve.spla, "splu", lambda a, **kwargs: (
+                real_splu if os.getpid() == parent else pivoting)(a, **kwargs))
     elif fault == "residual":
         monkeypatch.setattr(solve, "_FACTOR_RESIDUAL_CAP", 0.0)
     else:
         monkeypatch.setattr(solve, "_RESIDUAL_CAP", 0.0)
-    p = PhysParams(tau=-1.0, m=1.0, omega=3.2e-3)
-    with pytest.raises(FemSolveError, match=message):
+    with pytest.raises(FemSolveError, match=message) as err:
+        count_bound_states(p, mesh_opts=mesh_opts)
+    if fault == "pivot":
+        assert str(err.value).startswith("factor of A - sB at s = 0.36 ")
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+def test_singular_block_fails_strip_count(monkeypatch, forked):
+    """A Schur complement that dsytrf reports singular fails the strip's
+    count with the shift and the block's first row, raised in this process
+    whether the count ran in the forked child or inline."""
+    pencil = assemble(P_THIN, solve._mesh_from_opts(P_THIN, SMALL_STRIP))
+    bw = solve._narrow_bandwidth(pencil.A - _count_shift(P_THIN) * pencil.B)
+    real_dsytrf, calls = solve.lapack.dsytrf, []
+
+    def dsytrf(a, **kwargs):
+        calls.append(a.shape)
+        ldu, ipiv, info = real_dsytrf(a, **kwargs)
+        return ldu, ipiv, 1 if len(calls) == 3 else info
+
+    monkeypatch.setattr(solve.lapack, "dsytrf", dsytrf)
+    if not forked:
+        monkeypatch.delattr(solve.os, "fork")
+    with pytest.raises(FemSolveError,
+                       match=rf"^block LDL\^T of A - sB at s = 0.36 is "
+                             rf"singular: the block from row {2 * bw} of "
+                             rf"414 has a zero pivot$"):
+        count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+    assert len(calls) == (0 if forked else 3)
+    _assert_no_child_left()
+
+
+def test_count_off_by_one_fails_ritz_check(monkeypatch):
+    """One negative eigenvalue too many in a block's D makes the count
+    disagree with the Ritz values on a strip whose count, 6, is below
+    k = 8."""
+    p = PhysParams(tau=-1.0, m=1.0, omega=0.04)
+    assert count_bound_states(p, mesh_opts=SMALL_STRIP).count_below == 6
+    real, first = solve._negative_eigenvalues, [True]
+
+    def one_more_in_first_block(ldu, ipiv):
+        extra, first[0] = first[0], False
+        return real(ldu, ipiv) + extra
+
+    monkeypatch.setattr(solve, "_negative_eigenvalues",
+                        one_more_in_first_block)
+    with pytest.raises(FemSolveError,
+                       match=r"^inertia count 7 disagrees with 6 of 8 Ritz "
+                             r"values below s = 0.36$"):
         count_bound_states(p, mesh_opts=SMALL_STRIP)
+    _assert_no_child_left()
+
+
+def test_block_pivot_inertia_matches_eigvalsh():
+    """The D-block reader counts the negative eigenvalues of random
+    symmetric matrices, whose zero diagonals make dsytrf take 2x2 pivots,
+    and reads each 2x2 pivot by its determinant and trace."""
+    rng = np.random.default_rng(7)
+    two_by_two = 0
+    for n in (2, 3, 8, 31, 106):
+        lwork = int(solve.lapack.dsytrf_lwork(n, lower=1)[0])
+        for scale in (0.0, 1e-3, 1.0):
+            g = rng.standard_normal((n, n))
+            a = g + g.T
+            a[np.diag_indices(n)] *= scale
+            ldu, ipiv, info = solve.lapack.dsytrf(a, lower=1, lwork=lwork)
+            assert info == 0
+            two_by_two += np.count_nonzero(ipiv < 0) // 2
+            assert solve._negative_eigenvalues(ldu, ipiv) == np.count_nonzero(
+                np.linalg.eigvalsh(a) < 0.0)
+    assert two_by_two > 50
+    # D = diag(-1, [[a, b], [b, c]]) with each sign pattern of its 2x2 pivot
+    ipiv = np.array([1, -2, -2], dtype=np.int32)
+    for (a, b, c), negative in (((1.0, 2.0, 1.0), 1), ((-2.0, 1.0, -1.0), 2),
+                                ((2.0, 1.0, 1.0), 0), ((0.0, 1.0, 0.0), 1)):
+        ldu = np.array([[-1.0, 0.0, 0.0], [5.0, a, 0.0], [7.0, b, c]])
+        assert solve._negative_eigenvalues(ldu, ipiv) == 1 + negative
 
 
 def test_superlu_failure_is_a_solve_error():
@@ -236,21 +326,28 @@ def test_parent_pivot_check_on_disk(monkeypatch):
 
 
 def _counted(monkeypatch):
-    """Count the calls of the band Cholesky and of SuperLU, and record
+    """Count the calls of the band Cholesky, of the block LDL^T's dsytrf and
+    of SuperLU, and record
     whether each band reached dpbtrf Fortran-ordered (factored in place)."""
-    calls = {"dpbtrf": 0, "splu": 0, "fortran": []}
+    calls = {"dpbtrf": 0, "dsytrf": 0, "splu": 0, "fortran": []}
     real_dpbtrf, real_splu = solve.lapack.dpbtrf, solve.spla.splu
+    real_dsytrf = solve.lapack.dsytrf
 
     def dpbtrf(ab, **kwargs):
         calls["dpbtrf"] += 1
         calls["fortran"].append(ab.flags.f_contiguous)
         return real_dpbtrf(ab, **kwargs)
 
+    def dsytrf(a, **kwargs):
+        calls["dsytrf"] += 1
+        return real_dsytrf(a, **kwargs)
+
     def splu(*args, **kwargs):
         calls["splu"] += 1
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(solve.lapack, "dpbtrf", dpbtrf)
+    monkeypatch.setattr(solve.lapack, "dsytrf", dsytrf)
     monkeypatch.setattr(solve.spla, "splu", splu)
     return calls
 
@@ -281,6 +378,55 @@ def test_shift_solver_routes_by_bandwidth(monkeypatch):
         resid = pencil.A @ x - sigma * (pencil.B @ x) - rhs
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(rhs)
         monkeypatch.undo()
+
+
+def test_inertia_routes_by_bandwidth(monkeypatch):
+    """The count takes the block recursion, with no SuperLU call, on the
+    column-numbered strips, and SuperLU's LDL^T, with exactly one, on the
+    disks and a refined strip; either solve meets the factor residual
+    cap."""
+    small = solve._mesh_from_opts(P_THIN, SMALL_STRIP)
+    p_session = PhysParams(tau=-1.0, m=1.0, omega=math.radians(55.0))
+    cases = [
+        (P_THIN, small, "dsytrf"),
+        (P_THIN, build_strip_mesh(P_THIN), "dsytrf"),
+        (P_ATTR, build_mesh(P_ATTR, R=8.0, h=0.5), "splu"),
+        (p_session, build_mesh(p_session), "splu"),
+        (P_THIN, uniform_refine(small), "splu"),
+    ]
+    for p, mesh, route in cases:
+        calls = _counted(monkeypatch)
+        count, resid = solve._inertia(assemble(p, mesh), _count_shift(p))
+        assert calls["splu"] == (0 if route == "dsytrf" else 1), mesh.info
+        assert (calls["dsytrf"] > 0) == (route == "dsytrf"), mesh.info
+        assert resid <= solve._FACTOR_RESIDUAL_CAP
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tau", [-1.0, 1.0, -3.0])
+def test_strip_inertia_agrees_with_superlu(tau):
+    """On small strips, whose last block is narrower than bw, the block
+    recursion counts what SuperLU's LDL^T counts, at the count's shift and
+    at shifts with more or fewer eigenvalues below, and its one solve meets
+    the factor residual cap."""
+    counts = set()
+    for omega in (1e-3, 3.2e-3, 2e-2, 4e-2):
+        p = PhysParams(tau=tau, m=1.0, omega=omega)
+        for opts in (SMALL_STRIP, dict(SMALL_STRIP, nx=30, wedge_rows=3,
+                                       outer_rows=2)):
+            pencil = assemble(p, solve._mesh_from_opts(p, opts))
+            rhs = solve._start_vector(pencil.n_reduced)
+            for s in _count_shift(p) * np.array([0.5, 1.0, 2.0, 4.0]):
+                c = pencil.A - s * pencil.B
+                bw = solve._narrow_bandwidth(c)
+                assert pencil.n_reduced % bw != 0
+                count, x = solve._strip_inertia(c, bw, s, rhs)
+                lu = solve._factor(c.tocsc(), s)
+                assert count == np.count_nonzero(lu.U.diagonal() < 0.0)
+                resid = np.linalg.norm(c @ x - rhs) / np.linalg.norm(rhs)
+                assert resid <= solve._FACTOR_RESIDUAL_CAP
+                counts.add(count)
+    assert len(counts) >= 4
 
 
 def test_band_route_agrees_with_superlu(monkeypatch):
@@ -361,14 +507,15 @@ def test_count_leaves_no_child(monkeypatch):
 
 
 def test_child_error_reaches_parent(monkeypatch):
-    """A failure inside the child's factor is raised in the parent."""
+    """A failure inside the child's factor (SuperLU's, on the disk) is
+    raised in the parent."""
     monkeypatch.setattr(solve.spla, "splu",
                         _partial_pivoting_splu(solve.spla.splu))
     monkeypatch.setattr(solve, "solve_lowest",
                         lambda pencil, k: SpectralReport(
                             np.zeros(0), None, 0.0, None, np.zeros(0)))
     with pytest.raises(FemSolveError, match="rows pivoted off it"):
-        count_bound_states(P_THIN, mesh_opts=SMALL_STRIP)
+        count_bound_states(P_ATTR, mesh_opts=SMALL_DISK)
     _assert_no_child_left()
 
 

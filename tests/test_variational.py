@@ -208,6 +208,30 @@ def test_critical_angle_rejects_repulsive():
             angle_for_length(tau, 1.0, 10.0, 1)
 
 
+@pytest.mark.parametrize("tau, message", [
+    (math.nan, "certificate machinery requires tau < 0; got nan"),
+    (math.inf, "certificate machinery requires tau < 0; got inf"),
+    (-math.inf, "parameters must be finite"),
+    (-2.0, "tau = -2.0 is within 1e-09 of the excluded value -2.0"),
+    (0.0, "certificate machinery requires tau < 0; got 0.0"),
+    (0.5, "certificate machinery requires tau < 0; got 0.5"),
+    (2.0, "certificate machinery requires tau < 0; got 2.0"),
+    (3.0, "certificate machinery requires tau < 0; got 3.0"),
+    (-1e-9, "tau = -1e-09 is within 1e-09 of the excluded value 0.0"),
+    (-1e200, "tau = -1e+200, m = 1.0 overflows the derived constants"),
+])
+def test_certificate_constants_refuse_with_physparams_messages(tau, message):
+    """The certificate's m = 1 constants refuse a tau with the type and the
+    message PhysParams(tau, 1, pi/2) gave, and otherwise are its constants."""
+    with pytest.raises(ParameterError) as err:
+        variational._require_attractive(tau)
+    assert type(err.value) is ParameterError
+    assert str(err.value) == message
+    for tau in (-1e-4, -1.0, -2.0 + 1.5e-9, -50.0, -1e76):
+        p = PhysParams(tau=tau, m=1.0, omega=math.pi / 2.0)
+        assert variational._require_attractive(tau) == p._constants
+
+
 @pytest.mark.parametrize("N", [1, 3])
 @pytest.mark.parametrize("tau", [
     -1e-4, -0.3, -1.0, -1.9, -1.999, -2.0 + 1e-6, -2.0 - 1e-6, -2.0 + 1e-8,
